@@ -27,6 +27,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+from .codec import JsonCodec
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -104,6 +106,10 @@ class Permutation:
 
     def to_json(self) -> list[int]:
         return list(self.images)
+
+    @staticmethod
+    def from_json(data: list[int]) -> "Permutation":
+        return Permutation(tuple(int(v) for v in data))
 
 
 # The normal-form kernel works on raw image tuples for speed; Permutation
@@ -232,7 +238,7 @@ def _assemble_tuples(
 
 
 @dataclass(frozen=True)
-class NormalForm:
+class NormalForm(JsonCodec):
     """Left Garside normal form Delta^infimum A_1 ... A_k.
 
     Two braid words represent the same element iff their normal forms are
@@ -297,21 +303,6 @@ class NormalForm:
         for f in self.factors:
             letters += _permutation_letters(f)
         return BraidWord(m, tuple(letters))
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "infimum": self.infimum,
-            "factors": [f.to_json() for f in self.factors],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "NormalForm":
-        return NormalForm(
-            int(data["degree"]),
-            int(data["infimum"]),
-            tuple(Permutation(tuple(f)) for f in data["factors"]),
-        )
 
 
 @functools.lru_cache(maxsize=65536)

@@ -17,7 +17,7 @@ import sys
 
 from . import braids, refsuite
 from .braids import BraidWord, parse_word
-from .intlinalg import factored_str, integer_roots
+from .intlinalg import factored_str, split_integer_roots
 from .invariants import (
     BraidSystem,
     braid_invariants,
@@ -44,14 +44,8 @@ def load_system(path: str) -> BraidSystem:
 
 
 def essential_text(report) -> str:
-    red = report.essential
-    parts = []
-    rest = red.core
-    for root, mult in integer_roots(red.core):
-        parts.extend([str(root)] * mult)
-        for _ in range(mult):
-            rest, _ = rest.deflate(root)
-    body = "{" + ", ".join(parts) + "}"
+    roots, rest = split_integer_roots(report.essential.core)
+    body = "{" + ", ".join(str(root) for root, mult in roots for _ in range(mult)) + "}"
     if rest.degree > 0:
         body += f" plus roots of ({rest})"
     return body
@@ -311,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized subroutines")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", parents=[common],

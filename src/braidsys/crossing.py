@@ -56,13 +56,6 @@ class CrossingMatrix:
     def col_multisets(self) -> tuple[tuple[int, ...], ...]:
         return self.transpose().row_multisets()
 
-    def to_json(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
-    @staticmethod
-    def from_rows(rows) -> "CrossingMatrix":
-        return CrossingMatrix(len(rows), tuple(tuple(int(v) for v in row) for row in rows))
-
 
 def crossing_matrix(b: BraidWord, flipped: bool = False) -> CrossingMatrix:
     """Signed over-crossing counts between all strand pairs of the word."""

@@ -12,13 +12,14 @@ x+1 off a polynomial and keeping the remaining core.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from .codec import JsonCodec
 from .crossing import matrix_rows
 
 
 @dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(JsonCodec):
     """Integer polynomial; coeffs[i] is the coefficient of x^i."""
 
     coeffs: tuple[int, ...]
@@ -115,13 +116,6 @@ class IntPolynomial:
         for sign, body in terms[1:]:
             out += f" {sign} {body}"
         return out
-
-    def to_json(self) -> dict:
-        return {"coeffs": list(self.coeffs)}
-
-    @staticmethod
-    def from_json(data: dict) -> "IntPolynomial":
-        return IntPolynomial(tuple(int(c) for c in data["coeffs"]))
 
 
 ONE = IntPolynomial((1,))
@@ -284,17 +278,26 @@ def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(found))
 
 
+def split_integer_roots(p: IntPolynomial) -> tuple[tuple[tuple[int, int], ...], IntPolynomial]:
+    """(integer_roots(p), the cofactor of p left once those roots are divided out)."""
+    roots = integer_roots(p)
+    for root, mult in roots:
+        for _ in range(mult):
+            p, _ = p.deflate(root)
+    return roots, p
+
+
 @dataclass(frozen=True)
-class ReducedPolynomial:
+class ReducedPolynomial(JsonCodec):
     """p = x^zero_mult (x-1)^one_mult (x+1)^neg_one_mult * core.
 
     The core has no root at 0, 1 or -1, so equality of cores decides
     equality of root multisets with 0 and +-1 removed.
     """
 
-    zero_mult: int
-    one_mult: int
-    neg_one_mult: int
+    zero_mult: int = field(metadata={"json": "x_mult"})
+    one_mult: int = field(metadata={"json": "x_minus_1_mult"})
+    neg_one_mult: int = field(metadata={"json": "x_plus_1_mult"})
     core: IntPolynomial
 
     def reassemble(self) -> IntPolynomial:
@@ -305,23 +308,6 @@ class ReducedPolynomial:
         for _ in range(self.neg_one_mult):
             p = p * IntPolynomial((1, 1))
         return p
-
-    def to_json(self) -> dict:
-        return {
-            "x_mult": self.zero_mult,
-            "x_minus_1_mult": self.one_mult,
-            "x_plus_1_mult": self.neg_one_mult,
-            "core": self.core.to_json(),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "ReducedPolynomial":
-        return ReducedPolynomial(
-            int(data["x_mult"]),
-            int(data["x_minus_1_mult"]),
-            int(data["x_plus_1_mult"]),
-            IntPolynomial.from_json(data["core"]),
-        )
 
 
 def reduce_poly(p: IntPolynomial) -> ReducedPolynomial:
@@ -359,11 +345,8 @@ def factored_str(p: IntPolynomial) -> str:
         parts.append(("(x+1)", red.neg_one_mult))
     if red.one_mult:
         parts.append(("(x-1)", red.one_mult))
-    rest = red.core
-    for root, mult in integer_roots(red.core):
-        parts.append((f"(x{-root:+d})", mult))
-        for _ in range(mult):
-            rest, _ = rest.deflate(root)
+    roots, rest = split_integer_roots(red.core)
+    parts += [(f"(x{-root:+d})", mult) for root, mult in roots]
     if rest.coeffs != (1,) or not parts:
         parts.append((f"({rest})" if parts else str(rest), 1))
     return " ".join(base if mult == 1 else f"{base}^{mult}" for base, mult in parts)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from . import braids
 from .braids import BraidWord, NormalForm
-from .crossing import crossing_matrix
+from .codec import JsonCodec
+from .crossing import crossing_matrix, pure_power_matrix
 from .intlinalg import (
     IntPolynomial,
     ReducedPolynomial,
@@ -30,7 +31,7 @@ from .intlinalg import (
 
 
 @dataclass(frozen=True)
-class BraidInvariantReport:
+class BraidInvariantReport(JsonCodec):
     """All crossing-matrix conjugacy invariants of one braid."""
 
     degree: int
@@ -56,35 +57,6 @@ class BraidInvariantReport:
             self.S_rows,
             self.S_cols,
             self.integer_eigenvalues,
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "r": self.r,
-            "charpoly": self.charpoly.to_json(),
-            "determinant": self.determinant,
-            "rank": self.rank,
-            "S": list(self.S),
-            "S_rows": [list(row) for row in self.S_rows],
-            "S_cols": [list(col) for col in self.S_cols],
-            "integer_eigenvalues": [[r0, m0] for r0, m0 in self.integer_eigenvalues],
-            "normal_form": self.normal_form.to_json(),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "BraidInvariantReport":
-        return BraidInvariantReport(
-            int(data["degree"]),
-            int(data["r"]),
-            IntPolynomial.from_json(data["charpoly"]),
-            int(data["determinant"]),
-            int(data["rank"]),
-            tuple(int(v) for v in data["S"]),
-            tuple(tuple(int(v) for v in row) for row in data["S_rows"]),
-            tuple(tuple(int(v) for v in col) for col in data["S_cols"]),
-            tuple((int(r0), int(m0)) for r0, m0 in data["integer_eigenvalues"]),
-            NormalForm.from_json(data["normal_form"]),
         )
 
 
@@ -133,7 +105,7 @@ def poly_sort_key(p: IntPolynomial) -> tuple:
 
 
 @dataclass(frozen=True)
-class SystemInvariantReport:
+class SystemInvariantReport(JsonCodec):
     """Hurwitz-equivalence invariants of one braid system."""
 
     degree: int
@@ -161,43 +133,12 @@ class SystemInvariantReport:
             self.degree_plus_length_mod3,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "length": self.length,
-            "charpoly_product": self.charpoly_product.to_json(),
-            "charpoly_multiset": [p.to_json() for p in self.charpoly_multiset],
-            "essential": self.essential.to_json(),
-            "trace_is_identity": self.trace_is_identity,
-            "perm_monodromy_order": self.perm_monodromy_order,
-            "exponent_sums": list(self.exponent_sums),
-            "degree_plus_length_mod3": self.degree_plus_length_mod3,
-            "normal_forms": [nf.to_json() for nf in self.normal_forms],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "SystemInvariantReport":
-        return SystemInvariantReport(
-            int(data["degree"]),
-            int(data["length"]),
-            IntPolynomial.from_json(data["charpoly_product"]),
-            tuple(IntPolynomial.from_json(p) for p in data["charpoly_multiset"]),
-            ReducedPolynomial.from_json(data["essential"]),
-            bool(data["trace_is_identity"]),
-            int(data["perm_monodromy_order"]),
-            tuple(int(v) for v in data["exponent_sums"]),
-            int(data["degree_plus_length_mod3"]),
-            tuple(NormalForm.from_json(nf) for nf in data["normal_forms"]),
-        )
-
 
 @functools.lru_cache(maxsize=65536)
 def _report_for_normal_form(nf: NormalForm) -> BraidInvariantReport:
     # any word for the braid yields the same matrix, so the canonical
     # re-expansion is a sound (and cache-friendly) representative
-    word = braids.free_reduce(nf.to_word())
-    r = nf.permutation().order()
-    M = crossing_matrix(braids.power(word, r))
+    r, M = pure_power_matrix(braids.free_reduce(nf.to_word()))
     cp = charpoly(M)
     return BraidInvariantReport(
         degree=nf.degree,

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import braids
-from .braids import BraidWord, NormalForm
+from .braids import BraidWord
 from .invariants import BraidSystem, system_invariants
 from .moves import (
     HurwitzMove,
@@ -47,11 +47,46 @@ class OrbitResult:
     frontier_exhausted_at_depth: int | None = None
 
 
-def _nf_key(s: BraidSystem) -> tuple[NormalForm, ...]:
-    return s.normal_forms()
+def _bfs(s: BraidSystem, limits: OrbitLimits, parents: dict):
+    """The breadth-first search behind hurwitz_orbit and orbit_states.
+
+    Yields (state, depth) for every state as it is discovered, the start
+    first, and records its (parent, move) in `parents` (None for the
+    start).  No move is computed once `parents` holds max_states states.
+    Returns True if a limit cut the search short.
+    """
+    start = s.normal_forms()
+    moves = [HurwitzMove(i, inv) for i in range(1, len(s)) for inv in (False, True)]
+    parents[start] = None
+    yield start, 0
+    queue = deque([(start, 0)])
+    truncated = False
+    while queue:
+        state, depth = queue.popleft()
+        if depth >= limits.max_depth:
+            truncated = True
+            continue
+        for move in moves:
+            if len(parents) >= limits.max_states:
+                return True
+            nxt = hurwitz_move_nf(state, move)
+            if nxt in parents:
+                continue
+            if any(nf.canonical_length > limits.max_component_canonical_length for nf in nxt):
+                truncated = True
+                continue
+            parents[nxt] = (state, move)
+            yield nxt, depth + 1
+            queue.append((nxt, depth + 1))
+    return truncated
 
 
-_nf_move = hurwitz_move_nf
+def _witness(parents: dict, key) -> tuple[HurwitzMove, ...]:
+    path = []
+    while parents[key] is not None:
+        key, move = parents[key]
+        path.append(move)
+    return tuple(reversed(path))
 
 
 def hurwitz_orbit(
@@ -60,73 +95,26 @@ def hurwitz_orbit(
     target: BraidSystem | None = None,
 ) -> OrbitResult:
     """BFS over the elementary Hurwitz moves, deduplicated by normal form."""
-    n = len(s)
-    if target is not None and (target.degree != s.degree or len(target) != n):
+    if target is not None and (target.degree != s.degree or len(target) != len(s)):
         raise ValueError("target must have the same degree and length as the source")
-    start = _nf_key(s)
-    target_key = _nf_key(target) if target is not None else None
-
-    parents: dict[tuple[NormalForm, ...], tuple | None] = {start: None}
-    queue = deque([(start, 0)])
-    moves = [HurwitzMove(i, inv) for i in range(1, n) for inv in (False, True)]
-    truncated = False
-    max_seen_depth = 0
-
-    def witness_path(key) -> tuple[HurwitzMove, ...]:
-        path = []
-        while parents[key] is not None:
-            key, move = parents[key]
-            path.append(move)
-        return tuple(reversed(path))
-
-    if target_key == start:
-        return OrbitResult("target_found", 1, witness=())
-
-    while queue:
-        state, depth = queue.popleft()
-        max_seen_depth = max(max_seen_depth, depth)
-        if depth >= limits.max_depth:
-            truncated = True
-            continue
-        for move in moves:
-            nxt = _nf_move(state, move)
-            if nxt in parents:
-                continue
-            if any(nf.canonical_length > limits.max_component_canonical_length for nf in nxt):
-                truncated = True
-                continue
-            parents[nxt] = (state, move)
-            if nxt == target_key:
-                return OrbitResult("target_found", len(parents), witness=witness_path(nxt))
-            if len(parents) >= limits.max_states:
-                return OrbitResult("truncated", len(parents))
-            queue.append((nxt, depth + 1))
-
-    if truncated:
-        return OrbitResult("truncated", len(parents))
-    return OrbitResult("complete", len(parents), frontier_exhausted_at_depth=max_seen_depth)
+    target_key = target.normal_forms() if target is not None else None
+    parents: dict = {}
+    search = _bfs(s, limits, parents)
+    try:
+        while True:
+            state, depth = next(search)
+            if state == target_key:
+                return OrbitResult("target_found", len(parents), witness=_witness(parents, state))
+    except StopIteration as stop:
+        if stop.value:
+            return OrbitResult("truncated", len(parents))
+        return OrbitResult("complete", len(parents), frontier_exhausted_at_depth=depth)
 
 
 def orbit_states(s: BraidSystem, limits: OrbitLimits = OrbitLimits()):
     """Yield the visited normal-form state tuples of the bounded BFS."""
-    n = len(s)
-    start = _nf_key(s)
-    seen = {start}
-    queue = deque([(start, 0)])
-    moves = [HurwitzMove(i, inv) for i in range(1, n) for inv in (False, True)]
-    while queue:
-        state, depth = queue.popleft()
+    for state, _ in _bfs(s, limits, {}):
         yield state
-        if depth >= limits.max_depth:
-            continue
-        for move in moves:
-            nxt = _nf_move(state, move)
-            if nxt in seen or len(seen) >= limits.max_states:
-                continue
-            if any(nf.canonical_length > limits.max_component_canonical_length for nf in nxt):
-                continue
-            seen.add(nxt)
-            queue.append((nxt, depth + 1))
 
 
 def replay_witness(s: BraidSystem, witness) -> BraidSystem:

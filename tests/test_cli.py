@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -179,3 +180,18 @@ def test_malformed_system_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"degree": 3}))
     assert main(["invariants", "--system", str(bad)]) == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("invariants_word.json", ["invariants", "--degree", "4", "--word", "1,2,-3", "--json"]),
+    ("invariants_system.json", ["invariants", "--system", "{intro_b}", "--json"]),
+    ("apply_steps.json",
+     ["apply", "--system", "{intro_b}", "--steps", "H 1 + / STAB / DESTAB / FUSE 1 2", "--json"]),
+])
+def test_json_output_is_pinned(capsys, system_files, golden, argv):
+    # the exact bytes, key names and key order of the --json reports
+    assert main([a.format(**system_files) for a in argv]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import braidsys.orbit
 from braidsys import (
     BraidSystem,
     HurwitzMove,
@@ -10,6 +11,7 @@ from braidsys import (
     conjugate,
     find_conjugator,
     hurwitz_move,
+    hurwitz_move_nf,
     hurwitz_orbit,
     orbit_states,
     parse_word,
@@ -20,6 +22,8 @@ from braidsys import (
 )
 
 from oracles import random_word
+
+INTRO_B = BraidSystem.from_texts(4, ["1,2,-3", "3", "-2", "-1"])
 
 
 def test_limits_validation():
@@ -77,6 +81,38 @@ def test_truncation_by_max_states():
     res = hurwitz_orbit(bvec, OrbitLimits(max_states=50, max_depth=32))
     assert res.status == "truncated"
     assert res.states_visited == 50
+
+
+@pytest.mark.parametrize("max_states", [1, 2, 50])
+def test_state_budget_is_never_exceeded(max_states):
+    lims = OrbitLimits(max_states=max_states)
+    res = hurwitz_orbit(INTRO_B, lims)
+    assert res.status == "truncated"
+    assert res.states_visited <= max_states
+    assert res.states_visited == len(list(orbit_states(INTRO_B, lims)))
+
+
+def test_orbit_states_computes_the_moves_hurwitz_orbit_computes(monkeypatch):
+    calls = []
+
+    def counted(state, move):
+        calls.append(move)
+        return hurwitz_move_nf(state, move)
+
+    # every name the orbit module binds to the move function
+    for name, value in list(vars(braidsys.orbit).items()):
+        if value is hurwitz_move_nf:
+            monkeypatch.setattr(braidsys.orbit, name, counted)
+    for lims in [OrbitLimits(max_states=300), OrbitLimits(max_states=300, max_depth=3),
+                 OrbitLimits(max_states=300, max_component_canonical_length=3),
+                 OrbitLimits(max_states=1)]:
+        calls.clear()
+        hurwitz_orbit(INTRO_B, lims)
+        searched = len(calls)
+        calls.clear()
+        list(orbit_states(INTRO_B, lims))
+        assert len(calls) == searched, lims
+        assert searched > 0 or lims.max_states == 1
 
 
 def test_bfs_is_deterministic():
