@@ -40,22 +40,6 @@ class Permutation:
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a bijection of 1..{len(self.images)}: {self.images}")
 
-    @staticmethod
-    def identity(m: int) -> "Permutation":
-        return Permutation(tuple(range(1, m + 1)))
-
-    @staticmethod
-    def transposition(m: int, i: int) -> "Permutation":
-        """The adjacent transposition swapping i and i+1."""
-        images = list(range(1, m + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return Permutation(tuple(images))
-
-    @staticmethod
-    def half_twist(m: int) -> "Permutation":
-        """The order-reversing permutation (the permutation of Delta)."""
-        return Permutation(tuple(range(m, 0, -1)))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -65,13 +49,10 @@ class Permutation:
 
     def then(self, other: "Permutation") -> "Permutation":
         """Composition in diagram order: (self.then(other))(k) = other(self(k))."""
-        return Permutation(tuple(other.images[v - 1] for v in self.images))
+        return Permutation(_tup_then(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for k, v in enumerate(self.images, start=1):
-            inv[v - 1] = k
-        return Permutation(tuple(inv))
+        return Permutation(tuple(_tup_inverse(self.images)))
 
     def is_identity(self) -> bool:
         return all(v == k for k, v in enumerate(self.images, start=1))
@@ -100,10 +81,6 @@ class Permutation:
             r = math.lcm(r, len(cyc))
         return r
 
-    def inversion_count(self) -> int:
-        im = self.images
-        return sum(1 for a in range(len(im)) for b in range(a + 1, len(im)) if im[a] > im[b])
-
     def to_json(self) -> list[int]:
         return list(self.images)
 
@@ -112,8 +89,9 @@ class Permutation:
         return Permutation(tuple(int(v) for v in data))
 
 
-# The normal-form kernel works on raw image tuples for speed; Permutation
-# objects only appear at the public boundary.
+def _tup_then(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(b[v - 1] for v in a)
+
 
 def _tup_inverse(a: tuple[int, ...]) -> list[int]:
     inv = [0] * len(a)
@@ -234,7 +212,7 @@ def _assemble_tuples(
             facs[t] = _tup_flip(facs[t])
         acc += dpows[t]
     shift, norm = _normalize_tuples(m, facs)
-    return NormalForm(m, acc + shift, tuple(Permutation(f) for f in norm))
+    return NormalForm(m, acc + shift, norm)
 
 
 @dataclass(frozen=True)
@@ -243,11 +221,19 @@ class NormalForm(JsonCodec):
 
     Two braid words represent the same element iff their normal forms are
     equal, which makes NormalForm the canonical dictionary key for braids.
+    Each factor A_i is held as its permutation's image tuple.
     """
 
     degree: int
     infimum: int
-    factors: tuple[Permutation, ...]
+    factors: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_json(cls, data: dict) -> "NormalForm":
+        nf = super().from_json(data)
+        for f in nf.factors:
+            Permutation(f)  # raises ValueError unless f is a bijection
+        return nf
 
     @property
     def canonical_length(self) -> int:
@@ -259,16 +245,12 @@ class NormalForm(JsonCodec):
     def __mul__(self, other: "NormalForm") -> "NormalForm":
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        facs = [f.images for f in self.factors]
+        facs = list(self.factors)
         if other.infimum % 2:
             facs = [_tup_flip(f) for f in facs]
-        facs += [f.images for f in other.factors]
+        facs += other.factors
         shift, norm = _normalize_tuples(self.degree, facs)
-        return NormalForm(
-            self.degree,
-            self.infimum + other.infimum + shift,
-            tuple(Permutation(f) for f in norm),
-        )
+        return NormalForm(self.degree, self.infimum + other.infimum + shift, norm)
 
     def inverse(self) -> "NormalForm":
         return _nf_inverse(self)
@@ -286,13 +268,23 @@ class NormalForm(JsonCodec):
         return acc
 
     def permutation(self) -> Permutation:
-        p = Permutation.half_twist(self.degree) if self.infimum % 2 else Permutation.identity(self.degree)
+        m = self.degree
+        p = tuple(range(m, 0, -1)) if self.infimum % 2 else tuple(range(1, m + 1))
         for f in self.factors:
-            p = p.then(f)
-        return p
+            p = _tup_then(p, f)
+        return Permutation(p)
+
+    def exponent_sum(self) -> int:
+        """Half-twist power times the twist length plus the factor lengths
+        (the inversion counts of the factors)."""
+        m = self.degree
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        inversions = sum(f[i] > f[j] for f in self.factors for i, j in pairs)
+        return self.infimum * m * (m - 1) // 2 + inversions
 
     def to_word(self) -> "BraidWord":
-        """Re-expand as a braid word (half-twist blocks, then factor words)."""
+        """Re-expand as a freely reduced braid word (half-twist blocks, then
+        factor words); this is the one spelling of a normal form."""
         m = self.degree
         delta = _half_twist_letters(m)
         letters: list[int] = []
@@ -302,12 +294,12 @@ class NormalForm(JsonCodec):
             letters += [-i for i in reversed(delta)] * (-self.infimum)
         for f in self.factors:
             letters += _permutation_letters(f)
-        return BraidWord(m, tuple(letters))
+        return free_reduce(BraidWord(m, tuple(letters)))
 
 
 @functools.lru_cache(maxsize=65536)
 def _nf_inverse(nf: NormalForm) -> NormalForm:
-    facs = [_tup_left_complement(f.images) for f in reversed(nf.factors)]
+    facs = [_tup_left_complement(f) for f in reversed(nf.factors)]
     return _assemble_tuples(nf.degree, facs, [-1] * len(facs), trailing=-nf.infimum)
 
 
@@ -319,9 +311,9 @@ def _half_twist_letters(m: int) -> list[int]:
     return letters
 
 
-def _permutation_letters(p: Permutation) -> list[int]:
+def _permutation_letters(p: tuple[int, ...]) -> list[int]:
     """A reduced positive word for a permutation braid."""
-    im = list(p.images)
+    im = list(p)
     letters = []
     while True:
         for i in range(len(im) - 1):
@@ -443,10 +435,12 @@ def exponent_sum(b: BraidWord) -> int:
 def normal_form(b: BraidWord) -> NormalForm:
     """Left Garside normal form of the braid represented by the word."""
     m = b.degree
+    ident = tuple(range(1, m + 1))
     factors: list[tuple[int, ...]] = []
     dpows: list[int] = []
     for k in b.letters:
-        t = Permutation.transposition(m, abs(k)).images
+        i = abs(k)
+        t = ident[: i - 1] + (i + 1, i) + ident[i + 1 :]
         if k > 0:
             factors.append(t)
             dpows.append(0)
@@ -468,4 +462,4 @@ def braids_equal(a: BraidWord, b: BraidWord) -> bool:
 
 def canonical_word(b: BraidWord) -> BraidWord:
     """A freely reduced word read off the normal form; canonical enough for storage."""
-    return free_reduce(normal_form(b).to_word())
+    return normal_form(b).to_word()

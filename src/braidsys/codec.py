@@ -3,13 +3,15 @@ JSON encoding of the frozen dataclass values, derived from their fields.
 
 A value encodes as an object with one key per field, in field order; the
 key is the field name unless the field's metadata names another
-(`field(metadata={"json": key})`).  Tuples become lists and nested values
-use their own `to_json`.  Decoding follows the field type hints.
+(`field(metadata={"json": key})`).  Tuples become lists, None stays null
+and nested values use their own `to_json`.  Decoding follows the field
+type hints.
 """
 
 from __future__ import annotations
 
 import functools
+import types
 import typing
 from dataclasses import fields
 
@@ -33,7 +35,7 @@ def _keys(cls) -> tuple[tuple[str, str], ...]:
 
 
 def _encode(value):
-    if isinstance(value, (int, str)):
+    if value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
@@ -41,6 +43,10 @@ def _encode(value):
 
 
 def _decode(tp, value):
+    if value is None:
+        return None
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None
+        tp = next(a for a in typing.get_args(tp) if a is not type(None))
     if typing.get_origin(tp) is tuple:
         args = typing.get_args(tp)
         if args[-1] is Ellipsis:

@@ -92,6 +92,8 @@ class BraidSystem:
     @staticmethod
     def from_json(data: dict) -> "BraidSystem":
         degree = int(data["degree"])
+        if not isinstance(data["components"], list):
+            raise TypeError(f"components must be a list, not {type(data['components']).__name__}")
         comps = tuple(braids.parse_word(str(t), degree) for t in data["components"])
         return BraidSystem(degree, comps)
 
@@ -138,7 +140,7 @@ class SystemInvariantReport(JsonCodec):
 def _report_for_normal_form(nf: NormalForm) -> BraidInvariantReport:
     # any word for the braid yields the same matrix, so the canonical
     # re-expansion is a sound (and cache-friendly) representative
-    r, M = pure_power_matrix(braids.free_reduce(nf.to_word()))
+    r, M = pure_power_matrix(nf.to_word())
     cp = charpoly(M)
     return BraidInvariantReport(
         degree=nf.degree,
@@ -190,8 +192,7 @@ def system_invariants_from_normal_forms(
 ) -> SystemInvariantReport:
     """System invariants computed directly on component normal forms.
 
-    The exponent sum is read off the normal form as well (half-twist
-    power times the twist length plus factor inversion counts), so no
+    The exponent sum is read off the normal form as well, so no
     word-level representative is needed.
     """
     reports = [_report_for_normal_form(nf) for nf in nfs]
@@ -202,7 +203,6 @@ def system_invariants_from_normal_forms(
     trace_nf = NormalForm(degree, 0, ())
     for nf in nfs:
         trace_nf = trace_nf * nf
-    twist_length = degree * (degree - 1) // 2
     return SystemInvariantReport(
         degree=degree,
         length=len(nfs),
@@ -211,12 +211,7 @@ def system_invariants_from_normal_forms(
         essential=reduce_poly(prod),
         trace_is_identity=trace_nf.is_identity(),
         perm_monodromy_order=permutation_group_order(nf.permutation() for nf in nfs),
-        exponent_sums=tuple(
-            sorted(
-                nf.infimum * twist_length + sum(f.inversion_count() for f in nf.factors)
-                for nf in nfs
-            )
-        ),
+        exponent_sums=tuple(sorted(nf.exponent_sum() for nf in nfs)),
         degree_plus_length_mod3=(degree + len(nfs)) % 3,
         normal_forms=tuple(nfs),
     )

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 from . import braids
 from .braids import BraidWord
+from .codec import JsonCodec
 from .invariants import BraidSystem, system_invariants
 
 
 @dataclass(frozen=True)
-class HurwitzMove:
+class HurwitzMove(JsonCodec):
     """Elementary Hurwitz move at a 1-based index; inverse=True for the undo direction."""
 
     index: int

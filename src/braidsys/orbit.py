@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from . import braids
 from .braids import BraidWord
+from .codec import JsonCodec
 from .invariants import BraidSystem, system_invariants
 from .moves import (
     HurwitzMove,
@@ -40,7 +41,7 @@ class OrbitLimits:
 
 
 @dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(JsonCodec):
     status: str  # complete | truncated | target_found
     states_visited: int
     witness: tuple[HurwitzMove, ...] | None = None
@@ -52,7 +53,9 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, parents: dict):
 
     Yields (state, depth) for every state as it is discovered, the start
     first, and records its (parent, move) in `parents` (None for the
-    start).  No move is computed once `parents` holds max_states states.
+    start).  No state is recorded beyond max_states; once `parents` is
+    full, moves are computed only until one leads to an unrecorded state,
+    so an orbit that closes at exactly max_states is still complete.
     Returns True if a limit cut the search short.
     """
     start = s.normal_forms()
@@ -67,11 +70,11 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, parents: dict):
             truncated = True
             continue
         for move in moves:
-            if len(parents) >= limits.max_states:
-                return True
             nxt = hurwitz_move_nf(state, move)
             if nxt in parents:
                 continue
+            if len(parents) >= limits.max_states:
+                return True
             if any(nf.canonical_length > limits.max_component_canonical_length for nf in nxt):
                 truncated = True
                 continue

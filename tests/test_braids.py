@@ -167,12 +167,11 @@ def test_normal_form_factors_are_left_weighted():
     for _ in range(80):
         m = rng.randint(2, 6)
         nf = normal_form(random_word(rng, m, 12))
-        w0 = tuple(range(m, 0, -1))
+        w0, ident = tuple(range(m, 0, -1)), tuple(range(1, m + 1))
         for f in nf.factors:
-            assert not f.is_identity() and f.images != w0
-        for a, b in zip(nf.factors, nf.factors[1:]):
-            ai = _tup_inverse(a.images)
-            bm = b.images
+            assert f != ident and f != w0
+        for a, bm in zip(nf.factors, nf.factors[1:]):
+            ai = _tup_inverse(a)
             assert not any(
                 bm[i - 1] > bm[i] and ai[i - 1] < ai[i] for i in range(1, m)
             )
@@ -223,6 +222,11 @@ def test_degree_one_group_is_trivial():
 def test_normal_form_json_roundtrip():
     nf = normal_form(parse_word("1,-2,3,3", 4))
     assert NormalForm.from_json(nf.to_json()) == nf
+
+
+def test_normal_form_from_json_rejects_a_non_bijective_factor():
+    with pytest.raises(ValueError):
+        NormalForm.from_json({"degree": 3, "infimum": 0, "factors": [[1, 1, 3]]})
 
 
 def test_permutation_validation():

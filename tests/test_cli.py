@@ -16,6 +16,8 @@ def system_files(tmp_path):
         ("intro_bp", 4, ["1,-2,3", "-3", "2", "-1"]),
         ("fused_c", 4, ["1,-2,3", "-3,2,-1"]),
         ("pair", 2, ["1", "1"]),
+        # INTRO_B after H 1 + / H 3 -
+        ("intro_b_moved", 4, ["3", "-1,-2,-3,-1,-2,-1,2,1,3,2,1,1,2", "-1,-2,-3,-1,3,2,2", "-2"]),
     ]:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps({"degree": degree, "components": comps}))
@@ -182,6 +184,13 @@ def test_malformed_system_file(tmp_path):
     assert main(["invariants", "--system", str(bad)]) == 1
 
 
+def test_system_file_components_must_be_a_list(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"degree": 4, "components": "1,2"}))
+    assert main(["invariants", "--system", str(bad)]) == 1
+    assert "malformed system file" in capsys.readouterr().err
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -190,6 +199,10 @@ GOLDEN = Path(__file__).parent / "golden"
     ("invariants_system.json", ["invariants", "--system", "{intro_b}", "--json"]),
     ("apply_steps.json",
      ["apply", "--system", "{intro_b}", "--steps", "H 1 + / STAB / DESTAB / FUSE 1 2", "--json"]),
+    ("orbit_truncated.json", ["orbit", "--system", "{intro_b}", "--max-states", "40", "--json"]),
+    ("orbit_target.json",
+     ["orbit", "--system", "{intro_b}", "--target", "{intro_b_moved}", "--max-states", "200",
+      "--json"]),
 ])
 def test_json_output_is_pinned(capsys, system_files, golden, argv):
     # the exact bytes, key names and key order of the --json reports

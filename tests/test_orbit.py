@@ -92,6 +92,23 @@ def test_state_budget_is_never_exceeded(max_states):
     assert res.states_visited == len(list(orbit_states(INTRO_B, lims)))
 
 
+@pytest.mark.parametrize("degree, texts, size", [
+    (2, ["1", "-1"], 2), (3, ["1", "2"], 3), (3, ["1", "2", "1"], 8),
+])
+def test_orbit_closing_at_the_budget_is_complete(degree, texts, size):
+    s = BraidSystem.from_texts(degree, texts)
+    res = hurwitz_orbit(s, OrbitLimits(max_states=size))
+    assert res == hurwitz_orbit(s) and res.status == "complete" and res.states_visited == size
+    assert hurwitz_orbit(s, OrbitLimits(max_states=size - 1)).status == "truncated"
+
+
+def test_orbit_result_json_roundtrip():
+    for res in [hurwitz_orbit(INTRO_B, OrbitLimits(max_states=20)),
+                hurwitz_orbit(BraidSystem.from_texts(2, ["1", "-1"])),
+                hurwitz_orbit(INTRO_B, target=hurwitz_move(INTRO_B, HurwitzMove(2, True)))]:
+        assert braidsys.orbit.OrbitResult.from_json(res.to_json()) == res
+
+
 def test_orbit_states_computes_the_moves_hurwitz_orbit_computes(monkeypatch):
     calls = []
 
