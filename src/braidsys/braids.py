@@ -232,7 +232,12 @@ class NormalForm(JsonCodec):
     def from_json(cls, data: dict) -> "NormalForm":
         nf = super().from_json(data)
         for f in nf.factors:
+            if len(f) != nf.degree:
+                raise ValueError(f"factor {list(f)} does not have degree {nf.degree}")
             Permutation(f)  # raises ValueError unless f is a bijection
+        if _normalize_tuples(nf.degree, nf.factors) != (0, nf.factors):
+            raise ValueError("factors are not a left normal form: they hold an identity or "
+                             "half-twist factor, or a pair that is not left-weighted")
         return nf
 
     @property

@@ -13,6 +13,7 @@ under global conjugation and stabilization.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from . import braids
@@ -91,7 +92,9 @@ class BraidSystem:
 
     @staticmethod
     def from_json(data: dict) -> "BraidSystem":
-        degree = int(data["degree"])
+        degree = data["degree"]
+        if not isinstance(degree, int) or isinstance(degree, bool):
+            raise TypeError(f"degree must be an integer, not {type(degree).__name__}")
         if not isinstance(data["components"], list):
             raise TypeError(f"components must be a list, not {type(data['components']).__name__}")
         comps = tuple(braids.parse_word(str(t), degree) for t in data["components"])
@@ -166,25 +169,120 @@ def permutation_group_order(perms) -> int:
     perms = list(perms)
     if not perms:
         return 1
+    degrees = {p.degree for p in perms}
+    if len(degrees) > 1:
+        raise ValueError(f"generators must share one degree, got degrees {sorted(degrees)}")
     return _group_order_cached(tuple(sorted({p.images for p in perms})))
+
+
+class _Level:
+    """One level of a stabiliser chain.
+
+    `gens` are the strong generators that fix every earlier base point;
+    `trans` maps each point of the orbit of `point` under them to a pair
+    (u, u^-1) with u[point] == that point.  Entries are only ever added,
+    so a Schreier generator, once built, never changes.
+    """
+
+    def __init__(self, point: int, identity: tuple[int, ...]):
+        self.point = point
+        self.gens: list[tuple[int, ...]] = []
+        self.orbit = [point]
+        self.trans = {point: (identity, identity)}
+        self.tested: set[tuple[int, int]] = set()  # (orbit point, gen index) pairs sifted
+
+    def add_gen(self, g: tuple[int, ...]) -> None:
+        self.gens.append(g)
+        for beta in self.orbit:  # the list grows while it is walked
+            u = self.trans[beta][0]
+            for s in self.gens:
+                gamma = s[beta]
+                if gamma not in self.trans:
+                    v = tuple(s[x] for x in u)  # u then s
+                    self.trans[gamma] = (v, _inverse(v))
+                    self.orbit.append(gamma)
+
+
+def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for x, y in enumerate(p):
+        inv[y] = x
+    return tuple(inv)
+
+
+def _moved_point(g: tuple[int, ...]) -> int:
+    return next(x for x, y in enumerate(g) if x != y)
+
+
+def _sift(levels: list[_Level], start: int, h: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Strip h through the levels from `start`; returns the residue and the
+    level it stopped at (len(levels) if it passed them all)."""
+    for j in range(start, len(levels)):
+        lev = levels[j]
+        beta = h[lev.point]
+        if beta not in lev.trans:
+            return h, j
+        if beta != lev.point:
+            uinv = lev.trans[beta][1]
+            h = tuple(uinv[x] for x in h)
+    return h, len(levels)
+
+
+def _new_strong_generator(levels: list[_Level], i: int, identity: tuple[int, ...]):
+    """Sift the untested Schreier generators u_b s u_{b^s}^-1 of level i
+    through the deeper levels; returns the first residue that is not the
+    identity with the level it stopped at, or None."""
+    lev = levels[i]
+    for beta in lev.orbit:
+        u = lev.trans[beta][0]
+        for k, s in enumerate(lev.gens):
+            if (beta, k) not in lev.tested:
+                lev.tested.add((beta, k))
+                uinv = lev.trans[s[beta]][1]
+                h, j = _sift(levels, i + 1, tuple(uinv[s[x]] for x in u))
+                if h != identity:
+                    return h, j
+    return None
 
 
 @functools.lru_cache(maxsize=65536)
 def _group_order_cached(gens: tuple[tuple[int, ...], ...]) -> int:
-    m = len(gens[0])
-    identity = tuple(range(1, m + 1))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(g[v - 1] for v in p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return len(seen)
+    """Deterministic Schreier-Sims (Sims 1970; Seress, *Permutation Group
+    Algorithms*, 2003, ch. 4; Knuth 1991).
+
+    Builds a base and a strong generating set level by level, deepest
+    level first.  Levels deeper than the current one are always complete,
+    so a sift through them decides membership; a Schreier generator that
+    does not sift to the identity leaves a residue that joins the strong
+    generators of the levels it fixes (and the base, if it fixes every
+    base point), and work resumes at the deepest level it joined.  The
+    order is the product of the orbit lengths.  Points are 0-based inside;
+    `gens` are 1-based image tuples of one degree.
+    """
+    identity = tuple(range(len(gens[0])))
+    levels: list[_Level] = []
+    for g in (tuple(v - 1 for v in g) for g in gens):
+        if g == identity:
+            continue
+        if all(g[lev.point] == lev.point for lev in levels):
+            levels.append(_Level(_moved_point(g), identity))
+        for lev in levels:  # g joins every level up to the first base point it moves
+            lev.add_gen(g)
+            if g[lev.point] != lev.point:
+                break
+    i = len(levels) - 1
+    while i >= 0:
+        found = _new_strong_generator(levels, i, identity)
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        if j == len(levels):
+            levels.append(_Level(_moved_point(h), identity))
+        for lev in levels[i + 1 : j + 1]:
+            lev.add_gen(h)
+        i = j
+    return math.prod(len(lev.orbit) for lev in levels)
 
 
 def system_invariants_from_normal_forms(

@@ -72,3 +72,21 @@ def random_word(rng: random.Random, degree: int, max_len: int, min_len: int = 0)
     gens = [k for i in range(1, degree) for k in (i, -i)]
     n = rng.randint(min_len, max_len)
     return BraidWord(degree, tuple(rng.choice(gens) for _ in range(n)))
+
+
+def group_order_bfs(gens) -> int:
+    """Order of the group generated by 1-based image tuples of one degree,
+    by listing every element: factorial time, fine up to degree 8."""
+    identity = tuple(range(1, len(gens[0]) + 1))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[v - 1] for v in p)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return len(seen)

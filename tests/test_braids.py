@@ -229,6 +229,38 @@ def test_normal_form_from_json_rejects_a_non_bijective_factor():
         NormalForm.from_json({"degree": 3, "infimum": 0, "factors": [[1, 1, 3]]})
 
 
+def test_normal_form_from_json_roundtrips_random_forms():
+    rng = random.Random(12)
+    for _ in range(100):
+        m = rng.randint(1, 6)
+        nf = normal_form(random_word(rng, m, 12))
+        assert NormalForm.from_json(nf.to_json()) == nf
+
+
+@pytest.mark.parametrize("factors", [[[2, 1]], [[2, 1, 3, 4]]])
+def test_normal_form_from_json_rejects_a_factor_of_another_degree(factors):
+    with pytest.raises(ValueError, match="degree 3"):
+        NormalForm.from_json({"degree": 3, "infimum": 0, "factors": factors})
+
+
+def test_normal_form_from_json_rejects_an_identity_factor():
+    for factors in ([[1, 2, 3]], [[2, 1, 3], [1, 2, 3]]):
+        with pytest.raises(ValueError, match="not a left normal form"):
+            NormalForm.from_json({"degree": 3, "infimum": 0, "factors": factors})
+
+
+def test_normal_form_from_json_rejects_a_half_twist_factor():
+    # Delta belongs in the infimum
+    with pytest.raises(ValueError, match="not a left normal form"):
+        NormalForm.from_json({"degree": 3, "infimum": 0, "factors": [[3, 2, 1], [2, 1, 3]]})
+
+
+def test_normal_form_from_json_rejects_a_pair_that_is_not_left_weighted():
+    # sigma_1 sigma_2 is one permutation braid, not two factors
+    with pytest.raises(ValueError, match="not a left normal form"):
+        NormalForm.from_json({"degree": 3, "infimum": 0, "factors": [[2, 1, 3], [1, 3, 2]]})
+
+
 def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((1, 1, 3))

@@ -18,6 +18,11 @@ def system_files(tmp_path):
         ("pair", 2, ["1", "1"]),
         # INTRO_B after H 1 + / H 3 -
         ("intro_b_moved", 4, ["3", "-1,-2,-3,-1,-2,-1,2,1,3,2,1,1,2", "-1,-2,-3,-1,3,2,2", "-2"]),
+        # conjugated transpositions linking all 8 points: monodromy S_8
+        ("full_s8", 8, ["1", "-1,2,1", "3", "2,-4,-2", "5", "-6,5,6", "7"]),
+        # full_s8 after H 3 +
+        ("full_s8_moved", 8,
+         ["1", "-1,2,1", "2,-4,-2", "2,4,-2,3,2,-4,-2", "5", "-6,5,6", "7"]),
     ]:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps({"degree": degree, "components": comps}))
@@ -191,6 +196,14 @@ def test_system_file_components_must_be_a_list(tmp_path, capsys):
     assert "malformed system file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("degree", [4.7, "4", True, None])
+def test_system_file_degree_must_be_an_integer(tmp_path, capsys, degree):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"degree": degree, "components": ["3"]}))
+    assert main(["invariants", "--system", str(bad)]) == 1
+    assert "malformed system file" in capsys.readouterr().err
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -203,6 +216,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("orbit_target.json",
      ["orbit", "--system", "{intro_b}", "--target", "{intro_b_moved}", "--max-states", "200",
       "--json"]),
+    ("compare_intro_b.json", ["compare", "{intro_b}", "{intro_b_moved}", "--json"]),
+    ("compare_full_s8.json", ["compare", "{full_s8}", "{full_s8_moved}", "--json"]),
 ])
 def test_json_output_is_pinned(capsys, system_files, golden, argv):
     # the exact bytes, key names and key order of the --json reports

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -26,7 +27,7 @@ from braidsys import (
 )
 from braidsys.braids import BraidWord, Permutation
 
-from oracles import random_word
+from oracles import group_order_bfs, random_word
 
 
 def sigma_poly(m):
@@ -186,6 +187,89 @@ def test_permutation_group_order():
     assert permutation_group_order([Permutation((2, 1, 3))]) == 2
     gens = [permutation(parse_word(t, 4)) for t in ("1", "2", "3")]
     assert permutation_group_order(gens) == 24
+
+
+def test_permutation_group_order_rejects_mixed_degrees():
+    with pytest.raises(ValueError, match="one degree"):
+        permutation_group_order([Permutation((2, 1)), Permutation((1, 3, 2))])
+
+
+def _random_generating_set(rng: random.Random) -> list[Permutation]:
+    """Generators of degree 2..7, drawn so that small, intransitive and
+    imprimitive groups are common, with repeats and the identity mixed in."""
+    m = rng.randint(2, 7)
+    kind = rng.randrange(3)
+    if kind == 0:  # random permutations: mostly S_m or A_m
+        n = rng.randint(1, 2)
+        gens = [rng.sample(range(1, m + 1), m) for _ in range(n)]
+    elif kind == 1:  # intransitive (blocks of any size kept) or imprimitive (equal blocks moved)
+        points = rng.sample(range(1, m + 1), m)
+        if rng.random() < 0.5:
+            cuts = sorted(rng.sample(range(1, m), rng.randint(0, m // 2)))
+            blocks = [points[a:b] for a, b in zip([0] + cuts, cuts + [m])]
+        else:
+            size = rng.choice([d for d in range(1, m + 1) if m % d == 0])
+            blocks = [points[i : i + size] for i in range(0, m, size)]
+        same_size = len(set(map(len, blocks))) == 1
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            targets = rng.sample(blocks, len(blocks)) if same_size else blocks
+            img = [0] * m
+            for block, target in zip(blocks, targets):
+                for src, dst in zip(block, rng.sample(target, len(target))):
+                    img[src - 1] = dst
+            gens.append(img)
+    else:  # powers of one permutation: a cyclic group
+        g = Permutation(tuple(rng.sample(range(1, m + 1), m)))
+        gens, p = [], g
+        for _ in range(rng.randint(1, 3)):
+            p = p.then(g) if rng.random() < 0.5 else p
+            gens.append(list(p.images))
+    gens = [Permutation(tuple(g)) for g in gens]
+    if rng.random() < 0.3:
+        gens.append(Permutation(tuple(range(1, m + 1))))
+    if rng.random() < 0.3:
+        gens.append(rng.choice(gens))
+    rng.shuffle(gens)
+    return gens
+
+
+def test_permutation_group_order_matches_bfs_oracle():
+    rng = random.Random(4)
+    for _ in range(400):
+        gens = _random_generating_set(rng)
+        assert permutation_group_order(gens) == group_order_bfs([g.images for g in gens]), gens
+
+
+def _cycle(m, points):
+    img = list(range(1, m + 1))
+    for a, b in zip(points, points[1:] + points[:1]):
+        img[a - 1] = b
+    return Permutation(tuple(img))
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_permutation_group_order_closed_forms(m):
+    identity = Permutation(tuple(range(1, m + 1)))
+    rotation = _cycle(m, list(range(1, m + 1)))
+    assert permutation_group_order([identity]) == 1
+    assert permutation_group_order([rotation]) == m  # C_m
+    if m >= 2:
+        swap = _cycle(m, [1, 2])
+        assert permutation_group_order([swap, rotation]) == math.factorial(m)
+        adjacent = [_cycle(m, [i, i + 1]) for i in range(1, m)]
+        assert permutation_group_order(adjacent) == math.factorial(m)
+    if m >= 3:
+        three_cycles = [_cycle(m, [1, 2, k]) for k in range(3, m + 1)]
+        assert permutation_group_order(three_cycles) == math.factorial(m) // 2  # A_m
+        reflection = Permutation(tuple(range(m, 0, -1)))
+        assert permutation_group_order([rotation, reflection]) == 2 * m  # D_m
+
+
+def test_system_invariants_full_symmetric_monodromy_at_degree_12():
+    # the 11 Artin generators: monodromy S_12, far past what listing the group allows
+    s = BraidSystem.from_texts(12, [str(i) for i in range(1, 12)])
+    assert system_invariants(s).perm_monodromy_order == 479001600
 
 
 def test_report_json_roundtrips():
