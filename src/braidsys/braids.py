@@ -27,7 +27,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .codec import JsonCodec
+from .codec import JsonCodec, decode
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class Permutation:
 
     @staticmethod
     def from_json(data: list[int]) -> "Permutation":
-        return Permutation(tuple(int(v) for v in data))
+        return Permutation(decode(tuple[int, ...], data, "images"))
 
 
 def _tup_then(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -144,27 +144,27 @@ def _lw_fix(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tu
     return tuple(al), tuple(bl), True
 
 
-def _pairs_left_weighted(facs: list[tuple[int, ...]]) -> bool:
-    for t in range(len(facs) - 1):
-        ai = _tup_inverse(facs[t])
-        b = facs[t + 1]
-        for i in range(1, len(b)):
-            if b[i - 1] > b[i] and ai[i - 1] < ai[i]:
-                return False
-    return True
+def _comb_onto(facs: list[tuple[int, ...]], factors) -> None:
+    """Append each factor to the left-weighted list `facs`, combing it back.
 
-
-def _bubble_normalize(facs: list[tuple[int, ...]]) -> None:
-    """Reference fixpoint normalization: full sweeps until stable."""
-    while True:
-        changed = False
-        for i in range(len(facs) - 1):
-            a, b, ch = _lw_fix(facs[i], facs[i + 1])
-            if ch:
-                facs[i], facs[i + 1] = a, b
-                changed = True
-        if not changed:
-            return
+    After an append only the new last pair can fail to be left-weighted.
+    Fixing a pair leaves it left-weighted, and by the domino rule the
+    pair to its right stays left-weighted too (Epstein et al., Word
+    Processing in Groups, ch. 9; Dehornoy et al., Foundations of Garside
+    Theory, ch. III); only the pair to its left can break.  So the comb
+    walks right to left and stops at the first pair that needs no
+    transfer.  Transfers preserve the product, so the list stays a
+    left-weighted spelling of the same braid.
+    """
+    for y in factors:
+        facs.append(y)
+        j = len(facs) - 2
+        while j >= 0:
+            a, b, ch = _lw_fix(facs[j], facs[j + 1])
+            if not ch:
+                break
+            facs[j], facs[j + 1] = a, b
+            j -= 1
 
 
 def _strip(m: int, facs: list[tuple[int, ...]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -179,25 +179,9 @@ def _strip(m: int, facs: list[tuple[int, ...]]) -> tuple[int, tuple[tuple[int, .
 
 
 def _normalize_tuples(m: int, factors) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Left-weight a factor list; returns (extra half-twist power, factors).
-
-    Incremental append with a backward comb; the result is verified to be
-    pairwise left-weighted and re-normalized by exhaustive sweeps in the
-    (never observed) case the comb left a violation.  Transfers preserve
-    the product, so any left-weighted fixpoint is the normal form.
-    """
+    """Left-weight a factor list; returns (extra half-twist power, factors)."""
     facs: list[tuple[int, ...]] = []
-    for y in factors:
-        facs.append(y)
-        j = len(facs) - 2
-        while j >= 0:
-            a, b, ch = _lw_fix(facs[j], facs[j + 1])
-            if not ch:
-                break
-            facs[j], facs[j + 1] = a, b
-            j -= 1
-    if not _pairs_left_weighted(facs):
-        _bubble_normalize(facs)
+    _comb_onto(facs, factors)
     return _strip(m, facs)
 
 
@@ -250,11 +234,11 @@ class NormalForm(JsonCodec):
     def __mul__(self, other: "NormalForm") -> "NormalForm":
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        facs = list(self.factors)
-        if other.infimum % 2:
-            facs = [_tup_flip(f) for f in facs]
-        facs += other.factors
-        shift, norm = _normalize_tuples(self.degree, facs)
+        # the left operand's factors are left-weighted already, and so are
+        # their flips (conjugation by Delta is a Garside automorphism)
+        facs = [_tup_flip(f) for f in self.factors] if other.infimum % 2 else list(self.factors)
+        _comb_onto(facs, other.factors)
+        shift, norm = _strip(self.degree, facs)
         return NormalForm(self.degree, self.infimum + other.infimum + shift, norm)
 
     def inverse(self) -> "NormalForm":

@@ -5,7 +5,7 @@ A value encodes as an object with one key per field, in field order; the
 key is the field name unless the field's metadata names another
 (`field(metadata={"json": key})`).  Tuples become lists, None stays null
 and nested values use their own `to_json`.  Decoding follows the field
-type hints.
+type hints and coerces nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class JsonCodec:
     @classmethod
     def from_json(cls, data: dict):
         hints = typing.get_type_hints(cls)
-        return cls(**{name: _decode(hints[name], data[key]) for name, key in _keys(cls)})
+        return cls(**{name: decode(hints[name], data[key], key) for name, key in _keys(cls)})
 
 
 @functools.cache
@@ -42,14 +42,26 @@ def _encode(value):
     return value.to_json()
 
 
-def _decode(tp, value):
-    if value is None:
-        return None
+_SCALARS = {int: "an integer", bool: "a boolean", str: "a string"}
+
+
+def decode(tp, value, key: str):
+    """Decode `value` as type `tp`.  An int, bool or str must arrive as
+    exactly that JSON type (a bool is no int here) and null only where
+    the type allows None; anything else raises TypeError naming `key`."""
     if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None
+        if value is None:
+            return None
         tp = next(a for a in typing.get_args(tp) if a is not type(None))
     if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"{key}: expected a list, got {type(value).__name__}")
         args = typing.get_args(tp)
         if args[-1] is Ellipsis:
-            return tuple(_decode(args[0], v) for v in value)
-        return tuple(_decode(a, v) for a, v in zip(args, value, strict=True))
-    return tp.from_json(value) if hasattr(tp, "from_json") else tp(value)
+            return tuple(decode(args[0], v, key) for v in value)
+        return tuple(decode(a, v, key) for a, v in zip(args, value, strict=True))
+    if tp in _SCALARS:
+        if type(value) is not tp:
+            raise TypeError(f"{key}: expected {_SCALARS[tp]}, got {type(value).__name__}")
+        return value
+    return tp.from_json(value)

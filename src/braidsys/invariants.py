@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import braids
 from .braids import BraidWord, NormalForm
-from .codec import JsonCodec
+from .codec import JsonCodec, decode
 from .crossing import crossing_matrix, pure_power_matrix
 from .intlinalg import (
     IntPolynomial,
@@ -92,13 +92,9 @@ class BraidSystem:
 
     @staticmethod
     def from_json(data: dict) -> "BraidSystem":
-        degree = data["degree"]
-        if not isinstance(degree, int) or isinstance(degree, bool):
-            raise TypeError(f"degree must be an integer, not {type(degree).__name__}")
-        if not isinstance(data["components"], list):
-            raise TypeError(f"components must be a list, not {type(data['components']).__name__}")
-        comps = tuple(braids.parse_word(str(t), degree) for t in data["components"])
-        return BraidSystem(degree, comps)
+        degree = decode(int, data["degree"], "degree")
+        texts = decode(tuple[str, ...], data["components"], "components")
+        return BraidSystem(degree, tuple(braids.parse_word(t, degree) for t in texts))
 
     @staticmethod
     def from_texts(degree: int, texts) -> "BraidSystem":

@@ -4,6 +4,7 @@ from fractions import Fraction
 import random
 
 from braidsys import BraidWord, IntPolynomial
+from braidsys.braids import _lw_fix
 
 
 def charpoly_cofactor(rows):
@@ -90,3 +91,18 @@ def group_order_bfs(gens) -> int:
                     nxt.append(q)
         frontier = nxt
     return len(seen)
+
+
+def bubble_normalize(facs: list) -> None:
+    """Left-weight a list of permutation-braid factors in place by full
+    sweeps of the pair fix until no pair changes: transfers preserve the
+    product, so the fixpoint is the left-weighted spelling."""
+    while True:
+        changed = False
+        for i in range(len(facs) - 1):
+            a, b, ch = _lw_fix(facs[i], facs[i + 1])
+            if ch:
+                facs[i], facs[i + 1] = a, b
+                changed = True
+        if not changed:
+            return

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from braidsys import (
+    BraidSystem,
     BraidWord,
+    HurwitzMove,
     braids_equal,
     canonical_word,
     conjugate,
@@ -19,9 +21,9 @@ from braidsys import (
     power,
     product,
 )
-from braidsys.braids import NormalForm, Permutation, _bubble_normalize, _normalize_tuples, _strip
+from braidsys.braids import NormalForm, Permutation, _normalize_tuples, _strip, _tup_flip
 
-from oracles import random_word
+from oracles import bubble_normalize, random_word
 
 
 def test_parse_word_basics():
@@ -179,6 +181,7 @@ def test_normal_form_factors_are_left_weighted():
 
 def test_incremental_normalization_matches_bubble_fixpoint():
     rng = random.Random(6)
+    cases = []  # (degree, factor list, (half-twist shift, factors) computed from it)
     for _ in range(800):
         m = rng.randint(2, 6)
         facs = []
@@ -186,9 +189,19 @@ def test_incremental_normalization_matches_bubble_fixpoint():
             im = list(range(1, m + 1))
             rng.shuffle(im)
             facs.append(tuple(im))
-        fast = _normalize_tuples(m, list(facs))
+        cases.append((m, facs, _normalize_tuples(m, list(facs))))
+    # a * b combs only b's factors onto a's (flipped when b.infimum is odd)
+    for t in range(600):
+        m = rng.randint(2, 9)
+        a = normal_form(random_word(rng, m, 16))
+        b = normal_form(random_word(rng, m, 16))
+        b = NormalForm(m, t % 2 + 2 * rng.randint(-2, 1), b.factors)
+        ab = a * b
+        left = [_tup_flip(f) for f in a.factors] if b.infimum % 2 else list(a.factors)
+        cases.append((m, left + list(b.factors), (ab.infimum - a.infimum - b.infimum, ab.factors)))
+    for m, facs, fast in cases:
         slow = list(facs)
-        _bubble_normalize(slow)
+        bubble_normalize(slow)
         assert fast == _strip(m, slow)
 
 
@@ -259,6 +272,27 @@ def test_normal_form_from_json_rejects_a_pair_that_is_not_left_weighted():
     # sigma_1 sigma_2 is one permutation braid, not two factors
     with pytest.raises(ValueError, match="not a left normal form"):
         NormalForm.from_json({"degree": 3, "infimum": 0, "factors": [[2, 1, 3], [1, 3, 2]]})
+
+
+@pytest.mark.parametrize("load, data, field", [
+    (NormalForm.from_json, {"degree": 3.5, "infimum": 0, "factors": []}, "degree"),
+    (NormalForm.from_json, {"degree": 3, "infimum": 0.9, "factors": []}, "infimum"),
+    (NormalForm.from_json, {"degree": 3, "infimum": "2", "factors": []}, "infimum"),
+    (NormalForm.from_json, {"degree": 3, "infimum": 0, "factors": [["2", "1", "3"]]}, "factors"),
+    (NormalForm.from_json, {"degree": None, "infimum": 0, "factors": []}, "degree"),
+    (NormalForm.from_json, {"degree": 3, "infimum": 0, "factors": "213"}, "factors"),
+    (HurwitzMove.from_json, {"index": 2.7, "inverse": False}, "index"),
+    (HurwitzMove.from_json, {"index": 2, "inverse": "no"}, "inverse"),
+    (HurwitzMove.from_json, {"index": 2, "inverse": 0}, "inverse"),
+    (HurwitzMove.from_json, {"index": True, "inverse": False}, "index"),
+    (Permutation.from_json, [2.2, 1], "images"),
+    (Permutation.from_json, ["2", "1"], "images"),
+    (BraidSystem.from_json, {"degree": 4, "components": [3, -1]}, "components"),
+])
+def test_from_json_coerces_nothing(load, data, field):
+    # an int field takes only a JSON integer, a bool field only true/false
+    with pytest.raises(TypeError, match=f"^{field}: expected"):
+        load(data)
 
 
 def test_permutation_validation():

@@ -218,6 +218,9 @@ GOLDEN = Path(__file__).parent / "golden"
       "--json"]),
     ("compare_intro_b.json", ["compare", "{intro_b}", "{intro_b_moved}", "--json"]),
     ("compare_full_s8.json", ["compare", "{full_s8}", "{full_s8_moved}", "--json"]),
+    ("papersuite.json", ["papersuite", "--json"]),
+    # every row is symmetric in the over-strand rule, so the bytes are the same
+    ("papersuite.json", ["papersuite", "--flipped-convention", "--json"]),
 ])
 def test_json_output_is_pinned(capsys, system_files, golden, argv):
     # the exact bytes, key names and key order of the --json reports
