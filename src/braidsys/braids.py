@@ -117,31 +117,38 @@ def _lw_fix(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tu
 
     A transfer of index i exists when b has a descent at i (sigma_i is a
     prefix of b) while a's inverse does not (a sigma_i is still a
-    permutation braid); both updates are constant-time swaps.
+    permutation braid); both updates are constant-time swaps.  A transfer
+    at i changes only positions i-1 and i of b and of a's inverse, so no
+    index below i-1 can have gained a transfer: the scan resumes at i-1
+    and finds the same transfers, in the same order, as a rescan from 1.
     """
     m = len(a)
     ai = _tup_inverse(a)
     al: list[int] | None = None
     bl: list[int] | None = None
     cur_b: tuple[int, ...] | list[int] = b
-    while True:
-        idx = 0
-        for i in range(1, m):
-            if cur_b[i - 1] > cur_b[i] and ai[i - 1] < ai[i]:
-                idx = i
-                break
-        if not idx:
-            break
+    i = 1
+    while i < m:
+        if not (cur_b[i - 1] > cur_b[i] and ai[i - 1] < ai[i]):
+            i += 1
+            continue
         if al is None:
             al, bl = list(a), list(b)
             cur_b = bl
-        p, q = ai[idx - 1] - 1, ai[idx] - 1
-        al[p], al[q] = idx + 1, idx
-        ai[idx - 1], ai[idx] = ai[idx], ai[idx - 1]
-        bl[idx - 1], bl[idx] = bl[idx], bl[idx - 1]
+        p, q = ai[i - 1] - 1, ai[i] - 1
+        al[p], al[q] = i + 1, i
+        ai[i - 1], ai[i] = ai[i], ai[i - 1]
+        bl[i - 1], bl[i] = bl[i], bl[i - 1]
+        i = max(1, i - 1)
     if al is None:
         return a, b, False
     return tuple(al), tuple(bl), True
+
+
+# At degree <= 5 there are at most 120**2 pairs of simple elements, so the
+# pair fix is tabled there; at larger degree pairs rarely repeat and a
+# table would only grow.
+_lw_fix_small = functools.lru_cache(maxsize=None)(_lw_fix)
 
 
 def _comb_onto(facs: list[tuple[int, ...]], factors) -> None:
@@ -155,12 +162,24 @@ def _comb_onto(facs: list[tuple[int, ...]], factors) -> None:
     walks right to left and stops at the first pair that needs no
     transfer.  Transfers preserve the product, so the list stays a
     left-weighted spelling of the same braid.
+
+    In a left-weighted list an identity factor is followed only by
+    identities, and a factor combed back through them comes out unchanged
+    in front of them, so trailing identities are dropped before each
+    append (`_strip` would drop them anyway).
     """
+    if not factors:
+        return
+    m = len(factors[0])
+    ident = tuple(range(1, m + 1))
+    fix = _lw_fix_small if m <= 5 else _lw_fix
     for y in factors:
+        while facs and facs[-1] == ident:
+            facs.pop()
         facs.append(y)
         j = len(facs) - 2
         while j >= 0:
-            a, b, ch = _lw_fix(facs[j], facs[j + 1])
+            a, b, ch = fix(facs[j], facs[j + 1])
             if not ch:
                 break
             facs[j], facs[j + 1] = a, b

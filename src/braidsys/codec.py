@@ -5,7 +5,8 @@ A value encodes as an object with one key per field, in field order; the
 key is the field name unless the field's metadata names another
 (`field(metadata={"json": key})`).  Tuples become lists, None stays null
 and nested values use their own `to_json`.  Decoding follows the field
-type hints and coerces nothing.
+type hints and coerces nothing: a value of the wrong JSON type raises
+TypeError and a missing key ValueError, each naming the field.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ class JsonCodec:
 
     @classmethod
     def from_json(cls, data: dict):
+        if not isinstance(data, dict):
+            raise TypeError(f"{cls.__name__}: expected an object, got {type(data).__name__}")
+        for _, key in _keys(cls):
+            if key not in data:
+                raise ValueError(f"{key}: missing from {cls.__name__}")
         hints = typing.get_type_hints(cls)
         return cls(**{name: decode(hints[name], data[key], key) for name, key in _keys(cls)})
 
@@ -64,4 +70,6 @@ def decode(tp, value, key: str):
         if type(value) is not tp:
             raise TypeError(f"{key}: expected {_SCALARS[tp]}, got {type(value).__name__}")
         return value
+    if issubclass(tp, JsonCodec) and not isinstance(value, dict):
+        raise TypeError(f"{key}: expected an object, got {type(value).__name__}")
     return tp.from_json(value)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import BraidWord, Permutation, permutation_order, power
+from .braids import BraidWord, Permutation, permutation
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,37 @@ def crossing_matrix(b: BraidWord, flipped: bool = False) -> CrossingMatrix:
 def pure_power_matrix(b: BraidWord, flipped: bool = False) -> tuple[int, CrossingMatrix]:
     """(r, crossing matrix of b^r) where r is the braid permutation order.
 
-    b^r is a pure braid, so the returned matrix is symmetric.
+    b^r is a pure braid, so the returned matrix is symmetric.  It is read
+    off one pass over b, with no power word built.  With e the permutation
+    of b, the strands that enter the t-th copy of b at positions e^t(i)
+    and e^t(j) started at i and j, so
+
+        C(b^r)[i][j] = sum over t < r of C(b)[e^t(i)][e^t(j)].
+
+    The terms repeat along the orbit of (i, j) under e x e, whose length
+    L divides r, so each orbit is summed once, scaled by r / L, and the
+    total is written to every pair of the orbit.
     """
-    r = permutation_order(b)
-    return r, crossing_matrix(power(b, r), flipped=flipped)
+    perm = permutation(b)
+    r, e = perm.order(), perm.images
+    C = crossing_matrix(b, flipped=flipped).entries
+    m = b.degree
+    entries = [[0] * m for _ in range(m)]
+    seen = [[False] * m for _ in range(m)]
+    for i0 in range(m):
+        for j0 in range(m):
+            if seen[i0][j0] or i0 == j0:
+                continue
+            orbit = []
+            i, j = i0, j0
+            while not seen[i][j]:
+                seen[i][j] = True
+                orbit.append((i, j))
+                i, j = e[i] - 1, e[j] - 1
+            total = sum(C[p][q] for p, q in orbit) * (r // len(orbit))
+            for p, q in orbit:
+                entries[p][q] = total
+    return r, CrossingMatrix(m, tuple(tuple(row) for row in entries))
 
 
 def matrix_rows(M) -> tuple[tuple[int, ...], ...]:

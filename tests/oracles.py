@@ -3,8 +3,8 @@
 from fractions import Fraction
 import random
 
-from braidsys import BraidWord, IntPolynomial
-from braidsys.braids import _lw_fix
+from braidsys import BraidWord, IntPolynomial, crossing_matrix, permutation_order, power
+from braidsys.braids import NormalForm
 
 
 def charpoly_cofactor(rows):
@@ -93,6 +93,29 @@ def group_order_bfs(gens) -> int:
     return len(seen)
 
 
+def pure_power_matrix_literal(b: BraidWord, flipped: bool = False):
+    """(r, crossing matrix of b^r) by sweeping the literal r-fold word."""
+    r = permutation_order(b)
+    return r, crossing_matrix(power(b, r), flipped=flipped)
+
+
+def _pair_fix(a: tuple, b: tuple) -> tuple:
+    """Left-weight one pair of permutation-braid factors: while b has a
+    descent at some i where a's inverse has none, move sigma_i from b to
+    a, rescanning from i = 1 after every transfer."""
+    m = len(a)
+    al, bl = list(a), list(b)
+    while True:
+        ai = [0] * m
+        for k, v in enumerate(al, start=1):
+            ai[v - 1] = k
+        i = next((i for i in range(1, m) if bl[i - 1] > bl[i] and ai[i - 1] < ai[i]), 0)
+        if not i:
+            return tuple(al), tuple(bl)
+        al[ai[i - 1] - 1], al[ai[i] - 1] = i + 1, i
+        bl[i - 1], bl[i] = bl[i], bl[i - 1]
+
+
 def bubble_normalize(facs: list) -> None:
     """Left-weight a list of permutation-braid factors in place by full
     sweeps of the pair fix until no pair changes: transfers preserve the
@@ -100,9 +123,36 @@ def bubble_normalize(facs: list) -> None:
     while True:
         changed = False
         for i in range(len(facs) - 1):
-            a, b, ch = _lw_fix(facs[i], facs[i + 1])
-            if ch:
-                facs[i], facs[i + 1] = a, b
+            pair = _pair_fix(facs[i], facs[i + 1])
+            if pair != (facs[i], facs[i + 1]):
+                facs[i], facs[i + 1] = pair
                 changed = True
         if not changed:
             return
+
+
+def bubble_normal_form(b: BraidWord) -> NormalForm:
+    """Left normal form of a word from the bubble fixpoint.  Each letter is
+    a permutation braid, sigma_i^{-1} being Delta^{-1} times the complement
+    of sigma_i; every Delta^{-1} is moved to the front, which conjugates
+    the factors before it by the half twist.  Leading half twists of the
+    fixpoint join the infimum and trailing identities are dropped."""
+    m = b.degree
+    w0, ident = tuple(range(m, 0, -1)), tuple(range(1, m + 1))
+    infimum, facs = 0, []
+    for k in b.letters:
+        i = abs(k)
+        s = ident[: i - 1] + (i + 1, i) + ident[i + 1 :]
+        if k > 0:
+            facs.append(s)
+        else:
+            facs = [tuple(m + 1 - f[m - j] for j in range(1, m + 1)) for f in facs]
+            facs.append(tuple(s[m - j] for j in range(1, m + 1)))  # c with c s = Delta
+            infimum -= 1
+    bubble_normalize(facs)
+    while facs and facs[0] == w0:
+        facs.pop(0)
+        infimum += 1
+    while facs and facs[-1] == ident:
+        facs.pop()
+    return NormalForm(m, infimum, tuple(facs))

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidsys import (
     BraidSystem,
     BraidWord,
     HurwitzMove,
+    ReducedPolynomial,
     braids_equal,
     canonical_word,
     conjugate,
@@ -23,7 +25,7 @@ from braidsys import (
 )
 from braidsys.braids import NormalForm, Permutation, _normalize_tuples, _strip, _tup_flip
 
-from oracles import bubble_normalize, random_word
+from oracles import bubble_normal_form, bubble_normalize, random_word
 
 
 def test_parse_word_basics():
@@ -182,20 +184,27 @@ def test_normal_form_factors_are_left_weighted():
 def test_incremental_normalization_matches_bubble_fixpoint():
     rng = random.Random(6)
     cases = []  # (degree, factor list, (half-twist shift, factors) computed from it)
-    for _ in range(800):
-        m = rng.randint(2, 6)
+    # degrees up to 5 take the tabled pair fix, 6 to 12 the untabled one
+    for t in range(1000):
+        m = rng.randint(2, 6) if t < 800 else rng.randint(6, 12)
         facs = []
         for _ in range(rng.randint(0, 7)):
             im = list(range(1, m + 1))
             rng.shuffle(im)
             facs.append(tuple(im))
         cases.append((m, facs, _normalize_tuples(m, list(facs))))
-    # a * b combs only b's factors onto a's (flipped when b.infimum is odd)
-    for t in range(600):
+    # a * b combs only b's factors onto a's (flipped when b.infimum is odd);
+    # from t = 600 on, b cancels all of a but a short tail, so the comb
+    # runs into the identities the cancellation leaves behind
+    for t in range(800):
         m = rng.randint(2, 9)
-        a = normal_form(random_word(rng, m, 16))
-        b = normal_form(random_word(rng, m, 16))
-        b = NormalForm(m, t % 2 + 2 * rng.randint(-2, 1), b.factors)
+        wa = random_word(rng, m, 16)
+        a = normal_form(wa)
+        if t < 600:
+            b = normal_form(random_word(rng, m, 16))
+            b = NormalForm(m, t % 2 + 2 * rng.randint(-2, 1), b.factors)
+        else:
+            b = normal_form(product(inverse(wa), random_word(rng, m, 3)))
         ab = a * b
         left = [_tup_flip(f) for f in a.factors] if b.infimum % 2 else list(a.factors)
         cases.append((m, left + list(b.factors), (ab.infimum - a.infimum - b.infimum, ab.factors)))
@@ -203,6 +212,24 @@ def test_incremental_normalization_matches_bubble_fixpoint():
         slow = list(facs)
         bubble_normalize(slow)
         assert fast == _strip(m, slow)
+
+
+@st.composite
+def word_pairs(draw):
+    m = draw(st.integers(1, 8))
+    gens = [k for i in range(1, m) for k in (i, -i)]
+    letters = st.lists(st.sampled_from(gens), max_size=14) if gens else st.just([])
+    return BraidWord(m, tuple(draw(letters))), BraidWord(m, tuple(draw(letters)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_pairs())
+def test_garside_kernel_matches_bubble_oracle(pair):
+    u, v = pair
+    nf = normal_form(u)
+    assert nf == bubble_normal_form(u)
+    assert nf * normal_form(v) == bubble_normal_form(product(u, v))
+    assert nf.inverse() == bubble_normal_form(inverse(u))
 
 
 def test_pure_power_has_trivial_permutation():
@@ -288,11 +315,22 @@ def test_normal_form_from_json_rejects_a_pair_that_is_not_left_weighted():
     (Permutation.from_json, [2.2, 1], "images"),
     (Permutation.from_json, ["2", "1"], "images"),
     (BraidSystem.from_json, {"degree": 4, "components": [3, -1]}, "components"),
+    (ReducedPolynomial.from_json,
+     {"x_mult": 0, "x_minus_1_mult": 0, "x_plus_1_mult": 0, "core": None}, "core"),
+    (NormalForm.from_json, [1, 2], "NormalForm"),
+    (NormalForm.from_json, {"degree": 3, "infimum": 0}, "factors"),
+    (ReducedPolynomial.from_json, {"x_mult": 0, "x_plus_1_mult": 0, "core": {"coeffs": [1]}},
+     "x_minus_1_mult"),
 ])
 def test_from_json_coerces_nothing(load, data, field):
-    # an int field takes only a JSON integer, a bool field only true/false
-    with pytest.raises(TypeError, match=f"^{field}: expected"):
-        load(data)
+    # an int field takes only a JSON integer, a bool field only true/false,
+    # an object field only an object; a missing key is a ValueError
+    if isinstance(data, dict) and field not in data:
+        with pytest.raises(ValueError, match=f"^{field}: missing"):
+            load(data)
+    else:
+        with pytest.raises(TypeError, match=f"^{field}: expected"):
+            load(data)
 
 
 def test_permutation_validation():

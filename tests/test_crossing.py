@@ -14,7 +14,7 @@ from braidsys import (
 )
 from braidsys.invariants import family_weaving
 
-from oracles import random_word
+from oracles import pure_power_matrix_literal, random_word
 
 
 def test_empty_word_gives_zero_matrix():
@@ -44,6 +44,17 @@ def test_empty_word_pure_power():
     r, M = pure_power_matrix(BraidWord(3))
     assert r == 1
     assert all(v == 0 for row in M.entries for v in row)
+
+
+def test_pure_power_matrix_matches_literal_power():
+    rng = random.Random(21)
+    # the empty word, and pure words (r = 1) on which the pair orbits are points
+    words = [BraidWord(1), BraidWord(5), parse_word("1,1,-2,-2", 3), parse_word("1,2,2,1,3,3", 5)]
+    words += [random_word(rng, rng.randint(1, 12), 24) for _ in range(300)]
+    assert any(pure_power_matrix_literal(w)[0] == 1 for w in words[4:])
+    for w in words:
+        for flipped in (False, True):
+            assert pure_power_matrix(w, flipped=flipped) == pure_power_matrix_literal(w, flipped=flipped)
 
 
 def test_weaving_power_is_flat():
