@@ -39,7 +39,7 @@ def load_system(path: str) -> BraidSystem:
         data = json.load(fh)
     try:
         return BraidSystem.from_json(data)
-    except (KeyError, TypeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed system file ({exc})") from None
 
 

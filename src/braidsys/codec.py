@@ -25,13 +25,19 @@ class JsonCodec:
 
     @classmethod
     def from_json(cls, data: dict):
-        if not isinstance(data, dict):
-            raise TypeError(f"{cls.__name__}: expected an object, got {type(data).__name__}")
-        for _, key in _keys(cls):
-            if key not in data:
-                raise ValueError(f"{key}: missing from {cls.__name__}")
+        require_keys(cls.__name__, data, (key for _, key in _keys(cls)))
         hints = typing.get_type_hints(cls)
         return cls(**{name: decode(hints[name], data[key], key) for name, key in _keys(cls)})
+
+
+def require_keys(name: str, data, keys) -> None:
+    """Raise TypeError naming `name` unless `data` is a JSON object, and
+    ValueError naming the first of `keys` that it lacks."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{name}: expected an object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{key}: missing from {name}")
 
 
 @functools.cache

@@ -1,9 +1,13 @@
 """
 Exact integer linear algebra and polynomial arithmetic.
 
-Characteristic polynomials are computed with the division-free Berkowitz
-algorithm, determinants and ranks with fraction-free Bareiss elimination,
-so every value stays an exact Python integer.  Polynomials are monic
+Characteristic polynomials are computed modulo primes just below 2^62,
+each by Hessenberg reduction over F_p in O(n^3), and recovered exactly by
+Chinese remaindering once the product of the primes exceeds
+2 max_k C(n,k) rho^k + 1, rho being the largest absolute row sum: no
+coefficient can be larger in absolute value than half of that.
+Determinants and ranks use fraction-free Bareiss elimination, so every
+value stays an exact Python integer.  Polynomials are monic
 integer polynomials stored as ascending coefficient tuples; "essential"
 root content is represented exactly by stripping the factors x, x-1 and
 x+1 off a polynomial and keeping the remaining core.
@@ -12,6 +16,7 @@ x+1 off a polynomial and keeping the remaining core.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .codec import JsonCodec
@@ -118,10 +123,6 @@ class IntPolynomial(JsonCodec):
         return out
 
 
-ONE = IntPolynomial((1,))
-X = IntPolynomial((0, 1))
-
-
 def poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     return p * q
 
@@ -130,31 +131,120 @@ def poly_equal(p: IntPolynomial, q: IntPolynomial) -> bool:
     return p.coeffs == q.coeffs
 
 
+_PRIMES: list[int] = []  # the moduli found so far, largest first
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n in (2, 2^64): Sinclair's seven
+    bases admit no strong pseudoprime in that range."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 325, 9375, 28178, 450775, 9780504, 1795265022):
+        a %= n
+        if a == 0:  # n divides the base, which proves nothing
+            continue
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _modulus(i: int) -> int:
+    """The i-th largest prime below 2^62 (from 0), searched for on first use."""
+    while len(_PRIMES) <= i:
+        q = _PRIMES[-1] - 2 if _PRIMES else (1 << 62) - 1
+        while not _is_prime(q):
+            q -= 2
+        _PRIMES.append(q)
+    return _PRIMES[i]
+
+
+def _charpoly_mod(rows, p: int) -> list[int]:
+    """Ascending coefficients of det(xI - M) mod p.
+
+    M is brought to upper Hessenberg form H by elimination similarities
+    over F_p, and the polynomial is read off H by the recurrence
+    p_m = (x - h_mm) p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
+    (Cohen, *A Course in Computational Algebraic Number Theory*, 2.2.4).
+    """
+    n = len(rows)
+    H = [[v % p for v in r] for r in rows]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:  # swap rows and columns m and piv
+            H[m], H[piv] = H[piv], H[m]
+            for r in H:
+                r[m], r[piv] = r[piv], r[m]
+        hm = H[m][m:]
+        inv = pow(H[m][m - 1], -1, p)
+        us = []
+        for i in range(m + 1, n):  # row i -= u_i row m clears H[i][m-1] ...
+            ri = H[i]
+            u = ri[m - 1] * inv % p
+            us.append(u)
+            if u:
+                ri[m - 1] = 0
+                ri[m:] = [(a - u * b) % p for a, b in zip(ri[m:], hm)]
+        if any(us):  # ... and column m += sum_i u_i column i undoes it on the right
+            for r in H:
+                r[m] = (r[m] + sum(map(operator.mul, us, r[m + 1 :]))) % p
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[-1]
+        new = [0] + prev
+        h = H[m][m]
+        for k, v in enumerate(prev):
+            new[k] -= h * v
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * H[i + 1][i] % p
+            if not t:
+                break
+            c = t * H[i][m] % p
+            if c:
+                q = polys[i]
+                new[: len(q)] = [a - c * v for a, v in zip(new, q)]
+        polys.append([v % p for v in new])
+    return polys[-1]
+
+
 def charpoly(M) -> IntPolynomial:
-    """det(xI - M) by the division-free Berkowitz algorithm."""
+    """det(xI - M), exactly, from its residues modulo primes below 2^62.
+
+    Every eigenvalue is at most the largest absolute row sum rho in
+    absolute value, so the coefficient of x^(n-k) is at most C(n,k) rho^k.
+    Moduli are added until their product exceeds twice the largest such
+    bound plus one; Chinese remaindering then gives each coefficient in
+    the symmetric range, where it is unique.
+    """
     rows = matrix_rows(M)
     n = len(rows)
-    if n == 0:
-        return ONE
-    # descending coefficients of the trailing principal submatrices,
-    # grown one row/column at a time via Toeplitz products
-    p = [1, -rows[n - 1][n - 1]]
-    for j in range(n - 2, -1, -1):
-        s = n - j
-        a = rows[j][j]
-        R = [rows[j][t] for t in range(j + 1, n)]
-        C = [rows[t][j] for t in range(j + 1, n)]
-        B = [[rows[s0][t] for t in range(j + 1, n)] for s0 in range(j + 1, n)]
-        v = [1, -a]
-        w = C
-        for _ in range(s - 1):
-            v.append(-sum(r * c for r, c in zip(R, w)))
-            w = [sum(B[i][t] * w[t] for t in range(len(w))) for i in range(len(w))]
-        new = [0] * (s + 1)
-        for i in range(s + 1):
-            new[i] = sum(v[i - k] * p[k] for k in range(max(0, i - s), min(i, s - 1) + 1))
-        p = new
-    return IntPolynomial(tuple(reversed(p)))
+    rho = max((sum(map(abs, r)) for r in rows), default=0)
+    term = largest = 1
+    for k in range(n):  # term = C(n, k+1) rho^(k+1), an exact division
+        term = term * (n - k) * rho // (k + 1)
+        largest = max(largest, term)
+    bound = 2 * largest + 1
+    coeffs, modulus, i = [0] * (n + 1), 1, 0
+    while modulus <= bound:
+        p = _modulus(i)
+        i += 1
+        inv = pow(modulus % p, -1, p)
+        coeffs = [
+            c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, _charpoly_mod(rows, p))
+        ]
+        modulus *= p
+    half = modulus // 2
+    return IntPolynomial(tuple(c - modulus if c > half else c for c in coeffs))
 
 
 def _exact_div(a: int, b: int) -> int:

@@ -18,15 +18,13 @@ from dataclasses import dataclass
 
 from . import braids
 from .braids import BraidWord, NormalForm
-from .codec import JsonCodec, decode
+from .codec import JsonCodec, decode, require_keys
 from .crossing import crossing_matrix, pure_power_matrix
 from .intlinalg import (
     IntPolynomial,
     ReducedPolynomial,
     charpoly,
-    determinant,
     integer_roots,
-    rank,
     reduce_poly,
 )
 
@@ -92,6 +90,7 @@ class BraidSystem:
 
     @staticmethod
     def from_json(data: dict) -> "BraidSystem":
+        require_keys("BraidSystem", data, ("degree", "components"))
         degree = decode(int, data["degree"], "degree")
         texts = decode(tuple[str, ...], data["components"], "components")
         return BraidSystem(degree, tuple(braids.parse_word(t, degree) for t in texts))
@@ -141,12 +140,15 @@ def _report_for_normal_form(nf: NormalForm) -> BraidInvariantReport:
     # re-expansion is a sound (and cache-friendly) representative
     r, M = pure_power_matrix(nf.to_word())
     cp = charpoly(M)
+    # det M = (-1)^n c_0; and M is symmetric, hence diagonalizable, so its
+    # rank is n minus the multiplicity of the root 0
+    n, zero_mult = cp.degree, next(k for k, c in enumerate(cp.coeffs) if c)
     return BraidInvariantReport(
         degree=nf.degree,
         r=r,
         charpoly=cp,
-        determinant=determinant(M),
-        rank=rank(M),
+        determinant=(-1) ** n * cp.coeffs[0],
+        rank=n - zero_mult,
         S=M.entry_multiset(),
         S_rows=M.row_multisets(),
         S_cols=M.col_multisets(),

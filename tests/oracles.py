@@ -5,6 +5,7 @@ import random
 
 from braidsys import BraidWord, IntPolynomial, crossing_matrix, permutation_order, power
 from braidsys.braids import NormalForm
+from braidsys.crossing import matrix_rows
 
 
 def charpoly_cofactor(rows):
@@ -29,6 +30,60 @@ def charpoly_cofactor(rows):
         return acc
 
     return det(mat) if n else IntPolynomial((1,))
+
+
+def charpoly_berkowitz(M):
+    """det(xI - M) by the division-free Berkowitz algorithm, O(n^4)."""
+    rows = matrix_rows(M)
+    n = len(rows)
+    if n == 0:
+        return IntPolynomial((1,))
+    # descending coefficients of the trailing principal submatrices,
+    # grown one row/column at a time via Toeplitz products
+    p = [1, -rows[n - 1][n - 1]]
+    for j in range(n - 2, -1, -1):
+        s = n - j
+        a = rows[j][j]
+        R = [rows[j][t] for t in range(j + 1, n)]
+        C = [rows[t][j] for t in range(j + 1, n)]
+        B = [[rows[s0][t] for t in range(j + 1, n)] for s0 in range(j + 1, n)]
+        v = [1, -a]
+        w = C
+        for _ in range(s - 1):
+            v.append(-sum(r * c for r, c in zip(R, w)))
+            w = [sum(B[i][t] * w[t] for t in range(len(w))) for i in range(len(w))]
+        new = [0] * (s + 1)
+        for i in range(s + 1):
+            new[i] = sum(v[i - k] * p[k] for k in range(max(0, i - s), min(i, s - 1) + 1))
+        p = new
+    return IntPolynomial(tuple(reversed(p)))
+
+
+def is_prime_mr(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases, 2 to 37: no
+    strong pseudoprime to all of them exists below 3.18 * 10^23
+    (Sorenson and Webster 2015), so the answer is exact there."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def det_fraction(rows):

@@ -321,6 +321,9 @@ def test_normal_form_from_json_rejects_a_pair_that_is_not_left_weighted():
     (NormalForm.from_json, {"degree": 3, "infimum": 0}, "factors"),
     (ReducedPolynomial.from_json, {"x_mult": 0, "x_plus_1_mult": 0, "core": {"coeffs": [1]}},
      "x_minus_1_mult"),
+    (BraidSystem.from_json, {"components": ["1"]}, "degree"),
+    (BraidSystem.from_json, {"degree": 3}, "components"),
+    (BraidSystem.from_json, [1, 2], "BraidSystem"),
 ])
 def test_from_json_coerces_nothing(load, data, field):
     # an int field takes only a JSON integer, a bool field only true/false,

@@ -189,6 +189,19 @@ def test_malformed_system_file(tmp_path):
     assert main(["invariants", "--system", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("data, field", [
+    ({"components": ["1"]}, "degree"),
+    ({"degree": 3}, "components"),
+    ([{"degree": 3, "components": ["1"]}], "BraidSystem"),
+])
+def test_malformed_system_file_names_the_field(tmp_path, capsys, data, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["invariants", "--system", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "malformed system file" in err and field in err
+
+
 def test_system_file_components_must_be_a_list(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"degree": 4, "components": "1,2"}))

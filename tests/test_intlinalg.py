@@ -1,6 +1,11 @@
+import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidsys import (
     IntPolynomial,
@@ -16,8 +21,16 @@ from braidsys import (
     rank,
     reduce_poly,
 )
+from braidsys import intlinalg
 
-from oracles import charpoly_cofactor, det_fraction, rank_fraction
+from oracles import (
+    charpoly_berkowitz,
+    charpoly_cofactor,
+    det_fraction,
+    is_prime_mr,
+    random_word,
+    rank_fraction,
+)
 
 
 def test_poly_arithmetic():
@@ -57,6 +70,80 @@ def test_charpoly_against_cofactor_oracle():
         n = rng.randint(1, 4)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         assert charpoly(rows) == charpoly_cofactor(rows)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square matrices of size 0-12 with entries up to 10^30: general,
+    symmetric, singular (the last row a combination of earlier ones) or zero."""
+    n = draw(st.integers(0, 12))
+    top = draw(st.sampled_from([1, 10, 10**6, 10**30]))
+    rows = [[draw(st.integers(-top, top)) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["general", "symmetric", "singular", "zero"]))
+    if shape == "symmetric":
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    elif shape == "singular" and n:
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        i = (n - 1) // 2  # an earlier row when n > 1
+        rows[-1] = [a * u + b * v for u, v in zip(rows[0], rows[i])] if n > 1 else [0]
+    elif shape == "zero":
+        rows = [[0] * n for _ in range(n)]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_charpoly_matches_berkowitz(rows):
+    assert charpoly(rows) == charpoly_berkowitz(rows)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_charpoly_at_the_coefficient_bound(sign):
+    # for +-rho I every |c_k| equals C(n,k) rho^k, the bound the moduli
+    # must cover, so the symmetric lift is exercised at its edge
+    rho, n = 10**30, 32
+    rows = [[sign * rho if i == j else 0 for j in range(n)] for i in range(n)]
+    assert charpoly(rows) == IntPolynomial.from_roots([sign * rho] * n)
+
+
+def test_charpoly_lift_at_the_edges_of_the_moduli():
+    # a constant term of half a product of moduli, rounded either way, is
+    # lifted right only if the product of the moduli used exceeds 2|a| + 1
+    for k in (1, 2, 3):
+        q = math.prod(intlinalg._modulus(i) for i in range(k))
+        for a in ((q - 1) // 2, (q + 1) // 2):
+            assert charpoly([[a]]) == IntPolynomial((-a, 1))
+            assert charpoly([[-a]]) == IntPolynomial((a, 1))
+
+
+def test_charpoly_of_size_zero_and_one():
+    assert charpoly([]) == IntPolynomial((1,))
+    for a in (0, 1, -7, 10**40, -(10**40)):
+        assert charpoly([[a]]) == IntPolynomial((-a, 1))
+
+
+def test_charpoly_of_a_pure_power_matrix_at_degree_32():
+    rng = random.Random(26)
+    _, M = pure_power_matrix(random_word(rng, 32, 64, min_len=64))
+    assert charpoly(M) == charpoly_berkowitz(M)
+
+
+def test_moduli_are_distinct_primes_below_2_62():
+    rho, n = 10**30, 32
+    charpoly([[rho if i == j else 0 for j in range(n)] for i in range(n)])
+    bound = 2 * max(math.comb(n, k) * rho**k for k in range(n + 1)) + 1
+    used = intlinalg._PRIMES
+    assert math.prod(used) > bound  # that call needed about 27 of them
+    assert len(set(used)) == len(used)
+    assert all(2**61 < p < 2**62 and is_prime_mr(p) for p in used)
+
+
+def test_import_computes_no_moduli():
+    code = "import braidsys; from braidsys import intlinalg; print(len(intlinalg._PRIMES))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout
+    assert out.strip() == "0"
 
 
 def test_charpoly_trace_coefficient_vanishes():

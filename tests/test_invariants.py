@@ -11,6 +11,7 @@ from braidsys import (
     braid_invariants,
     braids_equal,
     conjugate,
+    determinant,
     exponent_sum,
     family_bm,
     family_bm_charpoly,
@@ -23,6 +24,8 @@ from braidsys import (
     permutation,
     permutation_group_order,
     pure3_charpoly_oracle,
+    pure_power_matrix,
+    rank,
     system_invariants,
 )
 from braidsys.braids import BraidWord, Permutation
@@ -59,6 +62,18 @@ def test_report_for_example_braid():
     assert rep.S_rows == ((0, 0, 0, 1),) * 4
     assert rep.S_cols == ((0, 0, 0, 1),) * 4
     assert rep.charpoly.coefficient(3) == 0
+
+
+def test_report_determinant_and_rank_match_elimination():
+    # the report reads det and rank off the charpoly, which is sound only
+    # because the pure-power matrix is symmetric
+    rng = random.Random(37)
+    for _ in range(200):
+        w = random_word(rng, rng.randint(1, 16), 24)
+        rep = braid_invariants(w)
+        _, M = pure_power_matrix(w)
+        assert M.is_symmetric()
+        assert (rep.determinant, rep.rank) == (determinant(M), rank(M))
 
 
 def test_conjugation_invariance_of_reports():
