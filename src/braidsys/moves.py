@@ -60,9 +60,8 @@ def hurwitz_move(s: BraidSystem, move: HurwitzMove, simplify: bool = False) -> B
 def hurwitz_move_nf(state, move: HurwitzMove):
     """The same move on a tuple of component normal forms.
 
-    Equivalent to hurwitz_move followed by taking normal forms; used where
-    many moves are chained (orbit search, invariance hammering) so words
-    never have to be re-expanded.
+    Equivalent to hurwitz_move followed by taking normal forms; the orbit
+    search chains it so that words never have to be re-expanded.
     """
     i = move.index
     if not 1 <= i <= len(state) - 1:

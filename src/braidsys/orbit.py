@@ -57,9 +57,15 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, parents: dict):
     full, moves are computed only until one leads to an unrecorded state,
     so an orbit that closes at exactly max_states is still complete.
     Returns True if a limit cut the search short.
+
+    A move changes only the pair it acts on, and normal forms are
+    canonical, so each (pair, direction) is computed once per search and
+    its result reused wherever that pair recurs; the memo dies with the
+    search.
     """
     start = s.normal_forms()
     moves = [HurwitzMove(i, inv) for i in range(1, len(s)) for inv in (False, True)]
+    moved: dict = {}  # (a, b, inverse) -> the pair the move puts in their place
     parents[start] = None
     yield start, 0
     queue = deque([(start, 0)])
@@ -70,7 +76,14 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, parents: dict):
             truncated = True
             continue
         for move in moves:
-            nxt = hurwitz_move_nf(state, move)
+            i = move.index
+            key = (state[i - 1], state[i], move.inverse)
+            pair = moved.get(key)
+            if pair is None:
+                nxt = hurwitz_move_nf(state, move)
+                moved[key] = nxt[i - 1 : i + 1]
+            else:
+                nxt = state[: i - 1] + pair + state[i + 1 :]
             if nxt in parents:
                 continue
             if len(parents) >= limits.max_states:
@@ -132,10 +145,11 @@ def find_conjugator(b: BraidWord, target: BraidWord, max_length: int = 4) -> Bra
         raise ValueError(f"degree mismatch: {b.degree} vs {target.degree}")
     target_nf = braids.normal_form(target)
     gens = [k for i in range(1, b.degree) for k in (i, -i)]
-    seen = {braids.normal_form(b)}
-    queue = deque([BraidWord(b.degree)])
-    if braids.normal_form(b) == target_nf:
+    b_nf = braids.normal_form(b)
+    if b_nf == target_nf:
         return BraidWord(b.degree)
+    seen = {b_nf}
+    queue = deque([BraidWord(b.degree)])
     while queue:
         a = queue.popleft()
         if len(a) >= max_length:

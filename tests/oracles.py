@@ -1,11 +1,21 @@
 """Independent brute-force oracles the real implementations are checked against."""
 
+from collections import deque
 from fractions import Fraction
 import random
 
-from braidsys import BraidWord, IntPolynomial, crossing_matrix, permutation_order, power
+from braidsys import (
+    BraidWord,
+    HurwitzMove,
+    IntPolynomial,
+    crossing_matrix,
+    hurwitz_move_nf,
+    permutation_order,
+    power,
+)
 from braidsys.braids import NormalForm
 from braidsys.crossing import matrix_rows
+from braidsys.orbit import OrbitResult
 
 
 def charpoly_cofactor(rows):
@@ -211,3 +221,46 @@ def bubble_normal_form(b: BraidWord) -> NormalForm:
     while facs and facs[-1] == ident:
         facs.pop()
     return NormalForm(m, infimum, tuple(facs))
+
+
+def orbit_bfs_plain(s, limits, target=None):
+    """hurwitz_orbit by the unmemoised BFS: one hurwitz_move_nf call for
+    every move tried.  Returns the OrbitResult and the states in discovery
+    order, which end at the target when the search finds it."""
+    start = s.normal_forms()
+    target_key = target.normal_forms() if target is not None else None
+    moves = [HurwitzMove(i, inv) for i in range(1, len(s)) for inv in (False, True)]
+    parents = {start: None}
+    states = [start]
+    if start == target_key:
+        return OrbitResult("target_found", 1, witness=()), states
+    queue = deque([(start, 0)])
+    truncated = False
+    last_depth = 0
+    while queue:
+        state, depth = queue.popleft()
+        if depth >= limits.max_depth:
+            truncated = True
+            continue
+        for move in moves:
+            nxt = hurwitz_move_nf(state, move)
+            if nxt in parents:
+                continue
+            if len(parents) >= limits.max_states:
+                return OrbitResult("truncated", len(parents)), states
+            if any(nf.canonical_length > limits.max_component_canonical_length for nf in nxt):
+                truncated = True
+                continue
+            parents[nxt] = (state, move)
+            states.append(nxt)
+            last_depth = depth + 1
+            if nxt == target_key:
+                path, key = [], nxt
+                while parents[key] is not None:
+                    key, step = parents[key]
+                    path.append(step)
+                return OrbitResult("target_found", len(parents), witness=tuple(reversed(path))), states
+            queue.append((nxt, depth + 1))
+    if truncated:
+        return OrbitResult("truncated", len(parents)), states
+    return OrbitResult("complete", len(parents), frontier_exhausted_at_depth=last_depth), states

@@ -21,7 +21,8 @@ from braidsys import (
     verify_invariance,
 )
 
-from oracles import random_word
+import oracles
+from oracles import orbit_bfs_plain, random_word
 
 INTRO_B = BraidSystem.from_texts(4, ["1,2,-3", "3", "-2", "-1"])
 
@@ -130,6 +131,71 @@ def test_orbit_states_computes_the_moves_hurwitz_orbit_computes(monkeypatch):
         list(orbit_states(INTRO_B, lims))
         assert len(calls) == searched, lims
         assert searched > 0 or lims.max_states == 1
+
+
+def _recording(keys):
+    def recorded(state, move):
+        i = move.index
+        keys.append((state[i - 1], state[i], move.inverse))
+        return hurwitz_move_nf(state, move)
+
+    return recorded
+
+
+def test_orbit_computes_each_move_once_per_pair(monkeypatch):
+    computed, tried = [], []
+    monkeypatch.setattr(braidsys.orbit, "hurwitz_move_nf", _recording(computed))
+    monkeypatch.setattr(oracles, "hurwitz_move_nf", _recording(tried))
+    lims = OrbitLimits(max_states=300)
+    assert hurwitz_orbit(INTRO_B, lims) == orbit_bfs_plain(INTRO_B, lims)[0]
+    assert len(set(computed)) == len(computed) < len(tried)
+    assert set(computed) == set(tried)
+    # a second search computes everything again: no memo outlives a search
+    first = len(computed)
+    computed.clear()
+    hurwitz_orbit(INTRO_B, lims)
+    assert len(computed) == first
+
+
+def _random_search(rng):
+    m = rng.randint(2, 5)
+    s = BraidSystem(m, tuple(random_word(rng, m, 4, min_len=1) for _ in range(rng.randint(2, 6))))
+    lims = OrbitLimits(
+        max_states=rng.randint(1, 150),
+        max_depth=rng.choice([32, rng.randint(1, 4)]),
+        max_component_canonical_length=rng.choice([64, rng.randint(1, 4)]),
+    )
+    kind = rng.randrange(3)
+    if kind == 0:
+        return s, lims, None
+    if kind == 1:
+        return s, lims, BraidSystem(m, tuple(random_word(rng, m, 4, min_len=1) for _ in s.components))
+    target = s
+    for _ in range(rng.randint(1, 4)):
+        target = hurwitz_move(target, HurwitzMove(rng.randint(1, len(s) - 1), rng.random() < 0.5))
+    return s, lims, target
+
+
+def test_orbit_matches_unmemoised_oracle():
+    rng = random.Random(83)
+    statuses = set()
+    for _ in range(150):
+        s, lims, target = _random_search(rng)
+        res, states = orbit_bfs_plain(s, lims, target)
+        assert hurwitz_orbit(s, lims, target) == res, (s, lims, target)
+        if target is not None:
+            states = orbit_bfs_plain(s, lims)[1]
+        assert list(orbit_states(s, lims)) == states, (s, lims)
+        statuses.add(res.status)
+    assert statuses == {"complete", "truncated", "target_found"}
+
+
+def test_start_state_is_not_cut_by_canonical_length():
+    # the start's first component exceeds the cut; every state reached from
+    # it carries a component past the cut too, so nothing else is recorded
+    s = BraidSystem.from_texts(4, ["1,2,3,-1,2,-3,1,2,-1,3", "3", "-2", "-1"])
+    res = hurwitz_orbit(s, OrbitLimits(max_states=400, max_component_canonical_length=2))
+    assert res.status == "truncated" and res.states_visited == 1
 
 
 def test_bfs_is_deterministic():
