@@ -139,7 +139,8 @@ def _lw_fix(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tu
         al[p], al[q] = i + 1, i
         ai[i - 1], ai[i] = ai[i], ai[i - 1]
         bl[i - 1], bl[i] = bl[i], bl[i - 1]
-        i = max(1, i - 1)
+        if i > 1:
+            i -= 1
     if al is None:
         return a, b, False
     return tuple(al), tuple(bl), True
@@ -320,17 +321,23 @@ def _half_twist_letters(m: int) -> list[int]:
 
 
 def _permutation_letters(p: tuple[int, ...]) -> list[int]:
-    """A reduced positive word for a permutation braid."""
+    """A reduced positive word for a permutation braid: swap the first
+    descent until none is left.  A swap at i touches only the adjacent
+    pairs at i-1, i and i+1, and no pair below i was a descent, so the
+    scan resumes at i-1 and meets the same descents, in the same order,
+    as a rescan from the start."""
     im = list(p)
     letters = []
-    while True:
-        for i in range(len(im) - 1):
-            if im[i] > im[i + 1]:
-                letters.append(i + 1)
-                im[i], im[i + 1] = im[i + 1], im[i]
-                break
+    i, n = 0, len(im) - 1
+    while i < n:
+        if im[i] > im[i + 1]:
+            letters.append(i + 1)
+            im[i], im[i + 1] = im[i + 1], im[i]
+            if i:
+                i -= 1
         else:
-            return letters
+            i += 1
+    return letters
 
 
 @dataclass(frozen=True)
@@ -441,21 +448,52 @@ def exponent_sum(b: BraidWord) -> int:
 
 
 def normal_form(b: BraidWord) -> NormalForm:
-    """Left Garside normal form of the braid represented by the word."""
+    """Left Garside normal form of the braid represented by the word.
+
+    The word is cut into pieces, runs of same-sign letters whose product
+    is one permutation braid s, and the comb gets one factor per piece:
+    s, or Delta^{-1} times the left complement of s for a piece s^{-1}.
+    A letter sigma_i^{+-1} joins the latest piece t of its sign iff no
+    later piece holds sigma_{i-1}, sigma_i or sigma_{i+1}, and t stays
+    simple: the strands ending at positions i, i+1 of s have not crossed
+    (positive), or, since s^{-1} sigma_i^{-1} = (sigma_i s)^{-1}, the
+    strands starting there have not, s(i) < s(i+1) (negative).  Else it
+    opens a new piece.  The join is sound by far commutation (sigma_i
+    sigma_j = sigma_j sigma_i for |i - j| >= 2): the letter commutes with
+    every letter after t, so the pieces spell the same braid, and the
+    unique normal form is the one of the letters combed one by one.  This
+    is the grouping of the Cartier-Foata normal form (Cartier and Foata
+    1969; Epstein et al., Word Processing in Groups, ch. 9).  `last[j]`,
+    the latest piece holding sigma_j, makes the test O(1) per letter.
+    """
     m = b.degree
-    ident = tuple(range(1, m + 1))
-    factors: list[tuple[int, ...]] = []
-    dpows: list[int] = []
+    pieces: list[list[int]] = []  # s of each piece, as an image list
+    invs: list[list[int] | None] = []  # s^{-1} of a positive piece, None for a negative one
+    last = [-1] * (m + 1)  # last[j]: latest piece holding sigma_j, -1 for none
+    latest = [-1, -1]  # latest negative and latest positive piece
     for k in b.letters:
         i = abs(k)
-        t = ident[: i - 1] + (i + 1, i) + ident[i + 1 :]
-        if k > 0:
-            factors.append(t)
-            dpows.append(0)
-        else:
-            factors.append(_tup_left_complement(t))
-            dpows.append(-1)
-    return _assemble_tuples(m, factors, dpows)
+        t = latest[k > 0]
+        if t >= 0 and t >= last[i - 1] and t >= last[i] and t >= last[i + 1]:
+            s, si = pieces[t], invs[t]
+            if si is None:
+                if s[i - 1] < s[i]:
+                    s[i - 1], s[i] = s[i], s[i - 1]
+                    last[i] = t
+                    continue
+            elif si[i - 1] < si[i]:
+                s[si[i - 1] - 1], s[si[i] - 1] = i + 1, i
+                si[i - 1], si[i] = si[i], si[i - 1]
+                last[i] = t
+                continue
+        s = list(range(1, m + 1))
+        s[i - 1], s[i] = i + 1, i
+        latest[k > 0] = last[i] = len(pieces)
+        pieces.append(s)
+        invs.append(s[:] if k > 0 else None)
+    factors = [tuple(s) if si is not None else _tup_left_complement(tuple(s))
+               for s, si in zip(pieces, invs)]
+    return _assemble_tuples(m, factors, [0 if si is not None else -1 for si in invs])
 
 
 def is_identity(b: BraidWord) -> bool:

@@ -13,7 +13,7 @@ from braidsys import (
     permutation_order,
     power,
 )
-from braidsys.braids import NormalForm
+from braidsys.braids import NormalForm, _assemble_tuples, _tup_left_complement
 from braidsys.crossing import matrix_rows
 from braidsys.orbit import OrbitResult
 
@@ -221,6 +221,39 @@ def bubble_normal_form(b: BraidWord) -> NormalForm:
     while facs and facs[-1] == ident:
         facs.pop()
     return NormalForm(m, infimum, tuple(facs))
+
+
+def normal_form_letterwise(b: BraidWord) -> NormalForm:
+    """Left normal form with one comb factor per letter: sigma_i, or
+    Delta^{-1} times the left complement of sigma_i for its inverse."""
+    m = b.degree
+    ident = tuple(range(1, m + 1))
+    factors, dpows = [], []
+    for k in b.letters:
+        i = abs(k)
+        t = ident[: i - 1] + (i + 1, i) + ident[i + 1 :]
+        if k > 0:
+            factors.append(t)
+            dpows.append(0)
+        else:
+            factors.append(_tup_left_complement(t))
+            dpows.append(-1)
+    return _assemble_tuples(m, factors, dpows)
+
+
+def permutation_letters_restart(p: tuple) -> list:
+    """A reduced positive word for a permutation braid: swap the first
+    descent, rescanning from position 1 after every swap."""
+    im = list(p)
+    letters = []
+    while True:
+        for i in range(len(im) - 1):
+            if im[i] > im[i + 1]:
+                letters.append(i + 1)
+                im[i], im[i + 1] = im[i + 1], im[i]
+                break
+        else:
+            return letters
 
 
 def orbit_bfs_plain(s, limits, target=None):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -23,9 +24,24 @@ from braidsys import (
     power,
     product,
 )
-from braidsys.braids import NormalForm, Permutation, _normalize_tuples, _strip, _tup_flip
+from braidsys import braids
+from braidsys.braids import (
+    NormalForm,
+    Permutation,
+    _half_twist_letters,
+    _normalize_tuples,
+    _permutation_letters,
+    _strip,
+    _tup_flip,
+)
 
-from oracles import bubble_normal_form, bubble_normalize, random_word
+from oracles import (
+    bubble_normal_form,
+    bubble_normalize,
+    normal_form_letterwise,
+    permutation_letters_restart,
+    random_word,
+)
 
 
 def test_parse_word_basics():
@@ -230,6 +246,91 @@ def test_garside_kernel_matches_bubble_oracle(pair):
     assert nf == bubble_normal_form(u)
     assert nf * normal_form(v) == bubble_normal_form(product(u, v))
     assert nf.inverse() == bubble_normal_form(inverse(u))
+
+
+@st.composite
+def far_commuting_words(draw, min_degree, max_degree):
+    """Words of length at most 2m whose letters mostly come from a few
+    generators, which are usually two or more apart, with random signs:
+    letters that commute past each other and sign changes are common."""
+    m = draw(st.integers(min_degree, max_degree))
+    if m < 2:
+        return BraidWord(m)
+    pool = draw(st.lists(st.integers(1, m - 1), min_size=1, max_size=5))
+    index = st.one_of(st.sampled_from(pool), st.integers(1, m - 1))
+    letter = st.builds(lambda i, sign: i * sign, index, st.sampled_from((1, -1)))
+    return BraidWord(m, tuple(draw(st.lists(letter, max_size=2 * m))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(far_commuting_words(9, 32))
+def test_normal_form_matches_letterwise_comb(w):
+    assert normal_form(w) == normal_form_letterwise(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(far_commuting_words(1, 12))
+def test_normal_form_of_far_commuting_words_matches_bubble_oracle(w):
+    assert normal_form(w) == bubble_normal_form(w)
+
+
+@pytest.fixture
+def comb_inputs(monkeypatch):
+    """The factor count each normal_form call hands the comb."""
+    counts = []
+    assemble = braids._assemble_tuples
+
+    def counting(m, factors, dpows, trailing=0):
+        counts.append(len(factors))
+        return assemble(m, factors, dpows, trailing)
+
+    monkeypatch.setattr(braids, "_assemble_tuples", counting)
+    return counts
+
+
+@pytest.mark.parametrize("degree, letters, pieces", [
+    (1, (), 0),
+    (2, (), 0),
+    (2, (1,), 1),
+    (2, (-1,), 1),
+    (2, (1, 1), 2),  # sigma_1 sigma_1 is not simple
+    (2, (1, -1), 2),
+    (2, (1, -1, 1), 3),
+    (4, (2, 2), 2),
+    (4, (2, -2), 2),
+    (6, (1, -2, 1), 3),  # sigma_2^{-1} holds a neighbour of sigma_1: blocked
+    (6, (1, -5, 1), 3),  # reaches the sigma_1 piece, but sigma_1 sigma_1 is not simple
+    (6, (1, -5, 3), 2),  # slides past sigma_5^{-1} and joins the sigma_1 piece
+    (6, (-1, 5, -3), 2),
+    (6, (1, 2, 1), 1),
+    (6, (-1, -2, -1), 1),
+    (6, (1, 3, 5, -2, -4), 2),
+])
+def test_normal_form_pieces(comb_inputs, degree, letters, pieces):
+    w = BraidWord(degree, letters)
+    nf = normal_form(w)
+    assert comb_inputs == [pieces]
+    assert nf == normal_form_letterwise(w) == bubble_normal_form(w)
+
+
+@pytest.mark.parametrize("m", [4, 9, 24])
+def test_half_twist_words_reach_the_comb_whole(comb_inputs, m):
+    delta = BraidWord(m, tuple(_half_twist_letters(m)))
+    assert normal_form(delta) == NormalForm(m, 1, ())
+    assert normal_form(inverse(delta)) == NormalForm(m, -1, ())
+    assert normal_form(power(delta, -2)) == NormalForm(m, -2, ())
+    assert comb_inputs == [1, 1, 2]
+
+
+def test_permutation_letters_match_the_restarting_scan():
+    for m in range(1, 8):
+        for p in itertools.permutations(range(1, m + 1)):
+            assert _permutation_letters(p) == permutation_letters_restart(p)
+    rng = random.Random(11)
+    for _ in range(50):
+        p = list(range(1, 33))
+        rng.shuffle(p)
+        assert _permutation_letters(tuple(p)) == permutation_letters_restart(tuple(p))
 
 
 def test_pure_power_has_trivial_permutation():

@@ -234,6 +234,11 @@ GOLDEN = Path(__file__).parent / "golden"
     ("papersuite.json", ["papersuite", "--json"]),
     # every row is symmetric in the over-strand rule, so the bytes are the same
     ("papersuite.json", ["papersuite", "--flipped-convention", "--json"]),
+    # degree 24, where normal_form groups far-commuting letters into pieces
+    ("invariants_word_m24.json",
+     ["invariants", "--degree", "24", "--word",
+      "23,19,6,-22,-23,-5,-10,1,21,17,-16,-15,-16,-3,-9,-6,10,21,-2,11,3,-8,-5,-16,"
+      "-9,-9,-3,-5,11,-22,5,-9,8,8,5,21,8,10,16,11,-6,14,-8,2,-15,15,3,-11", "--json"]),
 ])
 def test_json_output_is_pinned(capsys, system_files, golden, argv):
     # the exact bytes, key names and key order of the --json reports
