@@ -28,16 +28,17 @@ from .intlinalg import (
     determinant,
     factored_str,
     integer_roots,
-    poly_equal,
-    poly_mul,
     rank,
     reduce_poly,
 )
 from .invariants import (
     BraidInvariantReport,
     BraidSystem,
+    InvariantCheck,
+    SystemComparison,
     SystemInvariantReport,
     braid_invariants,
+    compare_systems,
     family_bm,
     family_bm_charpoly,
     family_bmk,

@@ -27,7 +27,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .codec import JsonCodec, decode
+from .codec import JsonCodec
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,6 @@ class Permutation:
         for cyc in self.cycles():
             r = math.lcm(r, len(cyc))
         return r
-
-    def to_json(self) -> list[int]:
-        return list(self.images)
-
-    @staticmethod
-    def from_json(data: list[int]) -> "Permutation":
-        return Permutation(decode(tuple[int, ...], data, "images"))
 
 
 def _tup_then(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

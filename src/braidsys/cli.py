@@ -15,14 +15,10 @@ import argparse
 import json
 import sys
 
-from . import braids, refsuite
+from . import refsuite
 from .braids import BraidWord, parse_word
 from .intlinalg import factored_str, split_integer_roots
-from .invariants import (
-    BraidSystem,
-    braid_invariants,
-    system_invariants,
-)
+from .invariants import BraidSystem, braid_invariants, compare_systems, system_invariants
 from .moves import (
     HurwitzMove,
     destabilize,
@@ -93,79 +89,22 @@ def cmd_invariants(args) -> int:
     return 0
 
 
-_DISTINGUISHING = [
-    "trace_product",
-    "perm_monodromy_order",
-    "exponent_sum_multiset",
-    "charpoly_product",
-    "charpoly_multiset",
-]
-
-
-def compare_report(s1: BraidSystem, s2: BraidSystem) -> dict:
-    r1, r2 = system_invariants(s1), system_invariants(s2)
-    same_shape = (r1.degree, r1.length) == (r2.degree, r2.length)
-    checks: list[dict] = []
-
-    def check(name, left, right, equal, skipped=False):
-        checks.append(
-            {"name": name, "left": left, "right": right,
-             "equal": None if skipped else equal}
-        )
-
-    if same_shape:
-        t1 = braids.normal_form(s1.trace_product())
-        t2 = braids.normal_form(s2.trace_product())
-        check("trace_product", t1.to_word().to_text() or "<identity>",
-              t2.to_word().to_text() or "<identity>", t1 == t2)
-        check("perm_monodromy_order", r1.perm_monodromy_order, r2.perm_monodromy_order,
-              r1.perm_monodromy_order == r2.perm_monodromy_order)
-        check("exponent_sum_multiset", list(r1.exponent_sums), list(r2.exponent_sums),
-              r1.exponent_sums == r2.exponent_sums)
-        check("charpoly_product", str(r1.charpoly_product), str(r2.charpoly_product),
-              r1.charpoly_product == r2.charpoly_product)
-        check("charpoly_multiset",
-              [str(p) for p in r1.charpoly_multiset],
-              [str(p) for p in r2.charpoly_multiset],
-              r1.charpoly_multiset == r2.charpoly_multiset)
-    else:
-        for name in _DISTINGUISHING:
-            check(name, None, None, None, skipped=True)
-    check("essential_core", str(r1.essential.core), str(r2.essential.core),
-          r1.essential.core == r2.essential.core)
-    check("degree_plus_length_mod3", r1.degree_plus_length_mod3, r2.degree_plus_length_mod3,
-          r1.degree_plus_length_mod3 == r2.degree_plus_length_mod3)
-
-    verdict = "indistinguishable_by_invariants"
-    for entry in checks:
-        if entry["name"] in _DISTINGUISHING and entry["equal"] is False:
-            verdict = f"distinguished_by:{entry['name']}"
-            break
-    else:
-        if any(
-            entry["equal"] is False
-            for entry in checks
-            if entry["name"] in ("essential_core", "degree_plus_length_mod3")
-        ):
-            verdict = "euler_necessary"
-    return {"verdict": verdict, "same_shape": same_shape, "invariants": checks}
-
-
 def cmd_compare(args) -> int:
-    result = compare_report(load_system(args.system1), load_system(args.system2))
+    result = compare_systems(load_system(args.system1), load_system(args.system2))
     if args.json:
-        print(json.dumps(result))
+        print(json.dumps(result.to_json()))
     else:
-        for entry in result["invariants"]:
+        # the JSON form, so that multisets print as lists
+        for check in result.to_json()["invariants"]:
             status = {True: "equal", False: "DIFFERENT", None: "skipped (shape mismatch)"}[
-                entry["equal"]
+                check["equal"]
             ]
-            print(f"{entry['name']}: {status}")
-            if entry["equal"] is False:
-                print(f"  left:  {entry['left']}")
-                print(f"  right: {entry['right']}")
-        print(f"verdict: {result['verdict']}")
-    return 0 if result["verdict"] == "indistinguishable_by_invariants" else 2
+            print(f"{check['name']}: {status}")
+            if check["equal"] is False:
+                print(f"  left:  {check['left']}")
+                print(f"  right: {check['right']}")
+        print(f"verdict: {result.verdict}")
+    return 0 if result.verdict == "indistinguishable_by_invariants" else 2
 
 
 def parse_script(text: str) -> list[tuple]:

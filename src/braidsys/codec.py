@@ -6,7 +6,10 @@ key is the field name unless the field's metadata names another
 (`field(metadata={"json": key})`).  Tuples become lists, None stays null
 and nested values use their own `to_json`.  Decoding follows the field
 type hints and coerces nothing: a value of the wrong JSON type raises
-TypeError and a missing key ValueError, each naming the field.
+TypeError and a missing key ValueError, each naming the field.  A union
+takes null only if it names None, and otherwise tries its other arms in
+order: the first that accepts the value decodes it, and if none does,
+the TypeError of the last arm is raised.
 """
 
 from __future__ import annotations
@@ -61,10 +64,16 @@ def decode(tp, value, key: str):
     """Decode `value` as type `tp`.  An int, bool or str must arrive as
     exactly that JSON type (a bool is no int here) and null only where
     the type allows None; anything else raises TypeError naming `key`."""
-    if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None
-        if value is None:
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        args = typing.get_args(tp)
+        if value is None and type(None) in args:
             return None
-        tp = next(a for a in typing.get_args(tp) if a is not type(None))
+        *arms, tp = (a for a in args if a is not type(None))
+        for arm in arms:
+            try:
+                return decode(arm, value, key)
+            except TypeError:
+                pass
     if typing.get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):
             raise TypeError(f"{key}: expected a list, got {type(value).__name__}")

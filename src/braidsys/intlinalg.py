@@ -123,14 +123,6 @@ class IntPolynomial(JsonCodec):
         return out
 
 
-def poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return p * q
-
-
-def poly_equal(p: IntPolynomial, q: IntPolynomial) -> bool:
-    return p.coeffs == q.coeffs
-
-
 _PRIMES: list[int] = []  # the moduli found so far, largest first
 
 

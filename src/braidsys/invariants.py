@@ -283,6 +283,13 @@ def _group_order_cached(gens: tuple[tuple[int, ...], ...]) -> int:
     return math.prod(len(lev.orbit) for lev in levels)
 
 
+def _trace(degree: int, nfs) -> NormalForm:
+    trace = NormalForm(degree, 0, ())
+    for nf in nfs:
+        trace = trace * nf
+    return trace
+
+
 def system_invariants_from_normal_forms(
     degree: int, nfs: tuple[NormalForm, ...]
 ) -> SystemInvariantReport:
@@ -296,16 +303,13 @@ def system_invariants_from_normal_forms(
     for rep in reports:
         prod = prod * rep.charpoly
     multiset = tuple(sorted((rep.charpoly for rep in reports), key=poly_sort_key))
-    trace_nf = NormalForm(degree, 0, ())
-    for nf in nfs:
-        trace_nf = trace_nf * nf
     return SystemInvariantReport(
         degree=degree,
         length=len(nfs),
         charpoly_product=prod,
         charpoly_multiset=multiset,
         essential=reduce_poly(prod),
-        trace_is_identity=trace_nf.is_identity(),
+        trace_is_identity=_trace(degree, nfs).is_identity(),
         perm_monodromy_order=permutation_group_order(nf.permutation() for nf in nfs),
         exponent_sums=tuple(sorted(nf.exponent_sum() for nf in nfs)),
         degree_plus_length_mod3=(degree + len(nfs)) % 3,
@@ -315,6 +319,78 @@ def system_invariants_from_normal_forms(
 
 def system_invariants(s: BraidSystem) -> SystemInvariantReport:
     return system_invariants_from_normal_forms(s.degree, s.normal_forms())
+
+
+# The checks of compare_systems, in order, each reading a value off a
+# system report as it is shown; no two values render alike, so two values
+# are equal iff their renderings are.
+_CHECKS = {
+    "trace_product":
+        lambda rep: _trace(rep.degree, rep.normal_forms).to_word().to_text() or "<identity>",
+    "perm_monodromy_order": lambda rep: rep.perm_monodromy_order,
+    "exponent_sum_multiset": lambda rep: rep.exponent_sums,
+    "charpoly_product": lambda rep: str(rep.charpoly_product),
+    "charpoly_multiset": lambda rep: tuple(str(p) for p in rep.charpoly_multiset),
+    "essential_core": lambda rep: str(rep.essential.core),
+    "degree_plus_length_mod3": lambda rep: rep.degree_plus_length_mod3,
+}
+# These two survive global conjugation and stabilization too, so they are
+# compared across shapes, and if one differs, any sequence of moves relating
+# the systems holds an Euler fusion or fission.  The rest need one shape.
+EULER_CHECKS = ("essential_core", "degree_plus_length_mod3")
+
+CheckValue = int | str | tuple[int | str, ...] | None
+
+
+@dataclass(frozen=True)
+class InvariantCheck(JsonCodec):
+    """One invariant of two systems; all three values are None when the
+    check was skipped because the systems differ in shape."""
+
+    name: str
+    left: CheckValue
+    right: CheckValue
+    equal: bool | None
+
+
+@dataclass(frozen=True)
+class SystemComparison(JsonCodec):
+    """Every check of compare_systems, in order, and the verdict they give."""
+
+    verdict: str
+    same_shape: bool
+    invariants: tuple[InvariantCheck, ...]
+
+
+def euler_move_needed(checks) -> bool:
+    """Whether one of EULER_CHECKS differs among these checks."""
+    return any(c.equal is False for c in checks if c.name in EULER_CHECKS)
+
+
+def compare_systems(s1: BraidSystem, s2: BraidSystem) -> SystemComparison:
+    """Compare two braid systems by every system invariant.
+
+    The verdict is `distinguished_by:<name>` for the first check outside
+    EULER_CHECKS that differs, else `euler_necessary` if an Euler check
+    differs, else `indistinguishable_by_invariants`.
+    """
+    r1, r2 = system_invariants(s1), system_invariants(s2)
+    same_shape = (r1.degree, r1.length) == (r2.degree, r2.length)
+    checks = []
+    for name, read in _CHECKS.items():
+        if same_shape or name in EULER_CHECKS:
+            left, right = read(r1), read(r2)
+            checks.append(InvariantCheck(name, left, right, left == right))
+        else:
+            checks.append(InvariantCheck(name, None, None, None))
+    first = next((c.name for c in checks if c.equal is False and c.name not in EULER_CHECKS), None)
+    if first is not None:
+        verdict = f"distinguished_by:{first}"
+    elif euler_move_needed(checks):
+        verdict = "euler_necessary"
+    else:
+        verdict = "indistinguishable_by_invariants"
+    return SystemComparison(verdict, same_shape, tuple(checks))
 
 
 def family_weaving(m: int) -> BraidWord:

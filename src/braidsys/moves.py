@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import braids
 from .braids import BraidWord
 from .codec import JsonCodec
-from .invariants import BraidSystem, system_invariants
+from .invariants import BraidSystem, compare_systems, euler_move_needed
 
 
 @dataclass(frozen=True)
@@ -171,13 +171,9 @@ def euler_necessity(s1: BraidSystem, s2: BraidSystem) -> str:
     """One-sided indicator: "necessary" when any relating sequence must
     contain an Euler fusion or fission, else "unknown".
 
-    Compares the essential cores and the (degree + length) mod 3 class,
-    both of which survive Hurwitz moves, global conjugation and
-    stabilization.
+    It reads compare_systems: "necessary" iff one of its Euler checks
+    (the essential core and the (degree + length) mod 3 class, both of
+    which survive Hurwitz moves, global conjugation and stabilization)
+    differs.
     """
-    r1, r2 = system_invariants(s1), system_invariants(s2)
-    if r1.essential.core != r2.essential.core:
-        return "necessary"
-    if r1.degree_plus_length_mod3 != r2.degree_plus_length_mod3:
-        return "necessary"
-    return "unknown"
+    return "necessary" if euler_move_needed(compare_systems(s1, s2).invariants) else "unknown"

@@ -11,10 +11,11 @@ symmetric, so they must pass under either convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import braids
 from .braids import BraidWord, parse_word
+from .codec import JsonCodec
 from .crossing import crossing_matrix, permutation_equivalent, pure_power_matrix
 from .intlinalg import IntPolynomial, charpoly, determinant, factored_str, integer_roots, reduce_poly
 from .invariants import (
@@ -32,24 +33,12 @@ from .moves import HurwitzMove, euler_fuse, euler_necessity, hurwitz_move
 
 
 @dataclass(frozen=True)
-class Row:
-    row_id: str
+class Row(JsonCodec):
+    row_id: str = field(metadata={"json": "id"})
     description: str
     expected: str
     computed: str
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.computed
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.row_id,
-            "description": self.description,
-            "expected": self.expected,
-            "computed": self.computed,
-            "ok": self.ok,
-        }
+    ok: bool
 
 
 def _pure_charpoly(b: BraidWord, flipped: bool) -> IntPolynomial:
@@ -73,7 +62,8 @@ def build_rows(flipped: bool = False) -> list[Row]:
     rows: list[Row] = []
 
     def add(row_id, description, expected, computed):
-        rows.append(Row(row_id, description, str(expected), str(computed)))
+        expected, computed = str(expected), str(computed)
+        rows.append(Row(row_id, description, expected, computed, expected == computed))
 
     # permutations and orders
     add("perm-3", "permutation of 1,1,-2 in B3",

@@ -8,6 +8,7 @@ from braidsys import (
     BraidSystem,
     BraidWord,
     HurwitzMove,
+    InvariantCheck,
     ReducedPolynomial,
     braids_equal,
     canonical_word,
@@ -413,8 +414,9 @@ def test_normal_form_from_json_rejects_a_pair_that_is_not_left_weighted():
     (HurwitzMove.from_json, {"index": 2, "inverse": "no"}, "inverse"),
     (HurwitzMove.from_json, {"index": 2, "inverse": 0}, "inverse"),
     (HurwitzMove.from_json, {"index": True, "inverse": False}, "index"),
-    (Permutation.from_json, [2.2, 1], "images"),
-    (Permutation.from_json, ["2", "1"], "images"),
+    # a check value may be an int, a str, a list of either or null, and nothing else
+    (InvariantCheck.from_json, {"name": "r", "left": 2.5, "right": 2, "equal": False}, "left"),
+    (InvariantCheck.from_json, {"name": "r", "left": 2, "right": 2, "equal": "yes"}, "equal"),
     (BraidSystem.from_json, {"degree": 4, "components": [3, -1]}, "components"),
     (ReducedPolynomial.from_json,
      {"x_mult": 0, "x_minus_1_mult": 0, "x_plus_1_mult": 0, "core": None}, "core"),

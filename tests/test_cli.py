@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from braidsys import BraidSystem, braids_equal
-from braidsys.cli import main
+from braidsys import BraidSystem, braids_equal, refsuite
+from braidsys.cli import load_system, main
 from braidsys.invariants import BraidInvariantReport, SystemInvariantReport
 
 
@@ -100,7 +100,7 @@ def test_apply_fusion_script(capsys, system_files, tmp_path):
     result = json.loads(capsys.readouterr().out)
     assert all(step["tau_check"] for step in result["steps"])
     final = BraidSystem.from_json(result["final"])
-    target = BraidSystem.from_json(json.load(open(system_files["fused_c"])))
+    target = load_system(system_files["fused_c"])
     assert all(braids_equal(a, b) for a, b in zip(final.components, target.components))
 
 
@@ -109,7 +109,7 @@ def test_apply_roundtrip_scripts(capsys, system_files):
     assert rc == 0
     result = json.loads(capsys.readouterr().out)
     final = BraidSystem.from_json(result["final"])
-    original = BraidSystem.from_json(json.load(open(system_files["intro_b"])))
+    original = load_system(system_files["intro_b"])
     assert all(braids_equal(a, b) for a, b in zip(final.components, original.components))
 
     rc = main(["apply", "--system", system_files["intro_b"], "--steps", "STAB / DESTAB", "--json"])
@@ -124,13 +124,13 @@ def test_apply_global_conjugation_roundtrip(capsys, system_files):
     assert rc == 0
     result = json.loads(capsys.readouterr().out)
     final = BraidSystem.from_json(result["final"])
-    original = BraidSystem.from_json(json.load(open(system_files["intro_b"])))
+    original = load_system(system_files["intro_b"])
     assert all(braids_equal(a, b) for a, b in zip(final.components, original.components))
 
 
 def test_orbit_target_witness(capsys, system_files, tmp_path):
     moved = tmp_path / "moved.json"
-    original = BraidSystem.from_json(json.load(open(system_files["intro_b"])))
+    original = load_system(system_files["intro_b"])
     from braidsys import HurwitzMove, hurwitz_move
 
     moved.write_text(json.dumps(hurwitz_move(original, HurwitzMove(2)).to_json()))
@@ -170,6 +170,13 @@ def test_papersuite(capsys):
     assert main(["papersuite", "--json"]) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["all_pass"] and len(result["rows"]) > 30
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+def test_papersuite_rows_json_roundtrip(flipped):
+    rows, ok = refsuite.run(flipped=flipped)
+    assert ok and len(rows) == 38
+    assert all(refsuite.Row.from_json(r.to_json()) == r for r in rows)
 
 
 def test_papersuite_flipped_convention(capsys):
@@ -220,27 +227,47 @@ def test_system_file_degree_must_be_an_integer(tmp_path, capsys, degree):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("golden, argv", [
-    ("invariants_word.json", ["invariants", "--degree", "4", "--word", "1,2,-3", "--json"]),
-    ("invariants_system.json", ["invariants", "--system", "{intro_b}", "--json"]),
+PINNED = [
+    ("invariants_word.json", ["invariants", "--degree", "4", "--word", "1,2,-3", "--json"], 0),
+    ("invariants_system.json", ["invariants", "--system", "{intro_b}", "--json"], 0),
     ("apply_steps.json",
-     ["apply", "--system", "{intro_b}", "--steps", "H 1 + / STAB / DESTAB / FUSE 1 2", "--json"]),
-    ("orbit_truncated.json", ["orbit", "--system", "{intro_b}", "--max-states", "40", "--json"]),
+     ["apply", "--system", "{intro_b}", "--steps", "H 1 + / STAB / DESTAB / FUSE 1 2", "--json"],
+     0),
+    ("orbit_truncated.json", ["orbit", "--system", "{intro_b}", "--max-states", "40", "--json"],
+     0),
     ("orbit_target.json",
      ["orbit", "--system", "{intro_b}", "--target", "{intro_b_moved}", "--max-states", "200",
-      "--json"]),
-    ("compare_intro_b.json", ["compare", "{intro_b}", "{intro_b_moved}", "--json"]),
-    ("compare_full_s8.json", ["compare", "{full_s8}", "{full_s8_moved}", "--json"]),
-    ("papersuite.json", ["papersuite", "--json"]),
+      "--json"], 0),
+    ("compare_intro_b.json", ["compare", "{intro_b}", "{intro_b_moved}", "--json"], 0),
+    ("compare_full_s8.json", ["compare", "{full_s8}", "{full_s8_moved}", "--json"], 0),
+    ("papersuite.json", ["papersuite", "--json"], 0),
     # every row is symmetric in the over-strand rule, so the bytes are the same
-    ("papersuite.json", ["papersuite", "--flipped-convention", "--json"]),
+    ("papersuite.json", ["papersuite", "--flipped-convention", "--json"], 0),
     # degree 24, where normal_form groups far-commuting letters into pieces
     ("invariants_word_m24.json",
      ["invariants", "--degree", "24", "--word",
       "23,19,6,-22,-23,-5,-10,1,21,17,-16,-15,-16,-3,-9,-6,10,21,-2,11,3,-8,-5,-16,"
-      "-9,-9,-3,-5,11,-22,5,-9,8,8,5,21,8,10,16,11,-6,14,-8,2,-15,15,3,-11", "--json"]),
-])
-def test_json_output_is_pinned(capsys, system_files, golden, argv):
+      "-9,-9,-3,-5,11,-22,5,-9,8,8,5,21,8,10,16,11,-6,14,-8,2,-15,15,3,-11", "--json"], 0),
+    ("compare_distinguished.json", ["compare", "{intro_b}", "{intro_bp}", "--json"], 2),
+    # the Hurwitz checks are skipped: every one of them is null
+    ("compare_shape_mismatch.json", ["compare", "{intro_bp}", "{fused_c}", "--json"], 2),
+]
+
+
+# an id names the golden and its argv index, not the exit code
+@pytest.mark.parametrize("golden, argv, code", PINNED,
+                         ids=[f"{golden}-argv{i}" for i, (golden, _, _) in enumerate(PINNED)])
+def test_json_output_is_pinned(capsys, system_files, golden, argv, code):
     # the exact bytes, key names and key order of the --json reports
-    assert main([a.format(**system_files) for a in argv]) == 0
+    assert main([a.format(**system_files) for a in argv]) == code
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("golden, left, right", [
+    ("compare_distinguished.txt", "intro_b", "intro_bp"),
+    ("compare_shape_mismatch.txt", "intro_bp", "fused_c"),
+])
+def test_compare_text_is_pinned(capsys, system_files, golden, left, right):
+    # multisets print as Python lists: ['x^4 - x^2', ...], never as tuples
+    assert main(["compare", system_files[left], system_files[right]]) == 2
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()

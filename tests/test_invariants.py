@@ -7,9 +7,11 @@ from braidsys import (
     BraidInvariantReport,
     BraidSystem,
     IntPolynomial,
+    SystemComparison,
     SystemInvariantReport,
     braid_invariants,
     braids_equal,
+    compare_systems,
     conjugate,
     determinant,
     exponent_sum,
@@ -292,6 +294,21 @@ def test_report_json_roundtrips():
     assert BraidInvariantReport.from_json(rep.to_json()) == rep
     sys_rep = system_invariants(BraidSystem.from_texts(3, ["1,2", "-1"]))
     assert SystemInvariantReport.from_json(sys_rep.to_json()) == sys_rep
+
+
+@pytest.mark.parametrize("left, right, verdict", [
+    # the second is the first after H 1 + / H 3 -
+    (["1,2,-3", "3", "-2", "-1"],
+     ["3", "-1,-2,-3,-1,-2,-1,2,1,3,2,1,1,2", "-1,-2,-3,-1,3,2,2", "-2"],
+     "indistinguishable_by_invariants"),
+    (["1,2,-3", "3", "-2", "-1"], ["1,-2,3", "-3", "2", "-1"],
+     "distinguished_by:charpoly_product"),
+    (["1,-2,3", "-3", "2", "-1"], ["1,-2,3", "-3,2,-1"], "euler_necessary"),
+])
+def test_comparison_json_roundtrips(left, right, verdict):
+    c = compare_systems(BraidSystem.from_texts(4, left), BraidSystem.from_texts(4, right))
+    assert c.verdict == verdict
+    assert SystemComparison.from_json(c.to_json()) == c
 
 
 def test_system_from_texts_and_json():

@@ -244,6 +244,10 @@ def test_fuse_then_fission_check_roundtrip():
 def test_euler_necessity(bvec, bpvec):
     cvec = BraidSystem.from_texts(4, ["1,-2,3", "-3,2,-1"])
     assert euler_necessity(bpvec, cvec) == "necessary"
+    # the cores differ (1 and x + 3), though the verdict names charpoly_product
+    assert euler_necessity(bvec, bpvec) == "necessary"
+    # equal cores, (degree + length) mod 3 is 2 against 0
+    assert euler_necessity(bvec, BraidSystem.from_texts(4, ["1", "-1"])) == "necessary"
     assert euler_necessity(bvec, bvec) == "unknown"
     assert euler_necessity(bvec, stabilize(bvec)) == "unknown"
 
