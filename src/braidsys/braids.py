@@ -24,6 +24,7 @@ strands without tabulating symmetric groups.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -97,6 +98,12 @@ def _tup_flip(a: tuple[int, ...]) -> tuple[int, ...]:
     # conjugation by the half twist; an involution on permutation braids
     m = len(a)
     return tuple(m + 1 - a[m - k] for k in range(1, m + 1))
+
+
+# Conjugation by the half twist, tabled at degree <= 5 (153 permutations)
+# as the pair fix is: a product whose right operand has an odd infimum
+# flips every factor of its left operand.
+_FLIP_SMALL = {p: _tup_flip(p) for m in range(1, 6) for p in itertools.permutations(range(1, m + 1))}
 
 
 def _tup_left_complement(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -249,7 +256,10 @@ class NormalForm(JsonCodec):
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         # the left operand's factors are left-weighted already, and so are
         # their flips (conjugation by Delta is a Garside automorphism)
-        facs = [_tup_flip(f) for f in self.factors] if other.infimum % 2 else list(self.factors)
+        if other.infimum % 2:
+            facs = list(map(_FLIP_SMALL.__getitem__ if self.degree <= 5 else _tup_flip, self.factors))
+        else:
+            facs = list(self.factors)
         _comb_onto(facs, other.factors)
         shift, norm = _strip(self.degree, facs)
         return NormalForm(self.degree, self.infimum + other.infimum + shift, norm)

@@ -61,7 +61,8 @@ def hurwitz_move_nf(state, move: HurwitzMove):
     """The same move on a tuple of component normal forms.
 
     Equivalent to hurwitz_move followed by taking normal forms; the orbit
-    search chains it so that words never have to be re-expanded.
+    search applies it to the lone pair a move acts on, so that words
+    never have to be re-expanded.
     """
     i = move.index
     if not 1 <= i <= len(state) - 1:

@@ -1,12 +1,15 @@
 """
 Bounded breadth-first exploration of Hurwitz orbits.
 
-States are keyed by the tuple of component normal forms, so words that
-only differ by braid relations collapse to one state.  The search is the
-brute-force oracle behind the invariance suites and a best-effort
-equivalence certifier: a `complete` status with no target found means
-the explored orbit is closed under all elementary moves, which is a
-genuine non-equivalence certificate; `truncated` promises nothing.
+A state is the tuple of component normal forms, so words that only
+differ by braid relations collapse to one state.  Inside one search each
+distinct normal form is interned to an int and a state is the tuple of
+those ids; everything the module returns or yields holds NormalForm
+tuples again.  The search is the brute-force oracle behind the
+invariance suites and a best-effort equivalence certifier: a `complete`
+status with no target found means the explored orbit is closed under
+all elementary moves, which is a genuine non-equivalence certificate;
+`truncated` promises nothing.
 """
 
 from __future__ import annotations
@@ -48,24 +51,57 @@ class OrbitResult(JsonCodec):
     frontier_exhausted_at_depth: int | None = None
 
 
-def _bfs(s: BraidSystem, limits: OrbitLimits, parents: dict):
+class _Interner:
+    """The distinct normal forms of one search, numbered in the order they
+    are first met, and for each number whether its form is within the
+    canonical-length limit."""
+
+    def __init__(self, max_length: int):
+        self.ids: dict = {}
+        self.forms: list = []
+        self.short: list[bool] = []
+        self.max_length = max_length
+
+    def __call__(self, nf) -> int:
+        k = self.ids.get(nf)
+        if k is None:
+            k = self.ids[nf] = len(self.forms)
+            self.forms.append(nf)
+            self.short.append(nf.canonical_length <= self.max_length)
+        return k
+
+    def key(self, forms) -> tuple[int, ...]:
+        return tuple(map(self, forms))
+
+    def state(self, key) -> tuple:
+        return tuple(map(self.forms.__getitem__, key))
+
+
+def _bfs(s: BraidSystem, limits: OrbitLimits, parents: dict, intern: _Interner):
     """The breadth-first search behind hurwitz_orbit and orbit_states.
 
-    Yields (state, depth) for every state as it is discovered, the start
-    first, and records its (parent, move) in `parents` (None for the
-    start).  No state is recorded beyond max_states; once `parents` is
-    full, moves are computed only until one leads to an unrecorded state,
-    so an orbit that closes at exactly max_states is still complete.
-    Returns True if a limit cut the search short.
+    Inside the search a state is the tuple of the ids that `intern` gives
+    its component normal forms; callers turn ids back into NormalForm
+    tuples with `intern.state`.  Yields (state, depth) for every state as
+    it is discovered, the start first, and records its (parent, move) in
+    `parents` (None for the start).  No state is recorded beyond
+    max_states; once `parents` is full, moves are computed only until one
+    leads to an unrecorded state, so an orbit that closes at exactly
+    max_states is still complete.  Returns True if a limit cut the search
+    short.
 
     A move changes only the pair it acts on, and normal forms are
     canonical, so each (pair, direction) is computed once per search and
     its result reused wherever that pair recurs; the memo dies with the
-    search.
+    search.  Whether a form is within the canonical-length limit is read
+    off `intern.short`, computed once per id.
     """
-    start = s.normal_forms()
-    moves = [HurwitzMove(i, inv) for i in range(1, len(s)) for inv in (False, True)]
-    moved: dict = {}  # (a, b, inverse) -> the pair the move puts in their place
+    start = intern.key(s.normal_forms())
+    # (index, direction, the move, the same move on the lone pair)
+    moves = [(i, inv, HurwitzMove(i, inv), HurwitzMove(1, inv)) for i in range(1, len(s))
+             for inv in (False, True)]
+    forms, short = intern.forms, intern.short
+    moved: dict = {}  # (a, b, inverse) -> the pair of ids the move puts in their place
     parents[start] = None
     yield start, 0
     queue = deque([(start, 0)])
@@ -75,20 +111,17 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, parents: dict):
         if depth >= limits.max_depth:
             truncated = True
             continue
-        for move in moves:
-            i = move.index
-            key = (state[i - 1], state[i], move.inverse)
-            pair = moved.get(key)
+        for i, inv, move, pair_move in moves:
+            a, b = state[i - 1], state[i]
+            pair = moved.get((a, b, inv))
             if pair is None:
-                nxt = hurwitz_move_nf(state, move)
-                moved[key] = nxt[i - 1 : i + 1]
-            else:
-                nxt = state[: i - 1] + pair + state[i + 1 :]
+                pair = moved[a, b, inv] = intern.key(hurwitz_move_nf((forms[a], forms[b]), pair_move))
+            nxt = state[: i - 1] + pair + state[i + 1 :]
             if nxt in parents:
                 continue
             if len(parents) >= limits.max_states:
                 return True
-            if any(nf.canonical_length > limits.max_component_canonical_length for nf in nxt):
+            if not all(map(short.__getitem__, nxt)):
                 truncated = True
                 continue
             parents[nxt] = (state, move)
@@ -113,9 +146,10 @@ def hurwitz_orbit(
     """BFS over the elementary Hurwitz moves, deduplicated by normal form."""
     if target is not None and (target.degree != s.degree or len(target) != len(s)):
         raise ValueError("target must have the same degree and length as the source")
-    target_key = target.normal_forms() if target is not None else None
+    intern = _Interner(limits.max_component_canonical_length)
+    target_key = intern.key(target.normal_forms()) if target is not None else None
     parents: dict = {}
-    search = _bfs(s, limits, parents)
+    search = _bfs(s, limits, parents, intern)
     try:
         while True:
             state, depth = next(search)
@@ -129,8 +163,9 @@ def hurwitz_orbit(
 
 def orbit_states(s: BraidSystem, limits: OrbitLimits = OrbitLimits()):
     """Yield the visited normal-form state tuples of the bounded BFS."""
-    for state, _ in _bfs(s, limits, {}):
-        yield state
+    intern = _Interner(limits.max_component_canonical_length)
+    for state, _ in _bfs(s, limits, {}, intern):
+        yield intern.state(state)
 
 
 def replay_witness(s: BraidSystem, witness) -> BraidSystem:

@@ -40,6 +40,11 @@ class Row(JsonCodec):
     computed: str
     ok: bool
 
+    def __post_init__(self):
+        if self.ok != (self.expected == self.computed):
+            raise ValueError(f"row {self.row_id}: ok={self.ok} but expected "
+                             f"{self.expected!r} and computed {self.computed!r}")
+
 
 def _pure_charpoly(b: BraidWord, flipped: bool) -> IntPolynomial:
     _, M = pure_power_matrix(b, flipped=flipped)

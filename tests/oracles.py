@@ -10,6 +10,8 @@ from braidsys import (
     IntPolynomial,
     crossing_matrix,
     hurwitz_move_nf,
+    normal_form,
+    permutation,
     permutation_order,
     power,
 )
@@ -239,6 +241,31 @@ def normal_form_letterwise(b: BraidWord) -> NormalForm:
             factors.append(_tup_left_complement(t))
             dpows.append(-1)
     return _assemble_tuples(m, factors, dpows)
+
+
+def _delta_letters(m: int) -> list:
+    """The half twist spelled sigma_1 ... sigma_{m-1} sigma_1 ...
+    sigma_{m-2} ... sigma_1."""
+    return [i for j in range(m - 1, 0, -1) for i in range(1, j + 1)]
+
+
+def flip_by_conjugation(p: tuple) -> tuple:
+    """Delta^{-1} p Delta for a permutation braid p, as the permutation
+    of the literal word, with p spelled by the restarting scan.  A
+    conjugate of a permutation braid by Delta is one again, so its
+    permutation names it."""
+    delta = _delta_letters(len(p))
+    letters = [-i for i in reversed(delta)] + permutation_letters_restart(p) + delta
+    return permutation(BraidWord(len(p), tuple(letters))).images
+
+
+def odd_infimum_word(rng: random.Random, degree: int, max_len: int) -> BraidWord:
+    """A random word whose normal form has an odd infimum: a random word,
+    followed by the half twist when its infimum is even."""
+    w = random_word(rng, degree, max_len)
+    if normal_form(w).infimum % 2:
+        return w
+    return BraidWord(degree, w.letters + tuple(_delta_letters(degree)))
 
 
 def permutation_letters_restart(p: tuple) -> list:

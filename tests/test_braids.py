@@ -39,7 +39,9 @@ from braidsys.braids import (
 from oracles import (
     bubble_normal_form,
     bubble_normalize,
+    flip_by_conjugation,
     normal_form_letterwise,
+    odd_infimum_word,
     permutation_letters_restart,
     random_word,
 )
@@ -332,6 +334,25 @@ def test_permutation_letters_match_the_restarting_scan():
         p = list(range(1, 33))
         rng.shuffle(p)
         assert _permutation_letters(tuple(p)) == permutation_letters_restart(tuple(p))
+
+
+def test_flip_table_matches_the_conjugated_word():
+    for m in range(2, 6):
+        for p in itertools.permutations(range(1, m + 1)):
+            assert braids._FLIP_SMALL[p] == _tup_flip(p) == flip_by_conjugation(p)
+
+
+def test_products_by_an_odd_infimum_match_the_concatenated_word():
+    # degrees 4 and 5 flip through the table, degree 6 through _tup_flip
+    rng = random.Random(29)
+    flipped = 0
+    for _ in range(300):
+        m = rng.randint(4, 6)
+        a, b = random_word(rng, m, 12), odd_infimum_word(rng, m, 12)
+        assert normal_form(b).infimum % 2
+        assert normal_form(a) * normal_form(b) == normal_form(product(a, b))
+        flipped += bool(normal_form(a).factors)
+    assert flipped > 250
 
 
 def test_pure_power_has_trivial_permutation():

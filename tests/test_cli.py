@@ -179,6 +179,13 @@ def test_papersuite_rows_json_roundtrip(flipped):
     assert all(refsuite.Row.from_json(r.to_json()) == r for r in rows)
 
 
+@pytest.mark.parametrize("expected, computed, ok", [("1", "2", True), ("1", "1", False)])
+def test_row_ok_must_match_its_values(expected, computed, ok):
+    data = {"id": "r", "description": "", "expected": expected, "computed": computed, "ok": ok}
+    with pytest.raises(ValueError):
+        refsuite.Row.from_json(data)
+
+
 def test_papersuite_flipped_convention(capsys):
     # pure-power rows are symmetric, so the whole table passes either way
     assert main(["papersuite", "--flipped-convention", "--json"]) == 0

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ import oracles
 from oracles import orbit_bfs_plain, random_word
 
 INTRO_B = BraidSystem.from_texts(4, ["1,2,-3", "3", "-2", "-1"])
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_limits_validation():
@@ -188,6 +191,20 @@ def test_orbit_matches_unmemoised_oracle():
         assert list(orbit_states(s, lims)) == states, (s, lims)
         statuses.add(res.status)
     assert statuses == {"complete", "truncated", "target_found"}
+
+
+def test_intro_b_10k_search_is_pinned():
+    # far past the random oracle searches: the result and the first and
+    # last five states, pinned from the search keyed by NormalForm tuples
+    lims = OrbitLimits(max_states=10_000)
+    states = list(orbit_states(INTRO_B, lims))
+    doc = {
+        "result": hurwitz_orbit(INTRO_B, lims).to_json(),
+        "first_states": [[nf.to_json() for nf in st] for st in states[:5]],
+        "last_states": [[nf.to_json() for nf in st] for st in states[-5:]],
+    }
+    assert len(states) == 10_000
+    assert json.dumps(doc) + "\n" == (GOLDEN / "orbit_intro_b_10k.json").read_text()
 
 
 def test_start_state_is_not_cut_by_canonical_length():
