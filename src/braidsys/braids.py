@@ -304,9 +304,12 @@ class NormalForm(JsonCodec):
             letters += delta * self.infimum
         else:
             letters += [-i for i in reversed(delta)] * (-self.infimum)
-        for f in self.factors:
-            letters += _permutation_letters(f)
+        letters += self.factor_letters()
         return free_reduce(BraidWord(m, tuple(letters)))
+
+    def factor_letters(self) -> tuple[int, ...]:
+        """The positive word A_1 ... A_k, each factor spelled by its descents."""
+        return tuple(k for f in self.factors for k in _permutation_letters(f))
 
 
 @functools.lru_cache(maxsize=65536)

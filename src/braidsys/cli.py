@@ -216,7 +216,7 @@ def cmd_orbit(args) -> int:
 def cmd_papersuite(args) -> int:
     rows, ok = refsuite.run(flipped=args.flipped_convention)
     if args.json:
-        print(json.dumps({"rows": [r.to_json() for r in rows], "all_pass": ok}))
+        print(json.dumps(refsuite.SuiteResult(tuple(rows), ok).to_json()))
     else:
         width = max(len(r.row_id) for r in rows)
         for r in rows:

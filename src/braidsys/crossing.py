@@ -11,13 +11,17 @@ Over/under convention: in a positive letter the strand entering at the
 left position of the crossing passes over; in a negative letter the
 strand entering at the right position passes over.  The opposite
 convention transposes every matrix (exposed via `flipped` for testing).
+
+A braid given by its normal form Delta^d A_1 ... A_k is not re-expanded
+into a word: the d half twists have a closed-form matrix, so only the
+positive word of the factors is swept (see `pure_power_matrix`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braids import BraidWord, Permutation, permutation
+from .braids import BraidWord, NormalForm, Permutation, permutation
 
 
 @dataclass(frozen=True)
@@ -76,13 +80,39 @@ def crossing_matrix(b: BraidWord, flipped: bool = False) -> CrossingMatrix:
     return CrossingMatrix(m, tuple(tuple(row) for row in entries))
 
 
-def pure_power_matrix(b: BraidWord, flipped: bool = False) -> tuple[int, CrossingMatrix]:
+def _normal_form_entries(nf: NormalForm) -> list[list[int]]:
+    """Crossing matrix rows of Delta^d W, W the positive word of the factors.
+
+    Every pair of strands crosses once in Delta, and Delta reverses the
+    positions, so the strand on the left alternates from one half twist
+    to the next.  It passes over in Delta; in Delta^-1 the strand on the
+    right passes over, with sign -1.  So for i < j, Delta^d adds ceil(d/2)
+    to C[i][j] and floor(d/2) to C[j][i], for d of either sign.  The
+    strand that starts at i enters W at position i, or at m+1-i when d
+    is odd.
+    """
+    m, d = nf.degree, nf.infimum
+    W = crossing_matrix(BraidWord(m, nf.factor_letters())).entries
+    if d % 2:
+        W = [row[::-1] for row in W[::-1]]
+    upper, lower = -(-d // 2), d // 2
+    return [
+        [v + lower for v in row[:i]] + [0] + [v + upper for v in row[i + 1 :]]
+        for i, row in enumerate(W)
+    ]
+
+
+def pure_power_matrix(
+    b: BraidWord | NormalForm, flipped: bool = False
+) -> tuple[int, CrossingMatrix]:
     """(r, crossing matrix of b^r) where r is the braid permutation order.
 
     b^r is a pure braid, so the returned matrix is symmetric.  It is read
-    off one pass over b, with no power word built.  With e the permutation
-    of b, the strands that enter the t-th copy of b at positions e^t(i)
-    and e^t(j) started at i and j, so
+    off the matrix C of b alone, with no power word built: one sweep of
+    a word, or, for a normal form, the closed form of its half twists
+    plus one sweep of the positive word of its factors.  With e the
+    permutation of b, the strands that enter the t-th copy of b at
+    positions e^t(i) and e^t(j) started at i and j, so
 
         C(b^r)[i][j] = sum over t < r of C(b)[e^t(i)][e^t(j)].
 
@@ -90,10 +120,14 @@ def pure_power_matrix(b: BraidWord, flipped: bool = False) -> tuple[int, Crossin
     L divides r, so each orbit is summed once, scaled by r / L, and the
     total is written to every pair of the orbit.
     """
-    perm = permutation(b)
+    if isinstance(b, NormalForm):
+        perm, C = b.permutation(), _normal_form_entries(b)
+        if flipped:
+            C = list(zip(*C))
+    else:
+        perm, C = permutation(b), crossing_matrix(b, flipped=flipped).entries
     r, e = perm.order(), perm.images
-    C = crossing_matrix(b, flipped=flipped).entries
-    m = b.degree
+    m = perm.degree
     entries = [[0] * m for _ in range(m)]
     seen = [[False] * m for _ in range(m)]
     for i0 in range(m):

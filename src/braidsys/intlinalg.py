@@ -4,13 +4,16 @@ Exact integer linear algebra and polynomial arithmetic.
 Characteristic polynomials are computed modulo primes just below 2^62,
 each by Hessenberg reduction over F_p in O(n^3), and recovered exactly by
 Chinese remaindering once the product of the primes exceeds
-2 max_k C(n,k) rho^k + 1, rho being the largest absolute row sum: no
-coefficient can be larger in absolute value than half of that.
+2 max_k C(n,k) s^k + 1, where s = ceil(sqrt(ceil(F^2 / n))) and F^2 is
+the sum of the squared entries: no coefficient can be larger in
+absolute value than half of that (see `charpoly` for the proof).
 Determinants and ranks use fraction-free Bareiss elimination, so every
 value stays an exact Python integer.  Polynomials are monic
 integer polynomials stored as ascending coefficient tuples; "essential"
 root content is represented exactly by stripping the factors x, x-1 and
-x+1 off a polynomial and keeping the remaining core.
+x+1 off a polynomial and keeping the remaining core.  Root finding
+deflates plain coefficient lists and builds a polynomial only for its
+result.
 """
 
 from __future__ import annotations
@@ -25,15 +28,22 @@ from .crossing import matrix_rows
 
 @dataclass(frozen=True)
 class IntPolynomial(JsonCodec):
-    """Integer polynomial; coeffs[i] is the coefficient of x^i."""
+    """Integer polynomial; coeffs[i] is the coefficient of x^i.
+
+    Every coefficient must be an int (a bool is none); nothing is coerced.
+    """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        c = tuple(int(v) for v in self.coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        c = tuple(self.coeffs)
+        for v in c:
+            if type(v) is not int:
+                raise TypeError(f"coefficient {v!r} is a {type(v).__name__}, not an int")
+        end = len(c)
+        while end and c[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coeffs", c[:end])
 
     @staticmethod
     def from_roots(roots) -> "IntPolynomial":
@@ -88,18 +98,6 @@ class IntPolynomial(JsonCodec):
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def deflate(self, root: int) -> tuple["IntPolynomial", int]:
-        """Synthetic division by (x - root); returns (quotient, remainder)."""
-        if not self.coeffs:
-            return self, 0
-        quot = [0] * (len(self.coeffs) - 1)
-        acc = 0
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            acc = acc * root + self.coeffs[i]
-            quot[i - 1] = acc
-        rem = acc * root + self.coeffs[0]
-        return IntPolynomial(tuple(quot)), rem
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -121,6 +119,28 @@ class IntPolynomial(JsonCodec):
         for sign, body in terms[1:]:
             out += f" {sign} {body}"
         return out
+
+
+def _deflate(c, root: int) -> tuple[list[int], int]:
+    """Synthetic division of the ascending coefficients c (len(c) >= 1) by
+    (x - root); returns (quotient coefficients, remainder)."""
+    quot = [0] * (len(c) - 1)
+    acc = 0
+    for i in range(len(c) - 1, 0, -1):
+        acc = acc * root + c[i]
+        quot[i - 1] = acc
+    return quot, acc * root + c[0]
+
+
+def _divide_out(c: list[int], root: int) -> tuple[list[int], int]:
+    """(c with every factor x - root divided out, how many there were)."""
+    mult = 0
+    while len(c) > 1:
+        quot, rem = _deflate(c, root)
+        if rem:
+            break
+        c, mult = quot, mult + 1
+    return c, mult
 
 
 _PRIMES: list[int] = []  # the moduli found so far, largest first
@@ -209,23 +229,40 @@ def _charpoly_mod(rows, p: int) -> list[int]:
     return polys[-1]
 
 
+def _coefficient_bound(rows) -> int:
+    """max over k of C(n,k) s^k, s = ceil(sqrt(ceil(F^2 / n))) (1 when n = 0)."""
+    n = len(rows)
+    s = _iroot(-(-sum(v * v for r in rows for v in r) // n), 2) if n else 0
+    term = largest = 1
+    for k in range(n):  # term = C(n, k+1) s^(k+1), an exact division
+        term = term * (n - k) * s // (k + 1)
+        largest = max(largest, term)
+    return largest
+
+
 def charpoly(M) -> IntPolynomial:
     """det(xI - M), exactly, from its residues modulo primes below 2^62.
 
-    Every eigenvalue is at most the largest absolute row sum rho in
-    absolute value, so the coefficient of x^(n-k) is at most C(n,k) rho^k.
-    Moduli are added until their product exceeds twice the largest such
-    bound plus one; Chinese remaindering then gives each coefficient in
-    the symmetric range, where it is unique.
+    The coefficient of x^(n-k) is (-1)^k e_k(lambda), e_k the k-th
+    elementary symmetric function of the eigenvalues lambda_i, so
+
+        |c_{n-k}| <= e_k(|lambda|) <= C(n,k) (sum |lambda_i| / n)^k
+                  <= C(n,k) (sum |lambda_i|^2 / n)^(k/2)
+                  <= C(n,k) (F^2 / n)^(k/2) <= C(n,k) s^k,
+
+    by Maclaurin's inequality for the non-negative |lambda_i|, then
+    Cauchy-Schwarz, then Schur's inequality sum |lambda_i|^2 <= F^2
+    (F the Frobenius norm); s = ceil(sqrt(ceil(F^2 / n))).  This holds
+    for any square integer matrix, and +-s I attains it.  Since
+    F^2 <= n rho^2 for rho the largest absolute row sum, s <= rho, so the
+    bound is never weaker than the row-sum bound C(n,k) rho^k.  Moduli
+    are added until their product exceeds twice the largest C(n,k) s^k
+    plus one; Chinese remaindering then gives each coefficient in the
+    symmetric range, where it is unique.
     """
     rows = matrix_rows(M)
     n = len(rows)
-    rho = max((sum(map(abs, r)) for r in rows), default=0)
-    term = largest = 1
-    for k in range(n):  # term = C(n, k+1) rho^(k+1), an exact division
-        term = term * (n - k) * rho // (k + 1)
-        largest = max(largest, term)
-    bound = 2 * largest + 1
+    bound = 2 * _coefficient_bound(rows) + 1
     coeffs, modulus, i = [0] * (n + 1), 1, 0
     while modulus <= bound:
         p = _modulus(i)
@@ -305,38 +342,41 @@ def _iroot(value: int, k: int) -> int:
     return lo
 
 
-def _root_bound(p: IntPolynomial) -> int:
+def _root_bound(c) -> int:
     # Fujiwara: every root r satisfies |r| <= 2 max_k |c_{n-k}/c_n|^{1/k}
-    n = p.degree
-    lead = abs(p.coeffs[-1])
+    n = len(c) - 1
+    lead = abs(c[-1])
     bound = 0
     for k in range(1, n + 1):
-        c = abs(p.coefficient(n - k))
-        if c:
+        v = abs(c[n - k])
+        if v:
             # over-approximate the k-th root; safe for a candidate bound
-            bound = max(bound, 2 * _iroot(-(-c // lead), k))
+            bound = max(bound, 2 * _iroot(-(-v // lead), k))
     return bound
 
 
-def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
-    """All integer roots with multiplicities, as a sorted (root, mult) tuple.
+def _divides(a: int, b: int) -> bool:
+    return b % a == 0 if a else b == 0
+
+
+def _split_roots(p: IntPolynomial) -> tuple[tuple[tuple[int, int], ...], list[int]]:
+    """(sorted (root, mult) pairs, ascending coefficients of the cofactor).
 
     Candidates are the divisors of the constant term after stripping x
-    factors, cut down by a root-magnitude bound before trial division.
+    factors, cut down by a root-magnitude bound.  A candidate r is
+    deflated only if (r - 1) divides q(1) and (r + 1) divides q(-1): a
+    root r has q(r) = 0, and r - t divides q(r) - q(t) for every integer
+    t, so both tests are necessary (0 divides only 0).
     """
     if not p:
         raise ValueError("zero polynomial has no well-defined root multiset")
-    found = []
-    q = p
-    zero_mult = 0
-    while q.coefficient(0) == 0 and q.degree > 0:
-        q = IntPolynomial(q.coeffs[1:])
-        zero_mult += 1
-    if zero_mult:
-        found.append((0, zero_mult))
-    if q.degree == 0:
-        return tuple(sorted(found))
-    c0 = abs(q.coefficient(0))
+    zero_mult = next(k for k, v in enumerate(p.coeffs) if v)
+    found = [(0, zero_mult)] if zero_mult else []
+    q = list(p.coeffs[zero_mult:])
+    if len(q) == 1:
+        return tuple(found), q
+    at_one, at_minus_one = sum(q), sum(q[0::2]) - sum(q[1::2])
+    c0 = abs(q[0])
     bound = _root_bound(q)
     cands: set[int] = set()
     d = 1
@@ -348,25 +388,22 @@ def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
                     cands.add(cand)
         d += 1
     for r in sorted(cands):
-        mult = 0
-        while q.degree > 0:
-            quot, rem = q.deflate(r)
-            if rem != 0:
-                break
-            q = quot
-            mult += 1
-        if mult:
-            found.append((r, mult))
-    return tuple(sorted(found))
+        if _divides(r - 1, at_one) and _divides(r + 1, at_minus_one):
+            q, mult = _divide_out(q, r)
+            if mult:
+                found.append((r, mult))
+    return tuple(sorted(found)), q
+
+
+def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
+    """All integer roots with multiplicities, as a sorted (root, mult) tuple."""
+    return _split_roots(p)[0]
 
 
 def split_integer_roots(p: IntPolynomial) -> tuple[tuple[tuple[int, int], ...], IntPolynomial]:
     """(integer_roots(p), the cofactor of p left once those roots are divided out)."""
-    roots = integer_roots(p)
-    for root, mult in roots:
-        for _ in range(mult):
-            p, _ = p.deflate(root)
-    return roots, p
+    roots, rest = _split_roots(p)
+    return roots, IntPolynomial(tuple(rest))
 
 
 @dataclass(frozen=True)
@@ -396,19 +433,10 @@ def reduce_poly(p: IntPolynomial) -> ReducedPolynomial:
     """Strip all factors x, x-1 and x+1 off p."""
     if not p:
         raise ValueError("cannot reduce the zero polynomial")
-    a = 0
-    while p.coefficient(0) == 0 and p.degree > 0:
-        p = IntPolynomial(p.coeffs[1:])
-        a += 1
-    b = 0
-    while p.degree > 0 and p(1) == 0:
-        p, _ = p.deflate(1)
-        b += 1
-    c = 0
-    while p.degree > 0 and p(-1) == 0:
-        p, _ = p.deflate(-1)
-        c += 1
-    return ReducedPolynomial(a, b, c, p)
+    a = next(k for k, v in enumerate(p.coeffs) if v)
+    q, b = _divide_out(list(p.coeffs[a:]), 1)
+    q, c = _divide_out(q, -1)
+    return ReducedPolynomial(a, b, c, IntPolynomial(tuple(q)))
 
 
 def factored_str(p: IntPolynomial) -> str:

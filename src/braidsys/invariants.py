@@ -136,9 +136,7 @@ class SystemInvariantReport(JsonCodec):
 
 @functools.lru_cache(maxsize=65536)
 def _report_for_normal_form(nf: NormalForm) -> BraidInvariantReport:
-    # any word for the braid yields the same matrix, so the canonical
-    # re-expansion is a sound (and cache-friendly) representative
-    r, M = pure_power_matrix(nf.to_word())
+    r, M = pure_power_matrix(nf)
     cp = charpoly(M)
     # det M = (-1)^n c_0; and M is symmetric, hence diagonalizable, so its
     # rank is n minus the multiplicity of the root 0

@@ -46,6 +46,18 @@ class Row(JsonCodec):
                              f"{self.expected!r} and computed {self.computed!r}")
 
 
+@dataclass(frozen=True)
+class SuiteResult(JsonCodec):
+    """Every row of one run of the suite, and whether all of them pass."""
+
+    rows: tuple[Row, ...]
+    all_pass: bool
+
+    def __post_init__(self):
+        if self.all_pass != all(row.ok for row in self.rows):
+            raise ValueError(f"all_pass={self.all_pass} does not match the rows")
+
+
 def _pure_charpoly(b: BraidWord, flipped: bool) -> IntPolynomial:
     _, M = pure_power_matrix(b, flipped=flipped)
     return charpoly(M)

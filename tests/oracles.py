@@ -4,6 +4,8 @@ from collections import deque
 from fractions import Fraction
 import random
 
+from hypothesis import strategies as st
+
 from braidsys import (
     BraidWord,
     HurwitzMove,
@@ -160,6 +162,30 @@ def group_order_bfs(gens) -> int:
     return len(seen)
 
 
+def integer_roots_scan(p: IntPolynomial):
+    """(sorted (root, mult) pairs, cofactor) of a nonzero polynomial, by
+    evaluating every integer within the Cauchy bound 1 + max|c_k / c_n|
+    and dividing each root out by exact long division while it divides."""
+    c = list(p.coeffs)
+    bound = 1 + max(abs(v) for v in c[:-1]) // abs(c[-1]) if len(c) > 1 else 0
+    roots = [r for r in range(-bound, bound + 1) if p(r) == 0]
+    found = []
+    for r in roots:
+        mult = 0
+        while len(c) > 1:
+            # c = (x - r) q + rem, q found from the top coefficient down
+            q = [0] * (len(c) - 1)
+            carry = 0
+            for k in range(len(c) - 1, 0, -1):
+                q[k - 1] = c[k] + carry
+                carry = q[k - 1] * r
+            if c[0] + carry != 0:
+                break
+            c, mult = q, mult + 1
+        found.append((r, mult))
+    return tuple(found), IntPolynomial(tuple(c))
+
+
 def pure_power_matrix_literal(b: BraidWord, flipped: bool = False):
     """(r, crossing matrix of b^r) by sweeping the literal r-fold word."""
     r = permutation_order(b)
@@ -257,6 +283,26 @@ def flip_by_conjugation(p: tuple) -> tuple:
     delta = _delta_letters(len(p))
     letters = [-i for i in reversed(delta)] + permutation_letters_restart(p) + delta
     return permutation(BraidWord(len(p), tuple(letters))).images
+
+
+@st.composite
+def half_twist_words(draw, max_degree: int = 32):
+    """Delta^d w for d in -3..3 and a short positive, negative or mixed w,
+    on 2..max_degree strands: infima of both signs and parities, the half
+    twist powers alone (w empty) and the identity (d = 0 too)."""
+    m = draw(st.integers(2, max_degree))
+    d = draw(st.integers(-3, 3))
+    sign = draw(st.sampled_from([(1,), (-1,), (1, -1)]))
+    body = draw(st.lists(st.integers(1, m - 1), max_size=min(2 * m, 16)))
+    signs = draw(st.lists(st.sampled_from(sign), min_size=len(body), max_size=len(body)))
+    return delta_power_word(m, d, tuple(s * i for s, i in zip(signs, body)))
+
+
+def delta_power_word(m: int, d: int, letters: tuple = ()) -> BraidWord:
+    """The literal word Delta^d followed by `letters`."""
+    delta = _delta_letters(m)
+    twist = delta * d if d >= 0 else [-i for i in reversed(delta)] * -d
+    return BraidWord(m, tuple(twist) + tuple(letters))
 
 
 def odd_infimum_word(rng: random.Random, degree: int, max_len: int) -> BraidWord:

@@ -177,6 +177,16 @@ def test_papersuite_rows_json_roundtrip(flipped):
     rows, ok = refsuite.run(flipped=flipped)
     assert ok and len(rows) == 38
     assert all(refsuite.Row.from_json(r.to_json()) == r for r in rows)
+    result = refsuite.SuiteResult(tuple(rows), ok)
+    assert refsuite.SuiteResult.from_json(result.to_json()) == result
+
+
+def test_suite_result_all_pass_must_match_its_rows():
+    rows = (refsuite.Row("a", "", "1", "1", True), refsuite.Row("b", "", "1", "2", False))
+    assert not refsuite.SuiteResult(rows, False).all_pass
+    for bad in ((rows, True), (rows[:1], False)):
+        with pytest.raises(ValueError):
+            refsuite.SuiteResult(*bad)
 
 
 @pytest.mark.parametrize("expected, computed, ok", [("1", "2", True), ("1", "1", False)])

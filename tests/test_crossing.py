@@ -1,20 +1,23 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from braidsys import (
     BraidWord,
     CrossingMatrix,
     conjugate,
     crossing_matrix,
+    normal_form,
     parse_word,
     permutation_equivalent,
     power,
     pure_power_matrix,
 )
+from braidsys.crossing import _normal_form_entries
 from braidsys.invariants import family_weaving
 
-from oracles import pure_power_matrix_literal, random_word
+from oracles import delta_power_word, half_twist_words, pure_power_matrix_literal, random_word
 
 
 def test_empty_word_gives_zero_matrix():
@@ -55,6 +58,27 @@ def test_pure_power_matrix_matches_literal_power():
     for w in words:
         for flipped in (False, True):
             assert pure_power_matrix(w, flipped=flipped) == pure_power_matrix_literal(w, flipped=flipped)
+
+
+@settings(max_examples=150, deadline=None)
+@given(half_twist_words())
+# the identity, and each sign and parity of the infimum, alone and with letters
+@example(BraidWord(7))
+@example(delta_power_word(32, 1))
+@example(delta_power_word(9, 2, (3, 5, 1)))
+@example(delta_power_word(4, 3, (1, 2)))
+@example(delta_power_word(6, -1))
+@example(delta_power_word(12, -2))
+@example(delta_power_word(24, -2, (7, 7, -20)))
+@example(delta_power_word(5, -3, (-1, -2, 4)))
+def test_normal_form_matrices_match_the_word_sweep(w):
+    # Delta^d W: the closed form of the half twists plus the sweep of W,
+    # against the sweep of the word itself and the literal power
+    nf = normal_form(w)
+    C = _normal_form_entries(nf)
+    assert CrossingMatrix(w.degree, tuple(map(tuple, C))) == crossing_matrix(w)
+    for flipped in (False, True):
+        assert pure_power_matrix(nf, flipped=flipped) == pure_power_matrix_literal(w, flipped=flipped)
 
 
 def test_weaving_power_is_flat():

@@ -1,11 +1,12 @@
 import math
 import os
+from fractions import Fraction
 import random
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from braidsys import (
     IntPolynomial,
@@ -14,17 +15,20 @@ from braidsys import (
     determinant,
     factored_str,
     integer_roots,
+    normal_form,
     parse_word,
     pure_power_matrix,
     rank,
     reduce_poly,
 )
 from braidsys import intlinalg
+from braidsys.intlinalg import split_integer_roots
 
 from oracles import (
     charpoly_berkowitz,
     charpoly_cofactor,
     det_fraction,
+    integer_roots_scan,
     is_prime_mr,
     random_word,
     rank_fraction,
@@ -39,6 +43,19 @@ def test_poly_arithmetic():
     assert str(p) == "x^4 - 2x^2 + 1"
     assert p(2) == 9
     assert p.degree == 4 and p.is_monic()
+
+
+@pytest.mark.parametrize("coeffs", [
+    (2.5, 1), ("3", True), (True,), (1, False), (1.0,), (Fraction(2), 1), (None,), (1, [2])])
+def test_poly_rejects_coefficients_that_are_not_ints(coeffs):
+    with pytest.raises(TypeError):
+        IntPolynomial(coeffs)
+
+
+def test_poly_strips_trailing_zeros_without_coercion():
+    p = IntPolynomial([3, -1, 0, 0])
+    assert p.coeffs == (3, -1) and all(type(v) is int for v in p.coeffs)
+    assert IntPolynomial((0, 0)).coeffs == () and not IntPolynomial(())
 
 
 def test_poly_mul_reference_products():
@@ -126,6 +143,60 @@ def test_charpoly_of_a_pure_power_matrix_at_degree_32():
     assert charpoly(M) == charpoly_berkowitz(M)
 
 
+@pytest.mark.parametrize("m, seed", [(24, 31), (24, 32), (32, 33)])
+def test_charpoly_of_normal_form_pure_powers(m, seed):
+    # the report's matrices: pure powers read off the normal form, at the
+    # degrees where the coefficient bound needs the most moduli
+    rng = random.Random(seed)
+    _, M = pure_power_matrix(normal_form(random_word(rng, m, 2 * m, min_len=2 * m)))
+    assert charpoly(M) == charpoly_berkowitz(M)
+
+
+@pytest.mark.parametrize("n, s", [(1, 5), (7, -3), (24, 1), (32, 10**12), (32, -7)])
+def test_charpoly_of_scaled_all_ones(n, s):
+    # s J has the eigenvalue n s once and 0 n - 1 times
+    rows = [[s] * n for _ in range(n)]
+    assert charpoly(rows) == IntPolynomial.x_power(n - 1) * IntPolynomial((-n * s, 1))
+    assert charpoly(rows) == charpoly_berkowitz(rows)
+
+
+def test_charpoly_of_rank_one_matrices():
+    # u v^T has the eigenvalue v.u once and 0 n - 1 times
+    rng = random.Random(34)
+    for n in (2, 5, 12, 24):
+        top = rng.choice([3, 10**9])
+        u = [rng.randint(-top, top) for _ in range(n)]
+        v = [rng.randint(-top, top) for _ in range(n)]
+        rows = [[a * b for b in v] for a in u]
+        dot = sum(a * b for a, b in zip(u, v))
+        assert charpoly(rows) == IntPolynomial.x_power(n - 1) * IntPolynomial((-dot, 1))
+        assert charpoly(rows) == charpoly_berkowitz(rows)
+
+
+def test_charpoly_coefficients_within_the_frobenius_bound():
+    # |c_{n-k}| <= C(n,k) s^k, s = ceil(sqrt(ceil(F^2 / n))), on non-symmetric
+    # matrices, and the bound is never weaker than the row-sum one
+    rng = random.Random(35)
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        top = rng.choice([1, 4, 50, 10**8])
+        rows = [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:  # upper triangular: the diagonal holds the eigenvalues
+            rows = [[v if j > i else (rng.randint(-top, top) if i == j else 0)
+                     for j, v in enumerate(r)] for i, r in enumerate(rows)]
+        f2 = sum(v * v for r in rows for v in r)
+        q = -(-f2 // n)
+        s = math.isqrt(q) + (math.isqrt(q) ** 2 < q)
+        cp = charpoly_berkowitz(rows)
+        assert charpoly(rows) == cp
+        for k in range(n + 1):
+            assert abs(cp.coefficient(n - k)) <= math.comb(n, k) * s**k
+        rho = max(sum(map(abs, r)) for r in rows)
+        bound = max(math.comb(n, k) * s**k for k in range(n + 1))
+        assert intlinalg._coefficient_bound(rows) == bound
+        assert bound <= max(math.comb(n, k) * rho**k for k in range(n + 1))
+
+
 def test_moduli_are_distinct_primes_below_2_62():
     rho, n = 10**30, 32
     charpoly([[rho if i == j else 0 for j in range(n)] for i in range(n)])
@@ -210,6 +281,38 @@ def test_integer_roots_reconstruction():
 def test_integer_roots_ignores_non_integer_content():
     p = IntPolynomial.from_roots([2, -2]) * IntPolynomial((1, 0, 1))  # (x^2+1) factor
     assert integer_roots(p) == ((-2, 1), (2, 1))
+
+
+@st.composite
+def split_polynomials(draw):
+    """Products of linear factors (roots repeating, 0 and +-1 among them),
+    irreducible quadratics and an integer content, kept to a Cauchy bound
+    of at most 3000 so that the scan oracle stays fast."""
+    roots = draw(st.lists(st.integers(-8, 8), max_size=4))
+    roots += draw(st.lists(st.sampled_from([-1, 0, 1]), max_size=2))
+    p = IntPolynomial((draw(st.sampled_from([1, 1, -1, 2, -3])),))
+    for r in roots:
+        p = p * IntPolynomial((-r, 1))
+    for _ in range(draw(st.integers(0, 2))):
+        b, c = draw(st.integers(-3, 3)), draw(st.integers(-6, 6))
+        disc = b * b - 4 * c
+        if disc >= 0 and math.isqrt(disc) ** 2 == disc:
+            c = b * b or 1  # x^2 + bx + b^2 has the discriminant -3 b^2 < 0
+        p = p * IntPolynomial((c, b, 1))
+    assume(max(map(abs, p.coeffs)) <= 3000 * abs(p.coeffs[-1]))
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_polynomials())
+def test_integer_roots_match_the_scan_oracle(p):
+    roots, rest = integer_roots_scan(p)
+    assert integer_roots(p) == roots
+    assert split_integer_roots(p) == (roots, rest)
+    back = rest
+    for r, mult in roots:
+        back = back * IntPolynomial.from_roots([r] * mult)
+    assert back == p
 
 
 def test_reduce_poly_known_values():

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from braidsys import (
     BraidInvariantReport,
@@ -21,7 +22,9 @@ from braidsys import (
     family_bmk_charpoly,
     family_weaving,
     generator,
+    integer_roots,
     iota,
+    normal_form,
     parse_word,
     permutation,
     permutation_group_order,
@@ -32,7 +35,14 @@ from braidsys import (
 )
 from braidsys.braids import BraidWord, Permutation
 
-from oracles import group_order_bfs, random_word
+from oracles import (
+    charpoly_berkowitz,
+    delta_power_word,
+    group_order_bfs,
+    half_twist_words,
+    pure_power_matrix_literal,
+    random_word,
+)
 
 
 def sigma_poly(m):
@@ -76,6 +86,23 @@ def test_report_determinant_and_rank_match_elimination():
         _, M = pure_power_matrix(w)
         assert M.is_symmetric()
         assert (rep.determinant, rep.rank) == (determinant(M), rank(M))
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_twist_words())
+@example(delta_power_word(8, -1))
+@example(delta_power_word(8, 3, (2, 4, 6)))
+def test_report_fields_match_the_literal_power(w):
+    # every field, from the matrix of the literal r-fold word
+    r, M = pure_power_matrix_literal(w)
+    cp = charpoly_berkowitz(M)
+    rep = braid_invariants(w)
+    assert (rep.degree, rep.r, rep.charpoly) == (w.degree, r, cp)
+    assert (rep.determinant, rep.rank) == (determinant(M), rank(M))
+    assert (rep.S, rep.S_rows, rep.S_cols) == (M.entry_multiset(), M.row_multisets(),
+                                               M.col_multisets())
+    assert rep.integer_eigenvalues == integer_roots(cp)
+    assert rep.normal_form == normal_form(w)
 
 
 def test_conjugation_invariance_of_reports():
