@@ -12,6 +12,7 @@ difference, 3 internal failure (including reference-suite mismatches).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -273,10 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built once: parse_args does not change it
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -102,17 +102,16 @@ def _normal_form_entries(nf: NormalForm) -> list[list[int]]:
     ]
 
 
-def pure_power_matrix(
-    b: BraidWord | NormalForm, flipped: bool = False
-) -> tuple[int, CrossingMatrix]:
+def pure_power_matrix(b: BraidWord | NormalForm) -> tuple[int, CrossingMatrix]:
     """(r, crossing matrix of b^r) where r is the braid permutation order.
 
-    b^r is a pure braid, so the returned matrix is symmetric.  It is read
-    off the matrix C of b alone, with no power word built: one sweep of
-    a word, or, for a normal form, the closed form of its half twists
-    plus one sweep of the positive word of its factors.  With e the
-    permutation of b, the strands that enter the t-th copy of b at
-    positions e^t(i) and e^t(j) started at i and j, so
+    b^r is a pure braid, so the returned matrix is symmetric: the same in
+    either over-strand convention.  It is read off the matrix C of b
+    alone, with no power word built: one sweep of a word, or, for a normal
+    form, the closed form of its half twists plus one sweep of the
+    positive word of its factors.  With e the permutation of b, the
+    strands that enter the t-th copy of b at positions e^t(i) and e^t(j)
+    started at i and j, so
 
         C(b^r)[i][j] = sum over t < r of C(b)[e^t(i)][e^t(j)].
 
@@ -122,10 +121,8 @@ def pure_power_matrix(
     """
     if isinstance(b, NormalForm):
         perm, C = b.permutation(), _normal_form_entries(b)
-        if flipped:
-            C = list(zip(*C))
     else:
-        perm, C = permutation(b), crossing_matrix(b, flipped=flipped).entries
+        perm, C = permutation(b), crossing_matrix(b).entries
     r, e = perm.order(), perm.images
     m = perm.degree
     entries = [[0] * m for _ in range(m)]

@@ -1,12 +1,11 @@
 """
 Exact integer linear algebra and polynomial arithmetic.
 
-Characteristic polynomials are computed modulo primes just below 2^62,
-each by Hessenberg reduction over F_p in O(n^3), and recovered exactly by
-Chinese remaindering once the product of the primes exceeds
-2 max_k C(n,k) s^k + 1, where s = ceil(sqrt(ceil(F^2 / n))) and F^2 is
-the sum of the squared entries: no coefficient can be larger in
-absolute value than half of that (see `charpoly` for the proof).
+Characteristic polynomials come from one Hessenberg reduction in O(n^3)
+modulo N, a product of primes just below 2^62 that exceeds
+2 max_k C(n,k) s^k + 1, where s = ceil(sqrt(ceil(F^2 / n))) and F^2 is the
+sum of the squared entries: no coefficient is larger in absolute value than
+half of that (see `charpoly`), so each is its symmetric residue mod N.
 Determinants and ranks use fraction-free Bareiss elimination, so every
 value stays an exact Python integer.  Polynomials are monic
 integer polynomials stored as ascending coefficient tuples; "essential"
@@ -178,13 +177,22 @@ def _modulus(i: int) -> int:
     return _PRIMES[i]
 
 
-def _charpoly_mod(rows, p: int) -> list[int]:
-    """Ascending coefficients of det(xI - M) mod p.
+def _crt(a: list[int], p: int, b: list[int], q: int) -> list[int]:
+    """The residues mod p q of the pairs (a_k mod p, b_k mod q), p and q coprime."""
+    inv = pow(p, -1, q)
+    return [x + p * ((y - x) * inv % q) for x, y in zip(a, b)]
 
-    M is brought to upper Hessenberg form H by elimination similarities
-    over F_p, and the polynomial is read off H by the recurrence
+
+def _charpoly_mod(rows, p: int) -> list[int]:
+    """Ascending coefficients of det(xI - M) mod p, for a squarefree p > 1.
+
+    M is brought to upper Hessenberg form H = P M P^-1 over Z/pZ by
+    similarities that divide only by a unit pivot, the first nonzero entry
+    of its column under the diagonal; the polynomial is read off H by
     p_m = (x - h_mm) p_{m-1} - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
     (Cohen, *A Course in Computational Algebraic Number Theory*, 2.2.4).
+    A pivot with g = gcd(pivot, p) > 1 (never, for a prime p) splits p into
+    the coprime g and p / g, whose results are joined by Chinese remaindering.
     """
     n = len(rows)
     H = [[v % p for v in r] for r in rows]
@@ -192,6 +200,8 @@ def _charpoly_mod(rows, p: int) -> list[int]:
         piv = next((i for i in range(m, n) if H[i][m - 1]), None)
         if piv is None:
             continue
+        if (g := math.gcd(H[piv][m - 1], p)) > 1:
+            return _crt(_charpoly_mod(rows, g), g, _charpoly_mod(rows, p // g), p // g)
         if piv != m:  # swap rows and columns m and piv
             H[m], H[piv] = H[piv], H[m]
             for r in H:
@@ -241,7 +251,7 @@ def _coefficient_bound(rows) -> int:
 
 
 def charpoly(M) -> IntPolynomial:
-    """det(xI - M), exactly, from its residues modulo primes below 2^62.
+    """det(xI - M), exactly, from its residue modulo a product of primes below 2^62.
 
     The coefficient of x^(n-k) is (-1)^k e_k(lambda), e_k the k-th
     elementary symmetric function of the eigenvalues lambda_i, so
@@ -255,25 +265,17 @@ def charpoly(M) -> IntPolynomial:
     (F the Frobenius norm); s = ceil(sqrt(ceil(F^2 / n))).  This holds
     for any square integer matrix, and +-s I attains it.  Since
     F^2 <= n rho^2 for rho the largest absolute row sum, s <= rho, so the
-    bound is never weaker than the row-sum bound C(n,k) rho^k.  Moduli
-    are added until their product exceeds twice the largest C(n,k) s^k
-    plus one; Chinese remaindering then gives each coefficient in the
-    symmetric range, where it is unique.
+    bound is never weaker than the row-sum bound C(n,k) rho^k.  Primes
+    are multiplied until their product N exceeds twice the largest C(n,k) s^k
+    plus one; one `_charpoly_mod` pass then gives each coefficient mod N,
+    unique in the symmetric range.
     """
     rows = matrix_rows(M)
-    n = len(rows)
     bound = 2 * _coefficient_bound(rows) + 1
-    coeffs, modulus, i = [0] * (n + 1), 1, 0
+    modulus, i = 1, 0
     while modulus <= bound:
-        p = _modulus(i)
-        i += 1
-        inv = pow(modulus % p, -1, p)
-        coeffs = [
-            c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, _charpoly_mod(rows, p))
-        ]
-        modulus *= p
-    half = modulus // 2
-    return IntPolynomial(tuple(c - modulus if c > half else c for c in coeffs))
+        modulus, i = modulus * _modulus(i), i + 1
+    return IntPolynomial(tuple(c - modulus if 2 * c > modulus else c for c in _charpoly_mod(rows, modulus)))
 
 
 def _exact_div(a: int, b: int) -> int:

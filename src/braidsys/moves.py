@@ -26,9 +26,6 @@ class HurwitzMove(JsonCodec):
     index: int
     inverse: bool = False
 
-    def inverted(self) -> "HurwitzMove":
-        return HurwitzMove(self.index, not self.inverse)
-
     def __str__(self) -> str:
         return f"H {self.index} {'-' if self.inverse else '+'}"
 

@@ -91,10 +91,10 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, parents: dict, intern: _Interner):
     short.
 
     A move changes only the pair it acts on, and normal forms are
-    canonical, so each (pair, direction) is computed once per search and
-    its result reused wherever that pair recurs; the memo dies with the
-    search.  Whether a form is within the canonical-length limit is read
-    off `intern.short`, computed once per id.
+    canonical, so each (pair, direction) is computed at most once per
+    search; (a, b) -> (c, d) also records the opposite move (c, d) ->
+    (a, b), which undoes it.  The memo dies with the search.  Whether a
+    form is within the canonical-length limit is read off `intern.short`.
     """
     start = intern.key(s.normal_forms())
     # (index, direction, the move, the same move on the lone pair)
@@ -116,6 +116,7 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, parents: dict, intern: _Interner):
             pair = moved.get((a, b, inv))
             if pair is None:
                 pair = moved[a, b, inv] = intern.key(hurwitz_move_nf((forms[a], forms[b]), pair_move))
+                moved.setdefault(pair + (not inv,), (a, b))
             nxt = state[: i - 1] + pair + state[i + 1 :]
             if nxt in parents:
                 continue

@@ -4,9 +4,9 @@ braid systems.  Every row recomputes a known value from scratch through
 the public pipeline and compares exactly; the CLI `papersuite` command
 renders the table.
 
-Rows that involve crossing matrices accept the flipped over-strand
-convention.  All matrix-valued rows use pure powers, whose matrices are
-symmetric, so they must pass under either convention.
+The flipped over-strand convention reaches the weaving rows, which sweep
+a power word with `crossing_matrix`.  Every other matrix is that of a
+pure power, which is symmetric and so the same under either convention.
 """
 
 from __future__ import annotations
@@ -58,15 +58,15 @@ class SuiteResult(JsonCodec):
             raise ValueError(f"all_pass={self.all_pass} does not match the rows")
 
 
-def _pure_charpoly(b: BraidWord, flipped: bool) -> IntPolynomial:
-    _, M = pure_power_matrix(b, flipped=flipped)
+def _pure_charpoly(b: BraidWord) -> IntPolynomial:
+    _, M = pure_power_matrix(b)
     return charpoly(M)
 
 
-def _system_product(s: BraidSystem, flipped: bool) -> IntPolynomial:
+def _system_product(s: BraidSystem) -> IntPolynomial:
     prod = IntPolynomial((1,))
     for c in s.components:
-        prod = prod * _pure_charpoly(c, flipped)
+        prod = prod * _pure_charpoly(c)
     return prod
 
 
@@ -107,8 +107,8 @@ def build_rows(flipped: bool = False) -> list[Row]:
     # crossing matrices of the distinguished 4-braid pair
     b4 = parse_word("1,2,-3", 4)
     bp4 = parse_word("1,-2,3", 4)
-    _, M = pure_power_matrix(b4, flipped=flipped)
-    _, N = pure_power_matrix(bp4, flipped=flipped)
+    _, M = pure_power_matrix(b4)
+    _, N = pure_power_matrix(bp4)
     add("cm-b4", "pure-power crossing matrix of 1,2,-3",
         ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)), M.entries)
     add("cm-bp4", "pure-power crossing matrix of 1,-2,3",
@@ -130,8 +130,8 @@ def build_rows(flipped: bool = False) -> list[Row]:
     # conjugate 5-braid pair: determinant, polynomial, explicit conjugator
     b5 = parse_word("3,-1,4", 5)
     bp5 = parse_word("4,3,-1", 5)
-    _, M5 = pure_power_matrix(b5, flipped=flipped)
-    _, N5 = pure_power_matrix(bp5, flipped=flipped)
+    _, M5 = pure_power_matrix(b5)
+    _, N5 = pure_power_matrix(bp5)
     add("det-5", "determinants of the conjugate 5-braid pair", (-144, -144),
         (determinant(M5), determinant(N5)))
     quintic = charpoly(M5)
@@ -155,7 +155,7 @@ def build_rows(flipped: bool = False) -> list[Row]:
 
     # closed forms
     ok = all(
-        _pure_charpoly(braids.generator(m, i, s), flipped)
+        _pure_charpoly(braids.generator(m, i, s))
         == IntPolynomial.x_power(m - 2) * IntPolynomial((-1, 0, 1))
         for m in range(2, 9)
         for i in range(1, m)
@@ -163,17 +163,17 @@ def build_rows(flipped: bool = False) -> list[Row]:
     )
     add("cp-generators", "P of every generator is x^(m-2)(x+1)(x-1), m=2..8", True, ok)
     ok = all(
-        _pure_charpoly(family_weaving(m), flipped) == IntPolynomial.x_power(m)
-        and _pure_charpoly(braids.iota(family_weaving(m)), flipped) == IntPolynomial.x_power(m + 1)
+        _pure_charpoly(family_weaving(m)) == IntPolynomial.x_power(m)
+        and _pure_charpoly(braids.iota(family_weaving(m))) == IntPolynomial.x_power(m + 1)
         for m in (3, 5, 7)
     )
     add("cp-weaving", "P of the alternating word is x^m; embedded, x^(m+1)", True, ok)
-    ok = all(_pure_charpoly(family_bm(m), flipped) == family_bm_charpoly(m) for m in range(3, 9))
+    ok = all(_pure_charpoly(family_bm(m)) == family_bm_charpoly(m) for m in range(3, 9))
     add("cp-family", "P(b_m) = x^m - (m-1)x^(m-2) for m=3..8", True, ok)
     add("cp-family-5", "P of the 5-strand family word", "x^5 - 4x^3",
-        _pure_charpoly(family_bm(5), flipped))
+        _pure_charpoly(family_bm(5)))
     ok = all(
-        _pure_charpoly(family_bmk(m, k), flipped) == family_bmk_charpoly(m, k)
+        _pure_charpoly(family_bmk(m, k)) == family_bmk_charpoly(m, k)
         for m in range(3, 7)
         for k in range(0, 4)
     )
@@ -183,22 +183,22 @@ def build_rows(flipped: bool = False) -> list[Row]:
     full_twist = parse_word("1,2,1,2,1,2", 3)
     add("pure3-twist", "full twist: pipeline equals the closed form",
         ("x^3 - 3x - 2", "x^3 - 3x - 2"),
-        (str(_pure_charpoly(full_twist, flipped)), str(pure3_charpoly_oracle(full_twist))))
+        (str(_pure_charpoly(full_twist)), str(pure3_charpoly_oracle(full_twist))))
     add("pure3-constant", "constant term is nonzero iff every strand pair crosses",
         (True, True),
         (pure3_charpoly_oracle(full_twist).coefficient(0) != 0,
          pure3_charpoly_oracle(family_bm(3)).coefficient(0) == 0))
 
     # system products of the distinguished pair
-    prod_b = _system_product(bvec, flipped)
-    prod_bp = _system_product(bpvec, flipped)
+    prod_b = _system_product(bvec)
+    prod_bp = _system_product(bpvec)
     add("sys-product-b", "product polynomial of the first 4-system",
         "x^16 - 5x^14 + 10x^12 - 10x^10 + 5x^8 - x^6", prod_b)
     add("sys-product-bp", "product polynomial of the second 4-system",
         "x^16 - 9x^14 + 8x^13 + 18x^12 - 24x^11 - 10x^10 + 24x^9 - 3x^8 - 8x^7 + 3x^6",
         prod_bp)
-    mult_b = sorted((_pure_charpoly(c, flipped) for c in bvec.components), key=poly_sort_key)
-    mult_bp = sorted((_pure_charpoly(c, flipped) for c in bpvec.components), key=poly_sort_key)
+    mult_b = sorted((_pure_charpoly(c) for c in bvec.components), key=poly_sort_key)
+    mult_bp = sorted((_pure_charpoly(c) for c in bpvec.components), key=poly_sort_key)
     add("sys-multiset", "their polynomial multisets differ as documented",
         (["x^4 - x^2", "x^4 - x^2", "x^4 - x^2", "x^4 - 2x^2 + 1"],
          ["x^4 - 6x^2 + 8x - 3", "x^4 - x^2", "x^4 - x^2", "x^4 - x^2"]),
@@ -220,7 +220,7 @@ def build_rows(flipped: bool = False) -> list[Row]:
 
     # fused system: essential cores and the necessity indicator
     cvec = BraidSystem.from_texts(4, FUSED_C)
-    prod_c = _system_product(cvec, flipped)
+    prod_c = _system_product(cvec)
     add("fused-product", "product polynomial of the fused system",
         "x^6 (x+1)^3 (x-1)^6 (x+3) | (x+1)^3 (x-1)^3 (x+3) (x-3)",
         f"{factored_str(prod_bp)} | {factored_str(prod_c)}")

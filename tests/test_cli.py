@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from braidsys import BraidSystem, braids_equal, refsuite
+from braidsys import BraidSystem, braids_equal, cli, refsuite
 from braidsys.cli import load_system, main
 from braidsys.invariants import BraidInvariantReport, SystemInvariantReport
 
@@ -200,6 +200,28 @@ def test_papersuite_flipped_convention(capsys):
     # pure-power rows are symmetric, so the whole table passes either way
     assert main(["papersuite", "--flipped-convention", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["all_pass"]
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, system_files):
+    # the process-wide parser answers a run of calls, usage errors and
+    # --help among them, exactly as a parser built afresh for each call
+    calls = [["compare", "--no-such-flag"], ["--help"],
+             ["compare", system_files["intro_b"], system_files["intro_b_moved"], "--json"],
+             ["papersuite", "--flipped-convention", "--json"]]
+
+    def run_all():
+        out = []
+        for argv in calls:
+            code = main(argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    shared = run_all()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = run_all()
+    assert [code for code, _ in shared] == [1, 0, 0, 0]
+    assert shared == fresh
 
 
 def test_usage_error_exit_code():

@@ -143,13 +143,71 @@ def test_charpoly_of_a_pure_power_matrix_at_degree_32():
     assert charpoly(M) == charpoly_berkowitz(M)
 
 
+def _record_moduli(monkeypatch):
+    """The moduli of every _charpoly_mod call from here on, in call order."""
+    moduli, real = [], intlinalg._charpoly_mod
+
+    def recorded(rows, p):
+        moduli.append(p)
+        return real(rows, p)
+
+    monkeypatch.setattr(intlinalg, "_charpoly_mod", recorded)
+    return moduli
+
+
 @pytest.mark.parametrize("m, seed", [(24, 31), (24, 32), (32, 33)])
-def test_charpoly_of_normal_form_pure_powers(m, seed):
+def test_charpoly_of_normal_form_pure_powers(monkeypatch, m, seed):
     # the report's matrices: pure powers read off the normal form, at the
-    # degrees where the coefficient bound needs the most moduli
+    # degrees where the coefficient bound needs the most moduli, each in
+    # one Hessenberg pass modulo the product of them all
     rng = random.Random(seed)
     _, M = pure_power_matrix(normal_form(random_word(rng, m, 2 * m, min_len=2 * m)))
+    moduli = _record_moduli(monkeypatch)
     assert charpoly(M) == charpoly_berkowitz(M)
+    assert len(moduli) == 1 and moduli[0] > 2**62  # so at least two primes
+
+
+def test_charpoly_splits_the_modulus_at_a_zero_divisor_pivot(monkeypatch):
+    # every pivot candidate of the first column is a nonzero multiple of the
+    # first prime, so modulo N (several primes: the entries are large) the
+    # first pivot is a zero divisor, and N splits into that prime and the rest
+    p0, p1 = intlinalg._modulus(0), intlinalg._modulus(1)
+    rng = random.Random(36)
+    n = 6
+    rows = [[rng.randint(-10**20, 10**20) for _ in range(n)] for _ in range(n)]
+    for i in range(1, n):
+        rows[i][0] = p0 * rng.choice([-1, 1]) * rng.randint(1, 10**6)
+    real = intlinalg._charpoly_mod
+    moduli = _record_moduli(monkeypatch)
+    want = charpoly_berkowitz(rows)
+    assert charpoly(rows) == want
+    N = moduli[0]
+    assert N % (p0 * p1) == 0 and moduli == [N, p0, N // p0]
+    # the same split at the smallest such modulus, against Berkowitz mod p0 p1
+    assert real(rows, p0 * p1) == [c % (p0 * p1) for c in want.coeffs]
+
+
+@st.composite
+def zero_divisor_matrices(draw):
+    """Square matrices of size 1-12 with entries up to 10^30, whose chosen
+    columns (often the first, where the first pivot is taken) hold only
+    multiples of one of the first two primes, so that modulo a product of
+    primes a pivot is often a zero divisor."""
+    n = draw(st.integers(1, 12))
+    top = 10**30
+    rows = [[draw(st.integers(-top, top)) for _ in range(n)] for _ in range(n)]
+    columns = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    for j in columns + [0] * draw(st.booleans()):
+        p = intlinalg._modulus(draw(st.integers(0, 1)))
+        for r in rows:
+            r[j] = p * draw(st.integers(-(top // p), top // p))
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(zero_divisor_matrices())
+def test_charpoly_with_zero_divisor_pivots_matches_berkowitz(rows):
+    assert charpoly(rows) == charpoly_berkowitz(rows)
 
 
 @pytest.mark.parametrize("n, s", [(1, 5), (7, -3), (24, 1), (32, 10**12), (32, -7)])
