@@ -23,6 +23,7 @@ strands without tabulating symmetric groups.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -108,42 +109,40 @@ _FLIP_SMALL = {p: _tup_flip(p) for m in range(1, 6) for p in itertools.permutati
 
 def _tup_left_complement(a: tuple[int, ...]) -> tuple[int, ...]:
     # c with braid(c) braid(a) = Delta, i.e. braid(a)^{-1} = Delta^{-1} braid(c)
-    inv = _tup_inverse(a)
-    return tuple(inv[len(a) - k] for k in range(1, len(a) + 1))
+    return tuple(_tup_inverse(a)[::-1])
 
 
 def _lw_fix(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
     """Slide prefix content of b into a until the pair is left-weighted.
 
-    A transfer of index i exists when b has a descent at i (sigma_i is a
+    A transfer of sigma_i exists when b has a descent at i (sigma_i is a
     prefix of b) while a's inverse does not (a sigma_i is still a
-    permutation braid); both updates are constant-time swaps.  A transfer
-    at i changes only positions i-1 and i of b and of a's inverse, so no
-    index below i-1 can have gained a transfer: the scan resumes at i-1
-    and finds the same transfers, in the same order, as a rescan from 1.
+    permutation braid), and it swaps positions i and i+1 of both b and
+    a's inverse.  So the pass sorts the pairs x = (b[i], a^-1[i]) by one
+    insertion pass: each x in turn shifts left past every neighbour y
+    with y_b > x_b and y_a < x_a, one transfer per shift.  After x
+    stops no transfer is left in front of it: the neighbours it passed
+    keep their order, the pair it last crossed has lost its descent, and
+    the pair in front of it stopped the shift.  The greedy fix yields
+    the same pair in whatever order its transfers run (it is the meet of
+    b with the right complement of a), so this equals the first-descent
+    rescan.
     """
-    m = len(a)
     ai = _tup_inverse(a)
-    al: list[int] | None = None
-    bl: list[int] | None = None
-    cur_b: tuple[int, ...] | list[int] = b
-    i = 1
-    while i < m:
-        if not (cur_b[i - 1] > cur_b[i] and ai[i - 1] < ai[i]):
-            i += 1
-            continue
-        if al is None:
-            al, bl = list(a), list(b)
-            cur_b = bl
-        p, q = ai[i - 1] - 1, ai[i] - 1
-        al[p], al[q] = i + 1, i
-        ai[i - 1], ai[i] = ai[i], ai[i - 1]
-        bl[i - 1], bl[i] = bl[i], bl[i - 1]
-        if i > 1:
-            i -= 1
-    if al is None:
+    bl = list(b)
+    moved = False
+    for i in range(1, len(bl)):
+        xb, xa = bl[i], ai[i]
+        j = i
+        while j and bl[j - 1] > xb and ai[j - 1] < xa:
+            bl[j], ai[j] = bl[j - 1], ai[j - 1]
+            j -= 1
+        if j != i:
+            bl[j], ai[j] = xb, xa
+            moved = True
+    if not moved:
         return a, b, False
-    return tuple(al), tuple(bl), True
+    return tuple(_tup_inverse(ai)), tuple(bl), True
 
 
 # At degree <= 5 there are at most 120**2 pairs of simple elements, so the
@@ -287,12 +286,10 @@ class NormalForm(JsonCodec):
         return Permutation(p)
 
     def exponent_sum(self) -> int:
-        """Half-twist power times the twist length plus the factor lengths
-        (the inversion counts of the factors)."""
+        """Half-twist power times the twist length plus the factor lengths:
+        a factor's reduced word has one letter per inversion."""
         m = self.degree
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        inversions = sum(f[i] > f[j] for f in self.factors for i, j in pairs)
-        return self.infimum * m * (m - 1) // 2 + inversions
+        return self.infimum * m * (m - 1) // 2 + len(self.factor_letters())
 
     def to_word(self) -> "BraidWord":
         """Re-expand as a freely reduced braid word (half-twist blocks, then
@@ -327,22 +324,17 @@ def _half_twist_letters(m: int) -> list[int]:
 
 
 def _permutation_letters(p: tuple[int, ...]) -> list[int]:
-    """A reduced positive word for a permutation braid: swap the first
-    descent until none is left.  A swap at i touches only the adjacent
-    pairs at i-1, i and i+1, and no pair below i was a descent, so the
-    scan resumes at i-1 and meets the same descents, in the same order,
-    as a rescan from the start."""
-    im = list(p)
-    letters = []
-    i, n = 0, len(im) - 1
-    while i < n:
-        if im[i] > im[i + 1]:
-            letters.append(i + 1)
-            im[i], im[i + 1] = im[i + 1], im[i]
-            if i:
-                i -= 1
-        else:
-            i += 1
+    """A reduced positive word for a permutation braid: the swaps of an
+    insertion sort of its images.  With the prefix before k sorted, p[k]
+    sinks from position k to j, the count of smaller images before it,
+    giving sigma_k ... sigma_{j+1}; these are the descents that swapping
+    the first descent until none is left meets, in the same order."""
+    done: list[int] = []
+    letters: list[int] = []
+    for k, v in enumerate(p):
+        j = bisect.bisect(done, v)
+        letters += range(k, j, -1)
+        done.insert(j, v)
     return letters
 
 

@@ -30,6 +30,8 @@ from braidsys.braids import (
     NormalForm,
     Permutation,
     _half_twist_letters,
+    _lw_fix,
+    _lw_fix_small,
     _normalize_tuples,
     _permutation_letters,
     _strip,
@@ -37,6 +39,7 @@ from braidsys.braids import (
 )
 
 from oracles import (
+    _pair_fix,
     bubble_normal_form,
     bubble_normalize,
     flip_by_conjugation,
@@ -330,10 +333,40 @@ def test_permutation_letters_match_the_restarting_scan():
         for p in itertools.permutations(range(1, m + 1)):
             assert _permutation_letters(p) == permutation_letters_restart(p)
     rng = random.Random(11)
-    for _ in range(50):
-        p = list(range(1, 33))
+    for m in [32] * 50 + [rng.randint(33, 64) for _ in range(50)]:
+        p = list(range(1, m + 1))
         rng.shuffle(p)
         assert _permutation_letters(tuple(p)) == permutation_letters_restart(tuple(p))
+
+
+def test_pair_fix_matches_the_rescanning_oracle_at_small_degree():
+    for m in range(1, 6):
+        perms = list(itertools.permutations(range(1, m + 1)))
+        for a in perms:
+            for b in perms:
+                want = _pair_fix(a, b)
+                got = _lw_fix(a, b)
+                assert got == _lw_fix_small(a, b) == (*want, want != (a, b))
+
+
+@st.composite
+def permutation_pairs(draw):
+    m = draw(st.integers(6, 40))
+    return tuple(tuple(draw(st.permutations(range(1, m + 1)))) for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_pairs())
+def test_pair_fix_matches_the_rescanning_oracle(pair):
+    a, b = pair
+    want = _pair_fix(a, b)
+    assert _lw_fix(a, b) == (*want, want != (a, b))
+
+
+def test_pair_fix_returns_a_left_weighted_pair_unchanged():
+    a, b = (2, 1, 4, 3), (1, 2, 4, 3)  # sigma_1 sigma_3, then sigma_3: a sigma_3 is not simple
+    got = _lw_fix(a, b)
+    assert got == (a, b, False) and got[0] is a and got[1] is b
 
 
 def test_flip_table_matches_the_conjugated_word():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from braidsys import (
+    CrossingMatrix,
     IntPolynomial,
     ReducedPolynomial,
     charpoly,
@@ -17,11 +18,13 @@ from braidsys import (
     integer_roots,
     normal_form,
     parse_word,
+    permutation_equivalent,
     pure_power_matrix,
     rank,
     reduce_poly,
 )
 from braidsys import intlinalg
+from braidsys.crossing import matrix_rows
 from braidsys.intlinalg import split_integer_roots
 
 from oracles import (
@@ -291,6 +294,25 @@ def test_determinant_and_rank_known_values():
     assert determinant(A) == 1 and determinant(B) == -3
     zero = [[0, 0], [0, 0]]
     assert determinant(zero) == 0 and rank(zero) == 0
+
+
+@pytest.mark.parametrize("kernel", [
+    charpoly, determinant, rank, lambda M: permutation_equivalent(M, M)])
+@pytest.mark.parametrize("entry", [0.5, 1.0, True, False, "1", None])
+def test_matrix_kernels_reject_entries_that_are_not_ints(kernel, entry):
+    with pytest.raises(TypeError):
+        kernel([[0, entry], [1, 0]])
+    with pytest.raises(TypeError):
+        kernel(((0, 1, 2), (1, 0, 3), (entry, 1, 0)))
+    with pytest.raises(TypeError):
+        kernel(CrossingMatrix(2, ((0, entry), (1, 0))))
+
+
+def test_matrix_rows_keeps_tuple_rows_and_converts_lists():
+    rows = ((0, 2), (3, 0))
+    got = matrix_rows(CrossingMatrix(2, rows))
+    assert got == rows and all(g is r for g, r in zip(got, rows))
+    assert matrix_rows([[0, 2], [3, 0]]) == rows
 
 
 def test_determinant_matches_charpoly_constant():
