@@ -234,6 +234,8 @@ class NormalForm(JsonCodec):
     @classmethod
     def from_json(cls, data: dict) -> "NormalForm":
         nf = super().from_json(data)
+        if nf.degree < 1:
+            raise ValueError(f"degree must be >= 1, got {nf.degree}")
         for f in nf.factors:
             if len(f) != nf.degree:
                 raise ValueError(f"factor {list(f)} does not have degree {nf.degree}")

@@ -269,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("papersuite", parents=[common],
                        help="run the bundled reference-value regression suite")
     p.add_argument("--flipped-convention", action="store_true",
-                   help="recompute crossing matrices with the opposite over-strand rule")
+                   help="use the opposite over-strand rule, which transposes every crossing "
+                        "matrix; pure-power matrices are symmetric, so it reaches only the "
+                        "cm-weave-* rows")
     p.set_defaults(func=cmd_papersuite)
     return parser
 

@@ -10,7 +10,9 @@ invariant under the braid relations, hence well defined on braids.
 Over/under convention: in a positive letter the strand entering at the
 left position of the crossing passes over; in a negative letter the
 strand entering at the right position passes over.  The opposite
-convention transposes every matrix (exposed via `flipped` for testing).
+convention swaps over and under in every crossing, so its matrix is
+`CrossingMatrix.transpose()`.  Every pure-power matrix is symmetric and
+so the same under either convention.
 
 A braid given by its normal form Delta^d A_1 ... A_k is not re-expanded
 into a word: the d half twists have a closed-form matrix, so only the
@@ -62,7 +64,7 @@ class CrossingMatrix:
         return self.transpose().row_multisets()
 
 
-def crossing_matrix(b: BraidWord, flipped: bool = False) -> CrossingMatrix:
+def crossing_matrix(b: BraidWord) -> CrossingMatrix:
     """Signed over-crossing counts between all strand pairs of the word."""
     m = b.degree
     entries = [[0] * m for _ in range(m)]
@@ -74,8 +76,6 @@ def crossing_matrix(b: BraidWord, flipped: bool = False) -> CrossingMatrix:
             over, under, sign = u, v, 1
         else:
             over, under, sign = v, u, -1
-        if flipped:
-            over, under = under, over
         entries[over - 1][under - 1] += sign
         pos[i - 1], pos[i] = pos[i], pos[i - 1]
     return CrossingMatrix(m, tuple(tuple(row) for row in entries))
@@ -119,6 +119,12 @@ def pure_power_matrix(b: BraidWord | NormalForm) -> tuple[int, CrossingMatrix]:
     The terms repeat along the orbit of (i, j) under e x e, whose length
     L divides r, so each orbit is summed once, scaled by r / L, and the
     total is written to every pair of the orbit.
+
+    A word is swept as it is, not through its normal form: the sweep is
+    linear in the word, while `normal_form` of a long word is not.  At
+    m = 32 a random word of 2,000 letters took 1.7 ms by the sweep and
+    0.34-0.53 s through `normal_form`, and one of 20,000 letters 7 ms
+    against 33 s (2-core VM, Python 3.11).
     """
     if isinstance(b, NormalForm):
         perm, C = b.permutation(), _normal_form_entries(b)

@@ -285,49 +285,38 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def determinant(M) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    rows = [list(r) for r in matrix_rows(M)]
+def _bareiss(rows) -> tuple[int, int, int]:
+    """(rank, sign of the row swaps, last pivot) of fraction-free Bareiss
+    elimination on square integer rows, skipping columns with no pivot."""
+    rows = [list(r) for r in rows]
     n = len(rows)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = _exact_div(rows[k][k] * rows[i][j] - rows[i][k] * rows[k][j], prev)
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * rows[n - 1][n - 1]
-
-
-def rank(M) -> int:
-    """Rank over the rationals, by the same elimination with column skipping."""
-    rows = [list(r) for r in matrix_rows(M)]
-    n = len(rows)
-    r = 0
-    prev = 1
+    r, sign, prev = 0, 1, 1
     for col in range(n):
         piv = next((i for i in range(r, n) if rows[i][col] != 0), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
         for i in range(r + 1, n):
             for j in range(col + 1, n):
                 rows[i][j] = _exact_div(rows[r][col] * rows[i][j] - rows[i][col] * rows[r][j], prev)
             rows[i][col] = 0
         prev = rows[r][col]
         r += 1
-    return r
+    return r, sign, prev
+
+
+def determinant(M) -> int:
+    """Exact determinant: at full rank, the swap sign times the last pivot."""
+    rows = matrix_rows(M)
+    r, sign, pivot = _bareiss(rows)
+    return sign * pivot if r == len(rows) else 0
+
+
+def rank(M) -> int:
+    """Rank over the rationals."""
+    return _bareiss(matrix_rows(M))[0]
 
 
 def _iroot(value: int, k: int) -> int:

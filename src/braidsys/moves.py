@@ -142,9 +142,7 @@ def euler_fuse(s: BraidSystem, l: int, q: int) -> tuple[BraidSystem, bool]:
     if not 1 <= l or l + q > len(s):
         raise ValueError(f"fuse range [{l}, {l + q}] out of bounds for length {len(s)}")
     pieces = s.components[l - 1 : l + q]
-    fused = BraidWord(s.degree)
-    for p in pieces:
-        fused = braids.product(fused, p)
+    fused = BraidSystem(s.degree, pieces).trace_product()
     tau_check = tau(fused) == sum(tau(p) for p in pieces)
     comps = s.components[: l - 1] + (fused,) + s.components[l + q :]
     return BraidSystem(s.degree, comps), tau_check
@@ -152,12 +150,10 @@ def euler_fuse(s: BraidSystem, l: int, q: int) -> tuple[BraidSystem, bool]:
 
 def euler_fission_check(whole: BraidWord, pieces) -> bool:
     """Whether splitting `whole` into `pieces` is a legal fission."""
-    pieces = list(pieces)
+    pieces = tuple(pieces)
     if len(pieces) < 2:
         raise ValueError("a fission needs at least two pieces")
-    prod = BraidWord(whole.degree)
-    for p in pieces:
-        prod = braids.product(prod, p)  # raises on degree mismatch
+    prod = BraidSystem(whole.degree, pieces).trace_product()  # raises on degree mismatch
     if any(braids.is_identity(p) for p in pieces):
         return False
     if not braids.braids_equal(whole, prod):

@@ -4,9 +4,11 @@ braid systems.  Every row recomputes a known value from scratch through
 the public pipeline and compares exactly; the CLI `papersuite` command
 renders the table.
 
-The flipped over-strand convention reaches the weaving rows, which sweep
-a power word with `crossing_matrix`.  Every other matrix is that of a
-pure power, which is symmetric and so the same under either convention.
+Polynomials are read off the reports users get: `braid_invariants` for
+one braid, `system_invariants` for a system.  The flipped over-strand
+convention is the transpose of every crossing matrix.  Every pure-power
+matrix is symmetric, so the flag reaches only the `cm-weave-*` rows,
+which sweep a power word with `crossing_matrix`.
 """
 
 from __future__ import annotations
@@ -14,18 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import braids
-from .braids import BraidWord, parse_word
+from .braids import parse_word
 from .codec import JsonCodec
 from .crossing import crossing_matrix, permutation_equivalent, pure_power_matrix
-from .intlinalg import IntPolynomial, charpoly, determinant, factored_str, integer_roots, reduce_poly
+from .intlinalg import IntPolynomial, determinant, factored_str, integer_roots
 from .invariants import (
     BraidSystem,
+    braid_invariants,
     family_bm,
     family_bm_charpoly,
     family_bmk,
     family_bmk_charpoly,
     family_weaving,
-    poly_sort_key,
     pure3_charpoly_oracle,
     system_invariants,
 )
@@ -56,18 +58,6 @@ class SuiteResult(JsonCodec):
     def __post_init__(self):
         if self.all_pass != all(row.ok for row in self.rows):
             raise ValueError(f"all_pass={self.all_pass} does not match the rows")
-
-
-def _pure_charpoly(b: BraidWord) -> IntPolynomial:
-    _, M = pure_power_matrix(b)
-    return charpoly(M)
-
-
-def _system_product(s: BraidSystem) -> IntPolynomial:
-    prod = IntPolynomial((1,))
-    for c in s.components:
-        prod = prod * _pure_charpoly(c)
-    return prod
 
 
 INTRO_B = ["1,2,-3", "3", "-2", "-1"]
@@ -123,7 +113,9 @@ def build_rows(flipped: bool = False) -> list[Row]:
 
     # weaving words: the pure power has a zero crossing matrix
     for m in (3, 5, 7):
-        Mw = crossing_matrix(braids.power(family_weaving(m), m), flipped=flipped)
+        Mw = crossing_matrix(braids.power(family_weaving(m), m))
+        if flipped:
+            Mw = Mw.transpose()
         add(f"cm-weave-{m}", f"pure power of the alternating word on {m} strands is flat",
             True, all(v == 0 for row in Mw.entries for v in row))
 
@@ -134,10 +126,11 @@ def build_rows(flipped: bool = False) -> list[Row]:
     _, N5 = pure_power_matrix(bp5)
     add("det-5", "determinants of the conjugate 5-braid pair", (-144, -144),
         (determinant(M5), determinant(N5)))
-    quintic = charpoly(M5)
+    quintic = braid_invariants(b5).charpoly
     add("cp-5", "their shared characteristic polynomial",
         "x^5 - 21x^3 - 16x^2 + 108x + 144", quintic)
-    add("cp-5-equal", "both braids give the same polynomial", True, charpoly(N5) == quintic)
+    add("cp-5-equal", "both braids give the same polynomial", True,
+        braid_invariants(bp5).charpoly == quintic)
     add("roots-5", "its integer roots", ((-3, 1), (-2, 2), (3, 1), (4, 1)),
         integer_roots(quintic))
     from .orbit import find_conjugator
@@ -151,11 +144,11 @@ def build_rows(flipped: bool = False) -> list[Row]:
         (determinant(M), determinant(N)))
     add("cp-4", "their characteristic polynomials",
         ("x^4 - 2x^2 + 1", "x^4 - 6x^2 + 8x - 3"),
-        (str(charpoly(M)), str(charpoly(N))))
+        (str(braid_invariants(b4).charpoly), str(braid_invariants(bp4).charpoly)))
 
     # closed forms
     ok = all(
-        _pure_charpoly(braids.generator(m, i, s))
+        braid_invariants(braids.generator(m, i, s)).charpoly
         == IntPolynomial.x_power(m - 2) * IntPolynomial((-1, 0, 1))
         for m in range(2, 9)
         for i in range(1, m)
@@ -163,17 +156,18 @@ def build_rows(flipped: bool = False) -> list[Row]:
     )
     add("cp-generators", "P of every generator is x^(m-2)(x+1)(x-1), m=2..8", True, ok)
     ok = all(
-        _pure_charpoly(family_weaving(m)) == IntPolynomial.x_power(m)
-        and _pure_charpoly(braids.iota(family_weaving(m))) == IntPolynomial.x_power(m + 1)
+        braid_invariants(family_weaving(m)).charpoly == IntPolynomial.x_power(m)
+        and braid_invariants(braids.iota(family_weaving(m))).charpoly
+        == IntPolynomial.x_power(m + 1)
         for m in (3, 5, 7)
     )
     add("cp-weaving", "P of the alternating word is x^m; embedded, x^(m+1)", True, ok)
-    ok = all(_pure_charpoly(family_bm(m)) == family_bm_charpoly(m) for m in range(3, 9))
+    ok = all(braid_invariants(family_bm(m)).charpoly == family_bm_charpoly(m) for m in range(3, 9))
     add("cp-family", "P(b_m) = x^m - (m-1)x^(m-2) for m=3..8", True, ok)
     add("cp-family-5", "P of the 5-strand family word", "x^5 - 4x^3",
-        _pure_charpoly(family_bm(5)))
+        braid_invariants(family_bm(5)).charpoly)
     ok = all(
-        _pure_charpoly(family_bmk(m, k)) == family_bmk_charpoly(m, k)
+        braid_invariants(family_bmk(m, k)).charpoly == family_bmk_charpoly(m, k)
         for m in range(3, 7)
         for k in range(0, 4)
     )
@@ -183,29 +177,25 @@ def build_rows(flipped: bool = False) -> list[Row]:
     full_twist = parse_word("1,2,1,2,1,2", 3)
     add("pure3-twist", "full twist: pipeline equals the closed form",
         ("x^3 - 3x - 2", "x^3 - 3x - 2"),
-        (str(_pure_charpoly(full_twist)), str(pure3_charpoly_oracle(full_twist))))
+        (str(braid_invariants(full_twist).charpoly), str(pure3_charpoly_oracle(full_twist))))
     add("pure3-constant", "constant term is nonzero iff every strand pair crosses",
         (True, True),
         (pure3_charpoly_oracle(full_twist).coefficient(0) != 0,
          pure3_charpoly_oracle(family_bm(3)).coefficient(0) == 0))
 
     # system products of the distinguished pair
-    prod_b = _system_product(bvec)
-    prod_bp = _system_product(bpvec)
+    ri, rj = system_invariants(bvec), system_invariants(bpvec)
     add("sys-product-b", "product polynomial of the first 4-system",
-        "x^16 - 5x^14 + 10x^12 - 10x^10 + 5x^8 - x^6", prod_b)
+        "x^16 - 5x^14 + 10x^12 - 10x^10 + 5x^8 - x^6", ri.charpoly_product)
     add("sys-product-bp", "product polynomial of the second 4-system",
         "x^16 - 9x^14 + 8x^13 + 18x^12 - 24x^11 - 10x^10 + 24x^9 - 3x^8 - 8x^7 + 3x^6",
-        prod_bp)
-    mult_b = sorted((_pure_charpoly(c) for c in bvec.components), key=poly_sort_key)
-    mult_bp = sorted((_pure_charpoly(c) for c in bpvec.components), key=poly_sort_key)
+        rj.charpoly_product)
     add("sys-multiset", "their polynomial multisets differ as documented",
         (["x^4 - x^2", "x^4 - x^2", "x^4 - x^2", "x^4 - 2x^2 + 1"],
          ["x^4 - 6x^2 + 8x - 3", "x^4 - x^2", "x^4 - x^2", "x^4 - x^2"]),
-        ([str(p) for p in mult_b], [str(p) for p in mult_bp]))
+        ([str(p) for p in ri.charpoly_multiset], [str(p) for p in rj.charpoly_multiset]))
 
     # classical shadows that fail to distinguish the pair
-    ri, rj = system_invariants(bvec), system_invariants(bpvec)
     add("sys-trace", "both trace products are the identity", (True, True),
         (ri.trace_is_identity, rj.trace_is_identity))
     add("sys-monodromy", "both permutation monodromy groups have order 24", (24, 24),
@@ -220,13 +210,13 @@ def build_rows(flipped: bool = False) -> list[Row]:
 
     # fused system: essential cores and the necessity indicator
     cvec = BraidSystem.from_texts(4, FUSED_C)
-    prod_c = _system_product(cvec)
+    rc = system_invariants(cvec)
     add("fused-product", "product polynomial of the fused system",
         "x^6 (x+1)^3 (x-1)^6 (x+3) | (x+1)^3 (x-1)^3 (x+3) (x-3)",
-        f"{factored_str(prod_bp)} | {factored_str(prod_c)}")
+        f"{factored_str(rj.charpoly_product)} | {factored_str(rc.charpoly_product)}")
     add("fused-cores", "essential cores before and after fusing",
         ("x + 3", "x^2 - 9"),
-        (str(reduce_poly(prod_bp).core), str(reduce_poly(prod_c).core)))
+        (str(rj.essential.core), str(rc.essential.core)))
     add("fused-necessity", "the indicator flags a required fusion or fission",
         "necessary", euler_necessity(bpvec, cvec))
     f1, chk1 = euler_fuse(bpvec, 2, 1)

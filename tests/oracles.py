@@ -186,10 +186,29 @@ def integer_roots_scan(p: IntPolynomial):
     return tuple(found), IntPolynomial(tuple(c))
 
 
+def opposite_convention_matrix(b: BraidWord) -> tuple[tuple[int, ...], ...]:
+    """Crossing matrix rows under the opposite over-strand rule, swept
+    independently: in a positive letter the strand entering at the right
+    position passes over, in a negative letter the one at the left."""
+    m = b.degree
+    entries = [[0] * m for _ in range(m)]
+    at = list(range(m))  # strand at each position
+    for k in b.letters:
+        left, right = at[abs(k) - 1], at[abs(k)]
+        if k > 0:
+            entries[right][left] += 1
+        else:
+            entries[left][right] -= 1
+        at[abs(k) - 1], at[abs(k)] = right, left
+    return tuple(map(tuple, entries))
+
+
 def pure_power_matrix_literal(b: BraidWord, flipped: bool = False):
-    """(r, crossing matrix of b^r) by sweeping the literal r-fold word."""
+    """(r, crossing matrix of b^r) by sweeping the literal r-fold word;
+    flipped takes the opposite over-strand convention, the transpose."""
     r = permutation_order(b)
-    return r, crossing_matrix(power(b, r), flipped=flipped)
+    M = crossing_matrix(power(b, r))
+    return r, M.transpose() if flipped else M
 
 
 def _pair_fix(a: tuple, b: tuple) -> tuple:

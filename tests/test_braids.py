@@ -445,6 +445,14 @@ def test_normal_form_from_json_rejects_an_identity_factor():
             NormalForm.from_json({"degree": 3, "infimum": 0, "factors": factors})
 
 
+@pytest.mark.parametrize("degree", [0, -3])
+def test_normal_form_from_json_rejects_a_degree_below_one(degree):
+    # as BraidWord does, rather than decoding a form that to_word cannot expand
+    for factors in ([], [[2, 1, 3]]):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            NormalForm.from_json({"degree": degree, "infimum": 1, "factors": factors})
+
+
 def test_normal_form_from_json_rejects_a_half_twist_factor():
     # Delta belongs in the infimum
     with pytest.raises(ValueError, match="not a left normal form"):

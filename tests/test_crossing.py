@@ -17,7 +17,13 @@ from braidsys import (
 from braidsys.crossing import _normal_form_entries
 from braidsys.invariants import family_weaving
 
-from oracles import delta_power_word, half_twist_words, pure_power_matrix_literal, random_word
+from oracles import (
+    delta_power_word,
+    half_twist_words,
+    opposite_convention_matrix,
+    pure_power_matrix_literal,
+    random_word,
+)
 
 
 def test_empty_word_gives_zero_matrix():
@@ -191,13 +197,14 @@ def test_permutation_equivalent_errors():
 
 
 def test_flipped_convention_transposes():
+    # the opposite over-strand rule, swept on its own, gives the transpose
     rng = random.Random(16)
     for _ in range(30):
         w = random_word(rng, rng.randint(2, 5), 8)
-        assert crossing_matrix(w, flipped=True) == crossing_matrix(w).transpose()
+        assert opposite_convention_matrix(w) == crossing_matrix(w).transpose().entries
     # an asymmetric example actually differs between conventions
     b = parse_word("1,1,-2", 3)
-    assert crossing_matrix(b) != crossing_matrix(b, flipped=True)
+    assert crossing_matrix(b).entries != opposite_convention_matrix(b)
     assert not crossing_matrix(b).is_symmetric()
 
 

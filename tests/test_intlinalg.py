@@ -326,11 +326,22 @@ def test_determinant_matches_charpoly_constant():
 
 def test_elimination_against_fraction_oracle():
     rng = random.Random(24)
+    cases = [[]]  # n = 0: determinant 1, rank 0
     for _ in range(200):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         if rng.random() < 0.4:  # encourage rank deficiency
             rows[rng.randrange(n)] = rows[rng.randrange(n)][:]
+        cases.append(rows)
+    for n in range(1, 8):
+        for _ in range(20):
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            # a zero first column makes the elimination skip it
+            cases.append([[0] + r[1:] for r in rows])
+            if n > 1:  # the first pivot lies below the top row: one swap
+                rows[0][0], rows[-1][0] = 0, rng.choice((-2, -1, 1, 3))
+                cases.append(rows)
+    for rows in cases:
         assert determinant(rows) == det_fraction(rows)
         assert rank(rows) == rank_fraction(rows)
 

@@ -225,6 +225,10 @@ def test_euler_fission_check():
     assert not euler_fission_check(whole, [parse_word("2", 4), parse_word("-3,-1", 4)])
     with pytest.raises(ValueError):
         euler_fission_check(whole, [whole])
+    # a piece, or every piece, of another degree than the whole
+    for pieces in ([parse_word("1", 4), parse_word("1", 3)], [parse_word("1", 3)] * 2):
+        with pytest.raises(ValueError, match="degree"):
+            euler_fission_check(whole, pieces)
 
 
 def test_fuse_then_fission_check_roundtrip():
