@@ -465,6 +465,8 @@ def normal_form(b: BraidWord) -> NormalForm:
     is the grouping of the Cartier-Foata normal form (Cartier and Foata
     1969; Epstein et al., Word Processing in Groups, ch. 9).  `last[j]`,
     the latest piece holding sigma_j, makes the test O(1) per letter.
+    A factor may comb back through every factor before it, so a word of L
+    letters costs O(L^2) pair fixes at a fixed degree.
     """
     m = b.degree
     pieces: list[list[int]] = []  # s of each piece, as an image list

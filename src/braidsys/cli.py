@@ -33,7 +33,10 @@ from .orbit import OrbitLimits, hurwitz_orbit
 
 def load_system(path: str) -> BraidSystem:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: malformed system file (nested too deeply)") from None
     try:
         return BraidSystem.from_json(data)
     except (TypeError, ValueError) as exc:
@@ -242,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", parents=[common],
                        help="invariant report for a braid word or a system file")
     p.add_argument("--degree", type=int)
-    p.add_argument("--word")
+    p.add_argument("--word", help="signed letters such as 3,-1,4; its normal form takes "
+                                  "O(L^2) time in its length L")
     p.add_argument("--system", help="system JSON file")
     p.set_defaults(func=cmd_invariants)
 

@@ -171,34 +171,6 @@ def permutation_group_order(perms) -> int:
     return _group_order_cached(tuple(sorted({p.images for p in perms})))
 
 
-class _Level:
-    """One level of a stabiliser chain.
-
-    `gens` are the strong generators that fix every earlier base point;
-    `trans` maps each point of the orbit of `point` under them to a pair
-    (u, u^-1) with u[point] == that point.  Entries are only ever added,
-    so a Schreier generator, once built, never changes.
-    """
-
-    def __init__(self, point: int, identity: tuple[int, ...]):
-        self.point = point
-        self.gens: list[tuple[int, ...]] = []
-        self.orbit = [point]
-        self.trans = {point: (identity, identity)}
-        self.tested: set[tuple[int, int]] = set()  # (orbit point, gen index) pairs sifted
-
-    def add_gen(self, g: tuple[int, ...]) -> None:
-        self.gens.append(g)
-        for beta in self.orbit:  # the list grows while it is walked
-            u = self.trans[beta][0]
-            for s in self.gens:
-                gamma = s[beta]
-                if gamma not in self.trans:
-                    v = tuple(s[x] for x in u)  # u then s
-                    self.trans[gamma] = (v, _inverse(v))
-                    self.orbit.append(gamma)
-
-
 def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(p)
     for x, y in enumerate(p):
@@ -206,79 +178,57 @@ def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _moved_point(g: tuple[int, ...]) -> int:
-    return next(x for x, y in enumerate(g) if x != y)
-
-
-def _sift(levels: list[_Level], start: int, h: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Strip h through the levels from `start`; returns the residue and the
-    level it stopped at (len(levels) if it passed them all)."""
-    for j in range(start, len(levels)):
-        lev = levels[j]
-        beta = h[lev.point]
-        if beta not in lev.trans:
-            return h, j
-        if beta != lev.point:
-            uinv = lev.trans[beta][1]
-            h = tuple(uinv[x] for x in h)
-    return h, len(levels)
-
-
-def _new_strong_generator(levels: list[_Level], i: int, identity: tuple[int, ...]):
-    """Sift the untested Schreier generators u_b s u_{b^s}^-1 of level i
-    through the deeper levels; returns the first residue that is not the
-    identity with the level it stopped at, or None."""
-    lev = levels[i]
-    for beta in lev.orbit:
-        u = lev.trans[beta][0]
-        for k, s in enumerate(lev.gens):
-            if (beta, k) not in lev.tested:
-                lev.tested.add((beta, k))
-                uinv = lev.trans[s[beta]][1]
-                h, j = _sift(levels, i + 1, tuple(uinv[s[x]] for x in u))
-                if h != identity:
-                    return h, j
-    return None
-
-
 @functools.lru_cache(maxsize=65536)
 def _group_order_cached(gens: tuple[tuple[int, ...], ...]) -> int:
-    """Deterministic Schreier-Sims (Sims 1970; Seress, *Permutation Group
-    Algorithms*, 2003, ch. 4; Knuth 1991).
+    """Deterministic Schreier-Sims on the base 0..n-1, as one worklist
+    (Sims 1970; Knuth 1991, "Efficient representation of perm groups";
+    Seress, *Permutation Group Algorithms*, 2003, ch. 4).
 
-    Builds a base and a strong generating set level by level, deepest
-    level first.  Levels deeper than the current one are always complete,
-    so a sift through them decides membership; a Schreier generator that
-    does not sift to the identity leaves a residue that joins the strong
-    generators of the levels it fixes (and the base, if it fixes every
-    base point), and work resumes at the deepest level it joined.  The
-    order is the product of the orbit lengths.  Points are 0-based inside;
-    `gens` are 1-based image tuples of one degree.
+    Level i holds the strong generators that fix 0..i-1 and a transversal
+    mapping each point j of the orbit of i under them to (u, u^-1) with
+    u[i] == j.  A work item (start, h) is sifted from level `start`; if h
+    stops at level i, it joins the generators of every level from start to
+    i, and each of those levels is closed: every product u_b then s either
+    adds a point to the orbit or gives a Schreier generator, which is
+    pushed with start = level + 1 unless it is the identity or s itself
+    (an s that fixes the level's point joined the next level too).  Each
+    (point, generator) pair is formed once, by whichever of the two came
+    later, and transversal entries never change.  So once the worklist is
+    empty, every Schreier generator of a level lies in the group of the
+    next, and the order is the product of the transversal sizes.  Points
+    are 0-based inside; `gens` are 1-based image tuples of one degree.
     """
-    identity = tuple(range(len(gens[0])))
-    levels: list[_Level] = []
-    for g in (tuple(v - 1 for v in g) for g in gens):
-        if g == identity:
+    n = len(gens[0])
+    identity = tuple(range(n))
+    strong: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    trans = [{i: (identity, identity)} for i in range(n)]
+    work = [(0, tuple(v - 1 for v in g)) for g in gens]
+    while work:
+        start, h = work.pop()
+        stop = start
+        while stop < n and (beta := h[stop]) in trans[stop]:
+            if beta != stop:
+                uinv = trans[stop][beta][1]
+                h = tuple(uinv[x] for x in h)
+            stop += 1
+        if stop == n:  # h fixes every point
             continue
-        if all(g[lev.point] == lev.point for lev in levels):
-            levels.append(_Level(_moved_point(g), identity))
-        for lev in levels:  # g joins every level up to the first base point it moves
-            lev.add_gen(g)
-            if g[lev.point] != lev.point:
-                break
-    i = len(levels) - 1
-    while i >= 0:
-        found = _new_strong_generator(levels, i, identity)
-        if found is None:
-            i -= 1
-            continue
-        h, j = found
-        if j == len(levels):
-            levels.append(_Level(_moved_point(h), identity))
-        for lev in levels[i + 1 : j + 1]:
-            lev.add_gen(h)
-        i = j
-    return math.prod(len(lev.orbit) for lev in levels)
+        for level in range(start, stop + 1):
+            gens_at, t = strong[level], trans[level]
+            gens_at.append(h)
+            pairs = [(b, h) for b in t]
+            for b, s in pairs:  # the list grows while it is walked
+                u, c = t[b][0], s[b]
+                if c in t:
+                    uinv = t[c][1]
+                    r = tuple(uinv[s[x]] for x in u)  # u_b, then s, then u_c^-1
+                    if r not in (identity, s):
+                        work.append((level + 1, r))
+                else:
+                    v = tuple(s[x] for x in u)
+                    t[c] = (v, _inverse(v))
+                    pairs.extend((c, g) for g in gens_at)
+    return math.prod(map(len, trans))
 
 
 def _trace(degree: int, nfs) -> NormalForm:

@@ -2,6 +2,7 @@
 
 from collections import deque
 from fractions import Fraction
+import itertools
 import random
 
 from hypothesis import strategies as st
@@ -160,6 +161,16 @@ def group_order_bfs(gens) -> int:
                     nxt.append(q)
         frontier = nxt
     return len(seen)
+
+
+def permutation_equivalent_brute(M, N) -> bool:
+    """Whether some p has N[i][j] = M[p(i)][p(j)] for all i, j, by trying
+    all n! permutations: fine up to n = 7."""
+    n = len(M)
+    return any(
+        all(N[i][j] == M[p[i]][p[j]] for i in range(n) for j in range(n))
+        for p in itertools.permutations(range(n))
+    )
 
 
 def integer_roots_scan(p: IntPolynomial):

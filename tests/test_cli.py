@@ -23,10 +23,15 @@ def system_files(tmp_path):
         # full_s8 after H 3 +
         ("full_s8_moved", 8,
          ["1", "-1,2,1", "2,-4,-2", "2,4,-2,3,2,-4,-2", "5", "-6,5,6", "7"]),
+        # its E has an integer root and a quartic without one; monodromy S_5
+        ("deg5", 5, ["-4,3,1,2", "1"]),
     ]:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps({"degree": degree, "components": comps}))
         paths[name] = str(p)
+    script = tmp_path / "script.txt"
+    script.write_text("# a comment line\n\nH 1 +\nFUSE 1 1\n")
+    paths["script"] = str(script)
     return paths
 
 
@@ -239,10 +244,12 @@ def test_malformed_system_file(tmp_path):
     ({"components": ["1"]}, "degree"),
     ({"degree": 3}, "components"),
     ([{"degree": 3, "components": ["1"]}], "BraidSystem"),
+    # raw text: json.load gives up on it with a RecursionError
+    pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="nested-100000-deep"),
 ])
 def test_malformed_system_file_names_the_field(tmp_path, capsys, data, field):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    bad.write_text(data if isinstance(data, str) else json.dumps(data))
     assert main(["invariants", "--system", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "malformed system file" in err and field in err
@@ -302,11 +309,24 @@ def test_json_output_is_pinned(capsys, system_files, golden, argv, code):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
-@pytest.mark.parametrize("golden, left, right", [
-    ("compare_distinguished.txt", "intro_b", "intro_bp"),
-    ("compare_shape_mismatch.txt", "intro_bp", "fused_c"),
-])
-def test_compare_text_is_pinned(capsys, system_files, golden, left, right):
+TEXT_PINNED = [
     # multisets print as Python lists: ['x^4 - x^2', ...], never as tuples
-    assert main(["compare", system_files[left], system_files[right]]) == 2
+    pytest.param("compare_distinguished.txt", ["compare", "{intro_b}", "{intro_bp}"], 2,
+                 id="compare_distinguished.txt-intro_b-intro_bp"),
+    pytest.param("compare_shape_mismatch.txt", ["compare", "{intro_bp}", "{fused_c}"], 2,
+                 id="compare_shape_mismatch.txt-intro_bp-fused_c"),
+    pytest.param("invariants_system_deg5.txt", ["invariants", "--system", "{deg5}"], 0,
+                 id="invariants_system_deg5.txt-deg5"),
+    # the comment and the blank line are skipped; FUSE prints its tau note
+    pytest.param("apply_script_deg5.txt",
+                 ["apply", "--system", "{deg5}", "--script", "{script}"], 0,
+                 id="apply_script_deg5.txt-deg5-script"),
+    pytest.param("orbit_pair.txt", ["orbit", "--system", "{pair}"], 0, id="orbit_pair.txt-pair"),
+]
+
+
+@pytest.mark.parametrize("golden, argv, code", TEXT_PINNED)
+def test_compare_text_is_pinned(capsys, system_files, golden, argv, code):
+    # the exact text reports, as the --json goldens pin the JSON ones
+    assert main([a.format(**system_files) for a in argv]) == code
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from oracles import (
     delta_power_word,
     half_twist_words,
     opposite_convention_matrix,
+    permutation_equivalent_brute,
     pure_power_matrix_literal,
     random_word,
 )
@@ -189,6 +191,43 @@ def test_permutation_equivalent_is_symmetric():
         assert w is not None
         back = permutation_equivalent(shuffled, rows)
         assert back is not None
+
+
+def test_permutation_equivalent_matches_brute_force():
+    # symmetric 0/1 matrices share signatures often, so the backtracking
+    # search decides; half of the pairs are shuffled copies, which it must find
+    rng = random.Random(16)
+
+    def graph(n):
+        rows = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            rows[i][j] = rows[j][i] = rng.randint(0, 1)
+        return rows
+
+    for k in range(600):
+        n = rng.randint(4, 7)
+        M = graph(n)
+        if k % 2:
+            perm = rng.sample(range(n), n)
+            N = [[M[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        else:
+            N = graph(n)
+        w = permutation_equivalent(M, N)
+        assert (w is not None) == permutation_equivalent_brute(M, N), (M, N)
+        if w is not None:
+            p = [v - 1 for v in w.images]
+            assert all(N[i][j] == M[p[i]][p[j]] for i in range(n) for j in range(n))
+
+
+def test_prism_is_not_equivalent_to_k33():
+    # both 3-regular on 6 vertices: every signature matches, and only the
+    # search tells the triangular prism C_3 x K_2 from the bipartite K_3,3
+    prism = [[int(i != j and (i // 3 == j // 3 or (i - j) % 3 == 0)) for j in range(6)]
+             for i in range(6)]
+    k33 = [[int(i // 3 != j // 3) for j in range(6)] for i in range(6)]
+    assert all(sum(row) == 3 for row in prism + k33)
+    assert permutation_equivalent(prism, k33) is None
+    assert not permutation_equivalent_brute(prism, k33)
 
 
 def test_permutation_equivalent_errors():

@@ -292,7 +292,7 @@ def _cycle(m, points):
     return Permutation(tuple(img))
 
 
-@pytest.mark.parametrize("m", range(1, 17))
+@pytest.mark.parametrize("m", [*range(1, 17), 17, 19, 23, 24, 29, 31, 32])
 def test_permutation_group_order_closed_forms(m):
     identity = Permutation(tuple(range(1, m + 1)))
     rotation = _cycle(m, list(range(1, m + 1)))
@@ -308,6 +308,20 @@ def test_permutation_group_order_closed_forms(m):
         assert permutation_group_order(three_cycles) == math.factorial(m) // 2  # A_m
         reflection = Permutation(tuple(range(m, 0, -1)))
         assert permutation_group_order([rotation, reflection]) == 2 * m  # D_m
+    pairs = [_cycle(2 * m, [i, i + 1]) for i in range(1, 2 * m, 2)]
+    assert permutation_group_order(pairs) == 2**m  # m disjoint transpositions
+    if m % 2 == 0:
+        k = m // 2
+        # (1 2), the block cycle (1 3 .. m-1)(2 4 .. m) and the block swap (1 3)(2 4)
+        wreath = [_cycle(m, [1, 2]),
+                  _cycle(m, list(range(1, m, 2))).then(_cycle(m, list(range(2, m + 1, 2))))]
+        if k > 1:
+            wreath.append(_cycle(m, [1, 3]).then(_cycle(m, [2, 4])))
+        assert permutation_group_order(wreath) == 2**k * math.factorial(k)  # S_2 wr S_k
+    if m > 1 and all(m % d for d in range(2, m)):
+        # AGL(1, p): x -> x + 1 and every x -> a x on the points 0..p-1
+        scalings = [Permutation(tuple(a * x % m + 1 for x in range(m))) for a in range(1, m)]
+        assert permutation_group_order([rotation, *scalings]) == m * (m - 1)
 
 
 def test_system_invariants_full_symmetric_monodromy_at_degree_12():
