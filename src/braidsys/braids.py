@@ -101,12 +101,6 @@ def _tup_flip(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(m + 1 - a[m - k] for k in range(1, m + 1))
 
 
-# Conjugation by the half twist, tabled at degree <= 5 (153 permutations)
-# as the pair fix is: a product whose right operand has an odd infimum
-# flips every factor of its left operand.
-_FLIP_SMALL = {p: _tup_flip(p) for m in range(1, 6) for p in itertools.permutations(range(1, m + 1))}
-
-
 def _tup_left_complement(a: tuple[int, ...]) -> tuple[int, ...]:
     # c with braid(c) braid(a) = Delta, i.e. braid(a)^{-1} = Delta^{-1} braid(c)
     return tuple(_tup_inverse(a)[::-1])
@@ -145,77 +139,131 @@ def _lw_fix(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tu
     return tuple(_tup_inverse(ai)), tuple(bl), True
 
 
-# At degree <= 5 there are at most 120**2 pairs of simple elements, so the
-# pair fix is tabled there; at larger degree pairs rarely repeat and a
-# table would only grow.
-_lw_fix_small = functools.lru_cache(maxsize=None)(_lw_fix)
+class _Codebook:
+    """The simple elements of one degree as codes, and the Garside kernel
+    on forms (infimum, tuple of codes) of left normal forms.
 
-
-def _comb_onto(facs: list[tuple[int, ...]], factors) -> None:
-    """Append each factor to the left-weighted list `facs`, combing it back.
-
-    After an append only the new last pair can fail to be left-weighted.
-    Fixing a pair leaves it left-weighted, and by the domino rule the
-    pair to its right stays left-weighted too (Epstein et al., Word
-    Processing in Groups, ch. 9; Dehornoy et al., Foundations of Garside
-    Theory, ch. III); only the pair to its left can break.  So the comb
-    walks right to left and stops at the first pair that needs no
-    transfer.  Transfers preserve the product, so the list stays a
-    left-weighted spelling of the same braid.
-
-    In a left-weighted list an identity factor is followed only by
-    identities, and a factor combed back through them comes out unchanged
-    in front of them, so trailing identities are dropped before each
-    append (`_strip` would drop them anyway).
+    At degree <= 5 a code is an int naming one of the m! permutation
+    braids (0 the identity, m! - 1 the half twist), and each pair fix,
+    flip and left complement is memoised by number: there are at most
+    120**2 pairs.  Above degree 5 pairs rarely repeat, so the image tuple
+    is its own code and nothing is numbered or memoised.  `_book` builds
+    one codebook per degree on first use.
     """
-    if not factors:
-        return
-    m = len(factors[0])
-    ident = tuple(range(1, m + 1))
-    fix = _lw_fix_small if m <= 5 else _lw_fix
-    for y in factors:
-        while facs and facs[-1] == ident:
-            facs.pop()
-        facs.append(y)
-        j = len(facs) - 2
-        while j >= 0:
-            a, b, ch = fix(facs[j], facs[j + 1])
-            if not ch:
-                break
-            facs[j], facs[j + 1] = a, b
-            j -= 1
+
+    def __init__(self, m: int):
+        self.degree = m
+        self.ident, self.delta = tuple(range(1, m + 1)), tuple(range(m, 0, -1))
+        # code -> image tuple and image tuple -> code, both empty above degree 5
+        self.images = images = list(itertools.permutations(self.ident)) if m <= 5 else []
+        self.codes = codes = {p: c for c, p in enumerate(images)}
+        if m > 5:
+            self.fix, self.flip, self.complement = _lw_fix, _tup_flip, _tup_left_complement
+            return
+        self.ident, self.delta = 0, len(images) - 1
+
+        @functools.lru_cache(maxsize=None)
+        def fix(a: int, b: int) -> tuple[int, int, bool]:
+            x, y, moved = _lw_fix(images[a], images[b])
+            return (codes[x], codes[y], True) if moved else (a, b, False)
+
+        self.fix = fix
+        self.flip = [codes[_tup_flip(p)] for p in images].__getitem__
+        self.complement = [codes[_tup_left_complement(p)] for p in images].__getitem__
+
+    def encode(self, factors) -> tuple:
+        return tuple(map(self.codes.__getitem__, factors)) if self.codes else tuple(factors)
+
+    def form(self, nf: "NormalForm") -> tuple[int, tuple]:
+        return nf.infimum, self.encode(nf.factors)
+
+    def normal_form(self, form: tuple[int, tuple]) -> "NormalForm":
+        infimum, codes = form
+        if self.images:
+            codes = tuple(map(self.images.__getitem__, codes))
+        return NormalForm(self.degree, infimum, codes)
+
+    def comb(self, facs: list, codes) -> None:
+        """Append each code to the left-weighted list `facs`, combing it back.
+
+        After an append only the new last pair can fail to be left-weighted.
+        Fixing a pair leaves it left-weighted, and by the domino rule the
+        pair to its right stays left-weighted too (Epstein et al., Word
+        Processing in Groups, ch. 9; Dehornoy et al., Foundations of Garside
+        Theory, ch. III); only the pair to its left can break.  So the comb
+        walks right to left and stops at the first pair that needs no
+        transfer.  Transfers preserve the product, so the list stays a
+        left-weighted spelling of the same braid.
+
+        In a left-weighted list an identity factor is followed only by
+        identities, and a factor combed back through them comes out unchanged
+        in front of them, so trailing identities are dropped before each
+        append (`strip` would drop them anyway).
+        """
+        fix, ident = self.fix, self.ident
+        for y in codes:
+            while facs and facs[-1] == ident:
+                facs.pop()
+            facs.append(y)
+            j = len(facs) - 2
+            while j >= 0:
+                a, b, ch = fix(facs[j], facs[j + 1])
+                if not ch:
+                    break
+                facs[j], facs[j + 1] = a, b
+                j -= 1
+
+    def strip(self, facs: list) -> tuple[int, tuple]:
+        """(leading half twists, the codes between them and the trailing identities)."""
+        lo, hi = 0, len(facs)
+        while lo < hi and facs[lo] == self.delta:
+            lo += 1
+        while lo < hi and facs[hi - 1] == self.ident:
+            hi -= 1
+        return lo, tuple(facs[lo:hi])
+
+    def normalize(self, codes) -> tuple[int, tuple]:
+        """Left-weight a code list; returns (extra half-twist power, codes)."""
+        facs: list = []
+        self.comb(facs, codes)
+        return self.strip(facs)
+
+    def assemble(self, codes, dpows, trailing: int = 0) -> tuple[int, tuple]:
+        """The form of Delta^{d_1} c_1 ... Delta^{d_k} c_k Delta^{trailing}."""
+        facs = list(codes)
+        acc = trailing
+        for t in range(len(facs) - 1, -1, -1):
+            if acc % 2:
+                facs[t] = self.flip(facs[t])
+            acc += dpows[t]
+        shift, norm = self.normalize(facs)
+        return acc + shift, norm
+
+    def mul(self, x: tuple[int, tuple], y: tuple[int, tuple]) -> tuple[int, tuple]:
+        """The form of the product x y."""
+        (p, xs), (q, ys) = x, y
+        # x's codes are left-weighted already, and so are their flips
+        # (conjugation by Delta is a Garside automorphism)
+        facs = list(map(self.flip, xs)) if q % 2 else list(xs)
+        self.comb(facs, ys)
+        shift, norm = self.strip(facs)
+        return p + q + shift, norm
+
+    def inverse(self, x: tuple[int, tuple]) -> tuple[int, tuple]:
+        """The form of x^{-1}: (Delta^p A_1 ... A_k)^{-1} is
+        Delta^{-1} c_k ... Delta^{-1} c_1 Delta^{-p} for the left complements c_i."""
+        p, xs = x
+        return self.assemble(map(self.complement, reversed(xs)), [-1] * len(xs), -p)
 
 
-def _strip(m: int, facs: list[tuple[int, ...]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    w0 = tuple(range(m, 0, -1))
-    ident = tuple(range(1, m + 1))
-    lo, hi = 0, len(facs)
-    while lo < hi and facs[lo] == w0:
-        lo += 1
-    while lo < hi and facs[hi - 1] == ident:
-        hi -= 1
-    return lo, tuple(facs[lo:hi])
+# Built on first use, and emptied with the other caches.
+_book = functools.lru_cache(maxsize=None)(_Codebook)
 
 
-def _normalize_tuples(m: int, factors) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Left-weight a factor list; returns (extra half-twist power, factors)."""
-    facs: list[tuple[int, ...]] = []
-    _comb_onto(facs, factors)
-    return _strip(m, facs)
-
-
-def _assemble_tuples(
-    m: int, factors: list[tuple[int, ...]], dpows: list[int], trailing: int = 0
-) -> "NormalForm":
-    """Normal form of Delta^{d_1} f_1 ... Delta^{d_k} f_k Delta^{trailing}."""
-    facs = list(factors)
-    acc = trailing
-    for t in range(len(facs) - 1, -1, -1):
-        if acc % 2:
-            facs[t] = _tup_flip(facs[t])
-        acc += dpows[t]
-    shift, norm = _normalize_tuples(m, facs)
-    return NormalForm(m, acc + shift, norm)
+def _assemble_tuples(m: int, factors: list[tuple[int, ...]], dpows: list[int]) -> "NormalForm":
+    """Normal form of Delta^{d_1} f_1 ... Delta^{d_k} f_k for image tuples f_i."""
+    book = _book(m)
+    return book.normal_form(book.assemble(book.encode(factors), dpows))
 
 
 @dataclass(frozen=True)
@@ -240,7 +288,9 @@ class NormalForm(JsonCodec):
             if len(f) != nf.degree:
                 raise ValueError(f"factor {list(f)} does not have degree {nf.degree}")
             Permutation(f)  # raises ValueError unless f is a bijection
-        if _normalize_tuples(nf.degree, nf.factors) != (0, nf.factors):
+        book = _book(nf.degree)
+        codes = book.encode(nf.factors)
+        if book.normalize(codes) != (0, codes):
             raise ValueError("factors are not a left normal form: they hold an identity or "
                              "half-twist factor, or a pair that is not left-weighted")
         return nf
@@ -255,15 +305,8 @@ class NormalForm(JsonCodec):
     def __mul__(self, other: "NormalForm") -> "NormalForm":
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        # the left operand's factors are left-weighted already, and so are
-        # their flips (conjugation by Delta is a Garside automorphism)
-        if other.infimum % 2:
-            facs = list(map(_FLIP_SMALL.__getitem__ if self.degree <= 5 else _tup_flip, self.factors))
-        else:
-            facs = list(self.factors)
-        _comb_onto(facs, other.factors)
-        shift, norm = _strip(self.degree, facs)
-        return NormalForm(self.degree, self.infimum + other.infimum + shift, norm)
+        book = _book(self.degree)
+        return book.normal_form(book.mul(book.form(self), book.form(other)))
 
     def inverse(self) -> "NormalForm":
         return _nf_inverse(self)
@@ -313,8 +356,8 @@ class NormalForm(JsonCodec):
 
 @functools.lru_cache(maxsize=65536)
 def _nf_inverse(nf: NormalForm) -> NormalForm:
-    facs = [_tup_left_complement(f) for f in reversed(nf.factors)]
-    return _assemble_tuples(nf.degree, facs, [-1] * len(facs), trailing=-nf.infimum)
+    book = _book(nf.degree)
+    return book.normal_form(book.inverse(book.form(nf)))
 
 
 def _half_twist_letters(m: int) -> list[int]:

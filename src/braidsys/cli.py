@@ -83,6 +83,8 @@ def _print_system_report(rep, as_json: bool) -> None:
 
 def cmd_invariants(args) -> int:
     if args.system:
+        if args.degree is not None or args.word is not None:
+            raise ValueError("--system FILE cannot be combined with --degree or --word")
         rep = system_invariants(load_system(args.system))
         _print_system_report(rep, args.json)
         return 0

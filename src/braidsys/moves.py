@@ -57,22 +57,31 @@ def hurwitz_move(s: BraidSystem, move: HurwitzMove, simplify: bool = False) -> B
 def hurwitz_move_nf(state, move: HurwitzMove):
     """The same move on a tuple of component normal forms.
 
-    Equivalent to hurwitz_move followed by taking normal forms; the orbit
-    search applies it to the lone pair a move acts on, so that words
-    never have to be re-expanded.
+    Equivalent to hurwitz_move followed by taking normal forms; it runs
+    the move on the forms of the codebook (`hurwitz_move_codes`), as the
+    orbit search does, so that words never have to be re-expanded.
     """
     i = move.index
     if not 1 <= i <= len(state) - 1:
         raise ValueError(f"move index {i} out of range for length {len(state)}")
-    out = list(state)
     a, b = state[i - 1], state[i]
-    if not move.inverse:
-        out[i - 1] = b
-        out[i] = b.inverse() * a * b
-    else:
-        out[i - 1] = a * b * a.inverse()
-        out[i] = a
-    return tuple(out)
+    if a.degree != b.degree:
+        raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
+    book = braids._book(a.degree)
+    forms = [book.form(a), book.form(b)]
+    pair = hurwitz_move_codes(book, forms, 0, 1, move.inverse, lambda k: book.inverse(forms[k]))
+    return (*state[: i - 1], *map(book.normal_form, pair), *state[i + 1 :])
+
+
+def hurwitz_move_codes(book, forms, a: int, b: int, inverse: bool, invert):
+    """The move on the lone pair (forms[a], forms[b]) of codebook forms:
+    (b, b^{-1} a b), or (a b a^{-1}, a) for the undo direction.
+    `invert(k)` is the form of forms[k]^{-1}; the orbit search memoises
+    it for each form it interns."""
+    x, y = forms[a], forms[b]
+    if inverse:
+        return book.mul(book.mul(x, y), invert(a)), x
+    return y, book.mul(book.mul(invert(b), x), y)
 
 
 def hurwitz_act(s: BraidSystem, beta: BraidWord, simplify: bool = False) -> BraidSystem:

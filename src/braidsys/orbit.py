@@ -4,8 +4,9 @@ Bounded breadth-first exploration of Hurwitz orbits.
 A state is the tuple of component normal forms, so words that only
 differ by braid relations collapse to one state.  Inside one search each
 distinct normal form is interned to an int and a state is the tuple of
-those ids; everything the module returns or yields holds NormalForm
-tuples again.  The search is the brute-force oracle behind the
+those ids; the search runs on the codebook forms (infimum, codes) of
+`braids._book` from start to end, and builds NormalForm tuples only for
+the states it returns.  The search is the brute-force oracle behind the
 invariance suites and a best-effort equivalence certifier: a `complete`
 status with no target found means the explored orbit is closed under
 all elementary moves, which is a genuine non-equivalence certificate;
@@ -27,7 +28,7 @@ from .moves import (
     destabilize,
     global_conjugate,
     hurwitz_move,
-    hurwitz_move_nf,
+    hurwitz_move_codes,
     stabilize,
 )
 
@@ -52,29 +53,39 @@ class OrbitResult(JsonCodec):
 
 
 class _Interner:
-    """The distinct normal forms of one search, numbered in the order they
-    are first met, and for each number whether its form is within the
-    canonical-length limit."""
+    """The distinct component forms of one search, numbered in the order
+    they are first met.  For each number it keeps the codebook form
+    (infimum, codes), whether it is within the canonical-length limit,
+    and its inverse's form once a move has needed it."""
 
-    def __init__(self, max_length: int):
+    def __init__(self, degree: int, max_length: int):
+        self.book = braids._book(degree)
         self.ids: dict = {}
         self.forms: list = []
         self.short: list[bool] = []
+        self.inverses: list = []
         self.max_length = max_length
 
-    def __call__(self, nf) -> int:
-        k = self.ids.get(nf)
+    def __call__(self, form) -> int:
+        k = self.ids.get(form)
         if k is None:
-            k = self.ids[nf] = len(self.forms)
-            self.forms.append(nf)
-            self.short.append(nf.canonical_length <= self.max_length)
+            k = self.ids[form] = len(self.forms)
+            self.forms.append(form)
+            self.short.append(len(form[1]) <= self.max_length)
+            self.inverses.append(None)
         return k
 
-    def key(self, forms) -> tuple[int, ...]:
-        return tuple(map(self, forms))
+    def inverse(self, k: int):
+        inv = self.inverses[k]
+        if inv is None:
+            inv = self.inverses[k] = self.book.inverse(self.forms[k])
+        return inv
+
+    def key(self, normal_forms) -> tuple[int, ...]:
+        return tuple(self(self.book.form(nf)) for nf in normal_forms)
 
     def state(self, key) -> tuple:
-        return tuple(map(self.forms.__getitem__, key))
+        return tuple(self.book.normal_form(self.forms[k]) for k in key)
 
 
 def _bfs(s: BraidSystem, limits: OrbitLimits, parents: dict, intern: _Interner):
@@ -92,15 +103,15 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, parents: dict, intern: _Interner):
 
     A move changes only the pair it acts on, and normal forms are
     canonical, so each (pair, direction) is computed at most once per
-    search; (a, b) -> (c, d) also records the opposite move (c, d) ->
-    (a, b), which undoes it.  The memo dies with the search.  Whether a
-    form is within the canonical-length limit is read off `intern.short`.
+    search, by `hurwitz_move_codes` on the pair's codebook forms with the
+    inverses `intern` memoises; (a, b) -> (c, d) also records the
+    opposite move (c, d) -> (a, b), which undoes it.  The memos die with
+    the search.  Whether a form is within the canonical-length limit is
+    read off `intern.short`.
     """
     start = intern.key(s.normal_forms())
-    # (index, direction, the move, the same move on the lone pair)
-    moves = [(i, inv, HurwitzMove(i, inv), HurwitzMove(1, inv)) for i in range(1, len(s))
-             for inv in (False, True)]
-    forms, short = intern.forms, intern.short
+    moves = [(i, inv, HurwitzMove(i, inv)) for i in range(1, len(s)) for inv in (False, True)]
+    book, forms, short = intern.book, intern.forms, intern.short
     moved: dict = {}  # (a, b, inverse) -> the pair of ids the move puts in their place
     parents[start] = None
     yield start, 0
@@ -111,11 +122,12 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, parents: dict, intern: _Interner):
         if depth >= limits.max_depth:
             truncated = True
             continue
-        for i, inv, move, pair_move in moves:
+        for i, inv, move in moves:
             a, b = state[i - 1], state[i]
             pair = moved.get((a, b, inv))
             if pair is None:
-                pair = moved[a, b, inv] = intern.key(hurwitz_move_nf((forms[a], forms[b]), pair_move))
+                c, d = hurwitz_move_codes(book, forms, a, b, inv, intern.inverse)
+                pair = moved[a, b, inv] = (intern(c), intern(d))
                 moved.setdefault(pair + (not inv,), (a, b))
             nxt = state[: i - 1] + pair + state[i + 1 :]
             if nxt in parents:
@@ -147,7 +159,7 @@ def hurwitz_orbit(
     """BFS over the elementary Hurwitz moves, deduplicated by normal form."""
     if target is not None and (target.degree != s.degree or len(target) != len(s)):
         raise ValueError("target must have the same degree and length as the source")
-    intern = _Interner(limits.max_component_canonical_length)
+    intern = _Interner(s.degree, limits.max_component_canonical_length)
     target_key = intern.key(target.normal_forms()) if target is not None else None
     parents: dict = {}
     search = _bfs(s, limits, parents, intern)
@@ -164,7 +176,7 @@ def hurwitz_orbit(
 
 def orbit_states(s: BraidSystem, limits: OrbitLimits = OrbitLimits()):
     """Yield the visited normal-form state tuples of the bounded BFS."""
-    intern = _Interner(limits.max_component_canonical_length)
+    intern = _Interner(s.degree, limits.max_component_canonical_length)
     for state, _ in _bfs(s, limits, {}, intern):
         yield intern.state(state)
 

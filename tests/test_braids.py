@@ -29,12 +29,10 @@ from braidsys import braids
 from braidsys.braids import (
     NormalForm,
     Permutation,
+    _book,
     _half_twist_letters,
     _lw_fix,
-    _lw_fix_small,
-    _normalize_tuples,
     _permutation_letters,
-    _strip,
     _tup_flip,
 )
 
@@ -203,10 +201,19 @@ def test_normal_form_factors_are_left_weighted():
             )
 
 
+def _combed(m, facs, strip_only=False):
+    """(half-twist shift, image tuples) of the codebook's comb of an image
+    tuple list, or of its strip alone."""
+    book = _book(m)
+    codes = list(book.encode(facs))
+    nf = book.normal_form(book.strip(codes) if strip_only else book.normalize(codes))
+    return nf.infimum, nf.factors
+
+
 def test_incremental_normalization_matches_bubble_fixpoint():
     rng = random.Random(6)
     cases = []  # (degree, factor list, (half-twist shift, factors) computed from it)
-    # degrees up to 5 take the tabled pair fix, 6 to 12 the untabled one
+    # degrees up to 5 comb int codes, 6 to 12 image tuples
     for t in range(1000):
         m = rng.randint(2, 6) if t < 800 else rng.randint(6, 12)
         facs = []
@@ -214,7 +221,7 @@ def test_incremental_normalization_matches_bubble_fixpoint():
             im = list(range(1, m + 1))
             rng.shuffle(im)
             facs.append(tuple(im))
-        cases.append((m, facs, _normalize_tuples(m, list(facs))))
+        cases.append((m, facs, _combed(m, facs)))
     # a * b combs only b's factors onto a's (flipped when b.infimum is odd);
     # from t = 600 on, b cancels all of a but a short tail, so the comb
     # runs into the identities the cancellation leaves behind
@@ -233,7 +240,7 @@ def test_incremental_normalization_matches_bubble_fixpoint():
     for m, facs, fast in cases:
         slow = list(facs)
         bubble_normalize(slow)
-        assert fast == _strip(m, slow)
+        assert fast == _combed(m, slow, strip_only=True)
 
 
 @st.composite
@@ -286,9 +293,9 @@ def comb_inputs(monkeypatch):
     counts = []
     assemble = braids._assemble_tuples
 
-    def counting(m, factors, dpows, trailing=0):
+    def counting(m, factors, dpows):
         counts.append(len(factors))
-        return assemble(m, factors, dpows, trailing)
+        return assemble(m, factors, dpows)
 
     monkeypatch.setattr(braids, "_assemble_tuples", counting)
     return counts
@@ -341,12 +348,14 @@ def test_permutation_letters_match_the_restarting_scan():
 
 def test_pair_fix_matches_the_rescanning_oracle_at_small_degree():
     for m in range(1, 6):
+        book = _book(m)
         perms = list(itertools.permutations(range(1, m + 1)))
         for a in perms:
             for b in perms:
                 want = _pair_fix(a, b)
                 got = _lw_fix(a, b)
-                assert got == _lw_fix_small(a, b) == (*want, want != (a, b))
+                x, y, moved = book.fix(book.codes[a], book.codes[b])
+                assert got == (book.images[x], book.images[y], moved) == (*want, want != (a, b))
 
 
 @st.composite
@@ -371,12 +380,23 @@ def test_pair_fix_returns_a_left_weighted_pair_unchanged():
 
 def test_flip_table_matches_the_conjugated_word():
     for m in range(2, 6):
+        book = _book(m)
         for p in itertools.permutations(range(1, m + 1)):
-            assert braids._FLIP_SMALL[p] == _tup_flip(p) == flip_by_conjugation(p)
+            assert book.images[book.flip(book.codes[p])] == _tup_flip(p) == flip_by_conjugation(p)
+
+
+def test_complement_table_completes_the_half_twist():
+    # the left complement c of a: c a = Delta, read as words
+    for m in range(1, 6):
+        book = _book(m)
+        delta = normal_form(BraidWord(m, tuple(_half_twist_letters(m))))
+        for a, p in enumerate(book.images):
+            c = book.images[book.complement(a)]
+            assert normal_form(BraidWord(m, tuple(_permutation_letters(c) + _permutation_letters(p)))) == delta
 
 
 def test_products_by_an_odd_infimum_match_the_concatenated_word():
-    # degrees 4 and 5 flip through the table, degree 6 through _tup_flip
+    # degrees 4 and 5 flip by code, degree 6 through _tup_flip
     rng = random.Random(29)
     flipped = 0
     for _ in range(300):

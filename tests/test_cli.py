@@ -25,6 +25,15 @@ def system_files(tmp_path):
          ["1", "-1,2,1", "2,-4,-2", "2,4,-2,3,2,-4,-2", "5", "-6,5,6", "7"]),
         # its E has an integer root and a quartic without one; monodromy S_5
         ("deg5", 5, ["-4,3,1,2", "1"]),
+        # degrees above 5, where the comb runs on image tuples, not int codes
+        ("deg6", 6, ["1,-2,3", "4,-5", "-3,2", "5,1"]),
+        # deg6 after H 1 + / H 3 - / H 2 +
+        ("deg6_moved", 6,
+         ["4,-5", "-1,-2,-3,-4,-5,-1,-2,-3,-4,-1,4,3,2,1,5,4,3,2,2,1,3,5",
+          "-1,-2,-3,-4,-5,-1,-2,-3,-4,-1,-2,-3,-1,-2,-1,-1,-2,-3,-4,-5,-1,-2,-3,-4,-1,-2,-3,-1,"
+          "-2,-1,2,1,3,4,3,5,4,3,2,1,1,2,1,3,2,4,5,4,2,1,3,2,4,3,2,2,3,2,1,4,3",
+          "-3,2"]),
+        ("deg7", 7, ["1,2,-3", "-4,5", "6,-1", "3"]),
     ]:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps({"degree": degree, "components": comps}))
@@ -69,6 +78,14 @@ def test_invariants_usage_errors(capsys):
     assert main(["invariants", "--degree", "4"]) == 1
     assert main(["invariants", "--degree", "4", "--word", "9"]) == 1
     assert main(["invariants", "--system", "/nonexistent.json"]) == 1
+
+
+@pytest.mark.parametrize("extra", [["--degree", "3"], ["--word", "1"], ["--degree", "4", "--word", "1"]])
+def test_invariants_system_rejects_degree_and_word(capsys, system_files, extra):
+    # a degree-4 file with --degree 3 must not print the degree-4 report
+    assert main(["invariants", "--system", system_files["intro_b"], *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cannot be combined" in captured.err
 
 
 def test_compare_distinguished(capsys, system_files):
@@ -297,6 +314,10 @@ PINNED = [
     ("compare_distinguished.json", ["compare", "{intro_b}", "{intro_bp}", "--json"], 2),
     # the Hurwitz checks are skipped: every one of them is null
     ("compare_shape_mismatch.json", ["compare", "{intro_bp}", "{fused_c}", "--json"], 2),
+    ("orbit_deg6_target.json",
+     ["orbit", "--system", "{deg6}", "--target", "{deg6_moved}", "--max-states", "200", "--json"],
+     0),
+    ("orbit_deg7_truncated.json", ["orbit", "--system", "{deg7}", "--max-depth", "4", "--json"], 0),
 ]
 
 

@@ -81,6 +81,18 @@ def test_nf_move_agrees_with_word_move():
         hurwitz_move_nf(s.normal_forms(), HurwitzMove(n))
 
 
+@pytest.mark.parametrize("m", [1, 6, 7])
+def test_nf_move_agrees_with_word_move_beyond_the_code_tables(m):
+    from braidsys import hurwitz_move_nf
+
+    rng = random.Random(42 + m)
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        s = BraidSystem(m, tuple(random_word(rng, m, 6) for _ in range(n)))
+        move = HurwitzMove(rng.randint(1, n - 1), rng.random() < 0.5)
+        assert hurwitz_move(s, move).normal_forms() == hurwitz_move_nf(s.normal_forms(), move)
+
+
 def test_trace_preserved_by_moves():
     rng = random.Random(41)
     for _ in range(25):

@@ -1,10 +1,12 @@
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
 
 import braidsys.orbit
+from braidsys import braids
 from braidsys import (
     BraidSystem,
     HurwitzMove,
@@ -15,6 +17,7 @@ from braidsys import (
     hurwitz_move,
     hurwitz_move_nf,
     hurwitz_orbit,
+    normal_form,
     orbit_states,
     parse_word,
     replay_witness,
@@ -22,6 +25,7 @@ from braidsys import (
     system_invariants_from_normal_forms,
     verify_invariance,
 )
+from braidsys.moves import hurwitz_move_codes
 
 import oracles
 from oracles import orbit_bfs_plain, random_word
@@ -113,42 +117,45 @@ def test_orbit_result_json_roundtrip():
         assert braidsys.orbit.OrbitResult.from_json(res.to_json()) == res
 
 
+def _recording(keys):
+    """A spy on the search's move on codebook forms; it records each
+    computed (pair, direction) as (normal form, normal form, inverse)."""
+
+    def recorded(book, forms, a, b, inverse, invert):
+        keys.append((book.normal_form(forms[a]), book.normal_form(forms[b]), inverse))
+        return hurwitz_move_codes(book, forms, a, b, inverse, invert)
+
+    return recorded
+
+
 def test_orbit_states_computes_the_moves_hurwitz_orbit_computes(monkeypatch):
     calls = []
-
-    def counted(state, move):
-        calls.append(move)
-        return hurwitz_move_nf(state, move)
-
     # every name the orbit module binds to the move function
     for name, value in list(vars(braidsys.orbit).items()):
-        if value is hurwitz_move_nf:
-            monkeypatch.setattr(braidsys.orbit, name, counted)
+        if value is hurwitz_move_codes:
+            monkeypatch.setattr(braidsys.orbit, name, _recording(calls))
     for lims in [OrbitLimits(max_states=300), OrbitLimits(max_states=300, max_depth=3),
                  OrbitLimits(max_states=300, max_component_canonical_length=3),
                  OrbitLimits(max_states=1)]:
         calls.clear()
         hurwitz_orbit(INTRO_B, lims)
-        searched = len(calls)
+        searched = list(calls)
         calls.clear()
         list(orbit_states(INTRO_B, lims))
-        assert len(calls) == searched, lims
-        assert searched > 0 or lims.max_states == 1
-
-
-def _recording(keys):
-    def recorded(state, move):
-        i = move.index
-        keys.append((state[i - 1], state[i], move.inverse))
-        return hurwitz_move_nf(state, move)
-
-    return recorded
+        assert calls == searched, lims
+        assert searched or lims.max_states == 1
 
 
 def test_orbit_computes_each_move_once_per_pair(monkeypatch):
     computed, tried = [], []
-    monkeypatch.setattr(braidsys.orbit, "hurwitz_move_nf", _recording(computed))
-    monkeypatch.setattr(oracles, "hurwitz_move_nf", _recording(tried))
+    monkeypatch.setattr(braidsys.orbit, "hurwitz_move_codes", _recording(computed))
+
+    def tried_move(state, move):
+        i = move.index
+        tried.append((state[i - 1], state[i], move.inverse))
+        return hurwitz_move_nf(state, move)
+
+    monkeypatch.setattr(oracles, "hurwitz_move_nf", tried_move)
     lims = OrbitLimits(max_states=300)
     assert hurwitz_orbit(INTRO_B, lims) == orbit_bfs_plain(INTRO_B, lims)[0]
     # each (pair, direction) is computed once, and fewer are computed than
@@ -159,14 +166,15 @@ def test_orbit_computes_each_move_once_per_pair(monkeypatch):
     undone = {hurwitz_move_nf((a, b), HurwitzMove(1, inv)) + (not inv,) for a, b, inv in computed}
     assert set(tried) <= set(computed) | undone
     # a second search computes everything again: no memo outlives a search
-    first = len(computed)
+    first = list(computed)
     computed.clear()
     hurwitz_orbit(INTRO_B, lims)
-    assert len(computed) == first
+    assert computed == first
 
 
-def _random_search(rng):
-    m = rng.randint(2, 5)
+def _random_search(rng, m=None):
+    if m is None:
+        m = rng.randint(2, 5)
     s = BraidSystem(m, tuple(random_word(rng, m, 4, min_len=1) for _ in range(rng.randint(2, 6))))
     lims = OrbitLimits(
         max_states=rng.randint(1, 150),
@@ -275,3 +283,33 @@ def test_verify_invariance_single_component():
 def test_verify_invariance_rejects_bad_trials():
     with pytest.raises(ValueError):
         verify_invariance(BraidSystem.from_texts(2, ["1"]), trials=0, seed=0)
+
+
+@pytest.mark.parametrize("m", [1, 6, 7])
+def test_orbit_matches_unmemoised_oracle_beyond_the_code_tables(m):
+    # degree 1: the identity is the half twist, one code for both;
+    # degrees 6 and 7: the image tuples are the codes
+    rng = random.Random(89 + m)
+    for _ in range(30):
+        s, lims, target = _random_search(rng, m)
+        res, states = orbit_bfs_plain(s, lims, target)
+        assert hurwitz_orbit(s, lims, target) == res, (s, lims, target)
+        if target is not None:
+            states = orbit_bfs_plain(s, lims)[1]
+        assert list(orbit_states(s, lims)) == states, (s, lims)
+
+
+def test_codebooks_hold_codes_only_up_to_degree_5():
+    rng = random.Random(97)
+    s8 = BraidSystem(8, tuple(random_word(rng, 8, 4, min_len=1) for _ in range(4)))
+    assert hurwitz_orbit(s8, OrbitLimits(max_states=200)).states_visited > 1
+    assert normal_form(random_word(rng, 32, 80, min_len=60)).degree == 32
+    for m in range(1, 6):
+        book = braids._book(m)
+        assert len(book.images) == len(book.codes) <= math.factorial(m)
+        assert book.fix.cache_info().currsize <= math.factorial(m) ** 2
+    for m in (8, 32):
+        book = braids._book(m)
+        assert book.images == [] and book.codes == {}
+        assert (book.fix, book.flip, book.complement) == (
+            braids._lw_fix, braids._tup_flip, braids._tup_left_complement)
