@@ -149,6 +149,11 @@ class _Codebook:
     120**2 pairs.  Above degree 5 pairs rarely repeat, so the image tuple
     is its own code and nothing is numbered or memoised.  `_book` builds
     one codebook per degree on first use.
+
+    The inverse needs no comb: (Delta^p A_1 ... A_k)^{-1} is Delta^{-p-k}
+    B_k ... B_1, B_j the left complement of A_j flipped when p + j - 1 is
+    odd, a left normal form already (El-Rifai and Morton, Algorithms for
+    positive braids, 1994; Epstein et al., Word Processing in Groups, ch. 9).
     """
 
     def __init__(self, m: int):
@@ -228,17 +233,6 @@ class _Codebook:
         self.comb(facs, codes)
         return self.strip(facs)
 
-    def assemble(self, codes, dpows, trailing: int = 0) -> tuple[int, tuple]:
-        """The form of Delta^{d_1} c_1 ... Delta^{d_k} c_k Delta^{trailing}."""
-        facs = list(codes)
-        acc = trailing
-        for t in range(len(facs) - 1, -1, -1):
-            if acc % 2:
-                facs[t] = self.flip(facs[t])
-            acc += dpows[t]
-        shift, norm = self.normalize(facs)
-        return acc + shift, norm
-
     def mul(self, x: tuple[int, tuple], y: tuple[int, tuple]) -> tuple[int, tuple]:
         """The form of the product x y."""
         (p, xs), (q, ys) = x, y
@@ -250,10 +244,13 @@ class _Codebook:
         return p + q + shift, norm
 
     def inverse(self, x: tuple[int, tuple]) -> tuple[int, tuple]:
-        """The form of x^{-1}: (Delta^p A_1 ... A_k)^{-1} is
-        Delta^{-1} c_k ... Delta^{-1} c_1 Delta^{-p} for the left complements c_i."""
+        """The form of x^{-1}: Delta^{-1} c_k ... Delta^{-1} c_1 Delta^{-p} for the left
+        complements c_j, each Delta^{-1} moved to the front flipping the c_j it passes."""
         p, xs = x
-        return self.assemble(map(self.complement, reversed(xs)), [-1] * len(xs), -p)
+        facs = list(map(self.complement, xs))
+        for j in range(1 - p % 2, len(facs), 2):  # facs[j] is c_{j+1}: flip when p + j is odd
+            facs[j] = self.flip(facs[j])
+        return -p - len(facs), tuple(reversed(facs))
 
 
 # Built on first use, and emptied with the other caches.
@@ -263,7 +260,14 @@ _book = functools.lru_cache(maxsize=None)(_Codebook)
 def _assemble_tuples(m: int, factors: list[tuple[int, ...]], dpows: list[int]) -> "NormalForm":
     """Normal form of Delta^{d_1} f_1 ... Delta^{d_k} f_k for image tuples f_i."""
     book = _book(m)
-    return book.normal_form(book.assemble(book.encode(factors), dpows))
+    facs = list(book.encode(factors))
+    acc = 0
+    for t in range(len(facs) - 1, -1, -1):
+        if acc % 2:
+            facs[t] = book.flip(facs[t])
+        acc += dpows[t]
+    shift, codes = book.normalize(facs)
+    return book.normal_form((acc + shift, codes))
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,11 @@ from .orbit import OrbitLimits, hurwitz_orbit
 def load_system(path: str) -> BraidSystem:
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return BraidSystem.from_json(json.load(fh))
         except RecursionError:
             raise ValueError(f"{path}: malformed system file (nested too deeply)") from None
-    try:
-        return BraidSystem.from_json(data)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed system file ({exc})") from None
+        except (TypeError, ValueError) as exc:  # bad JSON and undecodable bytes included
+            raise ValueError(f"{path}: malformed system file ({exc})") from None
 
 
 def essential_text(report) -> str:
@@ -267,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", parents=[common], help="bounded orbit search")
     p.add_argument("--system", required=True)
     p.add_argument("--target")
-    p.add_argument("--max-states", type=int, default=100_000)
-    p.add_argument("--max-depth", type=int, default=32)
-    p.add_argument("--max-canonical-length", type=int, default=64)
+    p.add_argument("--max-states", type=int, default=OrbitLimits.max_states)
+    p.add_argument("--max-depth", type=int, default=OrbitLimits.max_depth)
+    p.add_argument("--max-canonical-length", type=int,
+                   default=OrbitLimits.max_component_canonical_length)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("papersuite", parents=[common],

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import braids
 from .braids import BraidWord, NormalForm
@@ -46,17 +46,7 @@ class BraidInvariantReport(JsonCodec):
 
     def conjugacy_fields(self) -> tuple:
         """The fields that conjugation must preserve (everything but the form)."""
-        return (
-            self.degree,
-            self.r,
-            self.charpoly,
-            self.determinant,
-            self.rank,
-            self.S,
-            self.S_rows,
-            self.S_cols,
-            self.integer_eigenvalues,
-        )
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "normal_form")
 
 
 @dataclass(frozen=True)
@@ -92,8 +82,7 @@ class BraidSystem:
     def from_json(data: dict) -> "BraidSystem":
         require_keys("BraidSystem", data, ("degree", "components"))
         degree = decode(int, data["degree"], "degree")
-        texts = decode(tuple[str, ...], data["components"], "components")
-        return BraidSystem(degree, tuple(braids.parse_word(t, degree) for t in texts))
+        return BraidSystem.from_texts(degree, decode(tuple[str, ...], data["components"], "components"))
 
     @staticmethod
     def from_texts(degree: int, texts) -> "BraidSystem":
@@ -120,18 +109,8 @@ class SystemInvariantReport(JsonCodec):
     normal_forms: tuple[NormalForm, ...]
 
     def hurwitz_fields(self) -> tuple:
-        """Fields preserved by the Hurwitz action alone."""
-        return (
-            self.degree,
-            self.length,
-            self.charpoly_product,
-            self.charpoly_multiset,
-            self.essential,
-            self.trace_is_identity,
-            self.perm_monodromy_order,
-            self.exponent_sums,
-            self.degree_plus_length_mod3,
-        )
+        """Fields preserved by the Hurwitz action alone (everything but the forms)."""
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "normal_forms")
 
 
 @functools.lru_cache(maxsize=65536)

@@ -68,20 +68,19 @@ def hurwitz_move_nf(state, move: HurwitzMove):
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
     book = braids._book(a.degree)
-    forms = [book.form(a), book.form(b)]
-    pair = hurwitz_move_codes(book, forms, 0, 1, move.inverse, lambda k: book.inverse(forms[k]))
+    x, y = book.form(a), book.form(b)
+    pair = hurwitz_move_codes(book, x, y, move.inverse, book.inverse(x if move.inverse else y))
     return (*state[: i - 1], *map(book.normal_form, pair), *state[i + 1 :])
 
 
-def hurwitz_move_codes(book, forms, a: int, b: int, inverse: bool, invert):
-    """The move on the lone pair (forms[a], forms[b]) of codebook forms:
-    (b, b^{-1} a b), or (a b a^{-1}, a) for the undo direction.
-    `invert(k)` is the form of forms[k]^{-1}; the orbit search memoises
-    it for each form it interns."""
-    x, y = forms[a], forms[b]
+def hurwitz_move_codes(book, x, y, inverse: bool, inv):
+    """The move on the lone pair (x, y) of codebook forms: (y, y^{-1} x y),
+    or (x y x^{-1}, x) for the undo direction.  `inv` is the form of the
+    one inverse the move needs, y^{-1} or for the undo x^{-1}; the orbit
+    search memoises it for each form it interns."""
     if inverse:
-        return book.mul(book.mul(x, y), invert(a)), x
-    return y, book.mul(book.mul(invert(b), x), y)
+        return book.mul(book.mul(x, y), inv), x
+    return y, book.mul(book.mul(inv, x), y)
 
 
 def hurwitz_act(s: BraidSystem, beta: BraidWord, simplify: bool = False) -> BraidSystem:

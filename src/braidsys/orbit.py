@@ -126,7 +126,7 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, parents: dict, intern: _Interner):
             a, b = state[i - 1], state[i]
             pair = moved.get((a, b, inv))
             if pair is None:
-                c, d = hurwitz_move_codes(book, forms, a, b, inv, intern.inverse)
+                c, d = hurwitz_move_codes(book, forms[a], forms[b], inv, intern.inverse(a if inv else b))
                 pair = moved[a, b, inv] = (intern(c), intern(d))
                 moved.setdefault(pair + (not inv,), (a, b))
             nxt = state[: i - 1] + pair + state[i + 1 :]

@@ -244,8 +244,8 @@ def test_incremental_normalization_matches_bubble_fixpoint():
 
 
 @st.composite
-def word_pairs(draw):
-    m = draw(st.integers(1, 8))
+def word_pairs(draw, degrees=st.integers(1, 8)):
+    m = draw(degrees)
     gens = [k for i in range(1, m) for k in (i, -i)]
     letters = st.lists(st.sampled_from(gens), max_size=14) if gens else st.just([])
     return BraidWord(m, tuple(draw(letters))), BraidWord(m, tuple(draw(letters)))
@@ -259,6 +259,42 @@ def test_garside_kernel_matches_bubble_oracle(pair):
     assert nf == bubble_normal_form(u)
     assert nf * normal_form(v) == bubble_normal_form(product(u, v))
     assert nf.inverse() == bubble_normal_form(inverse(u))
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_pairs(st.sampled_from([1, *range(9, 17)])))
+def test_inverse_matches_bubble_oracle_at_degree_1_and_beyond_8(pair):
+    for u in pair:
+        assert normal_form(u).inverse() == bubble_normal_form(inverse(u))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 9])
+def test_codebook_inverse_runs_no_pair_fix(monkeypatch, m):
+    # the inverse is read off the form; only the products below comb
+    book = _book(m)
+    rng = random.Random(60 + m)
+    forms = [book.form(normal_form(random_word(rng, m, 24))) for _ in range(40)]
+    fixes = []
+
+    def counting(a, b, fix=book.fix):
+        fixes.append((a, b))
+        return fix(a, b)
+
+    monkeypatch.setattr(book, "fix", counting)
+    inverses = [book.inverse(x) for x in forms]
+    assert fixes == []
+    assert {x[0] % 2 for x in forms if len(x[1]) >= 2} == {0, 1}
+    for x, y in zip(forms, inverses):
+        assert book.mul(x, y) == book.mul(y, x) == (0, ())
+    assert fixes
+
+
+@pytest.mark.parametrize("op", [
+    lambda a, b: normal_form(a) * normal_form(b), product, braids_equal, conjugate,
+], ids=["nf_mul", "product", "braids_equal", "conjugate"])
+def test_operations_reject_a_degree_mismatch(op):
+    with pytest.raises(ValueError, match=r"^degree mismatch: 3 vs 4$"):
+        op(parse_word("1", 3), parse_word("1", 4))
 
 
 @st.composite

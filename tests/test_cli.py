@@ -6,6 +6,7 @@ import pytest
 from braidsys import BraidSystem, braids_equal, cli, refsuite
 from braidsys.cli import load_system, main
 from braidsys.invariants import BraidInvariantReport, SystemInvariantReport
+from braidsys.orbit import OrbitLimits
 
 
 @pytest.fixture
@@ -173,6 +174,17 @@ def test_apply_rejects_malformed_script(capsys, system_files):
     assert main(["apply", "--system", system_files["intro_b"], "--steps", "WIGGLE 3"]) == 1
 
 
+def test_apply_needs_a_script_or_steps(capsys, system_files):
+    assert main(["apply", "--system", system_files["intro_b"]]) == 1
+    assert capsys.readouterr().err == "error: need --script FILE or --steps TEXT\n"
+
+
+def test_orbit_defaults_are_the_library_limits():
+    args = cli.build_parser().parse_args(["orbit", "--system", "s.json"])
+    limits = (args.max_states, args.max_depth, args.max_canonical_length)
+    assert OrbitLimits(*limits) == OrbitLimits()
+
+
 def test_orbit_command(capsys, system_files):
     rc = main(["orbit", "--system", system_files["pair"], "--json"])
     assert rc == 0
@@ -263,13 +275,19 @@ def test_malformed_system_file(tmp_path):
     ([{"degree": 3, "components": ["1"]}], "BraidSystem"),
     # raw text: json.load gives up on it with a RecursionError
     pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="nested-100000-deep"),
+    pytest.param('{"degree": 3,\n "components": ["1"]', "Expecting ',' delimiter", id="truncated"),
+    # raw bytes: not UTF-8
+    pytest.param(b"\xff{}", "can't decode byte 0xff", id="not-utf-8"),
 ])
 def test_malformed_system_file_names_the_field(tmp_path, capsys, data, field):
     bad = tmp_path / "bad.json"
-    bad.write_text(data if isinstance(data, str) else json.dumps(data))
+    if isinstance(data, bytes):
+        bad.write_bytes(data)
+    else:
+        bad.write_text(data if isinstance(data, str) else json.dumps(data))
     assert main(["invariants", "--system", str(bad)]) == 1
     err = capsys.readouterr().err
-    assert "malformed system file" in err and field in err
+    assert err.startswith(f"error: {bad}: malformed system file (") and field in err
 
 
 def test_system_file_components_must_be_a_list(tmp_path, capsys):

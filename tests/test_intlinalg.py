@@ -446,6 +446,7 @@ def test_factored_rendering():
     assert factored_str(prod) == "x^6 (x+1)^3 (x-1)^6 (x+3)"
     assert factored_str(IntPolynomial((1,))) == "1"
     assert factored_str(IntPolynomial((5, 0, 1))) == "x^2 + 5"
+    assert factored_str(IntPolynomial(())) == str(IntPolynomial((0,))) == "0"
 
 
 def test_polynomial_json_roundtrip():

@@ -116,6 +116,16 @@ def test_conjugation_invariance_of_reports():
         assert rb.conjugacy_fields() == rc.conjugacy_fields()
 
 
+def test_field_tuples_are_every_field_but_the_forms():
+    rb = braid_invariants(parse_word("1,2,-3,2", 4))
+    assert rb.conjugacy_fields() == (rb.degree, rb.r, rb.charpoly, rb.determinant, rb.rank,
+                                     rb.S, rb.S_rows, rb.S_cols, rb.integer_eigenvalues)
+    rs = system_invariants(BraidSystem.from_texts(4, ["1,2,-3", "3", "-2", "-1"]))
+    assert rs.hurwitz_fields() == (rs.degree, rs.length, rs.charpoly_product, rs.charpoly_multiset,
+                                   rs.essential, rs.trace_is_identity, rs.perm_monodromy_order,
+                                   rs.exponent_sums, rs.degree_plus_length_mod3)
+
+
 def test_iota_multiplies_charpoly_by_x():
     rng = random.Random(32)
     for _ in range(30):

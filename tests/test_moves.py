@@ -79,6 +79,9 @@ def test_nf_move_agrees_with_word_move():
         assert via_words == via_nf
     with pytest.raises(ValueError):
         hurwitz_move_nf(s.normal_forms(), HurwitzMove(n))
+    mixed = (normal_form(parse_word("1", 3)), normal_form(parse_word("1", 4)))
+    with pytest.raises(ValueError, match=r"^degree mismatch: 3 vs 4$"):
+        hurwitz_move_nf(mixed, HurwitzMove(1))
 
 
 @pytest.mark.parametrize("m", [1, 6, 7])
@@ -178,8 +181,13 @@ def test_stabilize_shape_and_roundtrip(bvec):
 
 
 def test_destabilize_errors(bvec):
+    with pytest.raises(ValueError, match=r"^cannot destabilize a degree-1 system$"):
+        destabilize(BraidSystem(1, (BraidWord(1),) * 3))
     with pytest.raises(ValueError, match="length"):
         destabilize(BraidSystem.from_texts(3, ["1", "-1"]))
+    bad_next_to_last = BraidSystem.from_texts(4, ["1", "2", "-3"])
+    with pytest.raises(ValueError, match=r"^component 2 is not the generator 3$"):
+        destabilize(bad_next_to_last)
     bad_tail = BraidSystem.from_texts(4, ["1", "3", "3"])
     with pytest.raises(ValueError, match="component 3"):
         destabilize(bad_tail)
@@ -235,6 +243,11 @@ def test_euler_fission_check():
     assert euler_fission_check(whole, pieces)
     assert not euler_fission_check(BraidWord(4), [parse_word("1", 4), parse_word("-1", 4)])
     assert not euler_fission_check(whole, [parse_word("2", 4), parse_word("-3,-1", 4)])
+    # the pieces multiply to the whole and their tau values add up, but an
+    # identity piece is no fission
+    identity_piece = [parse_word("1", 3), parse_word("2,-2", 3)]
+    assert tau(parse_word("1", 3)) == sum(tau(p) for p in identity_piece)
+    assert not euler_fission_check(parse_word("1", 3), identity_piece)
     with pytest.raises(ValueError):
         euler_fission_check(whole, [whole])
     # a piece, or every piece, of another degree than the whole

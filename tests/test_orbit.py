@@ -121,9 +121,9 @@ def _recording(keys):
     """A spy on the search's move on codebook forms; it records each
     computed (pair, direction) as (normal form, normal form, inverse)."""
 
-    def recorded(book, forms, a, b, inverse, invert):
-        keys.append((book.normal_form(forms[a]), book.normal_form(forms[b]), inverse))
-        return hurwitz_move_codes(book, forms, a, b, inverse, invert)
+    def recorded(book, x, y, inverse, inv):
+        keys.append((book.normal_form(x), book.normal_form(y), inverse))
+        return hurwitz_move_codes(book, x, y, inverse, inv)
 
     return recorded
 
@@ -259,6 +259,8 @@ def test_find_conjugator_reference_pair():
     assert find_conjugator(b, b, max_length=2) is not None
     # distinct conjugacy invariants mean no conjugator can exist
     assert find_conjugator(parse_word("1,2,-3", 4), parse_word("1,-2,3", 4), max_length=3) is None
+    with pytest.raises(ValueError, match=r"^degree mismatch: 3 vs 4$"):
+        find_conjugator(parse_word("1", 3), parse_word("1", 4))
 
 
 def test_verify_invariance_reference_system():
