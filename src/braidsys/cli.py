@@ -111,51 +111,39 @@ def cmd_compare(args) -> int:
     return 0 if result.verdict == "indistinguishable_by_invariants" else 2
 
 
+def _parse_step(op: str, args: list[str]):
+    """(label, move) of one script step; the move maps a system to
+    (system, tau check or None)."""
+    if op == "H" and len(args) == 2 and args[1] in ("+", "-"):
+        mv = HurwitzMove(int(args[0]), args[1] == "-")
+        return str(mv), lambda s: (hurwitz_move(s, mv, simplify=True), None)
+    if op == "GC":
+        word = " ".join(args)
+        return f"GC {word}", lambda s: (global_conjugate(s, parse_word(word, s.degree), simplify=True), None)
+    if op == "STAB" and not args:
+        return op, lambda s: (stabilize(s), None)
+    if op == "DESTAB" and not args:
+        return op, lambda s: (destabilize(s), None)
+    if op == "FUSE" and len(args) == 2:
+        l, q = map(int, args)
+        return f"FUSE {l} {q}", lambda s: euler_fuse(s, l, q)
+    raise ValueError("unrecognized step")
+
+
 def parse_script(text: str) -> list[tuple]:
-    """Parse move-script steps: H i +|-, GC <word>, STAB, DESTAB, FUSE l q."""
+    """Parse move-script steps (H i +|-, GC <word>, STAB, DESTAB, FUSE l q)
+    into (label, move) pairs."""
     steps = []
     raw = [chunk.strip() for line in text.splitlines() for chunk in line.split("/")]
     for chunk in raw:
         if not chunk or chunk.startswith("#"):
             continue
         parts = chunk.split()
-        op = parts[0].upper()
         try:
-            if op == "H" and len(parts) == 3 and parts[2] in ("+", "-"):
-                steps.append(("H", int(parts[1]), parts[2] == "-"))
-            elif op == "GC":
-                steps.append(("GC", " ".join(parts[1:])))
-            elif op == "STAB" and len(parts) == 1:
-                steps.append(("STAB",))
-            elif op == "DESTAB" and len(parts) == 1:
-                steps.append(("DESTAB",))
-            elif op == "FUSE" and len(parts) == 3:
-                steps.append(("FUSE", int(parts[1]), int(parts[2])))
-            else:
-                raise ValueError("unrecognized step")
+            steps.append(_parse_step(parts[0].upper(), parts[1:]))
         except ValueError:
             raise ValueError(f"bad script step: {chunk!r}") from None
     return steps
-
-
-def format_step(step: tuple) -> str:
-    if step[0] == "H":
-        return f"H {step[1]} {'-' if step[2] else '+'}"
-    return " ".join(str(p) for p in step)
-
-
-def apply_step(s: BraidSystem, step: tuple) -> tuple[BraidSystem, bool | None]:
-    if step[0] == "H":
-        return hurwitz_move(s, HurwitzMove(step[1], step[2]), simplify=True), None
-    if step[0] == "GC":
-        return global_conjugate(s, parse_word(step[1], s.degree), simplify=True), None
-    if step[0] == "STAB":
-        return stabilize(s), None
-    if step[0] == "DESTAB":
-        return destabilize(s), None
-    if step[0] == "FUSE":
-        return euler_fuse(s, step[1], step[2])
-    raise ValueError(f"unknown step {step}")
 
 
 def cmd_apply(args) -> int:
@@ -169,15 +157,15 @@ def cmd_apply(args) -> int:
         raise ValueError("need --script FILE or --steps TEXT")
     steps = parse_script(text)
     audit = []
-    for num, step in enumerate(steps, start=1):
+    for num, (label, move) in enumerate(steps, start=1):
         try:
-            system, tau_check = apply_step(system, step)
+            system, tau_check = move(system)
         except ValueError as exc:
-            raise ValueError(f"step {num} ({format_step(step)}): {exc}") from None
+            raise ValueError(f"step {num} ({label}): {exc}") from None
         rep = system_invariants(system)
         entry = {
             "step": num,
-            "move": format_step(step),
+            "move": label,
             "system": system.to_json(),
             "invariants": rep.to_json(),
         }

@@ -22,9 +22,9 @@ positive word of the factors is swept (see `pure_power_matrix`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .braids import BraidWord, NormalForm, Permutation, permutation
+from .intlinalg import matrix_rows
 
 
 @dataclass(frozen=True)
@@ -148,20 +148,6 @@ def pure_power_matrix(b: BraidWord | NormalForm) -> tuple[int, CrossingMatrix]:
             for p, q in orbit:
                 entries[p][q] = total
     return r, CrossingMatrix(m, tuple(tuple(row) for row in entries))
-
-
-def matrix_rows(M) -> tuple[tuple[int, ...], ...]:
-    """Entries of a CrossingMatrix or of any square nested sequence.
-
-    Every entry must be an int (a bool is none); nothing is coerced.
-    """
-    rows = tuple(map(tuple, getattr(M, "entries", M)))
-    if set(map(type, chain.from_iterable(rows))) - {int}:
-        v = next(v for v in chain.from_iterable(rows) if type(v) is not int)
-        raise TypeError(f"matrix entry {v!r} is a {type(v).__name__}, not an int")
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("matrix is not square")
-    return rows
 
 
 def _signature(rows, i: int) -> tuple:

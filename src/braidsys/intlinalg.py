@@ -7,11 +7,12 @@ modulo N, a product of primes just below 2^62 that exceeds
 sum of the squared entries: no coefficient is larger in absolute value than
 half of that (see `charpoly`), so each is its symmetric residue mod N.
 Determinants and ranks use fraction-free Bareiss elimination, so every
-value stays an exact Python integer.  Polynomials are monic
-integer polynomials stored as ascending coefficient tuples; "essential"
-root content is represented exactly by stripping the factors x, x-1 and
-x+1 off a polynomial and keeping the remaining core.  Root finding
-deflates plain coefficient lists and builds a polynomial only for its
+value stays an exact Python integer.  Polynomials are integer
+polynomials stored as ascending coefficient tuples; "essential" root
+content is represented exactly by stripping the factors x, x-1 and x+1
+off a polynomial (`reduce_poly`) and keeping the remaining core.  Root
+finding strips them first and searches only the core for other roots,
+deflating plain coefficient lists; it builds a polynomial only for its
 result.
 """
 
@@ -20,9 +21,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .codec import JsonCodec
-from .crossing import matrix_rows
 
 
 @dataclass(frozen=True)
@@ -181,6 +182,20 @@ def _crt(a: list[int], p: int, b: list[int], q: int) -> list[int]:
     """The residues mod p q of the pairs (a_k mod p, b_k mod q), p and q coprime."""
     inv = pow(p, -1, q)
     return [x + p * ((y - x) * inv % q) for x, y in zip(a, b)]
+
+
+def matrix_rows(M) -> tuple[tuple[int, ...], ...]:
+    """Entries of a CrossingMatrix or of any square nested sequence.
+
+    Every entry must be an int (a bool is none); nothing is coerced.
+    """
+    rows = tuple(map(tuple, getattr(M, "entries", M)))
+    if set(map(type, chain.from_iterable(rows))) - {int}:
+        v = next(v for v in chain.from_iterable(rows) if type(v) is not int)
+        raise TypeError(f"matrix entry {v!r} is a {type(v).__name__}, not an int")
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("matrix is not square")
+    return rows
 
 
 def _charpoly_mod(rows, p: int) -> list[int]:
@@ -353,17 +368,18 @@ def _divides(a: int, b: int) -> bool:
 def _split_roots(p: IntPolynomial) -> tuple[tuple[tuple[int, int], ...], list[int]]:
     """(sorted (root, mult) pairs, ascending coefficients of the cofactor).
 
-    Candidates are the divisors of the constant term after stripping x
-    factors, cut down by a root-magnitude bound.  A candidate r is
-    deflated only if (r - 1) divides q(1) and (r + 1) divides q(-1): a
-    root r has q(r) = 0, and r - t divides q(r) - q(t) for every integer
-    t, so both tests are necessary (0 divides only 0).
+    `reduce_poly` divides out x, x - 1 and x + 1 first; the other
+    candidates are the divisors of the core's constant term within a
+    root-magnitude bound.  A candidate r is deflated only if (r - 1)
+    divides q(1) and (r + 1) divides q(-1), both nonzero on the core, so
+    +-1 never pass (0 divides only 0): a root r has q(r) = 0, and r - t
+    divides q(r) - q(t) for every integer t, so both tests are necessary.
     """
     if not p:
         raise ValueError("zero polynomial has no well-defined root multiset")
-    zero_mult = next(k for k, v in enumerate(p.coeffs) if v)
-    found = [(0, zero_mult)] if zero_mult else []
-    q = list(p.coeffs[zero_mult:])
+    red = reduce_poly(p)
+    found = [(r, m) for r, m in ((-1, red.neg_one_mult), (0, red.zero_mult), (1, red.one_mult)) if m]
+    q = list(red.core.coeffs)
     if len(q) == 1:
         return tuple(found), q
     at_one, at_minus_one = sum(q), sum(q[0::2]) - sum(q[1::2])
@@ -431,23 +447,17 @@ def reduce_poly(p: IntPolynomial) -> ReducedPolynomial:
 
 
 def factored_str(p: IntPolynomial) -> str:
-    """Render with x, x+1, x-1 and integer-root factors extracted.
+    """Render with the integer-root factors of one `split_integer_roots`
+    pass extracted: x, (x+1), (x-1), then the other roots in ascending order.
 
     Whatever does not split over the integers is printed as one dense
     parenthesized factor at the end.
     """
     if not p:
         return "0"
-    red = reduce_poly(p)
-    parts = []
-    if red.zero_mult:
-        parts.append(("x", red.zero_mult))
-    if red.neg_one_mult:
-        parts.append(("(x+1)", red.neg_one_mult))
-    if red.one_mult:
-        parts.append(("(x-1)", red.one_mult))
-    roots, rest = split_integer_roots(red.core)
-    parts += [(f"(x{-root:+d})", mult) for root, mult in roots]
+    roots, rest = split_integer_roots(p)
+    roots = sorted(roots, key=lambda rm: ((0, -1, 1, rm[0]).index(rm[0]), rm[0]))
+    parts = [("x" if r == 0 else f"(x{-r:+d})", mult) for r, mult in roots]
     if rest.coeffs != (1,) or not parts:
         parts.append((f"({rest})" if parts else str(rest), 1))
     return " ".join(base if mult == 1 else f"{base}^{mult}" for base, mult in parts)

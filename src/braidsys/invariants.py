@@ -67,10 +67,7 @@ class BraidSystem:
         return len(self.components)
 
     def trace_product(self) -> BraidWord:
-        word = BraidWord(self.degree)
-        for c in self.components:
-            word = braids.product(word, c)
-        return word
+        return BraidWord(self.degree, tuple(k for c in self.components for k in c.letters))
 
     def normal_forms(self) -> tuple[NormalForm, ...]:
         return tuple(braids.normal_form(c) for c in self.components)

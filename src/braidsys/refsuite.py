@@ -32,6 +32,7 @@ from .invariants import (
     system_invariants,
 )
 from .moves import HurwitzMove, euler_fuse, euler_necessity, hurwitz_move
+from .orbit import find_conjugator
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,6 @@ def build_rows(flipped: bool = False) -> list[Row]:
         braid_invariants(bp5).charpoly == quintic)
     add("roots-5", "its integer roots", ((-3, 1), (-2, 2), (3, 1), (4, 1)),
         integer_roots(quintic))
-    from .orbit import find_conjugator
-
     conj = find_conjugator(b5, bp5, max_length=3)
     add("conj-5", "a short conjugator relating the pair exists and works", True,
         conj is not None and braids.braids_equal(braids.conjugate(b5, conj), bp5))

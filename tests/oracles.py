@@ -19,7 +19,7 @@ from braidsys import (
     power,
 )
 from braidsys.braids import NormalForm, _assemble_tuples, _tup_left_complement
-from braidsys.crossing import matrix_rows
+from braidsys.intlinalg import matrix_rows
 from braidsys.orbit import OrbitResult
 
 

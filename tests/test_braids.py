@@ -69,6 +69,11 @@ def test_braid_word_validation():
     assert BraidWord(1).letters == ()
 
 
+@pytest.mark.parametrize("word, text", [(BraidWord(3), "<empty>"), (BraidWord(3, (1, -2)), "1,-2")])
+def test_braid_word_str(word, text):
+    assert str(word) == text
+
+
 def test_permutation_examples():
     assert permutation(parse_word("1,1,-2", 3)).images == (1, 3, 2)
     assert permutation(parse_word("", 5)).is_identity()

@@ -170,6 +170,16 @@ def test_apply_reports_bad_step(capsys, system_files):
     assert "step 2" in capsys.readouterr().err
 
 
+def test_apply_labels_each_step_as_parsed(capsys, system_files):
+    steps = "H 1 + / GC / gc 1  -2 / FUSE 01 1 / stab / destab"
+    assert main(["apply", "--system", system_files["intro_b"], "--steps", steps, "--json"]) == 0
+    labels = [step["move"] for step in json.loads(capsys.readouterr().out)["steps"]]
+    assert labels == ["H 1 +", "GC ", "GC 1 -2", "FUSE 1 1", "STAB", "DESTAB"]
+    assert main(["apply", "--system", system_files["intro_b"], "--steps", "H 1 + / GC 9"]) == 1
+    assert capsys.readouterr().err == (
+        "error: step 2 (GC 9): generator token '9' out of range for degree 4\n")
+
+
 def test_apply_rejects_malformed_script(capsys, system_files):
     assert main(["apply", "--system", system_files["intro_b"], "--steps", "WIGGLE 3"]) == 1
 

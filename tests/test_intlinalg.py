@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from braidsys import (
     CrossingMatrix,
@@ -24,7 +24,7 @@ from braidsys import (
     reduce_poly,
 )
 from braidsys import intlinalg
-from braidsys.crossing import matrix_rows
+from braidsys.intlinalg import matrix_rows
 from braidsys.intlinalg import split_integer_roots
 
 from oracles import (
@@ -296,8 +296,11 @@ def test_determinant_and_rank_known_values():
     assert determinant(zero) == 0 and rank(zero) == 0
 
 
-@pytest.mark.parametrize("kernel", [
+matrix_kernels = pytest.mark.parametrize("kernel", [
     charpoly, determinant, rank, lambda M: permutation_equivalent(M, M)])
+
+
+@matrix_kernels
 @pytest.mark.parametrize("entry", [0.5, 1.0, True, False, "1", None])
 def test_matrix_kernels_reject_entries_that_are_not_ints(kernel, entry):
     with pytest.raises(TypeError):
@@ -306,6 +309,13 @@ def test_matrix_kernels_reject_entries_that_are_not_ints(kernel, entry):
         kernel(((0, 1, 2), (1, 0, 3), (entry, 1, 0)))
     with pytest.raises(TypeError):
         kernel(CrossingMatrix(2, ((0, entry), (1, 0))))
+
+
+@matrix_kernels
+@pytest.mark.parametrize("rows", [[[0, 1], [1]], [[0, 1, 2], [1, 0, 3]], [[0, 1]], [[0], [1, 0]]])
+def test_matrix_kernels_reject_ragged_rows(kernel, rows):
+    with pytest.raises(ValueError, match="^matrix is not square$"):
+        kernel(rows)
 
 
 def test_matrix_rows_keeps_tuple_rows_and_converts_lists():
@@ -406,6 +416,17 @@ def test_integer_roots_match_the_scan_oracle(p):
     assert back == p
 
 
+def test_split_roots_searches_divisors_only_on_the_core(monkeypatch):
+    # q(1) = q(-1) = 0 would let every divisor of 720720 within the root
+    # bound through the (r -+ 1) | q(+-1) filter, one deflation each
+    deflations = []
+    deflate = intlinalg._deflate
+    monkeypatch.setattr(intlinalg, "_deflate", lambda c, r: deflations.append(r) or deflate(c, r))
+    p = IntPolynomial.from_roots([1, -1]) * IntPolynomial((720720, 0, 1))
+    assert intlinalg._split_roots(p) == (((-1, 1), (1, 1)), [720720, 0, 1])
+    assert len(deflations) <= 4
+
+
 def test_reduce_poly_known_values():
     prod = IntPolynomial((1,))
     for root, mult in ((0, 6), (-1, 3), (1, 6), (-3, 1)):
@@ -447,6 +468,28 @@ def test_factored_rendering():
     assert factored_str(IntPolynomial((1,))) == "1"
     assert factored_str(IntPolynomial((5, 0, 1))) == "x^2 + 5"
     assert factored_str(IntPolynomial(())) == str(IntPolynomial((0,))) == "0"
+
+
+def render_from_scan(p: IntPolynomial) -> str:
+    """factored_str spelled out from the scan oracle's roots and cofactor."""
+    roots, rest = integer_roots_scan(p)
+    mult = dict(roots)
+    parts = [(base, mult.pop(r)) for r, base in ((0, "x"), (-1, "(x+1)"), (1, "(x-1)")) if r in mult]
+    parts += [(f"(x-{r})" if r > 0 else f"(x+{-r})", k) for r, k in sorted(mult.items())]
+    if rest != IntPolynomial((1,)) or not parts:
+        parts.append((f"({rest})" if parts else str(rest), 1))
+    return " ".join(base if k == 1 else f"{base}^{k}" for base, k in parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_polynomials())
+@example(IntPolynomial((1,)))
+@example(IntPolynomial((-7,)))
+@example(IntPolynomial((2, -2)))  # -2 (x - 1)
+@example(IntPolynomial((0, 6, -3, -3)))  # -3 x (x - 1) (x + 2)
+@example(IntPolynomial((-4, 0, 2, 0)) * IntPolynomial.from_roots([0, 1, -1, 5]))
+def test_factored_str_matches_the_scan_oracle(p):
+    assert factored_str(p) == render_from_scan(p)
 
 
 def test_polynomial_json_roundtrip():

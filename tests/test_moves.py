@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from braidsys import (
     is_identity,
     normal_form,
     parse_word,
+    product,
     stabilize,
     system_invariants,
     tau,
@@ -104,6 +106,9 @@ def test_trace_preserved_by_moves():
         trace = normal_form(s.trace_product())
         move = HurwitzMove(rng.randint(1, n - 1), rng.random() < 0.5)
         assert normal_form(hurwitz_move(s, move).trace_product()) == trace
+    for m, n in ((3, 1), (5, 12)):  # the trace is the components' product, in order
+        s = BraidSystem(m, tuple(random_word(rng, m, 6) for _ in range(n)))
+        assert s.trace_product() == functools.reduce(product, s.components)
 
 
 def test_hurwitz_act_well_defined():
