@@ -139,16 +139,27 @@ def _lw_fix(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tu
     return tuple(_tup_inverse(ai)), tuple(bl), True
 
 
+# A slot of `_Codebook.table` that no comb has read yet.
+_UNFILLED = object()
+
+
 class _Codebook:
     """The simple elements of one degree as codes, and the Garside kernel
     on forms (infimum, tuple of codes) of left normal forms.
 
-    At degree <= 5 a code is an int naming one of the m! permutation
-    braids (0 the identity, m! - 1 the half twist), and each pair fix,
-    flip and left complement is memoised by number: there are at most
-    120**2 pairs.  Above degree 5 pairs rarely repeat, so the image tuple
-    is its own code and nothing is numbered or memoised.  `_book` builds
-    one codebook per degree on first use.
+    At degree <= 5 a code is an int naming one of the n = m! permutation
+    braids (0 the identity, n - 1 the half twist), and flip and left
+    complement are tables by number.  The pair fixes live in one flat list
+    of n**2 slots: slot a*n + b holds None when the pair (a, b) is
+    left-weighted already, else the fixed pair of codes.  The comb reads
+    the slot inline and fills it from `fix` the first time it reads it.
+    The table is not filled eagerly: a full degree-5 table is 14,400 pair
+    fixes, the cost of many short orbit searches, and every cache clear
+    starts it over.  Above degree 5 pairs rarely repeat, so the image
+    tuple is its own code and the comb calls `fix` on it directly;
+    nothing is numbered or memoised.  `fix` is the pair fix on image
+    tuples at every degree.  `_book` builds one codebook per degree on
+    first use, so emptying its cache empties the tables too.
 
     The inverse needs no comb: (Delta^p A_1 ... A_k)^{-1} is Delta^{-p-k}
     B_k ... B_1, B_j the left complement of A_j flipped when p + j - 1 is
@@ -159,22 +170,24 @@ class _Codebook:
     def __init__(self, m: int):
         self.degree = m
         self.ident, self.delta = tuple(range(1, m + 1)), tuple(range(m, 0, -1))
+        self.fix = _lw_fix
         # code -> image tuple and image tuple -> code, both empty above degree 5
         self.images = images = list(itertools.permutations(self.ident)) if m <= 5 else []
         self.codes = codes = {p: c for c, p in enumerate(images)}
         if m > 5:
-            self.fix, self.flip, self.complement = _lw_fix, _tup_flip, _tup_left_complement
+            self.table, self.flip, self.complement = None, _tup_flip, _tup_left_complement
             return
         self.ident, self.delta = 0, len(images) - 1
-
-        @functools.lru_cache(maxsize=None)
-        def fix(a: int, b: int) -> tuple[int, int, bool]:
-            x, y, moved = _lw_fix(images[a], images[b])
-            return (codes[x], codes[y], True) if moved else (a, b, False)
-
-        self.fix = fix
+        self.table = [_UNFILLED] * len(images) ** 2
         self.flip = [codes[_tup_flip(p)] for p in images].__getitem__
         self.complement = [codes[_tup_left_complement(p)] for p in images].__getitem__
+
+    def fill(self, k: int) -> tuple[int, int] | None:
+        """Compute table slot k, the pair (k // n, k % n), and store it."""
+        a, b = divmod(k, len(self.images))
+        x, y, moved = self.fix(self.images[a], self.images[b])
+        fixed = self.table[k] = (self.codes[x], self.codes[y]) if moved else None
+        return fixed
 
     def encode(self, factors) -> tuple:
         return tuple(map(self.codes.__getitem__, factors)) if self.codes else tuple(factors)
@@ -205,18 +218,34 @@ class _Codebook:
         in front of them, so trailing identities are dropped before each
         append (`strip` would drop them anyway).
         """
-        fix, ident = self.fix, self.ident
+        ident, table, fix = self.ident, self.table, self.fix
+        n, fill, unfilled = len(self.images), self.fill, _UNFILLED
         for y in codes:
             while facs and facs[-1] == ident:
                 facs.pop()
             facs.append(y)
             j = len(facs) - 2
+            if table is None:
+                while j >= 0:
+                    a, b, moved = fix(facs[j], facs[j + 1])
+                    if not moved:
+                        break
+                    facs[j], facs[j + 1] = a, b
+                    j -= 1
+                continue
+            # y is the code bound for facs[j + 1], written there once the comb stops
             while j >= 0:
-                a, b, ch = fix(facs[j], facs[j + 1])
-                if not ch:
+                k = facs[j] * n + y
+                fixed = table[k]
+                if fixed is None:
                     break
-                facs[j], facs[j + 1] = a, b
+                if fixed is unfilled:
+                    fixed = fill(k)
+                    if fixed is None:
+                        break
+                y, facs[j + 1] = fixed
                 j -= 1
+            facs[j + 1] = y
 
     def strip(self, facs: list) -> tuple[int, tuple]:
         """(leading half twists, the codes between them and the trailing identities)."""
@@ -233,15 +262,23 @@ class _Codebook:
         self.comb(facs, codes)
         return self.strip(facs)
 
-    def mul(self, x: tuple[int, tuple], y: tuple[int, tuple]) -> tuple[int, tuple]:
-        """The form of the product x y."""
-        (p, xs), (q, ys) = x, y
-        # x's codes are left-weighted already, and so are their flips
-        # (conjugation by Delta is a Garside automorphism)
-        facs = list(map(self.flip, xs)) if q % 2 else list(xs)
-        self.comb(facs, ys)
+    def mul(self, x: tuple[int, tuple], *rest: tuple[int, tuple]) -> tuple[int, tuple]:
+        """The form of the product of x and the forms in `rest`, left to right.
+
+        Each form Delta^q Y moves its Delta^q to the front, which flips
+        the running list when q is odd; the list is left-weighted, and so
+        is its flip (conjugation by Delta is a Garside automorphism), so
+        only Y's codes are combed on.  The list is stripped once at the end.
+        """
+        p, xs = x
+        facs = list(xs)
+        for q, ys in rest:
+            if q % 2:
+                facs = list(map(self.flip, facs))
+            self.comb(facs, ys)
+            p += q
         shift, norm = self.strip(facs)
-        return p + q + shift, norm
+        return p + shift, norm
 
     def inverse(self, x: tuple[int, tuple]) -> tuple[int, tuple]:
         """The form of x^{-1}: Delta^{-1} c_k ... Delta^{-1} c_1 Delta^{-p} for the left

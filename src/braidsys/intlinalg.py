@@ -441,8 +441,10 @@ def reduce_poly(p: IntPolynomial) -> ReducedPolynomial:
     if not p:
         raise ValueError("cannot reduce the zero polynomial")
     a = next(k for k, v in enumerate(p.coeffs) if v)
-    q, b = _divide_out(list(p.coeffs[a:]), 1)
-    q, c = _divide_out(q, -1)
+    q = list(p.coeffs[a:])
+    # a division by x -+ 1 is tried only at a root: q(1) and q(-1) are sums
+    q, b = _divide_out(q, 1) if sum(q) == 0 else (q, 0)
+    q, c = _divide_out(q, -1) if sum(q[0::2]) == sum(q[1::2]) else (q, 0)
     return ReducedPolynomial(a, b, c, IntPolynomial(tuple(q)))
 
 

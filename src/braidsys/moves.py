@@ -79,8 +79,8 @@ def hurwitz_move_codes(book, x, y, inverse: bool, inv):
     one inverse the move needs, y^{-1} or for the undo x^{-1}; the orbit
     search memoises it for each form it interns."""
     if inverse:
-        return book.mul(book.mul(x, y), inv), x
-    return y, book.mul(book.mul(inv, x), y)
+        return book.mul(x, y, inv), x
+    return y, book.mul(inv, x, y)
 
 
 def hurwitz_act(s: BraidSystem, beta: BraidWord, simplify: bool = False) -> BraidSystem:

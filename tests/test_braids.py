@@ -29,6 +29,8 @@ from braidsys import braids
 from braidsys.braids import (
     NormalForm,
     Permutation,
+    _UNFILLED,
+    _Codebook,
     _book,
     _half_twist_letters,
     _lw_fix,
@@ -274,9 +276,11 @@ def test_inverse_matches_bubble_oracle_at_degree_1_and_beyond_8(pair):
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 9])
-def test_codebook_inverse_runs_no_pair_fix(monkeypatch, m):
-    # the inverse is read off the form; only the products below comb
-    book = _book(m)
+def test_codebook_inverse_runs_no_pair_fix(m):
+    # the inverse is read off the form; only the products below comb.  The
+    # codebook is fresh, so at degree <= 5 each pair the comb reads fills
+    # its table slot with one `fix` call
+    book = _Codebook(m)
     rng = random.Random(60 + m)
     forms = [book.form(normal_form(random_word(rng, m, 24))) for _ in range(40)]
     fixes = []
@@ -285,13 +289,39 @@ def test_codebook_inverse_runs_no_pair_fix(monkeypatch, m):
         fixes.append((a, b))
         return fix(a, b)
 
-    monkeypatch.setattr(book, "fix", counting)
+    book.fix = counting
     inverses = [book.inverse(x) for x in forms]
-    assert fixes == []
+    assert fixes == [] and _filled(book) == 0
     assert {x[0] % 2 for x in forms if len(x[1]) >= 2} == {0, 1}
     for x, y in zip(forms, inverses):
         assert book.mul(x, y) == book.mul(y, x) == (0, ())
     assert fixes
+    assert _filled(book) == (len(fixes) if m <= 5 else 0)
+
+
+def _filled(book):
+    """How many slots of the codebook's pair-fix table are filled."""
+    return sum(slot is not _UNFILLED for slot in book.table or ())
+
+
+def test_variadic_product_matches_the_two_step_product_and_the_word():
+    rng = random.Random(61)
+    for m in range(3, 10):
+        book = _book(m)
+        for t in range(16):
+            # the infima take every parity triple; from t = 8 on, each form
+            # is a power of Delta (the identity at power 0) half the time
+            nfs = []
+            for parity in ((t >> 2) & 1, (t >> 1) & 1, t & 1):
+                factors = normal_form(random_word(rng, m, 5)).factors
+                if t >= 8 and rng.random() < 0.5:
+                    factors = ()
+                nfs.append(NormalForm(m, parity * rng.choice((1, -1)), factors))
+            x, y, z = map(book.form, nfs)
+            got = book.mul(x, y, z)
+            assert got == book.mul(book.mul(x, y), z)
+            word = product(product(nfs[0].to_word(), nfs[1].to_word()), nfs[2].to_word())
+            assert book.normal_form(got) == bubble_normal_form(word)
 
 
 @pytest.mark.parametrize("op", [
@@ -388,15 +418,17 @@ def test_permutation_letters_match_the_restarting_scan():
 
 
 def test_pair_fix_matches_the_rescanning_oracle_at_small_degree():
+    # every slot of a fresh table, once filled, against both pair fixes
     for m in range(1, 6):
-        book = _book(m)
-        perms = list(itertools.permutations(range(1, m + 1)))
-        for a in perms:
-            for b in perms:
-                want = _pair_fix(a, b)
-                got = _lw_fix(a, b)
-                x, y, moved = book.fix(book.codes[a], book.codes[b])
-                assert got == (book.images[x], book.images[y], moved) == (*want, want != (a, b))
+        book = _Codebook(m)
+        n = len(book.images)
+        for k in range(n * n):
+            book.fill(k)
+        for (ca, a), (cb, b) in itertools.product(enumerate(book.images), repeat=2):
+            want = _pair_fix(a, b)
+            x, y, moved = _lw_fix(a, b)
+            assert (x, y, moved) == (*want, want != (a, b))
+            assert book.table[ca * n + cb] == ((book.codes[x], book.codes[y]) if moved else None)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 from fractions import Fraction
@@ -446,6 +447,27 @@ def test_reduce_poly_known_values():
 
     red3 = reduce_poly(IntPolynomial.x_power(4))
     assert red3.zero_mult == 4 and red3.core == IntPolynomial((1,))
+
+
+def test_reduce_poly_divides_at_plus_minus_one_only_at_a_root(monkeypatch):
+    deflations = []
+    deflate = intlinalg._deflate
+    monkeypatch.setattr(intlinalg, "_deflate", lambda c, r: deflations.append(r) or deflate(c, r))
+    rng = random.Random(27)
+    for one_mult, neg_one_mult in itertools.product(range(4), repeat=2):
+        for _ in range(8):
+            core = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [rng.choice((1, -1, 2))]
+            p = IntPolynomial(tuple(core)) * IntPolynomial.from_roots(
+                [1] * one_mult + [-1] * neg_one_mult + [0] * rng.randint(0, 1))
+            roots, rest = integer_roots_scan(p)
+            deflations.clear()
+            red = reduce_poly(p)
+            assert red.reassemble() == p
+            found = dict(roots)
+            assert (red.zero_mult, red.one_mult, red.neg_one_mult) == (
+                found.get(0, 0), found.get(1, 0), found.get(-1, 0))
+            assert (1 in deflations, -1 in deflations) == (red.one_mult > 0, red.neg_one_mult > 0)
+            assert split_integer_roots(p) == (roots, rest)
 
 
 def test_reduce_poly_roundtrip():

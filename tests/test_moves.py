@@ -78,7 +78,7 @@ def test_nf_move_agrees_with_word_move():
         move = HurwitzMove(rng.randint(1, n - 1), rng.random() < 0.5)
         via_words = hurwitz_move(s, move).normal_forms()
         via_nf = hurwitz_move_nf(s.normal_forms(), move)
-        assert via_words == via_nf
+        assert via_words == via_nf == hurwitz_move(s, move, simplify=True).normal_forms()
     with pytest.raises(ValueError):
         hurwitz_move_nf(s.normal_forms(), HurwitzMove(n))
     mixed = (normal_form(parse_word("1", 3)), normal_form(parse_word("1", 4)))
@@ -95,7 +95,9 @@ def test_nf_move_agrees_with_word_move_beyond_the_code_tables(m):
         n = rng.randint(2, 4)
         s = BraidSystem(m, tuple(random_word(rng, m, 6) for _ in range(n)))
         move = HurwitzMove(rng.randint(1, n - 1), rng.random() < 0.5)
-        assert hurwitz_move(s, move).normal_forms() == hurwitz_move_nf(s.normal_forms(), move)
+        via_nf = hurwitz_move_nf(s.normal_forms(), move)
+        assert hurwitz_move(s, move).normal_forms() == via_nf
+        assert hurwitz_move(s, move, simplify=True).normal_forms() == via_nf
 
 
 def test_trace_preserved_by_moves():

@@ -309,9 +309,33 @@ def test_codebooks_hold_codes_only_up_to_degree_5():
     for m in range(1, 6):
         book = braids._book(m)
         assert len(book.images) == len(book.codes) <= math.factorial(m)
-        assert book.fix.cache_info().currsize <= math.factorial(m) ** 2
+        assert len(book.table) == math.factorial(m) ** 2
     for m in (8, 32):
         book = braids._book(m)
-        assert book.images == [] and book.codes == {}
+        assert book.images == [] and book.codes == {} and book.table is None
         assert (book.fix, book.flip, book.complement) == (
             braids._lw_fix, braids._tup_flip, braids._tup_left_complement)
+
+
+def test_pair_fix_table_fills_only_the_slots_a_comb_reads(monkeypatch):
+    # a full degree-5 table is 14,400 pair fixes; building it eagerly would
+    # cost every cleared cache more than a short search does
+    braids._book.cache_clear()
+    book = braids._book(5)
+    assert len(book.table) == 120 ** 2
+    assert all(slot is braids._UNFILLED for slot in book.table)
+    reads = set()
+
+    class Recording(list):
+        def __getitem__(self, k):
+            reads.add(k)
+            return super().__getitem__(k)
+
+    monkeypatch.setattr(book, "table", Recording(book.table))
+    rng = random.Random(98)
+    normal_form(random_word(rng, 5, 30, min_len=20))
+    s = BraidSystem(5, tuple(random_word(rng, 5, 4, min_len=1) for _ in range(3)))
+    hurwitz_orbit(s, OrbitLimits(max_states=300))
+    filled = {k for k, slot in enumerate(book.table) if slot is not braids._UNFILLED}
+    assert filled == reads
+    assert 0 < len(filled) < 120 ** 2 // 4
