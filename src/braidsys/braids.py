@@ -323,8 +323,7 @@ class NormalForm(JsonCodec):
     @classmethod
     def from_json(cls, data: dict) -> "NormalForm":
         nf = super().from_json(data)
-        if nf.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {nf.degree}")
+        check_degree(nf.degree)
         for f in nf.factors:
             if len(f) != nf.degree:
                 raise ValueError(f"factor {list(f)} does not have degree {nf.degree}")
@@ -424,6 +423,18 @@ def _permutation_letters(p: tuple[int, ...]) -> list[int]:
     return letters
 
 
+# A report builds m x m matrices: about 4.2 million entries at this bound.
+MAX_DEGREE = 2048
+
+
+def check_degree(degree: int) -> None:
+    """Raise ValueError unless 1 <= degree <= MAX_DEGREE."""
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree must be <= {MAX_DEGREE}, got {degree}")
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the standard generators of the braid group on `degree` strands."""
@@ -432,8 +443,7 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
+        check_degree(self.degree)
         for k in self.letters:
             if k == 0 or abs(k) > self.degree - 1:
                 raise ValueError(f"letter {k} out of range for degree {self.degree}")

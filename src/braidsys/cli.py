@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import refsuite
-from .braids import BraidWord, parse_word
+from .braids import MAX_DEGREE, BraidWord, parse_word
 from .intlinalg import factored_str, split_integer_roots
 from .invariants import BraidSystem, braid_invariants, compare_systems, system_invariants
 from .moves import (
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", parents=[common],
                        help="invariant report for a braid word or a system file")
-    p.add_argument("--degree", type=int)
+    p.add_argument("--degree", type=int, help=f"number of strands, 1 to {MAX_DEGREE}")
     p.add_argument("--word", help="signed letters such as 3,-1,4; its normal form takes "
                                   "O(L^2) time in its length L")
     p.add_argument("--system", help="system JSON file")

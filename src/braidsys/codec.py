@@ -6,10 +6,10 @@ key is the field name unless the field's metadata names another
 (`field(metadata={"json": key})`).  Tuples become lists, None stays null
 and nested values use their own `to_json`.  Decoding follows the field
 type hints and coerces nothing: a value of the wrong JSON type raises
-TypeError and a missing key ValueError, each naming the field.  A union
-takes null only if it names None, and otherwise tries its other arms in
-order: the first that accepts the value decodes it, and if none does,
-the TypeError of the last arm is raised.
+TypeError, and a missing or unknown key ValueError, each naming the
+key.  A union takes null only if it names None, and otherwise tries its
+other arms in order: the first that accepts the value decodes it, and if
+none does, the TypeError of the last arm is raised.
 """
 
 from __future__ import annotations
@@ -33,14 +33,19 @@ class JsonCodec:
         return cls(**{name: decode(hints[name], data[key], key) for name, key in _keys(cls)})
 
 
-def require_keys(name: str, data, keys) -> None:
-    """Raise TypeError naming `name` unless `data` is a JSON object, and
-    ValueError naming the first of `keys` that it lacks."""
+def require_keys(name: str, data, keys, optional=()) -> None:
+    """Raise TypeError naming `name` unless `data` is a JSON object,
+    ValueError naming the first of `keys` that it lacks, and ValueError
+    naming its first key that is in neither `keys` nor `optional`."""
     if not isinstance(data, dict):
         raise TypeError(f"{name}: expected an object, got {type(data).__name__}")
+    keys = tuple(keys)
     for key in keys:
         if key not in data:
             raise ValueError(f"{key}: missing from {name}")
+    for key in data:
+        if key not in keys and key not in optional:
+            raise ValueError(f"{key}: unknown key in {name}")
 
 
 @functools.cache

@@ -77,7 +77,7 @@ class BraidSystem:
 
     @staticmethod
     def from_json(data: dict) -> "BraidSystem":
-        require_keys("BraidSystem", data, ("degree", "components"))
+        require_keys("BraidSystem", data, ("degree", "components"), optional=("name",))
         degree = decode(int, data["degree"], "degree")
         return BraidSystem.from_texts(degree, decode(tuple[str, ...], data["components"], "components"))
 

@@ -3,14 +3,14 @@ Bounded breadth-first exploration of Hurwitz orbits.
 
 A state is the tuple of component normal forms, so words that only
 differ by braid relations collapse to one state.  Inside one search each
-distinct normal form is interned to an int and a state is the tuple of
-those ids; the search runs on the codebook forms (infimum, codes) of
-`braids._book` from start to end, and builds NormalForm tuples only for
-the states it returns.  The search is the brute-force oracle behind the
-invariance suites and a best-effort equivalence certifier: a `complete`
-status with no target found means the explored orbit is closed under
-all elementary moves, which is a genuine non-equivalence certificate;
-`truncated` promises nothing.
+distinct normal form is interned to an int and a state packs those ids
+into one int; the search runs one depth at a time on the codebook forms
+(infimum, codes) of `braids._book`, and builds NormalForm tuples only
+for the states it returns.  The search is the brute-force oracle behind
+the invariance suites and a best-effort equivalence certifier: a
+`complete` status with no target found means the explored orbit is
+closed under all elementary moves, which is a genuine non-equivalence
+certificate; `truncated` promises nothing.
 """
 
 from __future__ import annotations
@@ -54,17 +54,24 @@ class OrbitResult(JsonCodec):
 
 class _Interner:
     """The distinct component forms of one search, numbered in the order
-    they are first met.  For each number it keeps the codebook form
-    (infimum, codes), whether it is within the canonical-length limit,
-    and its inverse's form once a move has needed it."""
+    they are first met: for each its codebook form (infimum, codes),
+    whether it is within the canonical-length limit, and its inverse's
+    form once a move has needed it.  A state of n components packs
+    component j's number into bits [j*width, (j+1)*width).  The start and
+    the target take at most 2n numbers, and each of the at most 2(n-1)
+    moves computed for each of at most max_states expanded states at most
+    two more, so every number is below 2n + 4(n-1)*max_states < 2**width."""
 
-    def __init__(self, degree: int, max_length: int):
-        self.book = braids._book(degree)
+    def __init__(self, s: BraidSystem, limits: OrbitLimits):
+        self.book = braids._book(s.degree)
         self.ids: dict = {}
         self.forms: list = []
         self.short: list[bool] = []
         self.inverses: list = []
-        self.max_length = max_length
+        self.max_length = limits.max_component_canonical_length
+        n = len(s)
+        self.width = (2 * n + 4 * (n - 1) * limits.max_states).bit_length()
+        self.shifts = range(0, n * self.width, self.width)
 
     def __call__(self, form) -> int:
         k = self.ids.get(form)
@@ -81,66 +88,81 @@ class _Interner:
             inv = self.inverses[k] = self.book.inverse(self.forms[k])
         return inv
 
-    def key(self, normal_forms) -> tuple[int, ...]:
-        return tuple(self(self.book.form(nf)) for nf in normal_forms)
+    def ids_of(self, state: int) -> list[int]:
+        mask = (1 << self.width) - 1
+        return [(state >> shift) & mask for shift in self.shifts]
 
-    def state(self, key) -> tuple:
-        return tuple(self.book.normal_form(self.forms[k]) for k in key)
+    def pack(self, normal_forms) -> int:
+        return sum(self(self.book.form(nf)) << shift for shift, nf in zip(self.shifts, normal_forms))
+
+    def unpack(self, state: int) -> tuple:
+        return tuple(self.book.normal_form(self.forms[k]) for k in self.ids_of(state))
 
 
-def _bfs(s: BraidSystem, limits: OrbitLimits, parents: dict, intern: _Interner):
+def _bfs(s: BraidSystem, limits: OrbitLimits, intern: _Interner, target: int | None = None):
     """The breadth-first search behind hurwitz_orbit and orbit_states.
 
-    Inside the search a state is the tuple of the ids that `intern` gives
-    its component normal forms; callers turn ids back into NormalForm
-    tuples with `intern.state`.  Yields (state, depth) for every state as
-    it is discovered, the start first, and records its (parent, move) in
-    `parents` (None for the start).  No state is recorded beyond
-    max_states; once `parents` is full, moves are computed only until one
-    leads to an unrecorded state, so an orbit that closes at exactly
-    max_states is still complete.  Returns True if a limit cut the search
-    short.
+    States and `target` are ints packed by `intern`.  The search expands
+    one depth's frontier list at a time and records each state it
+    discovers, the start first, with its (parent, move) in `parents`
+    (None for the start), so the dict holds the states in discovery
+    order.  No state is recorded beyond max_states; once `parents` is
+    full, moves are computed only until one leads to an unrecorded state,
+    so an orbit that closes at exactly max_states is still complete.
+    Returns (parents, status, depth of the last state found).
 
     A move changes only the pair it acts on, and normal forms are
     canonical, so each (pair, direction) is computed at most once per
     search, by `hurwitz_move_codes` on the pair's codebook forms with the
     inverses `intern` memoises; (a, b) -> (c, d) also records the
-    opposite move (c, d) -> (a, b), which undoes it.  The memos die with
-    the search.  Whether a form is within the canonical-length limit is
-    read off `intern.short`.
+    opposite move (c, d) -> (a, b), which undoes it.  The memo, keyed by
+    2*pair + inverse, holds the change to the packed pair and whether
+    both new forms are within the canonical-length limit.  The start is
+    never cut by that limit, so if it holds a longer form every new state
+    is checked whole.  The memo dies with the search.
     """
-    start = intern.key(s.normal_forms())
-    moves = [(i, inv, HurwitzMove(i, inv)) for i in range(1, len(s)) for inv in (False, True)]
-    book, forms, short = intern.book, intern.forms, intern.short
-    moved: dict = {}  # (a, b, inverse) -> the pair of ids the move puts in their place
-    parents[start] = None
-    yield start, 0
-    queue = deque([(start, 0)])
-    truncated = False
-    while queue:
-        state, depth = queue.popleft()
+    start = intern.pack(s.normal_forms())
+    parents: dict = {start: None}
+    if start == target:
+        return parents, "target_found", 0
+    width, short = intern.width, intern.short
+    mask2 = (1 << 2 * width) - 1
+    moves = [(width * (i - 1), inv, HurwitzMove(i, inv)) for i in range(1, len(s)) for inv in (False, True)]
+    start_short = all(map(short.__getitem__, intern.ids_of(start)))
+    book, forms = intern.book, intern.forms
+    moved: dict = {}  # 2*pair + inverse -> (change to the pair, both new forms short)
+    frontier, depth, truncated = [start], 0, False
+    while frontier:
         if depth >= limits.max_depth:
-            truncated = True
-            continue
-        for i, inv, move in moves:
-            a, b = state[i - 1], state[i]
-            pair = moved.get((a, b, inv))
-            if pair is None:
-                c, d = hurwitz_move_codes(book, forms[a], forms[b], inv, intern.inverse(a if inv else b))
-                pair = moved[a, b, inv] = (intern(c), intern(d))
-                moved.setdefault(pair + (not inv,), (a, b))
-            nxt = state[: i - 1] + pair + state[i + 1 :]
-            if nxt in parents:
-                continue
-            if len(parents) >= limits.max_states:
-                return True
-            if not all(map(short.__getitem__, nxt)):
-                truncated = True
-                continue
-            parents[nxt] = (state, move)
-            yield nxt, depth + 1
-            queue.append((nxt, depth + 1))
-    return truncated
+            return parents, "truncated", depth
+        found = []
+        for state in frontier:
+            for shift, inv, move in moves:
+                pair = (state >> shift) & mask2
+                hit = moved.get(2 * pair + inv)
+                if hit is None:
+                    b, a = divmod(pair, 1 << width)
+                    c, d = hurwitz_move_codes(book, forms[a], forms[b], inv, intern.inverse(a if inv else b))
+                    c, d = intern(c), intern(d)
+                    new = c | (d << width)
+                    hit = moved[2 * pair + inv] = (new - pair, short[c] and short[d])
+                    moved.setdefault(2 * new + (not inv), (pair - new, short[a] and short[b]))
+                delta, ok = hit
+                nxt = state + (delta << shift)
+                if nxt in parents:
+                    continue
+                if len(parents) >= limits.max_states:
+                    return parents, "truncated", depth + bool(found)
+                if not (ok and (start_short or all(map(short.__getitem__, intern.ids_of(nxt))))):
+                    truncated = True
+                    continue
+                parents[nxt] = (state, move)
+                if nxt == target:
+                    return parents, "target_found", depth + 1
+                found.append(nxt)
+        frontier = found
+        depth += 1
+    return parents, "truncated" if truncated else "complete", depth - 1
 
 
 def _witness(parents: dict, key) -> tuple[HurwitzMove, ...]:
@@ -159,26 +181,19 @@ def hurwitz_orbit(
     """BFS over the elementary Hurwitz moves, deduplicated by normal form."""
     if target is not None and (target.degree != s.degree or len(target) != len(s)):
         raise ValueError("target must have the same degree and length as the source")
-    intern = _Interner(s.degree, limits.max_component_canonical_length)
-    target_key = intern.key(target.normal_forms()) if target is not None else None
-    parents: dict = {}
-    search = _bfs(s, limits, parents, intern)
-    try:
-        while True:
-            state, depth = next(search)
-            if state == target_key:
-                return OrbitResult("target_found", len(parents), witness=_witness(parents, state))
-    except StopIteration as stop:
-        if stop.value:
-            return OrbitResult("truncated", len(parents))
-        return OrbitResult("complete", len(parents), frontier_exhausted_at_depth=depth)
+    intern = _Interner(s, limits)
+    target_key = intern.pack(target.normal_forms()) if target is not None else None
+    parents, status, depth = _bfs(s, limits, intern, target_key)
+    return OrbitResult(status, len(parents),
+                       witness=_witness(parents, target_key) if status == "target_found" else None,
+                       frontier_exhausted_at_depth=depth if status == "complete" else None)
 
 
 def orbit_states(s: BraidSystem, limits: OrbitLimits = OrbitLimits()):
     """Yield the visited normal-form state tuples of the bounded BFS."""
-    intern = _Interner(s.degree, limits.max_component_canonical_length)
-    for state, _ in _bfs(s, limits, {}, intern):
-        yield intern.state(state)
+    intern = _Interner(s, limits)
+    for state in _bfs(s, limits, intern)[0]:
+        yield intern.unpack(state)
 
 
 def replay_witness(s: BraidSystem, witness) -> BraidSystem:

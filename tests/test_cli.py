@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from braidsys import BraidSystem, braids_equal, cli, refsuite
+from braidsys import BraidSystem, BraidWord, braids_equal, cli, refsuite
+from braidsys.braids import MAX_DEGREE, parse_word
 from braidsys.cli import load_system, main
 from braidsys.invariants import BraidInvariantReport, SystemInvariantReport
 from braidsys.orbit import OrbitLimits
@@ -288,6 +293,8 @@ def test_malformed_system_file(tmp_path):
     pytest.param('{"degree": 3,\n "components": ["1"]', "Expecting ',' delimiter", id="truncated"),
     # raw bytes: not UTF-8
     pytest.param(b"\xff{}", "can't decode byte 0xff", id="not-utf-8"),
+    ({"degree": 3, "components": ["1"], "x": 1}, "x: unknown key in BraidSystem"),
+    ({"degree": MAX_DEGREE + 1, "components": ["1"]}, f"degree must be <= {MAX_DEGREE}, got"),
 ])
 def test_malformed_system_file_names_the_field(tmp_path, capsys, data, field):
     bad = tmp_path / "bad.json"
@@ -313,6 +320,103 @@ def test_system_file_degree_must_be_an_integer(tmp_path, capsys, degree):
     bad.write_text(json.dumps({"degree": degree, "components": ["3"]}))
     assert main(["invariants", "--system", str(bad)]) == 1
     assert "malformed system file" in capsys.readouterr().err
+
+
+def test_system_file_may_carry_a_name(tmp_path):
+    named = tmp_path / "named.json"
+    named.write_text(json.dumps({"degree": 3, "components": ["1"], "name": "one"}))
+    assert load_system(str(named)) == BraidSystem.from_texts(3, ["1"])
+
+
+@pytest.mark.parametrize("degree", [MAX_DEGREE + 1, 99_999_999_999])
+def test_degree_above_the_bound_is_a_usage_error(capsys, degree):
+    # at 99,999,999,999 the report's matrices used to run out of memory
+    assert main(["invariants", "--degree", str(degree), "--word", "1"]) == 1
+    assert capsys.readouterr().err == f"error: degree must be <= {MAX_DEGREE}, got {degree}\n"
+    assert parse_word("1", MAX_DEGREE) == BraidWord(MAX_DEGREE, (1,))
+
+
+# --- in-process fuzzing of the command line ---------------------------------
+
+# Small degrees keep every report cheap, and both sides of the degree bound
+# are tried.  Most cases are well formed, so that the commands run past
+# their parsing; sampled_from shrinks towards its first entries.
+_DEGREES = st.sampled_from([4, 5, 4, 5, 3, 2, 1, 0, -1, MAX_DEGREE + 1, 10**11])
+_WORDS = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=4).map(lambda ks: ",".join(map(str, ks)))
+_JUNK_WORDS = st.sampled_from(["", "x", "1,,2", "1.5", "--1", "0", "7"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _files(draw):
+    """The bytes of a system file: mostly a system of small degree, at
+    times with a bad word, an extra key or no component, and at times
+    other JSON, text or bytes."""
+    kind = draw(st.integers(0, 9))
+    if kind == 9:
+        return draw(st.binary(max_size=12))
+    if kind == 8:
+        return draw(st.text(max_size=12)).encode()
+    if kind == 7:
+        return json.dumps(draw(_JSON)).encode()
+    components = draw(st.lists(_WORDS, min_size=kind != 6, max_size=3))
+    if kind == 5:
+        components.append(draw(_JUNK_WORDS))
+    system = {"degree": draw(_DEGREES), "components": components}
+    if kind == 4:
+        system[draw(st.sampled_from(["name", "x"]))] = draw(st.text(max_size=3))
+    return json.dumps(system).encode()
+
+
+_STEPS = st.lists(st.sampled_from(
+    ["H 1 +", "H 2 -", "H 0 +", "H 1 ?", "GC 1,-2", "GC 9", "STAB", "DESTAB",
+     "FUSE 1 1", "FUSE 1 0", "FUSE 2 5", "bogus"]), max_size=3).map(" / ".join)
+_LIMITS = st.sampled_from([12, 3, 1, 30, 2, 0, -1]).map(str)
+
+
+@st.composite
+def _argv(draw):
+    """argv that argparse accepts, so that every failure is the command's
+    own; `FILE1` and `FILE2` stand for the two generated system files."""
+    command = draw(st.sampled_from(["invariants-word", "invariants-system", "compare", "apply", "orbit"]))
+    if command == "invariants-word":
+        argv = ["invariants", f"--degree={draw(_DEGREES)}", f"--word={draw(_WORDS | _JUNK_WORDS)}"]
+    elif command == "invariants-system":
+        argv = ["invariants", "--system", "FILE1"]
+    elif command == "compare":
+        argv = ["compare", "FILE1", "FILE2"]
+    elif command == "apply":
+        argv = ["apply", "--system", "FILE1", f"--steps={draw(_STEPS)}"]
+    else:
+        argv = ["orbit", "--system", "FILE1", f"--max-states={draw(_LIMITS)}",
+                f"--max-depth={draw(_LIMITS)}", f"--max-canonical-length={draw(_LIMITS)}"]
+        if draw(st.booleans()):
+            argv += ["--target", "FILE2"]
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@settings(max_examples=200, deadline=2000)
+@given(argv=_argv(), first=_files(), second=_files())
+def test_cli_fuzz_fails_cleanly(argv, first, second):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"FILE1": Path(tmp) / "first.json", "FILE2": Path(tmp) / "second.json"}
+        files["FILE1"].write_bytes(first)
+        files["FILE2"].write_bytes(second)
+        argv = [str(files.get(arg, arg)) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "internal error" not in err
+    if code:
+        assert err.count("\n") <= 1, err
+    else:
+        assert not err
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -228,6 +228,38 @@ def test_start_state_is_not_cut_by_canonical_length():
     assert res.status == "truncated" and res.states_visited == 1
 
 
+def test_long_start_component_is_carried_only_into_checked_states():
+    # the start's first component has canonical length 2, past the cut of 1;
+    # moves that leave it in place give two short new forms, so the search
+    # must check such states whole rather than trust the two new forms
+    s = BraidSystem.from_texts(4, ["1,2,3,1,2,3", "1", "3"])
+    lims = OrbitLimits(max_states=400, max_component_canonical_length=1)
+    res, states = orbit_bfs_plain(s, lims)
+    assert res.status == "truncated" and res.states_visited == 4
+    assert hurwitz_orbit(s, lims) == res
+    assert list(orbit_states(s, lims)) == states
+
+
+def test_interned_forms_fit_the_packed_field_width(monkeypatch):
+    interners = []
+
+    class Spy(braidsys.orbit._Interner):
+        def __init__(self, *args):
+            super().__init__(*args)
+            interners.append(self)
+
+    monkeypatch.setattr(braidsys.orbit, "_Interner", Spy)
+    rng = random.Random(83)
+    searches = [_random_search(rng) for _ in range(150)]
+    searches.append((INTRO_B, OrbitLimits(max_states=10_000), None))
+    for s, lims, target in searches:
+        interners.clear()
+        hurwitz_orbit(s, lims, target)
+        (intern,) = interners
+        n = len(s)
+        assert len(intern.forms) <= 2 * n + 4 * (n - 1) * lims.max_states < 2 ** intern.width
+
+
 def test_bfs_is_deterministic():
     bvec = BraidSystem.from_texts(4, ["1,2,-3", "3", "-2", "-1"])
     lims = OrbitLimits(max_states=200, max_depth=6)
