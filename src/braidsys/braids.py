@@ -374,7 +374,7 @@ class NormalForm(JsonCodec):
         """Half-twist power times the twist length plus the factor lengths:
         a factor's reduced word has one letter per inversion."""
         m = self.degree
-        return self.infimum * m * (m - 1) // 2 + len(self.factor_letters())
+        return self.infimum * m * (m - 1) // 2 + sum(map(_inversions, self.factors))
 
     def to_word(self) -> "BraidWord":
         """Re-expand as a freely reduced braid word (half-twist blocks, then
@@ -421,6 +421,18 @@ def _permutation_letters(p: tuple[int, ...]) -> list[int]:
         letters += range(k, j, -1)
         done.insert(j, v)
     return letters
+
+
+def _inversions(p: tuple[int, ...]) -> int:
+    """The number of pairs k < l with p[k] > p[l], by the bisect pass of
+    `_permutation_letters`, which spells one letter per inversion."""
+    done: list[int] = []
+    count = 0
+    for k, v in enumerate(p):
+        j = bisect.bisect(done, v)
+        count += k - j
+        done.insert(j, v)
+    return count
 
 
 # A report builds m x m matrices: about 4.2 million entries at this bound.

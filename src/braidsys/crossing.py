@@ -15,15 +15,29 @@ convention swaps over and under in every crossing, so its matrix is
 so the same under either convention.
 
 A braid given by its normal form Delta^d A_1 ... A_k is not re-expanded
-into a word: the d half twists have a closed-form matrix, so only the
-positive word of the factors is swept (see `pure_power_matrix`).
+into a word: the half twists of a negative infimum are spent on the
+first factors, turning each into the inverse of its short complement,
+and the half twists left over have a closed-form matrix, so only a short
+mixed word is swept (see `_normal_form_entries`).  The pure-power matrix
+is read off that matrix's nonzero entries, one orbit total each (see
+`pure_power_matrix`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import compress
 
-from .braids import BraidWord, NormalForm, Permutation, permutation
+from .braids import (
+    BraidWord,
+    NormalForm,
+    Permutation,
+    _permutation_letters,
+    _tup_flip,
+    _tup_left_complement,
+    permutation,
+)
 from .intlinalg import matrix_rows
 
 
@@ -81,22 +95,46 @@ def crossing_matrix(b: BraidWord) -> CrossingMatrix:
     return CrossingMatrix(m, tuple(tuple(row) for row in entries))
 
 
-def _normal_form_entries(nf: NormalForm) -> list[list[int]]:
-    """Crossing matrix rows of Delta^d W, W the positive word of the factors.
+def _normal_form_entries(nf: NormalForm) -> tuple[tuple[int, ...], ...] | list[list[int]]:
+    """Crossing matrix rows of the normal form Delta^d A_1 ... A_k, from a
+    sweep of a short mixed word.
 
+    For d < 0 and t = min(-d, k), Delta^-t A_1 ... A_t is the product over
+    j = 1..t of (D tau^(t-j)(A_j))^-1, where tau is the flip and
+    D A = A^-1 Delta the left complement of tau(A) (El-Rifai and Morton
+    1994; Epstein et al., *Word Processing in Groups*, ch. 9).  So the
+    word swept is the inverted words of those t complements, then the
+    positive words of A_(t+1) ... A_k: D tau^(t-j)(A_j) is the left
+    complement of A_j when t - j is odd and of tau(A_j) when it is even.
+    A factor near Delta has a short complement, and the factors of a
+    negative infimum are mostly such: for random words of 64 letters at
+    m = 32 the word swept has 90 letters on average, where the positive
+    word of the factors has 1,538.
+
+    What is left is Delta^e, e = d + t, nonzero only when d > 0 or -d > k.
     Every pair of strands crosses once in Delta, and Delta reverses the
     positions, so the strand on the left alternates from one half twist
     to the next.  It passes over in Delta; in Delta^-1 the strand on the
-    right passes over, with sign -1.  So for i < j, Delta^d adds ceil(d/2)
-    to C[i][j] and floor(d/2) to C[j][i], for d of either sign.  The
-    strand that starts at i enters W at position i, or at m+1-i when d
-    is odd.
+    right passes over, with sign -1.  So for i < j, Delta^e adds ceil(e/2)
+    to C[i][j] and floor(e/2) to C[j][i], for e of either sign.  The
+    strand that starts at i enters the swept word at position i, or at
+    m+1-i when e is odd.
     """
-    m, d = nf.degree, nf.infimum
-    W = crossing_matrix(BraidWord(m, nf.factor_letters())).entries
-    if d % 2:
+    m, d, factors = nf.degree, nf.infimum, nf.factors
+    t = min(-d, len(factors)) if d < 0 else 0
+    letters: list[int] = []
+    for j, a in enumerate(factors[:t], start=1):
+        c = _tup_left_complement(a if (t - j) % 2 else _tup_flip(a))
+        letters += [-k for k in reversed(_permutation_letters(c))]
+    for a in factors[t:]:
+        letters += _permutation_letters(a)
+    W = crossing_matrix(BraidWord(m, tuple(letters))).entries
+    e = d + t
+    if not e:
+        return W
+    if e % 2:
         W = [row[::-1] for row in W[::-1]]
-    upper, lower = -(-d // 2), d // 2
+    upper, lower = -(-e // 2), e // 2
     return [
         [v + lower for v in row[:i]] + [0] + [v + upper for v in row[i + 1 :]]
         for i, row in enumerate(W)
@@ -109,16 +147,20 @@ def pure_power_matrix(b: BraidWord | NormalForm) -> tuple[int, CrossingMatrix]:
     b^r is a pure braid, so the returned matrix is symmetric: the same in
     either over-strand convention.  It is read off the matrix C of b
     alone, with no power word built: one sweep of a word, or, for a normal
-    form, the closed form of its half twists plus one sweep of the
-    positive word of its factors.  With e the permutation of b, the
-    strands that enter the t-th copy of b at positions e^t(i) and e^t(j)
-    started at i and j, so
+    form, one sweep of a short mixed word plus the closed form of the half
+    twists left over (see `_normal_form_entries`).  With e the permutation
+    of b, the strands that enter the t-th copy of b at positions e^t(i)
+    and e^t(j) started at i and j, so
 
         C(b^r)[i][j] = sum over t < r of C(b)[e^t(i)][e^t(j)].
 
     The terms repeat along the orbit of (i, j) under e x e, whose length
-    L divides r, so each orbit is summed once, scaled by r / L, and the
-    total is written to every pair of the orbit.
+    L = lcm(a, b) divides r, for a and b the lengths of the cycles of e
+    through i and j.  The orbit is named by those two cycles and by
+    (pos j - pos i) mod gcd(a, b), pos the place in the cycle, since one
+    step of e adds 1 to both places.  So only the nonzero entries of C
+    are read, each added to its orbit's total, and only the orbits with
+    a nonzero total are written, each with its total times r / L.
 
     A word is swept as it is, not through its normal form: the sweep is
     linear in the word, while `normal_form` of a long word is not.  At
@@ -130,23 +172,29 @@ def pure_power_matrix(b: BraidWord | NormalForm) -> tuple[int, CrossingMatrix]:
         perm, C = b.permutation(), _normal_form_entries(b)
     else:
         perm, C = permutation(b), crossing_matrix(b).entries
-    r, e = perm.order(), perm.images
-    m = perm.degree
+    m, cycles = perm.degree, perm.cycles()
+    cycle_of, place = [0] * m, [0] * m
+    for c, cycle in enumerate(cycles):
+        for p, i in enumerate(cycle):
+            cycle_of[i - 1], place[i - 1] = c, p
+    lengths = list(map(len, cycles))
+    r = math.lcm(*lengths)
+    totals: dict[tuple[int, int, int], int] = {}
+    for i, row in enumerate(C):
+        ci, pi = cycle_of[i], place[i]
+        for j in compress(range(m), row):
+            cj = cycle_of[j]
+            key = (ci, cj, (place[j] - pi) % math.gcd(lengths[ci], lengths[cj]))
+            totals[key] = totals.get(key, 0) + row[j]
     entries = [[0] * m for _ in range(m)]
-    seen = [[False] * m for _ in range(m)]
-    for i0 in range(m):
-        for j0 in range(m):
-            if seen[i0][j0] or i0 == j0:
-                continue
-            orbit = []
-            i, j = i0, j0
-            while not seen[i][j]:
-                seen[i][j] = True
-                orbit.append((i, j))
-                i, j = e[i] - 1, e[j] - 1
-            total = sum(C[p][q] for p, q in orbit) * (r // len(orbit))
-            for p, q in orbit:
-                entries[p][q] = total
+    for (ci, cj, delta), total in totals.items():
+        if not total:
+            continue
+        I, J, li, lj = cycles[ci], cycles[cj], lengths[ci], lengths[cj]
+        L = math.lcm(li, lj)
+        v = total * (r // L)
+        for s in range(L):
+            entries[I[s % li] - 1][J[(s + delta) % lj] - 1] = v
     return r, CrossingMatrix(m, tuple(tuple(row) for row in entries))
 
 

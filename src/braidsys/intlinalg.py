@@ -1,11 +1,13 @@
 """
 Exact integer linear algebra and polynomial arithmetic.
 
-Characteristic polynomials come from one Hessenberg reduction in O(n^3)
-modulo N, a product of primes just below 2^62 that exceeds
-2 max_k C(n,k) s^k + 1, where s = ceil(sqrt(ceil(F^2 / n))) and F^2 is the
-sum of the squared entries: no coefficient is larger in absolute value than
-half of that (see `charpoly`), so each is its symmetric residue mod N.
+A characteristic polynomial is the product of those of the diagonal
+blocks, the connected components of the nonzero pattern.  Each block of
+n > 1 rows takes one Hessenberg reduction in O(n^3) modulo N, a product of
+primes just below 2^62 that exceeds 2 max_k C(n,k) s^k + 1, where
+s = ceil(sqrt(ceil(F^2 / n))) and F^2 is the sum of the block's squared
+entries: no coefficient is larger in absolute value than half of that (see
+`charpoly`), so each is its symmetric residue mod N.
 Determinants and ranks use fraction-free Bareiss elimination, so every
 value stays an exact Python integer.  Polynomials are integer
 polynomials stored as ascending coefficient tuples; "essential" root
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 
 from .codec import JsonCodec
 
@@ -87,13 +89,7 @@ class IntPolynomial(JsonCodec):
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not self.coeffs or not other.coeffs:
             return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
+        return IntPolynomial(tuple(_mul_coeffs(self.coeffs, other.coeffs)))
 
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
@@ -119,6 +115,20 @@ class IntPolynomial(JsonCodec):
         for sign, body in terms[1:]:
             out += f" {sign} {body}"
         return out
+
+
+def _mul_coeffs(a, b) -> list[int]:
+    """Ascending coefficients of the product of two nonempty ascending
+    coefficient sequences, by schoolbook multiplication: the longer one,
+    times each coefficient of the shorter, is added in at its offset."""
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(a)
+    out = [0] * (n + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            out[j : j + n] = [u + y * x for u, x in zip(out[j : j + n], a)]
+    return out
 
 
 def _deflate(c, root: int) -> tuple[list[int], int]:
@@ -265,11 +275,61 @@ def _coefficient_bound(rows) -> int:
     return largest
 
 
-def charpoly(M) -> IntPolynomial:
-    """det(xI - M), exactly, from its residue modulo a product of primes below 2^62.
+def _blocks(rows) -> list[list[int]]:
+    """The connected components of the links i - j with M[i][j] != 0 or
+    M[j][i] != 0, each an ascending list of indices.  No entry of M links
+    two components, so listing them in turn permutes M to block-diagonal
+    form."""
+    n = len(rows)
+    links = [list(compress(range(n), row)) for row in rows]
+    back: list[list[int]] = [[] for _ in range(n)]
+    for i, js in enumerate(links):
+        for j in js:
+            back[j].append(i)
+    seen = [False] * n
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        for i in block:  # the list grows while it is walked
+            for j in chain(links[i], back[i]):
+                if not seen[j]:
+                    seen[j] = True
+                    block.append(j)
+        blocks.append(sorted(block))
+    return blocks
 
-    The coefficient of x^(n-k) is (-1)^k e_k(lambda), e_k the k-th
-    elementary symmetric function of the eigenvalues lambda_i, so
+
+def _block_charpoly(rows) -> list[int]:
+    """Ascending coefficients of det(xI - B) for one diagonal block B (see
+    `charpoly`): x - v for B = [v], else one `_charpoly_mod` pass modulo
+    the product N of the fewest primes below 2^62 with
+    N > 2 max_k C(n,k) s^k + 1 for this block's n and s, each coefficient
+    lifted to its symmetric residue."""
+    if len(rows) == 1:
+        return [-rows[0][0], 1]
+    bound = 2 * _coefficient_bound(rows) + 1
+    modulus, i = 1, 0
+    while modulus <= bound:
+        modulus, i = modulus * _modulus(i), i + 1
+    return [c - modulus if 2 * c > modulus else c for c in _charpoly_mod(rows, modulus)]
+
+
+def charpoly(M) -> IntPolynomial:
+    """det(xI - M), exactly: the product of the polynomials of the diagonal
+    blocks of M, each from its residue modulo a product of primes below 2^62.
+
+    A simultaneous permutation of rows and columns, which keeps
+    det(xI - M), brings any square matrix to block-diagonal form with one
+    block per connected component of its nonzero pattern (`_blocks`).  A
+    pure-power matrix at m = 32 splits into about ten such blocks, the
+    largest of about ten rows, so most of the O(n^3) pass is never run.
+
+    Within a block of size n, the coefficient of x^(n-k) is
+    (-1)^k e_k(lambda), e_k the k-th elementary symmetric function of the
+    eigenvalues lambda_i, so
 
         |c_{n-k}| <= e_k(|lambda|) <= C(n,k) (sum |lambda_i| / n)^k
                   <= C(n,k) (sum |lambda_i|^2 / n)^(k/2)
@@ -282,15 +342,14 @@ def charpoly(M) -> IntPolynomial:
     F^2 <= n rho^2 for rho the largest absolute row sum, s <= rho, so the
     bound is never weaker than the row-sum bound C(n,k) rho^k.  Primes
     are multiplied until their product N exceeds twice the largest C(n,k) s^k
-    plus one; one `_charpoly_mod` pass then gives each coefficient mod N,
-    unique in the symmetric range.
+    plus one; one `_charpoly_mod` pass per block of two or more rows then
+    gives each coefficient mod N, unique in the symmetric range.
     """
     rows = matrix_rows(M)
-    bound = 2 * _coefficient_bound(rows) + 1
-    modulus, i = 1, 0
-    while modulus <= bound:
-        modulus, i = modulus * _modulus(i), i + 1
-    return IntPolynomial(tuple(c - modulus if 2 * c > modulus else c for c in _charpoly_mod(rows, modulus)))
+    coeffs = [1]
+    for block in _blocks(rows):
+        coeffs = _mul_coeffs(coeffs, _block_charpoly([[rows[i][j] for j in block] for i in block]))
+    return IntPolynomial(tuple(coeffs))
 
 
 def _exact_div(a: int, b: int) -> int:

@@ -117,6 +117,7 @@ def _report_for_normal_form(nf: NormalForm) -> BraidInvariantReport:
     # det M = (-1)^n c_0; and M is symmetric, hence diagonalizable, so its
     # rank is n minus the multiplicity of the root 0
     n, zero_mult = cp.degree, next(k for k, c in enumerate(cp.coeffs) if c)
+    S_rows = M.row_multisets()  # M is symmetric, so these are its column multisets too
     return BraidInvariantReport(
         degree=nf.degree,
         r=r,
@@ -124,8 +125,8 @@ def _report_for_normal_form(nf: NormalForm) -> BraidInvariantReport:
         determinant=(-1) ** n * cp.coeffs[0],
         rank=n - zero_mult,
         S=M.entry_multiset(),
-        S_rows=M.row_multisets(),
-        S_cols=M.col_multisets(),
+        S_rows=S_rows,
+        S_cols=S_rows,
         integer_eigenvalues=integer_roots(cp),
         normal_form=nf,
     )

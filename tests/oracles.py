@@ -101,6 +101,21 @@ def is_prime_mr(n: int) -> bool:
     return True
 
 
+def matrix_components(rows):
+    """The index sets of a square matrix linked by a nonzero entry either
+    way, M[i][j] != 0 or M[j][i] != 0, each an ascending list, ordered by
+    their least index: merged pair by pair over all n^2 cells."""
+    n = len(rows)
+    comp = [{i} for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if (rows[i][j] or rows[j][i]) and comp[i] is not comp[j]:
+                merged = comp[i] | comp[j]
+                for k in merged:
+                    comp[k] = merged
+    return [list(c) for c in sorted({tuple(sorted(c)) for c in comp})]
+
+
 def det_fraction(rows):
     n = len(rows)
     a = [[Fraction(v) for v in r] for r in rows]

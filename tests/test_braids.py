@@ -42,6 +42,7 @@ from oracles import (
     _pair_fix,
     bubble_normal_form,
     bubble_normalize,
+    delta_power_word,
     flip_by_conjugation,
     normal_form_letterwise,
     odd_infimum_word,
@@ -151,6 +152,19 @@ def test_exponent_sum():
         a, b = random_word(rng, m, 8), random_word(rng, m, 8)
         assert exponent_sum(product(a, b)) == exponent_sum(a) + exponent_sum(b)
         assert exponent_sum(conjugate(a, b)) == exponent_sum(a)
+
+
+def test_normal_form_exponent_sum_matches_the_word():
+    # each factor counts its inversions; the half twists count m(m-1)/2 each
+    rng = random.Random(44)
+    signs = set()
+    for _ in range(300):
+        m = rng.randint(1, 12)
+        w = delta_power_word(m, rng.randint(-3, 3), random_word(rng, m, 3 * m).letters)
+        nf = normal_form(w)
+        signs.add((nf.infimum > 0) - (nf.infimum < 0))
+        assert nf.exponent_sum() == exponent_sum(w)
+    assert signs == {-1, 0, 1}
 
 
 def test_normal_form_group_laws():

@@ -94,6 +94,40 @@ def test_normal_form_matrices_match_the_word_sweep(w):
         assert got == pure_power_matrix_literal(w, flipped=flipped)
 
 
+def test_normal_form_pure_powers_of_negative_infima():
+    # Delta^d A_1 ... A_k with d < 0 sweeps the inverted complements of the
+    # first t = min(-d, k) factors, each flipped or not by the parity of
+    # t - j, then the rest; both cases of t occur with t >= 2, so with
+    # both parities, and the half twists left over when k < -d
+    rng = random.Random(45)
+    seen = set()
+    for _ in range(300):
+        m = rng.randint(2, 10)
+        w = delta_power_word(m, -rng.randint(1, 4), random_word(rng, m, 4 * m).letters)
+        nf = normal_form(w)
+        d, k = nf.infimum, nf.canonical_length
+        if d < 0 and min(-d, k) >= 2:
+            seen.add("t = k < -d" if k < -d else "t = -d <= k")
+        C = _normal_form_entries(nf)
+        assert CrossingMatrix(m, tuple(map(tuple, C))) == crossing_matrix(w)
+        assert pure_power_matrix(nf) == pure_power_matrix_literal(w)
+    assert seen == {"t = k < -d", "t = -d <= k"}
+
+
+@pytest.mark.parametrize("w", [
+    BraidWord(6),  # the identity: r = 1, no crossing
+    parse_word("1,1,-3,-3,2,2", 5),  # pure: r = 1
+    delta_power_word(7, 2),  # the full twist: identity permutation, every pair crossed twice
+    delta_power_word(6, -2, (1, 1)),
+    BraidWord(32, tuple(range(1, 32))),  # one 32-cycle: a single long orbit per pair
+    BraidWord(31, tuple(k if k % 2 else -k for k in range(30, 0, -1))),
+    delta_power_word(9, -1, tuple(range(8, 0, -1))),
+])
+def test_pure_power_matrix_at_extreme_cycle_types(w):
+    want = pure_power_matrix_literal(w)
+    assert pure_power_matrix(w) == pure_power_matrix(normal_form(w)) == want
+
+
 def test_weaving_power_is_flat():
     for m in (3, 5, 7):
         M = crossing_matrix(power(family_weaving(m), m))

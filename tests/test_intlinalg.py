@@ -34,6 +34,7 @@ from oracles import (
     det_fraction,
     integer_roots_scan,
     is_prime_mr,
+    matrix_components,
     random_word,
     rank_fraction,
 )
@@ -147,6 +148,42 @@ def test_charpoly_of_a_pure_power_matrix_at_degree_32():
     assert charpoly(M) == charpoly_berkowitz(M)
 
 
+@st.composite
+def hidden_block_matrices(draw):
+    """Block-diagonal matrices of 0-6 blocks of size 1-5, with entries up
+    to 10^30, hidden by a random simultaneous permutation of rows and
+    columns; some pairs of consecutive blocks are linked one way only,
+    M[i][j] != 0 = M[j][i], which makes them one block."""
+    top = draw(st.sampled_from([1, 10, 10**30]))
+    sizes = draw(st.lists(st.integers(1, 5), max_size=6))
+    n = sum(sizes)
+    rows = [[0] * n for _ in range(n)]
+    starts = list(itertools.accumulate([0] + sizes))
+    for a, b in zip(starts, starts[1:]):
+        for i in range(a, b):
+            for j in range(a, b):
+                rows[i][j] = draw(st.integers(-top, top))
+    for a, b, c in zip(starts, starts[1:], starts[2:]):
+        if draw(st.booleans()):
+            i, j = draw(st.integers(a, b - 1)), draw(st.integers(b, c - 1))
+            if draw(st.booleans()):
+                i, j = j, i
+            rows[i][j], rows[j][i] = draw(st.integers(1, top)), 0
+    order = draw(st.permutations(range(n)))
+    return [[rows[i][j] for j in order] for i in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hidden_block_matrices())
+@example([])
+@example([[0] * 5 for _ in range(5)])
+@example([[7 if i == j else 0 for j in range(4)] for i in range(4)])  # 1x1 blocks
+@example([[0, 3, 0], [0, 0, 0], [0, 0, 5]])  # a one-way link
+def test_charpoly_of_hidden_blocks_matches_berkowitz(rows):
+    assert intlinalg._blocks(rows) == matrix_components(rows)
+    assert charpoly(rows) == charpoly_berkowitz(rows)
+
+
 def _record_moduli(monkeypatch):
     """The moduli of every _charpoly_mod call from here on, in call order."""
     moduli, real = [], intlinalg._charpoly_mod
@@ -159,16 +196,35 @@ def _record_moduli(monkeypatch):
     return moduli
 
 
+def _frobenius_modulus_bound(rows) -> int:
+    """2 max_k C(n,k) s^k + 1, s = ceil(sqrt(ceil(F^2 / n))): every modulus
+    of a block of n rows must exceed it."""
+    n = len(rows)
+    q = -(-sum(v * v for r in rows for v in r) // n)
+    s = math.isqrt(q) + (math.isqrt(q) ** 2 < q)
+    return 2 * max(math.comb(n, k) * s**k for k in range(n + 1)) + 1
+
+
 @pytest.mark.parametrize("m, seed", [(24, 31), (24, 32), (32, 33)])
 def test_charpoly_of_normal_form_pure_powers(monkeypatch, m, seed):
-    # the report's matrices: pure powers read off the normal form, at the
-    # degrees where the coefficient bound needs the most moduli, each in
-    # one Hessenberg pass modulo the product of them all
+    # the report's matrices: pure powers read off the normal form, which
+    # split into blocks; each block of two or more rows takes one
+    # Hessenberg pass, modulo a product of primes above its own bound
     rng = random.Random(seed)
     _, M = pure_power_matrix(normal_form(random_word(rng, m, 2 * m, min_len=2 * m)))
-    moduli = _record_moduli(monkeypatch)
+    calls, real = [], intlinalg._charpoly_mod
+
+    def recorded(rows, p):
+        calls.append(([list(r) for r in rows], p))
+        return real(rows, p)
+
+    monkeypatch.setattr(intlinalg, "_charpoly_mod", recorded)
     assert charpoly(M) == charpoly_berkowitz(M)
-    assert len(moduli) == 1 and moduli[0] > 2**62  # so at least two primes
+    rows = M.entries
+    blocks = [[[rows[i][j] for j in b] for i in b] for b in matrix_components(rows) if len(b) > 1]
+    assert len(blocks) > 1  # the matrix does split
+    assert [sub for sub, _ in calls] == blocks
+    assert all(p > _frobenius_modulus_bound(sub) for sub, p in calls)
 
 
 def test_charpoly_splits_the_modulus_at_a_zero_divisor_pivot(monkeypatch):
@@ -260,11 +316,12 @@ def test_charpoly_coefficients_within_the_frobenius_bound():
 
 
 def test_moduli_are_distinct_primes_below_2_62():
+    # one block: the diagonal rho plus a path of 1s that links every row
     rho, n = 10**30, 32
-    charpoly([[rho if i == j else 0 for j in range(n)] for i in range(n)])
+    charpoly([[rho if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)])
     bound = 2 * max(math.comb(n, k) * rho**k for k in range(n + 1)) + 1
     used = intlinalg._PRIMES
-    assert math.prod(used) > bound  # that call needed about 27 of them
+    assert math.prod(used) > bound  # that call needed 52 of them
     assert len(set(used)) == len(used)
     assert all(2**61 < p < 2**62 and is_prime_mr(p) for p in used)
 
