@@ -47,6 +47,8 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, k: int) -> int:
+        if not 1 <= k <= len(self.images):
+            raise IndexError(f"point {k} out of range 1..{len(self.images)}")
         return self.images[k - 1]
 
     def then(self, other: "Permutation") -> "Permutation":
@@ -70,7 +72,7 @@ class Permutation:
             while not seen[k - 1]:
                 seen[k - 1] = True
                 cyc.append(k)
-                k = self(k)
+                k = self.images[k - 1]
             out.append(cyc)
         return out
 
@@ -161,10 +163,12 @@ class _Codebook:
     tuples at every degree.  `_book` builds one codebook per degree on
     first use, so emptying its cache empties the tables too.
 
-    The inverse needs no comb: (Delta^p A_1 ... A_k)^{-1} is Delta^{-p-k}
-    B_k ... B_1, B_j the left complement of A_j flipped when p + j - 1 is
-    odd, a left normal form already (El-Rifai and Morton, Algorithms for
-    positive braids, 1994; Epstein et al., Word Processing in Groups, ch. 9).
+    Every product of forms (a Hurwitz move, a word's pieces, a system's
+    trace, `NormalForm.__mul__`) is one `mul` call.  The inverse needs no
+    comb: (Delta^p A_1 ... A_k)^{-1} is Delta^{-p-k} B_k ... B_1, B_j the
+    left complement of A_j flipped when p + j - 1 is odd, a left normal
+    form already (El-Rifai and Morton, Algorithms for positive braids,
+    1994; Epstein et al., Word Processing in Groups, ch. 9).
     """
 
     def __init__(self, m: int):
@@ -256,27 +260,28 @@ class _Codebook:
             hi -= 1
         return lo, tuple(facs[lo:hi])
 
-    def normalize(self, codes) -> tuple[int, tuple]:
-        """Left-weight a code list; returns (extra half-twist power, codes)."""
-        facs: list = []
-        self.comb(facs, codes)
-        return self.strip(facs)
-
     def mul(self, x: tuple[int, tuple], *rest: tuple[int, tuple]) -> tuple[int, tuple]:
         """The form of the product of x and the forms in `rest`, left to right.
 
-        Each form Delta^q Y moves its Delta^q to the front, which flips
-        the running list when q is odd; the list is left-weighted, and so
-        is its flip (conjugation by Delta is a Garside automorphism), so
-        only Y's codes are combed on.  The list is stripped once at the end.
+        The one routine that combs forms together.  By Delta^p X Delta^q Y
+        = Delta^(p+q) tau^q(X) Y, tau the flip (a Garside automorphism), a
+        form's codes are flipped once, when the infima after it sum to an
+        odd number.  x's codes start the list, left-weighted already; the
+        later forms' codes are combed on in one `comb` call, and the list is
+        stripped once at the end.
         """
         p, xs = x
-        facs = list(xs)
-        for q, ys in rest:
-            if q % 2:
-                facs = list(map(self.flip, facs))
-            self.comb(facs, ys)
+        odd = 0
+        for q, _ in rest:
+            odd ^= q & 1
             p += q
+        flip = self.flip
+        facs = list(map(flip, xs)) if odd else list(xs)
+        codes: list = []
+        for q, ys in rest:
+            odd ^= q & 1
+            codes += map(flip, ys) if odd else ys
+        self.comb(facs, codes)
         shift, norm = self.strip(facs)
         return p + shift, norm
 
@@ -292,19 +297,6 @@ class _Codebook:
 
 # Built on first use, and emptied with the other caches.
 _book = functools.lru_cache(maxsize=None)(_Codebook)
-
-
-def _assemble_tuples(m: int, factors: list[tuple[int, ...]], dpows: list[int]) -> "NormalForm":
-    """Normal form of Delta^{d_1} f_1 ... Delta^{d_k} f_k for image tuples f_i."""
-    book = _book(m)
-    facs = list(book.encode(factors))
-    acc = 0
-    for t in range(len(facs) - 1, -1, -1):
-        if acc % 2:
-            facs[t] = book.flip(facs[t])
-        acc += dpows[t]
-    shift, codes = book.normalize(facs)
-    return book.normal_form((acc + shift, codes))
 
 
 @dataclass(frozen=True)
@@ -330,7 +322,7 @@ class NormalForm(JsonCodec):
             Permutation(f)  # raises ValueError unless f is a bijection
         book = _book(nf.degree)
         codes = book.encode(nf.factors)
-        if book.normalize(codes) != (0, codes):
+        if book.mul((0, ()), (0, codes)) != (0, codes):
             raise ValueError("factors are not a left normal form: they hold an identity or "
                              "half-twist factor, or a pair that is not left-weighted")
         return nf
@@ -557,8 +549,9 @@ def normal_form(b: BraidWord) -> NormalForm:
     """Left Garside normal form of the braid represented by the word.
 
     The word is cut into pieces, runs of same-sign letters whose product
-    is one permutation braid s, and the comb gets one factor per piece:
-    s, or Delta^{-1} times the left complement of s for a piece s^{-1}.
+    is one permutation braid s, and `_Codebook.mul` gets one form per
+    piece: Delta^0 s, or Delta^{-1} c for a piece s^{-1}, c the left
+    complement of s.
     A letter sigma_i^{+-1} joins the latest piece t of its sign iff no
     later piece holds sigma_{i-1}, sigma_i or sigma_{i+1}, and t stays
     simple: the strands ending at positions i, i+1 of s have not crossed
@@ -599,9 +592,11 @@ def normal_form(b: BraidWord) -> NormalForm:
         latest[k > 0] = last[i] = len(pieces)
         pieces.append(s)
         invs.append(s[:] if k > 0 else None)
-    factors = [tuple(s) if si is not None else _tup_left_complement(tuple(s))
-               for s, si in zip(pieces, invs)]
-    return _assemble_tuples(m, factors, [0 if si is not None else -1 for si in invs])
+    book = _book(m)
+    codes = book.encode(tuple(s) if si is not None else _tup_left_complement(tuple(s))
+                        for s, si in zip(pieces, invs))
+    return book.normal_form(book.mul((0, ()), *[(0 if si is not None else -1, (c,))
+                                                 for c, si in zip(codes, invs)]))
 
 
 def is_identity(b: BraidWord) -> bool:

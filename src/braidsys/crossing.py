@@ -56,6 +56,8 @@ class CrossingMatrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
+        if not (1 <= i <= self.size and 1 <= j <= self.size):
+            raise IndexError(f"index {ij} out of range 1..{self.size}")
         return self.entries[i - 1][j - 1]
 
     def is_symmetric(self) -> bool:

@@ -209,10 +209,12 @@ def _group_order_cached(gens: tuple[tuple[int, ...], ...]) -> int:
 
 
 def _trace(degree: int, nfs) -> NormalForm:
-    trace = NormalForm(degree, 0, ())
+    """The product of the components, combed as one product of forms."""
     for nf in nfs:
-        trace = trace * nf
-    return trace
+        if nf.degree != degree:
+            raise ValueError(f"degree mismatch: {degree} vs {nf.degree}")
+    book = braids._book(degree)
+    return book.normal_form(book.mul((0, ()), *map(book.form, nfs)))
 
 
 def system_invariants_from_normal_forms(

@@ -18,7 +18,7 @@ from braidsys import (
     permutation_order,
     power,
 )
-from braidsys.braids import NormalForm, _assemble_tuples, _tup_left_complement
+from braidsys.braids import NormalForm, _book, _tup_left_complement
 from braidsys.intlinalg import matrix_rows
 from braidsys.orbit import OrbitResult
 
@@ -297,21 +297,20 @@ def bubble_normal_form(b: BraidWord) -> NormalForm:
 
 
 def normal_form_letterwise(b: BraidWord) -> NormalForm:
-    """Left normal form with one comb factor per letter: sigma_i, or
+    """Left normal form with one comb form per letter: Delta^0 sigma_i, or
     Delta^{-1} times the left complement of sigma_i for its inverse."""
     m = b.degree
+    book = _book(m)
     ident = tuple(range(1, m + 1))
-    factors, dpows = [], []
+    forms = []
     for k in b.letters:
         i = abs(k)
         t = ident[: i - 1] + (i + 1, i) + ident[i + 1 :]
         if k > 0:
-            factors.append(t)
-            dpows.append(0)
+            forms.append((0, book.encode([t])))
         else:
-            factors.append(_tup_left_complement(t))
-            dpows.append(-1)
-    return _assemble_tuples(m, factors, dpows)
+            forms.append((-1, book.encode([_tup_left_complement(t)])))
+    return book.normal_form(book.mul((0, ()), *forms))
 
 
 def _delta_letters(m: int) -> list:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -25,7 +26,6 @@ from braidsys import (
     power,
     product,
 )
-from braidsys import braids
 from braidsys.braids import (
     NormalForm,
     Permutation,
@@ -81,6 +81,14 @@ def test_permutation_examples():
     assert permutation(parse_word("1,1,-2", 3)).images == (1, 3, 2)
     assert permutation(parse_word("", 5)).is_identity()
     assert permutation(parse_word("1,2,-3", 4)).images == (4, 1, 2, 3)
+
+
+@pytest.mark.parametrize("k", [0, -1, 4])
+def test_permutation_rejects_a_point_outside_1_to_size(k):
+    p = Permutation((2, 3, 1))
+    assert [p(1), p(2), p(3)] == [2, 3, 1]
+    with pytest.raises(IndexError, match=rf"^point {k} out of range 1\.\.3$"):
+        p(k)
 
 
 def test_permutation_is_homomorphism():
@@ -227,7 +235,7 @@ def _combed(m, facs, strip_only=False):
     tuple list, or of its strip alone."""
     book = _book(m)
     codes = list(book.encode(facs))
-    nf = book.normal_form(book.strip(codes) if strip_only else book.normalize(codes))
+    nf = book.normal_form(book.strip(codes) if strip_only else book.mul((0, ()), (0, codes)))
     return nf.infimum, nf.factors
 
 
@@ -322,20 +330,23 @@ def test_variadic_product_matches_the_two_step_product_and_the_word():
     rng = random.Random(61)
     for m in range(3, 10):
         book = _book(m)
-        for t in range(16):
-            # the infima take every parity triple; from t = 8 on, each form
-            # is a power of Delta (the identity at power 0) half the time
-            nfs = []
-            for parity in ((t >> 2) & 1, (t >> 1) & 1, t & 1):
-                factors = normal_form(random_word(rng, m, 5)).factors
-                if t >= 8 and rng.random() < 0.5:
-                    factors = ()
-                nfs.append(NormalForm(m, parity * rng.choice((1, -1)), factors))
-            x, y, z = map(book.form, nfs)
-            got = book.mul(x, y, z)
-            assert got == book.mul(book.mul(x, y), z)
-            word = product(product(nfs[0].to_word(), nfs[1].to_word()), nfs[2].to_word())
-            assert book.normal_form(got) == bubble_normal_form(word)
+        for n in range(1, 6):
+            for t in range(2 ** (n + 1)):
+                # bit j of t is the parity of form j's infimum, so the infima
+                # take every parity pattern; in the upper half of t each form
+                # is a power of Delta (the identity at power 0) half the time
+                nfs = []
+                for j in range(n):
+                    factors = normal_form(random_word(rng, m, 5)).factors
+                    if t >> n and rng.random() < 0.5:
+                        factors = ()
+                    nfs.append(NormalForm(m, (t >> j & 1) * rng.choice((1, -1)), factors))
+                forms = list(map(book.form, nfs))
+                got = book.mul(*forms)
+                assert got == functools.reduce(book.mul, forms)
+                if m <= 6 or n <= 3:  # the bubble oracle is slow on longer words beyond degree 6
+                    word = BraidWord(m, tuple(k for nf in nfs for k in nf.to_word().letters))
+                    assert book.normal_form(got) == bubble_normal_form(word)
 
 
 @pytest.mark.parametrize("op", [
@@ -374,15 +385,16 @@ def test_normal_form_of_far_commuting_words_matches_bubble_oracle(w):
 
 @pytest.fixture
 def comb_inputs(monkeypatch):
-    """The factor count each normal_form call hands the comb."""
+    """The piece count each normal_form call hands the comb: the number of
+    forms after the leading identity form in its `_Codebook.mul` call."""
     counts = []
-    assemble = braids._assemble_tuples
+    mul = _Codebook.mul
 
-    def counting(m, factors, dpows):
-        counts.append(len(factors))
-        return assemble(m, factors, dpows)
+    def counting(self, x, *rest):
+        counts.append(len(rest))
+        return mul(self, x, *rest)
 
-    monkeypatch.setattr(braids, "_assemble_tuples", counting)
+    monkeypatch.setattr(_Codebook, "mul", counting)
     return counts
 
 

@@ -288,6 +288,14 @@ def test_crossing_matrix_type_invariants():
         CrossingMatrix(2, ((0, 0),))
 
 
+@pytest.mark.parametrize("ij", [(0, 1), (1, 0), (-1, 2), (2, -1), (4, 1), (1, 4)])
+def test_crossing_matrix_rejects_an_index_outside_1_to_size(ij):
+    M = crossing_matrix(parse_word("1,1,-2", 3))
+    assert [M[i, j] for i in (1, 2, 3) for j in (1, 2, 3)] == [v for row in M.entries for v in row]
+    with pytest.raises(IndexError, match=r"^index \(-?\d, -?\d\) out of range 1\.\.3$"):
+        M[ij]
+
+
 def test_multiset_accessors():
     M = crossing_matrix(parse_word("1,1,-2", 3))
     assert M.entry_multiset() == (-1, 0, 0, 0, 0, 0, 0, 1, 1)

@@ -32,8 +32,10 @@ from braidsys import (
     pure_power_matrix,
     rank,
     system_invariants,
+    system_invariants_from_normal_forms,
 )
-from braidsys.braids import BraidWord, Permutation
+from braidsys.braids import BraidWord, NormalForm, Permutation, inverse
+from braidsys.invariants import _trace
 
 from oracles import (
     charpoly_berkowitz,
@@ -216,6 +218,36 @@ def test_system_invariants_reference_pair():
     assert rep.exponent_sums == (-1, -1, 1, 1)
     assert rep.charpoly_product.coefficient(15) == 0
     assert rep.degree_plus_length_mod3 == 2
+
+
+def test_trace_matches_the_normal_form_of_the_trace_product():
+    # 1 to 12 components; degrees 2 to 5 comb int codes, 6 to 9 image
+    # tuples; every third system ends in the inverse of the product before
+    # it, so its trace is the identity
+    rng = random.Random(83)
+    identities = 0
+    for t in range(300):
+        m, closed = rng.randint(2, 9), t % 3 == 0
+        words = [random_word(rng, m, 2 * m) for _ in range(rng.randint(1, 12) - closed)]
+        if closed:
+            words.append(inverse(BraidWord(m, tuple(k for w in words for k in w.letters))))
+        s = BraidSystem(m, tuple(words))
+        trace = _trace(m, s.normal_forms())
+        assert trace == normal_form(s.trace_product())
+        identities += trace.is_identity()
+    assert 100 <= identities < 200
+
+
+@pytest.mark.parametrize("degree, nf", [
+    (4, NormalForm(3, 1, ())),
+    (4, normal_form(parse_word("1,-2", 3))),
+    (6, normal_form(parse_word("1,-2,5", 7))),
+    (7, NormalForm(6, -1, ())),
+], ids=["half-twist", "codes", "tuples", "tuple-half-twist"])
+def test_system_invariants_reject_a_form_of_another_degree(degree, nf):
+    nfs = (normal_form(parse_word("1", degree)), nf, nf.inverse())
+    with pytest.raises(ValueError, match=rf"^degree mismatch: {degree} vs {nf.degree}$"):
+        system_invariants_from_normal_forms(degree, nfs)
 
 
 def test_system_essential_cores():
