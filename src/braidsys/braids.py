@@ -335,8 +335,7 @@ class NormalForm(JsonCodec):
         return self.infimum == 0 and not self.factors
 
     def __mul__(self, other: "NormalForm") -> "NormalForm":
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+        check_same_degree(self.degree, other.degree)
         book = _book(self.degree)
         return book.normal_form(book.mul(book.form(self), book.form(other)))
 
@@ -372,7 +371,7 @@ class NormalForm(JsonCodec):
         """Re-expand as a freely reduced braid word (half-twist blocks, then
         factor words); this is the one spelling of a normal form."""
         m = self.degree
-        delta = _half_twist_letters(m)
+        delta = _permutation_letters(tuple(range(m, 0, -1)))
         letters: list[int] = []
         if self.infimum >= 0:
             letters += delta * self.infimum
@@ -390,14 +389,6 @@ class NormalForm(JsonCodec):
 def _nf_inverse(nf: NormalForm) -> NormalForm:
     book = _book(nf.degree)
     return book.normal_form(book.inverse(book.form(nf)))
-
-
-def _half_twist_letters(m: int) -> list[int]:
-    # sigma_1 (sigma_2 sigma_1) ... (sigma_{m-1} ... sigma_1)
-    letters = []
-    for j in range(1, m):
-        letters += list(range(j, 0, -1))
-    return letters
 
 
 def _permutation_letters(p: tuple[int, ...]) -> list[int]:
@@ -437,6 +428,12 @@ def check_degree(degree: int) -> None:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if degree > MAX_DEGREE:
         raise ValueError(f"degree must be <= {MAX_DEGREE}, got {degree}")
+
+
+def check_same_degree(a: int, b: int) -> None:
+    """Raise ValueError naming both degrees, in this order, unless a == b."""
+    if a != b:
+        raise ValueError(f"degree mismatch: {a} vs {b}")
 
 
 @dataclass(frozen=True)
@@ -487,8 +484,7 @@ def generator(degree: int, i: int, sign: int = 1) -> BraidWord:
 
 
 def product(a: BraidWord, b: BraidWord) -> BraidWord:
-    if a.degree != b.degree:
-        raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
+    check_same_degree(a.degree, b.degree)
     return BraidWord(a.degree, a.letters + b.letters)
 
 
@@ -503,8 +499,7 @@ def power(b: BraidWord, k: int) -> BraidWord:
 
 def conjugate(b: BraidWord, a: BraidWord) -> BraidWord:
     """The literal word a^{-1} b a, with no simplification applied."""
-    if a.degree != b.degree:
-        raise ValueError(f"degree mismatch: {b.degree} vs {a.degree}")
+    check_same_degree(b.degree, a.degree)
     return BraidWord(b.degree, inverse(a).letters + b.letters + a.letters)
 
 
@@ -550,8 +545,9 @@ def normal_form(b: BraidWord) -> NormalForm:
 
     The word is cut into pieces, runs of same-sign letters whose product
     is one permutation braid s, and `_Codebook.mul` gets one form per
-    piece: Delta^0 s, or Delta^{-1} c for a piece s^{-1}, c the left
-    complement of s.
+    piece: Delta^0 s, or for a piece s^{-1} the inverse of that form,
+    Delta^{-1} c with c the left complement of s, read off by
+    `_Codebook.inverse`.
     A letter sigma_i^{+-1} joins the latest piece t of its sign iff no
     later piece holds sigma_{i-1}, sigma_i or sigma_{i+1}, and t stays
     simple: the strands ending at positions i, i+1 of s have not crossed
@@ -593,10 +589,9 @@ def normal_form(b: BraidWord) -> NormalForm:
         pieces.append(s)
         invs.append(s[:] if k > 0 else None)
     book = _book(m)
-    codes = book.encode(tuple(s) if si is not None else _tup_left_complement(tuple(s))
-                        for s, si in zip(pieces, invs))
-    return book.normal_form(book.mul((0, ()), *[(0 if si is not None else -1, (c,))
-                                                 for c, si in zip(codes, invs)]))
+    forms = [(0, (c,)) if si is not None else book.inverse((0, (c,)))
+             for c, si in zip(book.encode(map(tuple, pieces)), invs)]
+    return book.normal_form(book.mul((0, ()), *forms))
 
 
 def is_identity(b: BraidWord) -> bool:
@@ -604,8 +599,7 @@ def is_identity(b: BraidWord) -> bool:
 
 
 def braids_equal(a: BraidWord, b: BraidWord) -> bool:
-    if a.degree != b.degree:
-        raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
+    check_same_degree(a.degree, b.degree)
     return normal_form(a) == normal_form(b)
 
 

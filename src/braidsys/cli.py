@@ -31,14 +31,21 @@ from .moves import (
 from .orbit import OrbitLimits, hurwitz_orbit
 
 
-def load_system(path: str) -> BraidSystem:
+def read_user_file(path: str, kind: str, parse=str):
+    """parse(the text of the file), raising ValueError that names the file
+    for bad content; a file that cannot be opened raises OSError, which
+    names it too."""
     with open(path) as fh:
         try:
-            return BraidSystem.from_json(json.load(fh))
+            return parse(fh.read())
         except RecursionError:
-            raise ValueError(f"{path}: malformed system file (nested too deeply)") from None
+            raise ValueError(f"{path}: malformed {kind} file (nested too deeply)") from None
         except (TypeError, ValueError) as exc:  # bad JSON and undecodable bytes included
-            raise ValueError(f"{path}: malformed system file ({exc})") from None
+            raise ValueError(f"{path}: malformed {kind} file ({exc})") from None
+
+
+def load_system(path: str) -> BraidSystem:
+    return read_user_file(path, "system", lambda text: BraidSystem.from_json(json.loads(text)))
 
 
 def essential_text(report) -> str:
@@ -54,7 +61,7 @@ def _print_braid_report(rep, word: BraidWord, as_json: bool) -> None:
         print(json.dumps(rep.to_json()))
         return
     print(f"degree: {rep.degree}")
-    print(f"word: {word.to_text() or '<empty>'}")
+    print(f"word: {word}")
     print(f"permutation order: {rep.r}")
     print(f"charpoly: {factored_str(rep.charpoly)}   [{rep.charpoly}]")
     print(f"determinant: {rep.determinant}")
@@ -149,8 +156,7 @@ def parse_script(text: str) -> list[tuple]:
 def cmd_apply(args) -> int:
     system = load_system(args.system)
     if args.script:
-        with open(args.script) as fh:
-            text = fh.read()
+        text = read_user_file(args.script, "script")
     elif args.steps is not None:
         text = args.steps
     else:
@@ -175,7 +181,7 @@ def cmd_apply(args) -> int:
         if not args.json:
             tau_note = "" if tau_check is None else f"  [tau check: {tau_check}]"
             print(f"step {num}: {entry['move']}{tau_note}")
-            print(f"  system: {[c.to_text() or '<empty>' for c in system.components]}")
+            print(f"  system: {[str(c) for c in system.components]}")
             print(f"  P = {factored_str(rep.charpoly_product)}; E = {essential_text(rep)}")
     if args.json:
         print(json.dumps({"steps": audit, "final": system.to_json()}))

@@ -17,9 +17,10 @@ so the same under either convention.
 A braid given by its normal form Delta^d A_1 ... A_k is not re-expanded
 into a word: the half twists of a negative infimum are spent on the
 first factors, turning each into the inverse of its short complement,
-and the half twists left over have a closed-form matrix, so only a short
-mixed word is swept (see `_normal_form_entries`).  The pure-power matrix
-is read off that matrix's nonzero entries, one orbit total each (see
+read off by `_Codebook.inverse`, and the half twists left over have a
+closed-form matrix, so only a short mixed word is swept (see
+`_normal_form_entries`).  The pure-power matrix is read off that
+matrix's nonzero entries, one orbit total each (see
 `pure_power_matrix`).
 """
 
@@ -33,9 +34,8 @@ from .braids import (
     BraidWord,
     NormalForm,
     Permutation,
+    _book,
     _permutation_letters,
-    _tup_flip,
-    _tup_left_complement,
     permutation,
 )
 from .intlinalg import matrix_rows
@@ -61,11 +61,7 @@ class CrossingMatrix:
         return self.entries[i - 1][j - 1]
 
     def is_symmetric(self) -> bool:
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.size)
-            for j in range(i + 1, self.size)
-        )
+        return self.transpose() == self
 
     def transpose(self) -> "CrossingMatrix":
         return CrossingMatrix(self.size, tuple(zip(*self.entries)))
@@ -101,13 +97,12 @@ def _normal_form_entries(nf: NormalForm) -> tuple[tuple[int, ...], ...] | list[l
     """Crossing matrix rows of the normal form Delta^d A_1 ... A_k, from a
     sweep of a short mixed word.
 
-    For d < 0 and t = min(-d, k), Delta^-t A_1 ... A_t is the product over
-    j = 1..t of (D tau^(t-j)(A_j))^-1, where tau is the flip and
-    D A = A^-1 Delta the left complement of tau(A) (El-Rifai and Morton
-    1994; Epstein et al., *Word Processing in Groups*, ch. 9).  So the
-    word swept is the inverted words of those t complements, then the
-    positive words of A_(t+1) ... A_k: D tau^(t-j)(A_j) is the left
-    complement of A_j when t - j is odd and of tau(A_j) when it is even.
+    For d < 0 and t = min(-d, k), `_Codebook.inverse` reads the inverse of
+    Delta^-t A_1 ... A_t off as Delta^0 B_t ... B_1, B_j the left complement
+    of A_j, flipped when t - j is even (El-Rifai and Morton 1994; Epstein
+    et al., *Word Processing in Groups*, ch. 9).  So Delta^-t A_1 ... A_t
+    = B_1^-1 ... B_t^-1, and the word swept is the inverted words of
+    B_1 ... B_t, then the positive words of A_(t+1) ... A_k.
     A factor near Delta has a short complement, and the factors of a
     negative infimum are mostly such: for random words of 64 letters at
     m = 32 the word swept has 90 letters on average, where the positive
@@ -125,9 +120,11 @@ def _normal_form_entries(nf: NormalForm) -> tuple[tuple[int, ...], ...] | list[l
     m, d, factors = nf.degree, nf.infimum, nf.factors
     t = min(-d, len(factors)) if d < 0 else 0
     letters: list[int] = []
-    for j, a in enumerate(factors[:t], start=1):
-        c = _tup_left_complement(a if (t - j) % 2 else _tup_flip(a))
-        letters += [-k for k in reversed(_permutation_letters(c))]
+    if t:
+        book = _book(m)
+        complements = book.normal_form(book.inverse((-t, book.encode(factors[:t])))).factors
+        for c in reversed(complements):
+            letters += [-k for k in reversed(_permutation_letters(c))]
     for a in factors[t:]:
         letters += _permutation_letters(a)
     W = crossing_matrix(BraidWord(m, tuple(letters))).entries

@@ -486,13 +486,8 @@ class ReducedPolynomial(JsonCodec):
     core: IntPolynomial
 
     def reassemble(self) -> IntPolynomial:
-        p = self.core
-        p = p * IntPolynomial.x_power(self.zero_mult)
-        for _ in range(self.one_mult):
-            p = p * IntPolynomial((-1, 1))
-        for _ in range(self.neg_one_mult):
-            p = p * IntPolynomial((1, 1))
-        return p
+        roots = [0] * self.zero_mult + [1] * self.one_mult + [-1] * self.neg_one_mult
+        return IntPolynomial.from_roots(roots) * self.core
 
 
 def reduce_poly(p: IntPolynomial) -> ReducedPolynomial:

@@ -79,7 +79,10 @@ class BraidSystem:
     def from_json(data: dict) -> "BraidSystem":
         require_keys("BraidSystem", data, ("degree", "components"), optional=("name",))
         degree = decode(int, data["degree"], "degree")
-        return BraidSystem.from_texts(degree, decode(tuple[str, ...], data["components"], "components"))
+        texts = decode(tuple[str, ...], data["components"], "components")
+        if "name" in data:
+            decode(str, data["name"], "name")
+        return BraidSystem.from_texts(degree, texts)
 
     @staticmethod
     def from_texts(degree: int, texts) -> "BraidSystem":
@@ -211,8 +214,7 @@ def _group_order_cached(gens: tuple[tuple[int, ...], ...]) -> int:
 def _trace(degree: int, nfs) -> NormalForm:
     """The product of the components, combed as one product of forms."""
     for nf in nfs:
-        if nf.degree != degree:
-            raise ValueError(f"degree mismatch: {degree} vs {nf.degree}")
+        braids.check_same_degree(degree, nf.degree)
     book = braids._book(degree)
     return book.normal_form(book.mul((0, ()), *map(book.form, nfs)))
 
@@ -329,23 +331,22 @@ def family_weaving(m: int) -> BraidWord:
 
 def family_bm(m: int) -> BraidWord:
     """The positive pure word s1..s_{m-2} s_{m-1}^2 s_{m-2}..s1 on m strands."""
-    if m <= 2:
-        raise ValueError(f"family needs m > 2, got {m}")
-    up = list(range(1, m - 1))
-    return BraidWord(m, tuple(up + [m - 1, m - 1] + up[::-1]))
+    return family_bmk(m, 0)
 
 
 def family_bmk(m: int, k: int) -> BraidWord:
     """family_bm(m) followed by 2k positive crossings of the first two strands."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    base = family_bm(m)
-    return BraidWord(m, base.letters + (1,) * (2 * k))
+    if m <= 2:
+        raise ValueError(f"family needs m > 2, got {m}")
+    up = list(range(1, m - 1))
+    return BraidWord(m, tuple(up + [m - 1, m - 1] + up[::-1] + [1] * (2 * k)))
 
 
 def family_bm_charpoly(m: int) -> IntPolynomial:
     """Closed form x^m - (m-1) x^{m-2} for family_bm."""
-    return IntPolynomial.x_power(m) - IntPolynomial.x_power(m - 2) * IntPolynomial((m - 1,))
+    return family_bmk_charpoly(m, 0)
 
 
 def family_bmk_charpoly(m: int, k: int) -> IntPolynomial:

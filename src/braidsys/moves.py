@@ -34,6 +34,11 @@ def _maybe_simplify(word: BraidWord, simplify: bool) -> BraidWord:
     return braids.canonical_word(word) if simplify else braids.free_reduce(word)
 
 
+def _check_move_index(i: int, length: int) -> None:
+    if not 1 <= i <= length - 1:
+        raise ValueError(f"move index {i} out of range for length {length}")
+
+
 def hurwitz_move(s: BraidSystem, move: HurwitzMove, simplify: bool = False) -> BraidSystem:
     """Replace (b_i, b_{i+1}) by (b_{i+1}, b_{i+1}^{-1} b_i b_{i+1}), or undo it.
 
@@ -41,8 +46,7 @@ def hurwitz_move(s: BraidSystem, move: HurwitzMove, simplify: bool = False) -> B
     unless simplify is set.
     """
     i = move.index
-    if not 1 <= i <= len(s) - 1:
-        raise ValueError(f"move index {i} out of range for length {len(s)}")
+    _check_move_index(i, len(s))
     comps = list(s.components)
     a, b = comps[i - 1], comps[i]
     if not move.inverse:
@@ -62,11 +66,9 @@ def hurwitz_move_nf(state, move: HurwitzMove):
     orbit search does, so that words never have to be re-expanded.
     """
     i = move.index
-    if not 1 <= i <= len(state) - 1:
-        raise ValueError(f"move index {i} out of range for length {len(state)}")
+    _check_move_index(i, len(state))
     a, b = state[i - 1], state[i]
-    if a.degree != b.degree:
-        raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
+    braids.check_same_degree(a.degree, b.degree)
     book = braids._book(a.degree)
     x, y = book.form(a), book.form(b)
     pair = hurwitz_move_codes(book, x, y, move.inverse, book.inverse(x if move.inverse else y))
@@ -94,8 +96,7 @@ def hurwitz_act(s: BraidSystem, beta: BraidWord, simplify: bool = False) -> Brai
 
 def global_conjugate(s: BraidSystem, a: BraidWord, simplify: bool = False) -> BraidSystem:
     """Conjugate every component by the same braid."""
-    if a.degree != s.degree:
-        raise ValueError(f"degree mismatch: {s.degree} vs {a.degree}")
+    braids.check_same_degree(s.degree, a.degree)
     return BraidSystem(
         s.degree,
         tuple(_maybe_simplify(braids.conjugate(c, a), simplify) for c in s.components),

@@ -204,8 +204,7 @@ def replay_witness(s: BraidSystem, witness) -> BraidSystem:
 
 def find_conjugator(b: BraidWord, target: BraidWord, max_length: int = 4) -> BraidWord | None:
     """Breadth-first search for a short word a with a^{-1} b a = target."""
-    if b.degree != target.degree:
-        raise ValueError(f"degree mismatch: {b.degree} vs {target.degree}")
+    braids.check_same_degree(b.degree, target.degree)
     target_nf = braids.normal_form(target)
     gens = [k for i in range(1, b.degree) for k in (i, -i)]
     b_nf = braids.normal_form(b)

@@ -32,13 +32,13 @@ from braidsys.braids import (
     _UNFILLED,
     _Codebook,
     _book,
-    _half_twist_letters,
     _lw_fix,
     _permutation_letters,
     _tup_flip,
 )
 
 from oracles import (
+    _delta_letters,
     _pair_fix,
     bubble_normal_form,
     bubble_normalize,
@@ -425,7 +425,7 @@ def test_normal_form_pieces(comb_inputs, degree, letters, pieces):
 
 @pytest.mark.parametrize("m", [4, 9, 24])
 def test_half_twist_words_reach_the_comb_whole(comb_inputs, m):
-    delta = BraidWord(m, tuple(_half_twist_letters(m)))
+    delta = BraidWord(m, tuple(_delta_letters(m)))
     assert normal_form(delta) == NormalForm(m, 1, ())
     assert normal_form(inverse(delta)) == NormalForm(m, -1, ())
     assert normal_form(power(delta, -2)) == NormalForm(m, -2, ())
@@ -488,7 +488,7 @@ def test_complement_table_completes_the_half_twist():
     # the left complement c of a: c a = Delta, read as words
     for m in range(1, 6):
         book = _book(m)
-        delta = normal_form(BraidWord(m, tuple(_half_twist_letters(m))))
+        delta = normal_form(BraidWord(m, tuple(_delta_letters(m))))
         for a, p in enumerate(book.images):
             c = book.images[book.complement(a)]
             assert normal_form(BraidWord(m, tuple(_permutation_letters(c) + _permutation_letters(p)))) == delta

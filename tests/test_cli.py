@@ -189,6 +189,18 @@ def test_apply_rejects_malformed_script(capsys, system_files):
     assert main(["apply", "--system", system_files["intro_b"], "--steps", "WIGGLE 3"]) == 1
 
 
+def test_apply_script_file_errors_name_the_file(capsys, system_files, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xffH 1 +\n")
+    assert main(["apply", "--system", system_files["intro_b"], "--script", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: malformed script file (") and "0xff" in err
+    missing = tmp_path / "missing.txt"
+    assert main(["apply", "--system", system_files["intro_b"], "--script", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
 def test_apply_needs_a_script_or_steps(capsys, system_files):
     assert main(["apply", "--system", system_files["intro_b"]]) == 1
     assert capsys.readouterr().err == "error: need --script FILE or --steps TEXT\n"
@@ -295,6 +307,7 @@ def test_malformed_system_file(tmp_path):
     pytest.param(b"\xff{}", "can't decode byte 0xff", id="not-utf-8"),
     ({"degree": 3, "components": ["1"], "x": 1}, "x: unknown key in BraidSystem"),
     ({"degree": MAX_DEGREE + 1, "components": ["1"]}, f"degree must be <= {MAX_DEGREE}, got"),
+    ({"degree": 3, "components": ["1", "2"], "name": 5}, "name: expected a string, got int"),
 ])
 def test_malformed_system_file_names_the_field(tmp_path, capsys, data, field):
     bad = tmp_path / "bad.json"

@@ -15,10 +15,13 @@ from braidsys import (
     power,
     pure_power_matrix,
 )
+from braidsys import braids, crossing
+from braidsys.braids import _book
 from braidsys.crossing import _normal_form_entries
 from braidsys.invariants import family_weaving
 
 from oracles import (
+    bubble_normal_form,
     delta_power_word,
     half_twist_words,
     opposite_convention_matrix,
@@ -112,6 +115,30 @@ def test_normal_form_pure_powers_of_negative_infima():
         assert CrossingMatrix(m, tuple(map(tuple, C))) == crossing_matrix(w)
         assert pure_power_matrix(nf) == pure_power_matrix_literal(w)
     assert seen == {"t = k < -d", "t = -d <= k"}
+
+
+def test_every_garside_inverse_goes_through_the_codebook(monkeypatch):
+    # The codebooks are built first and keep their own flip and complement;
+    # past that, the word's negative pieces and the complements swept for a
+    # negative infimum must come from _Codebook.inverse, not a second spelling.
+    for m in range(1, 10):
+        _book(m)
+
+    def stub(*args):
+        raise AssertionError("a Garside inverse spelled outside _Codebook.inverse")
+
+    for module in (braids, crossing):
+        for name in ("_tup_left_complement", "_tup_flip"):
+            monkeypatch.setattr(module, name, stub, raising=False)
+    rng = random.Random(24)
+    negative = 0
+    for _ in range(200):
+        w = random_word(rng, rng.randint(2, 9), 12, min_len=1)
+        nf = normal_form(w)
+        assert nf == bubble_normal_form(w)
+        assert pure_power_matrix(nf) == pure_power_matrix_literal(w)
+        negative += nf.infimum < 0
+    assert negative > 50
 
 
 @pytest.mark.parametrize("w", [

@@ -55,7 +55,7 @@ def test_hurwitz_move_definition(bvec):
 
 
 def test_hurwitz_move_index_bounds(bvec):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^move index 0 out of range for length 4$"):
         hurwitz_move(bvec, HurwitzMove(0))
     with pytest.raises(ValueError):
         hurwitz_move(bvec, HurwitzMove(4))
@@ -172,7 +172,7 @@ def test_global_conjugate(bvec):
     assert rep.charpoly_multiset == base.charpoly_multiset
     # trace maps to its conjugate
     assert braids_equal(moved.trace_product(), conjugate(bvec.trace_product(), a))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^degree mismatch: 4 vs 3$"):
         global_conjugate(bvec, BraidWord(3, (1,)))
 
 
