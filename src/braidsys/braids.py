@@ -370,13 +370,11 @@ class NormalForm(JsonCodec):
     def to_word(self) -> "BraidWord":
         """Re-expand as a freely reduced braid word (half-twist blocks, then
         factor words); this is the one spelling of a normal form."""
-        m = self.degree
-        delta = _permutation_letters(tuple(range(m, 0, -1)))
+        m, d = self.degree, self.infimum
         letters: list[int] = []
-        if self.infimum >= 0:
-            letters += delta * self.infimum
-        else:
-            letters += [-i for i in reversed(delta)] * (-self.infimum)
+        if d:  # the half twist is spelled only when it is used
+            delta = _permutation_letters(tuple(range(m, 0, -1)))
+            letters = delta * d if d > 0 else [-i for i in reversed(delta)] * -d
         letters += self.factor_letters()
         return free_reduce(BraidWord(m, tuple(letters)))
 

@@ -15,11 +15,14 @@ content is represented exactly by stripping the factors x, x-1 and x+1
 off a polynomial (`reduce_poly`) and keeping the remaining core.  Root
 finding strips them first and searches only the core for other roots,
 deflating plain coefficient lists; it builds a polynomial only for its
-result.
+result.  Each polynomial object computes that split once, on first use,
+and keeps it, so its integer roots, its cofactor and its factored
+rendering all read the same pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -93,6 +96,14 @@ class IntPolynomial(JsonCodec):
 
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+
+    @functools.cached_property
+    def _root_split(self) -> tuple[tuple[tuple[int, int], ...], "IntPolynomial"]:
+        # One `_split_roots` pass per polynomial object.  cached_property
+        # writes the instance __dict__ directly, so the frozen dataclass
+        # accepts it, and eq, hash, repr and to_json read fields only.
+        roots, rest = _split_roots(self)
+        return roots, IntPolynomial(tuple(rest))
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -462,14 +473,17 @@ def _split_roots(p: IntPolynomial) -> tuple[tuple[tuple[int, int], ...], list[in
 
 
 def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
-    """All integer roots with multiplicities, as a sorted (root, mult) tuple."""
-    return _split_roots(p)[0]
+    """All integer roots with multiplicities, as a sorted (root, mult) tuple.
+
+    The split is computed once per polynomial object and kept with it, so
+    `split_integer_roots` and `factored_str` of the same object reuse it."""
+    return p._root_split[0]
 
 
 def split_integer_roots(p: IntPolynomial) -> tuple[tuple[tuple[int, int], ...], IntPolynomial]:
-    """(integer_roots(p), the cofactor of p left once those roots are divided out)."""
-    roots, rest = _split_roots(p)
-    return roots, IntPolynomial(tuple(rest))
+    """(integer_roots(p), the cofactor of p left once those roots are divided out),
+    from the one split kept with p."""
+    return p._root_split
 
 
 @dataclass(frozen=True)

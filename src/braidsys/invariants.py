@@ -112,6 +112,12 @@ class SystemInvariantReport(JsonCodec):
         """Fields preserved by the Hurwitz action alone (everything but the forms)."""
         return tuple(getattr(self, f.name) for f in fields(self) if f.name != "normal_forms")
 
+    @functools.cached_property
+    def _trace_form(self) -> NormalForm:
+        # the combed product of the components; a report built from normal
+        # forms keeps the one that its trace_is_identity was read off
+        return _trace(self.degree, self.normal_forms)
+
 
 @functools.lru_cache(maxsize=65536)
 def _report_for_normal_form(nf: NormalForm) -> BraidInvariantReport:
@@ -232,18 +238,21 @@ def system_invariants_from_normal_forms(
     for rep in reports:
         prod = prod * rep.charpoly
     multiset = tuple(sorted((rep.charpoly for rep in reports), key=poly_sort_key))
-    return SystemInvariantReport(
+    trace = _trace(degree, nfs)
+    report = SystemInvariantReport(
         degree=degree,
         length=len(nfs),
         charpoly_product=prod,
         charpoly_multiset=multiset,
         essential=reduce_poly(prod),
-        trace_is_identity=_trace(degree, nfs).is_identity(),
+        trace_is_identity=trace.is_identity(),
         perm_monodromy_order=permutation_group_order(nf.permutation() for nf in nfs),
         exponent_sums=tuple(sorted(nf.exponent_sum() for nf in nfs)),
         degree_plus_length_mod3=(degree + len(nfs)) % 3,
         normal_forms=tuple(nfs),
     )
+    object.__setattr__(report, "_trace_form", trace)  # compare_systems renders it
+    return report
 
 
 def system_invariants(s: BraidSystem) -> SystemInvariantReport:
@@ -255,7 +264,7 @@ def system_invariants(s: BraidSystem) -> SystemInvariantReport:
 # are equal iff their renderings are.
 _CHECKS = {
     "trace_product":
-        lambda rep: _trace(rep.degree, rep.normal_forms).to_word().to_text() or "<identity>",
+        lambda rep: rep._trace_form.to_word().to_text() or "<identity>",
     "perm_monodromy_order": lambda rep: rep.perm_monodromy_order,
     "exponent_sum_multiset": lambda rep: rep.exponent_sums,
     "charpoly_product": lambda rep: str(rep.charpoly_product),
@@ -334,12 +343,17 @@ def family_bm(m: int) -> BraidWord:
     return family_bmk(m, 0)
 
 
-def family_bmk(m: int, k: int) -> BraidWord:
-    """family_bm(m) followed by 2k positive crossings of the first two strands."""
+def _check_bmk(m: int, k: int) -> None:
+    """The arguments that family_bmk and its closed form both accept."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if m <= 2:
         raise ValueError(f"family needs m > 2, got {m}")
+
+
+def family_bmk(m: int, k: int) -> BraidWord:
+    """family_bm(m) followed by 2k positive crossings of the first two strands."""
+    _check_bmk(m, k)
     up = list(range(1, m - 1))
     return BraidWord(m, tuple(up + [m - 1, m - 1] + up[::-1] + [1] * (2 * k)))
 
@@ -351,6 +365,7 @@ def family_bm_charpoly(m: int) -> IntPolynomial:
 
 def family_bmk_charpoly(m: int, k: int) -> IntPolynomial:
     """Closed form x^m - (k^2 + 2k + m - 1) x^{m-2} for family_bmk."""
+    _check_bmk(m, k)
     c = k * k + 2 * k + m - 1
     return IntPolynomial.x_power(m) - IntPolynomial.x_power(m - 2) * IntPolynomial((c,))
 

@@ -26,6 +26,7 @@ from braidsys import (
     power,
     product,
 )
+from braidsys import braids
 from braidsys.braids import (
     NormalForm,
     Permutation,
@@ -188,6 +189,23 @@ def test_normal_form_group_laws():
         assert normal_form(product(w, v)) == normal_form(w) * normal_form(v)
         k = rng.randint(-3, 3)
         assert normal_form(power(w, k)) == nf.power(k)
+
+
+def test_to_word_spells_the_half_twist_only_for_a_nonzero_infimum(monkeypatch):
+    spelled = []
+    spell = braids._permutation_letters
+    monkeypatch.setattr(braids, "_permutation_letters", lambda p: spelled.append(p) or spell(p))
+    rng = random.Random(54)
+    infima = set()
+    for _ in range(200):
+        m = rng.randint(1, 10)
+        nf = normal_form(delta_power_word(m, rng.randint(-2, 2), random_word(rng, m, 3 * m).letters))
+        infima.add(nf.infimum)
+        spelled.clear()
+        word = nf.to_word()
+        assert (tuple(range(m, 0, -1)) in spelled) == (nf.infimum != 0)
+        assert normal_form(word) == nf
+    assert 0 in infima and len(infima) > 2
 
 
 def test_free_insertion_does_not_change_normal_form():

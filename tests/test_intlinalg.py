@@ -474,6 +474,16 @@ def test_integer_roots_match_the_scan_oracle(p):
     assert back == p
 
 
+@settings(max_examples=200, deadline=None)
+@given(split_polynomials())
+def test_the_kept_split_matches_the_scan_oracle_and_leaves_the_value_alone(p):
+    fresh, plain = IntPolynomial(p.coeffs), IntPolynomial(p.coeffs)
+    assert p._root_split == integer_roots_scan(p) == split_integer_roots(fresh)
+    assert "_root_split" in vars(p) and "_root_split" not in vars(plain)
+    assert p == plain and hash(p) == hash(plain)
+    assert (repr(p), str(p), p.to_json()) == (repr(plain), str(plain), plain.to_json())
+
+
 def test_split_roots_searches_divisors_only_on_the_core(monkeypatch):
     # q(1) = q(-1) = 0 would let every divisor of 720720 within the root
     # bound through the (r -+ 1) | q(+-1) filter, one deflation each

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,7 +35,9 @@ from braidsys import (
     system_invariants,
     system_invariants_from_normal_forms,
 )
+from braidsys import intlinalg, invariants
 from braidsys.braids import BraidWord, NormalForm, Permutation, inverse
+from braidsys.intlinalg import factored_str, split_integer_roots
 from braidsys.invariants import _trace
 
 from oracles import (
@@ -165,6 +168,27 @@ def test_bmk_family():
     assert family_bmk_charpoly(4, 2) == IntPolynomial((0, 0, -11, 0, 1))
     with pytest.raises(ValueError):
         family_bmk(3, -1)
+
+
+@pytest.mark.parametrize("m, k, message", [
+    (2, 0, "family needs m > 2, got 2"),
+    (1, 0, "family needs m > 2, got 1"),
+    (0, 0, "family needs m > 2, got 0"),
+    (-3, 0, "family needs m > 2, got -3"),
+    (2, 3, "family needs m > 2, got 2"),
+    (4, -1, "k must be >= 0, got -1"),
+    (3, -2, "k must be >= 0, got -2"),
+    (2, -1, "k must be >= 0, got -1"),  # k is checked first
+    (0, -5, "k must be >= 0, got -5"),
+])
+def test_bmk_family_and_its_closed_form_reject_the_same_arguments(m, k, message):
+    for family in (family_bmk, family_bmk_charpoly):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            family(m, k)
+    if k == 0:
+        for family in (family_bm, family_bm_charpoly):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                family(m)
 
 
 def test_pure3_oracle():
@@ -392,6 +416,35 @@ def test_comparison_json_roundtrips(left, right, verdict):
     c = compare_systems(BraidSystem.from_texts(4, left), BraidSystem.from_texts(4, right))
     assert c.verdict == verdict
     assert SystemComparison.from_json(c.to_json()) == c
+
+
+def test_compare_combs_each_system_trace_once(monkeypatch):
+    combed = []
+    trace = invariants._trace
+    monkeypatch.setattr(invariants, "_trace", lambda m, nfs: combed.append(m) or trace(m, nfs))
+    s1 = BraidSystem.from_texts(4, ["1,2,-3", "3", "-2", "1"])
+    s2 = BraidSystem.from_texts(4, ["1,-2,3", "-3", "2", "-1"])
+    c = compare_systems(s1, s2)
+    assert len(combed) == 2
+    assert c.invariants[0].left == normal_form(s1.trace_product()).to_word().to_text()
+    # a report decoded from JSON combs its trace when it is first asked for
+    rep = system_invariants(s1)
+    back = SystemInvariantReport.from_json(rep.to_json())
+    assert back == rep and back._trace_form == rep._trace_form
+
+
+def test_one_report_and_its_rendering_split_the_charpoly_once(monkeypatch):
+    # the report's integer eigenvalues, the factored rendering, the cofactor
+    # and the roots all read the one split kept with the charpoly
+    split = []
+    split_roots = intlinalg._split_roots
+    monkeypatch.setattr(intlinalg, "_split_roots", lambda p: split.append(p) or split_roots(p))
+    invariants._report_for_normal_form.cache_clear()
+    rep = braid_invariants(parse_word("1,2,-3,2,2,1,-3,1", 4))
+    text = factored_str(rep.charpoly)
+    assert split_integer_roots(rep.charpoly)[0] == integer_roots(rep.charpoly) == rep.integer_eigenvalues
+    assert len(split) == 1 and split[0] is rep.charpoly
+    assert text == factored_str(IntPolynomial(rep.charpoly.coeffs))
 
 
 def test_system_from_texts_and_json():
