@@ -27,6 +27,8 @@ import bisect
 import functools
 import itertools
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 
 from .codec import JsonCodec
@@ -295,8 +297,66 @@ class _Codebook:
         return -p - len(facs), tuple(reversed(facs))
 
 
-# Built on first use, and emptied with the other caches.
+# One codebook per degree, built on first use and emptied with the other
+# caches.  Only degrees <= 5 have a pair-fix table: at most 120**2 = 14,400
+# slots, at degree 5.
 _book = functools.lru_cache(maxsize=None)(_Codebook)
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses currsize weight")
+
+
+def _weighted_lru(budget: int, weight):
+    """Memoise a function of one hashable argument in a least-recently-used
+    cache whose entries weigh `weight(arg)` each and together at most
+    `budget`: the least recently used entries are evicted to make room, and
+    a result heavier than the whole budget is returned but not kept.
+
+    The weights count the ints an entry holds in tuples, plus 128 for its
+    fixed part, so that a budget bounds bytes too (README, "Caches").  The
+    wrapper is a plain function carrying `cache_info()` and `cache_clear()`,
+    as `functools.lru_cache` makes it; the bookkeeping runs under a lock, the
+    call itself outside it.
+    """
+    def decorate(fn):
+        entries: OrderedDict = OrderedDict()  # arg -> (result, weight), least recent first
+        lock = threading.Lock()
+        held = hits = misses = 0
+
+        @functools.wraps(fn)
+        def cached(arg):
+            nonlocal held, hits, misses
+            with lock:
+                entry = entries.get(arg)
+                if entry is not None:
+                    hits += 1
+                    entries.move_to_end(arg)
+                    return entry[0]
+                misses += 1
+            result, w = fn(arg), weight(arg)
+            if w <= budget:
+                entry = (result, w)
+                with lock:
+                    if entries.setdefault(arg, entry) is entry:  # no other thread stored arg
+                        held += w
+                        while held > budget:
+                            held -= entries.popitem(last=False)[1][1]
+            return result
+
+        def cache_info() -> _CacheInfo:
+            with lock:
+                return _CacheInfo(hits, misses, len(entries), held)
+
+        def cache_clear() -> None:
+            nonlocal held, hits, misses
+            with lock:
+                entries.clear()
+                held = hits = misses = 0
+
+        cached.cache_info, cached.cache_clear = cache_info, cache_clear
+        return cached
+
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -383,7 +443,9 @@ class NormalForm(JsonCodec):
         return tuple(k for f in self.factors for k in _permutation_letters(f))
 
 
-@functools.lru_cache(maxsize=65536)
+# A key and its inverse hold len(factors) factors of degree ints each; 2**16
+# bounds the cache under 0.5 MB (README, "Caches").
+@_weighted_lru(2**16, lambda nf: 128 + 2 * nf.degree * len(nf.factors))
 def _nf_inverse(nf: NormalForm) -> NormalForm:
     book = _book(nf.degree)
     return book.normal_form(book.inverse(book.form(nf)))

@@ -8,6 +8,10 @@ invariants.  For a braid system the multiset and product of the
 component polynomials are invariant under the Hurwitz action, and the
 product with the roots 0 and +-1 stripped is additionally invariant
 under global conjugation and stabilization.
+
+Braid reports and group orders are memoised in least-recently-used caches
+bounded by the weight of what they hold, not by entry count; the README
+("Caches") states each bound in bytes.
 """
 
 from __future__ import annotations
@@ -119,7 +123,12 @@ class SystemInvariantReport(JsonCodec):
         return _trace(self.degree, self.normal_forms)
 
 
-@functools.lru_cache(maxsize=65536)
+# A report of degree m holds m**2 ints in each of S and S_rows, and its
+# form m per factor.  The budget is nearly two 64-component systems' worth
+# of reports at degree 32 (about 110), so that one compare or a run of
+# apply steps finds its reports again; it bounds the cache under 2.7 MB, and
+# reports of degree >= 362 are not kept (README, "Caches").
+@braids._weighted_lru(2**18, lambda nf: 128 + nf.degree * (2 * nf.degree + len(nf.factors)))
 def _report_for_normal_form(nf: NormalForm) -> BraidInvariantReport:
     r, M = pure_power_matrix(nf)
     cp = charpoly(M)
@@ -164,7 +173,11 @@ def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@functools.lru_cache(maxsize=65536)
+# A key holds one image tuple per generator.  A miss costs a Schreier-Sims
+# run, so the budget keeps every group that a 30-second `audit` benchmark
+# run meets again; it bounds the cache under 2.2 MB up to degree 256
+# (README, "Caches").
+@braids._weighted_lru(2**18, lambda gens: 128 + sum(map(len, gens)))
 def _group_order_cached(gens: tuple[tuple[int, ...], ...]) -> int:
     """Deterministic Schreier-Sims on the base 0..n-1, as one worklist
     (Sims 1970; Knuth 1991, "Efficient representation of perm groups";

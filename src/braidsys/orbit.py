@@ -109,7 +109,8 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, intern: _Interner, target: int | N
     order.  No state is recorded beyond max_states; once `parents` is
     full, moves are computed only until one leads to an unrecorded state,
     so an orbit that closes at exactly max_states is still complete.
-    Returns (parents, status, depth of the last state found).
+    Returns (parents, status, depth), where depth is that of the last state
+    found if the search is complete and None otherwise.
 
     A move changes only the pair it acts on, and normal forms are
     canonical, so each (pair, direction) is computed at most once per
@@ -124,7 +125,7 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, intern: _Interner, target: int | N
     start = intern.pack(s.normal_forms())
     parents: dict = {start: None}
     if start == target:
-        return parents, "target_found", 0
+        return parents, "target_found", None
     width, short = intern.width, intern.short
     mask2 = (1 << 2 * width) - 1
     moves = [(width * (i - 1), inv, HurwitzMove(i, inv)) for i in range(1, len(s)) for inv in (False, True)]
@@ -134,7 +135,7 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, intern: _Interner, target: int | N
     frontier, depth, truncated = [start], 0, False
     while frontier:
         if depth >= limits.max_depth:
-            return parents, "truncated", depth
+            return parents, "truncated", None
         found = []
         for state in frontier:
             for shift, inv, move in moves:
@@ -152,17 +153,17 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, intern: _Interner, target: int | N
                 if nxt in parents:
                     continue
                 if len(parents) >= limits.max_states:
-                    return parents, "truncated", depth + bool(found)
+                    return parents, "truncated", None
                 if not (ok and (start_short or all(map(short.__getitem__, intern.ids_of(nxt))))):
                     truncated = True
                     continue
                 parents[nxt] = (state, move)
                 if nxt == target:
-                    return parents, "target_found", depth + 1
+                    return parents, "target_found", None
                 found.append(nxt)
         frontier = found
         depth += 1
-    return parents, "truncated" if truncated else "complete", depth - 1
+    return (parents, "truncated", None) if truncated else (parents, "complete", depth - 1)
 
 
 def _witness(parents: dict, key) -> tuple[HurwitzMove, ...]:
@@ -186,7 +187,7 @@ def hurwitz_orbit(
     parents, status, depth = _bfs(s, limits, intern, target_key)
     return OrbitResult(status, len(parents),
                        witness=_witness(parents, target_key) if status == "target_found" else None,
-                       frontier_exhausted_at_depth=depth if status == "complete" else None)
+                       frontier_exhausted_at_depth=depth)
 
 
 def orbit_states(s: BraidSystem, limits: OrbitLimits = OrbitLimits()):

@@ -391,12 +391,29 @@ _STEPS = st.lists(st.sampled_from(
 _LIMITS = st.sampled_from([12, 3, 1, 30, 2, 0, -1]).map(str)
 
 
+# argv that argparse rejects: it prints its usage, then one error line
+_REJECTED = [
+    ["bogus"],
+    [],
+    ["apply", "--steps=H 1 +"],
+    ["invariants", "--degree=x", "--word=1"],
+    ["compare", "FILE1"],
+    ["orbit", "--system", "FILE1", "--max-states=many"],
+    ["papersuite", "--bogus"],
+]
+
+
 @st.composite
 def _argv(draw):
-    """argv that argparse accepts, so that every failure is the command's
-    own; `FILE1` and `FILE2` stand for the two generated system files."""
-    command = draw(st.sampled_from(["invariants-word", "invariants-system", "compare", "apply", "orbit"]))
-    if command == "invariants-word":
+    """argv for every command, at times one that argparse rejects;
+    `FILE1` and `FILE2` stand for the two generated system files."""
+    command = draw(st.sampled_from(["invariants-word", "invariants-system", "compare", "apply", "orbit",
+                                    "papersuite", "rejected"]))
+    if command == "rejected":
+        return draw(st.sampled_from(_REJECTED))
+    if command == "papersuite":
+        argv = ["papersuite"] + draw(st.sampled_from([[], ["--flipped-convention"]]))
+    elif command == "invariants-word":
         argv = ["invariants", f"--degree={draw(_DEGREES)}", f"--word={draw(_WORDS | _JUNK_WORDS)}"]
     elif command == "invariants-system":
         argv = ["invariants", "--system", "FILE1"]
@@ -419,15 +436,19 @@ def test_cli_fuzz_fails_cleanly(argv, first, second):
         files = {"FILE1": Path(tmp) / "first.json", "FILE2": Path(tmp) / "second.json"}
         files["FILE1"].write_bytes(first)
         files["FILE2"].write_bytes(second)
+        rejected = argv in _REJECTED
         argv = [str(files.get(arg, arg)) for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     err = err.getvalue()
-    assert code in (0, 1, 2, 3)
+    assert code in ((1,) if rejected else (0, 1, 2, 3))
     assert "internal error" not in err
-    if code:
-        assert err.count("\n") <= 1, err
+    if code == 1:
+        lines = err.splitlines()
+        assert lines and "error: " in lines[-1], err
+        # argparse prints its usage before the error line, a command the error alone
+        assert (len(lines) > 1) == rejected, err
     else:
         assert not err
 
