@@ -34,8 +34,10 @@ from braidsys.braids import (
     _Codebook,
     _book,
     _lw_fix,
+    _lw_fix_dual,
     _permutation_letters,
     _tup_flip,
+    _tup_left_complement,
 )
 
 from oracles import (
@@ -491,8 +493,85 @@ def test_pair_fix_matches_the_rescanning_oracle(pair):
 
 def test_pair_fix_returns_a_left_weighted_pair_unchanged():
     a, b = (2, 1, 4, 3), (1, 2, 4, 3)  # sigma_1 sigma_3, then sigma_3: a sigma_3 is not simple
-    got = _lw_fix(a, b)
-    assert got == (a, b, False) and got[0] is a and got[1] is b
+    for fix in (_lw_fix, _lw_fix_dual):
+        got = fix(a, b)
+        assert got == (a, b, False) and got[0] is a and got[1] is b
+
+
+def test_dual_pair_fix_matches_the_rescanning_oracle_at_small_degree():
+    # every pair of every degree <= 5, whatever its shape
+    for m in range(1, 6):
+        for a, b in itertools.product(itertools.permutations(range(1, m + 1)), repeat=2):
+            want = _pair_fix(a, b)
+            got = _lw_fix_dual(a, b)
+            assert got == (*want, want != (a, b))
+            if want == (a, b):
+                assert got[0] is a and got[1] is b
+
+
+@st.composite
+def near_delta_pairs(draw):
+    # a few letters in a, and b = Delta with a few letters taken off its
+    # front: the pairs whose insertion pass moves nearly every crossing
+    m = draw(st.integers(9, 64))
+    letters = st.lists(st.integers(1, m - 1), max_size=6)
+    a = permutation(BraidWord(m, tuple(draw(letters)))).images
+    b = _tup_left_complement(permutation(BraidWord(m, tuple(draw(letters)))).images)
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_delta_pairs())
+def test_dual_pair_fix_matches_the_rescanning_oracle_near_delta(pair):
+    a, b = pair
+    fixed = _pair_fix(a, b)
+    assert _lw_fix_dual(a, b) == _lw_fix(a, b) == (*fixed, fixed != (a, b))
+
+
+@pytest.mark.parametrize("m, by_oracle", [(128, 6), (192, 1), (256, 0)])
+def test_dual_pair_fix_matches_the_insertion_pass_on_combed_pairs(monkeypatch, m, by_oracle):
+    # the pairs the comb fixes for a random 2m-letter word: the same form
+    # whichever path runs, and the same fix on every pair of the dual shape.
+    # The rescanning oracle takes 0.1 s a pair at degree 128, so it checks
+    # only the first few
+    book = _Codebook(m)
+    pairs = []
+
+    def recording(a, b, fix=book.fix):
+        pairs.append((a, b))
+        return fix(a, b)
+
+    book.fix = recording
+    monkeypatch.setattr(braids, "_book", lambda degree: book)
+    word = random_word(random.Random(m), m, 2 * m, 2 * m)
+    nf = normal_form(word)
+    combed = [(a, b) for a, b in pairs if b[0] > b[-1] and a[0] < a[-1]]
+    with monkeypatch.context() as insertion_only:
+        insertion_only.setattr(braids, "_DUAL_FIX_ABOVE", braids.MAX_DEGREE)
+        assert normal_form(word) == nf
+        want = [_lw_fix(a, b) for a, b in combed]
+    assert len(combed) >= 30
+    assert [_lw_fix_dual(a, b) for a, b in combed] == want
+    assert [_pair_fix(a, b) for a, b in combed[:by_oracle]] == [w[:2] for w in want[:by_oracle]]
+
+
+@pytest.mark.parametrize("m, dual", [(6, 0), (12, 0), (13, 1), (64, 1)])
+def test_pair_fix_takes_the_dual_path_above_degree_12(monkeypatch, m, dual):
+    # a pair of the dual shape (b = Delta, a = sigma_1), on each side of the
+    # degree bound; a pair of any other shape never takes it
+    calls = []
+
+    def counting(a, b, fix=_lw_fix_dual):
+        calls.append((a, b))
+        return fix(a, b)
+
+    monkeypatch.setattr(braids, "_lw_fix_dual", counting)
+    sigma_1, delta = (2, 1, *range(3, m + 1)), tuple(range(m, 0, -1))
+    assert _lw_fix(sigma_1, delta) == (delta, _tup_flip(sigma_1), True)
+    assert len(calls) == dual
+    _lw_fix(delta[::-1], sigma_1)
+    _lw_fix(sigma_1[::-1], delta)
+    assert len(calls) == dual
 
 
 def test_flip_table_matches_the_conjugated_word():
@@ -555,6 +634,21 @@ def test_degree_one_group_is_trivial():
 def test_normal_form_json_roundtrip():
     nf = normal_form(parse_word("1,-2,3,3", 4))
     assert NormalForm.from_json(nf.to_json()) == nf
+
+
+def test_normal_form_hash_is_the_dataclass_hash_kept_once():
+    # the value the generated dataclass hash gives, so no dict or set order
+    # changes; the kept hash is no field, so JSON, repr and equality ignore it
+    rng = random.Random(13)
+    for _ in range(100):
+        m = rng.randint(1, 12)
+        nf = normal_form(random_word(rng, m, 3 * m))
+        assert hash(nf) == hash((nf.degree, nf.infimum, nf.factors))
+        twin = NormalForm(nf.degree, nf.infimum, tuple(map(tuple, map(list, nf.factors))))
+        assert twin == nf and hash(twin) == hash(nf) and {nf: 1}[twin] == 1
+        assert list(nf.to_json()) == ["degree", "infimum", "factors"]
+        assert NormalForm.from_json(nf.to_json()).__dict__ == nf.__dict__
+        assert "_hash" not in repr(nf)
 
 
 def test_normal_form_from_json_rejects_a_non_bijective_factor():

@@ -484,6 +484,17 @@ PINNED = [
      ["orbit", "--system", "{deg6}", "--target", "{deg6_moved}", "--max-states", "200", "--json"],
      0),
     ("orbit_deg7_truncated.json", ["orbit", "--system", "{deg7}", "--max-depth", "4", "--json"], 0),
+    # degree 64, where `braids._lw_fix` takes its dual path: 128 random letters,
+    # drawn as benchmarks/workloads.py::rand_word does with seed 7; "--word="
+    # since the first letter is negative
+    ("invariants_word_m64.json",
+     ["invariants", "--degree", "64",
+      "--word=-61,26,5,24,59,3,28,-5,6,-4,61,41,37,-4,3,19,-10,37,-36,7,24,36,37,40,32,-50,"
+      "-30,-24,-16,45,6,-34,-57,-47,-19,8,-11,-10,-27,62,49,-22,-39,-38,-5,61,-31,4,-42,"
+      "-19,-57,-2,-23,40,32,14,-9,26,-59,-6,29,-36,-57,53,-56,-46,-23,-62,10,12,15,1,-54,"
+      "17,-1,27,-40,-61,45,30,-26,-26,31,-4,5,29,8,-39,7,37,35,61,-40,5,40,-10,-62,-39,-31,"
+      "8,-63,-31,-20,10,48,-48,-31,34,14,-10,49,-63,45,-34,-59,23,35,-41,40,52,53,-48,13,"
+      "-23,2,-31,-13,-29", "--json"], 0),
 ]
 
 
