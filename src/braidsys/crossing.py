@@ -210,6 +210,12 @@ def permutation_equivalent(M, N) -> Permutation | None:
     Backtracking over partial assignments, pruning candidates by the
     multiset signature (diagonal, row multiset, column multiset) of each
     index.  Every returned witness is re-verified entry by entry.
+
+    The worst case is exponential in the size n: on regular graphs the
+    signature prunes nothing.  A shuffled prism C_k x K_2 against a
+    shuffled Moebius ladder, worst of 5 shuffles, returned None in 0.55 s
+    at n = 16, 3.9 s at n = 18 and 66 s at n = 20 (2-core VM, Python
+    3.11.7).  ROADMAP item 11 plans colour refinement.
     """
     rm, rn = matrix_rows(M), matrix_rows(N)
     if len(rm) != len(rn):

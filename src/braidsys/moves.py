@@ -158,16 +158,18 @@ def euler_fuse(s: BraidSystem, l: int, q: int) -> tuple[BraidSystem, bool]:
 
 
 def euler_fission_check(whole: BraidWord, pieces) -> bool:
-    """Whether splitting `whole` into `pieces` is a legal fission."""
+    """Whether splitting `whole` into `pieces` is a legal fission: no piece
+    is the identity, the pieces multiply to `whole`, and fusing them passes
+    the tau check of `euler_fuse` (tau reads only the permutation, so the
+    whole and the product have one tau once they are equal)."""
     pieces = tuple(pieces)
     if len(pieces) < 2:
         raise ValueError("a fission needs at least two pieces")
-    prod = BraidSystem(whole.degree, pieces).trace_product()  # raises on degree mismatch
+    # BraidSystem raises on a degree mismatch
+    fused, tau_check = euler_fuse(BraidSystem(whole.degree, pieces), 1, len(pieces) - 1)
     if any(braids.is_identity(p) for p in pieces):
         return False
-    if not braids.braids_equal(whole, prod):
-        return False
-    return tau(whole) == sum(tau(p) for p in pieces)
+    return tau_check and braids.braids_equal(whole, fused.components[0])
 
 
 def euler_necessity(s1: BraidSystem, s2: BraidSystem) -> str:

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import braids
 from .braids import BraidWord
 from .codec import JsonCodec
-from .invariants import BraidSystem, system_invariants
+from .invariants import BraidSystem, compare_systems
 from .moves import (
     HurwitzMove,
     destabilize,
@@ -228,12 +228,12 @@ def find_conjugator(b: BraidWord, target: BraidWord, max_length: int = 4) -> Bra
     return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class InvarianceReport:
     trials: int
     moves_applied: int
     seed: int
-    failures: list[str] = field(default_factory=list)
+    failures: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -243,17 +243,19 @@ class InvarianceReport:
 def verify_invariance(s: BraidSystem, trials: int, seed: int) -> InvarianceReport:
     """Hammer a system with random move sequences and check every invariant.
 
-    Hurwitz moves must preserve the full Hurwitz field set and the trace
-    product; global conjugation everything but the trace; a stabilize +
-    destabilize pair must return the system componentwise and preserve
-    the essential core and mod-3 class across the stabilized step.
+    Each move is checked by `compare_systems` of the systems before and
+    after it.  A Hurwitz move must keep the shape and every check; global
+    conjugation the shape and every check but the trace, which must
+    follow a^-1 T a instead; a stabilization must change the shape, so
+    only the Euler checks are compared, and it must keep them and be
+    undone componentwise by destabilize.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    base = system_invariants(s)
     base_trace = braids.normal_form(s.trace_product())
-    report = InvarianceReport(trials=trials, moves_applied=0, seed=seed)
+    failures: list[str] = []
+    moves_applied = 0
 
     for trial in range(trials):
         current = s
@@ -261,43 +263,35 @@ def verify_invariance(s: BraidSystem, trials: int, seed: int) -> InvarianceRepor
         history: list[str] = []
         for _ in range(rng.randint(1, 8)):
             kind = rng.choice(["hurwitz", "hurwitz", "hurwitz", "conj", "stab"])
+            before = current
             if kind == "hurwitz" and len(current) >= 2:
                 move = HurwitzMove(rng.randint(1, len(current) - 1), rng.random() < 0.5)
                 history.append(str(move))
-                current = hurwitz_move(current, move, simplify=True)
-                rep = system_invariants(current)
-                if rep.hurwitz_fields() != base.hurwitz_fields():
-                    report.failures.append(f"trial {trial}: hurwitz fields broke after {history}")
-                if braids.normal_form(current.trace_product()) != expected_trace:
-                    report.failures.append(f"trial {trial}: trace broke after {history}")
+                after = current = hurwitz_move(current, move, simplify=True)
+                keeps_shape, dropped = True, ()
             elif kind == "conj":
                 gens = [k for i in range(1, current.degree) for k in (i, -i)]
                 if not gens:
                     continue
                 a = BraidWord(current.degree, tuple(rng.choice(gens) for _ in range(rng.randint(1, 4))))
                 history.append(f"GC {a.to_text()}")
-                current = global_conjugate(current, a, simplify=True)
+                after = current = global_conjugate(current, a, simplify=True)
+                keeps_shape, dropped = True, ("trace_product",)
                 nf_a = braids.normal_form(a)
                 expected_trace = nf_a.inverse() * expected_trace * nf_a
-                rep = system_invariants(current)
-                if rep.hurwitz_fields() != base.hurwitz_fields():
-                    report.failures.append(f"trial {trial}: conjugation broke a field after {history}")
                 if braids.normal_form(current.trace_product()) != expected_trace:
-                    report.failures.append(f"trial {trial}: trace did not follow conjugation after {history}")
+                    failures.append(f"trial {trial}: trace did not follow conjugation after {history}")
             else:
                 history.append("STAB/DESTAB")
-                up = stabilize(current)
-                rep = system_invariants(up)
-                # stabilizing shifts the 0/+-1 multiplicities; the core is the invariant
-                if rep.essential.core != base.essential.core:
-                    report.failures.append(f"trial {trial}: essential core broke under stabilize after {history}")
-                if rep.degree_plus_length_mod3 != base.degree_plus_length_mod3:
-                    report.failures.append(f"trial {trial}: mod-3 class broke under stabilize after {history}")
-                down = destabilize(up)
-                if not all(
-                    braids.braids_equal(a0, b0)
-                    for a0, b0 in zip(current.components, down.components)
-                ):
-                    report.failures.append(f"trial {trial}: stabilize round trip broke after {history}")
-            report.moves_applied += 1
-    return report
+                after = stabilize(current)  # checked, then undone
+                keeps_shape, dropped = False, ()
+                if destabilize(after).normal_forms() != current.normal_forms():
+                    failures.append(f"trial {trial}: stabilize round trip broke after {history}")
+            comparison = compare_systems(before, after)
+            broken = [c.name for c in comparison.invariants if c.equal is False and c.name not in dropped]
+            if comparison.same_shape != keeps_shape:
+                broken.insert(0, "same_shape")
+            if broken:
+                failures.append(f"trial {trial}: {', '.join(broken)} broke after {history}")
+            moves_applied += 1
+    return InvarianceReport(trials, moves_applied, seed, tuple(failures))

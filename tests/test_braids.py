@@ -684,6 +684,18 @@ def test_normal_form_from_json_rejects_a_degree_below_one(degree):
             NormalForm.from_json({"degree": degree, "infimum": 1, "factors": factors})
 
 
+@pytest.mark.parametrize("infimum", [3, -1])
+def test_normal_form_from_json_rejects_a_nonzero_infimum_at_degree_one(infimum):
+    # the half twist of B_1 is the identity, whose one form has infimum 0
+    with pytest.raises(ValueError, match=f"infimum {infimum}"):
+        NormalForm.from_json({"degree": 1, "infimum": infimum, "factors": []})
+
+
+def test_normal_form_from_json_accepts_the_degree_one_identity():
+    nf = NormalForm.from_json({"degree": 1, "infimum": 0, "factors": []})
+    assert nf.is_identity() and nf == normal_form(nf.to_word())
+
+
 def test_normal_form_from_json_rejects_a_half_twist_factor():
     # Delta belongs in the infimum
     with pytest.raises(ValueError, match="not a left normal form"):

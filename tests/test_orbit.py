@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -9,6 +10,7 @@ import braidsys.orbit
 from braidsys import braids
 from braidsys import (
     BraidSystem,
+    BraidWord,
     HurwitzMove,
     OrbitLimits,
     braids_equal,
@@ -20,6 +22,7 @@ from braidsys import (
     normal_form,
     orbit_states,
     parse_word,
+    power,
     replay_witness,
     system_invariants,
     system_invariants_from_normal_forms,
@@ -317,6 +320,38 @@ def test_verify_invariance_single_component():
 def test_verify_invariance_rejects_bad_trials():
     with pytest.raises(ValueError):
         verify_invariance(BraidSystem.from_texts(2, ["1"]), trials=0, seed=0)
+
+
+def test_invariance_report_is_frozen():
+    rep = verify_invariance(INTRO_B, trials=2, seed=0)
+    assert isinstance(rep.failures, tuple)
+    for name, value in (("moves_applied", 0), ("failures", ("x",))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rep, name, value)
+
+
+def _square_first(s):
+    return BraidSystem(s.degree, (power(s.components[0], 2),) + s.components[1:])
+
+
+def _identity_first(s):
+    return BraidSystem(s.degree, (BraidWord(s.degree),) + s.components)
+
+
+@pytest.mark.parametrize("name, breaks, broken", [
+    ("hurwitz_move", _square_first, "exponent_sum_multiset"),
+    ("global_conjugate", _identity_first, "same_shape"),
+    # a stabilization keeps only the Euler checks: here the mod-3 class breaks
+    ("stabilize", _identity_first, "degree_plus_length_mod3"),
+    # one component short of a round trip
+    ("destabilize", lambda s: BraidSystem(s.degree, s.components[:-1]), "stabilize round trip"),
+])
+def test_verify_invariance_reports_a_move_that_breaks_what_it_keeps(monkeypatch, name, breaks, broken):
+    move = getattr(braidsys.orbit, name)
+    monkeypatch.setattr(braidsys.orbit, name, lambda *args, **kwargs: breaks(move(*args, **kwargs)))
+    rep = verify_invariance(INTRO_B, trials=20, seed=7)
+    assert not rep.passed
+    assert any(broken in f for f in rep.failures), rep.failures
 
 
 @pytest.mark.parametrize("m", [1, 6, 7])
