@@ -440,6 +440,9 @@ class NormalForm(JsonCodec):
     factors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.degree == 1 and self.infimum:
+            # the half twist of B_1 is the identity, whose form has infimum 0
+            raise ValueError(f"a degree-1 form has infimum 0, got infimum {self.infimum}")
         object.__setattr__(self, "_hash", hash((self.degree, self.infimum, self.factors)))
 
     def __hash__(self) -> int:
@@ -449,9 +452,6 @@ class NormalForm(JsonCodec):
     def from_json(cls, data: dict) -> "NormalForm":
         nf = super().from_json(data)
         check_degree(nf.degree)
-        if nf.degree == 1 and nf.infimum:
-            # the half twist of B_1 is the identity, whose form has infimum 0
-            raise ValueError(f"a degree-1 form has infimum 0, got infimum {nf.infimum}")
         for f in nf.factors:
             if len(f) != nf.degree:
                 raise ValueError(f"factor {list(f)} does not have degree {nf.degree}")

@@ -17,7 +17,9 @@ finding strips them first and searches only the core for other roots,
 deflating plain coefficient lists; it builds a polynomial only for its
 result.  Each polynomial object computes that split once, on first use,
 and keeps it, so its integer roots, its cofactor and its factored
-rendering all read the same pass.
+rendering all read the same pass.  The charpoly of a braid report comes
+with its split already kept, made block by block on blocks divided by
+the gcd of their entries (`_split_block_charpoly`).
 """
 
 from __future__ import annotations
@@ -286,6 +288,26 @@ def _coefficient_bound(rows) -> int:
     return largest
 
 
+def _components(links) -> list[list[int]]:
+    """The connected components of the graph on 0..n-1 in which links[i]
+    lists the neighbours of i, every edge in the lists of both its ends:
+    each an ascending list of indices, in the order of their least index."""
+    seen = [False] * len(links)
+    blocks = []
+    for start in range(len(links)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        for i in block:  # the list grows while it is walked
+            for j in links[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    block.append(j)
+        blocks.append(sorted(block))
+    return blocks
+
+
 def _blocks(rows) -> list[list[int]]:
     """The connected components of the links i - j with M[i][j] != 0 or
     M[j][i] != 0, each an ascending list of indices.  No entry of M links
@@ -297,20 +319,7 @@ def _blocks(rows) -> list[list[int]]:
     for i, js in enumerate(links):
         for j in js:
             back[j].append(i)
-    seen = [False] * n
-    blocks = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block = [start]
-        for i in block:  # the list grows while it is walked
-            for j in chain(links[i], back[i]):
-                if not seen[j]:
-                    seen[j] = True
-                    block.append(j)
-        blocks.append(sorted(block))
-    return blocks
+    return _components([js + bs for js, bs in zip(links, back)])
 
 
 def _block_charpoly(rows) -> list[int]:
@@ -361,6 +370,55 @@ def charpoly(M) -> IntPolynomial:
     for block in _blocks(rows):
         coeffs = _mul_coeffs(coeffs, _block_charpoly([[rows[i][j] for j in block] for i in block]))
     return IntPolynomial(tuple(coeffs))
+
+
+def _scaled(c, g: int) -> list[int]:
+    """Ascending coefficients of g^n q(x / g), for q = c of degree n: c_k g^(n-k)."""
+    n = len(c) - 1
+    return [v * g ** (n - k) for k, v in enumerate(c)]
+
+
+def _split_block_charpoly(blocks) -> IntPolynomial:
+    """det(xI - M) for the block-diagonal M with these diagonal blocks, with
+    its integer-root split already kept, so `integer_roots`,
+    `split_integer_roots` and `factored_str` of it make no further pass.
+
+    An all-zero block of n rows adds the factor x^n.  Each other block B
+    is divided by the gcd g of its entries, and `_block_charpoly` and
+    `_split_roots` run on B' = B / g.
+    det(xI - g B') = g^n det((x / g) I - B'), so the coefficient of x^k is
+    g^(n-k) times that of B', and each eigenvalue is g times one of B'.
+    An integer root of B's polynomial is g times a rational root of the
+    monic integer polynomial of B', hence g times an integer root, with the
+    same multiplicity; so the split of B is that of B' with each root
+    times g and the cofactor scaled as the polynomial is.  The product of
+    the monic cofactors has no integer root, so it is the cofactor of the
+    product.
+
+    Each entry of a pure-power matrix is its orbit's total times r / L
+    (`crossing.pure_power_matrix`), so dividing out the gcd leaves small
+    roots and a short divisor scan: the degree-512 report of README, "CLI",
+    splits in well under a second, where a scan of the whole product made
+    6.7 million trial divisions.  A block whose entries share no large
+    factor is scanned as it is.
+    """
+    zeros, coeffs, rest, found = 0, [1], [1], {}
+    for rows in blocks:
+        g = math.gcd(*chain.from_iterable(rows))
+        if not g:
+            zeros += len(rows)
+            continue
+        cp = _block_charpoly([[v // g for v in row] for row in rows])
+        roots, cofactor = _split_roots(IntPolynomial(tuple(cp)))
+        coeffs = _mul_coeffs(coeffs, _scaled(cp, g))
+        rest = _mul_coeffs(rest, _scaled(cofactor, g))
+        for root, mult in roots:
+            found[g * root] = found.get(g * root, 0) + mult
+    if zeros:
+        found[0] = found.get(0, 0) + zeros
+    p = IntPolynomial((0,) * zeros + tuple(coeffs))
+    object.__setattr__(p, "_root_split", (tuple(sorted(found.items())), IntPolynomial(tuple(rest))))
+    return p
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -477,17 +535,24 @@ def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
 
     The split is computed once per polynomial object and kept with it, so
     `split_integer_roots` and `factored_str` of the same object reuse it.
-    Its divisor scan makes up to min(isqrt(|c0|), root bound) trial
-    divisions of the core's constant term c0, which dominates a report at
-    high degree (README, "CLI": 14.8 of 15.3 s at degree 512)."""
+    A braid report's charpoly arrives with its split, made on each block
+    of the pure-power matrix divided by the gcd of its entries, so the
+    divisor scans are short: the degree-512 report of README, "CLI", takes
+    about 0.2 s in all.  Any other polynomial is scanned here, with up to
+    min(isqrt(|c0|), root bound) trial divisions of its core's constant
+    term c0: x - c with c near 10^14 takes about a second.  A report
+    block whose entries share no large factor is scanned the same way: a
+    degree-32 form times 10^6 full twists makes one block of gcd 1 with
+    entries near 1.8 * 10^8, and its scan did not finish in 30 s."""
     return p._root_split[0]
 
 
 def split_integer_roots(p: IntPolynomial) -> tuple[tuple[tuple[int, int], ...], IntPolynomial]:
     """(integer_roots(p), the cofactor of p left once those roots are divided out),
     from the one split kept with p; `integer_roots` states what its divisor
-    scan costs: up to min(isqrt(|c0|), root bound) trial divisions of the
-    core's constant term c0."""
+    scan costs: none for the charpoly of a braid report, whose split comes
+    with it, and up to min(isqrt(|c0|), root bound) trial divisions of the
+    core's constant term c0 for any other polynomial."""
     return p._root_split
 
 
@@ -526,9 +591,11 @@ def factored_str(p: IntPolynomial) -> str:
     pass extracted: x, (x+1), (x-1), then the other roots in ascending order.
 
     Whatever does not split over the integers is printed as one dense
-    parenthesized factor at the end.  The split's divisor scan makes up to
-    min(isqrt(|c0|), root bound) trial divisions of the core's constant
-    term c0 (`integer_roots`; README, "CLI", for degree 512).
+    parenthesized factor at the end.  The charpoly of a braid report comes
+    with its split, so rendering it makes no scan (README, "CLI", for
+    degree 512); any other polynomial is scanned once, with up to
+    min(isqrt(|c0|), root bound) trial divisions of its core's constant
+    term c0 (`integer_roots`).
     """
     if not p:
         return "0"

@@ -23,11 +23,11 @@ from dataclasses import dataclass, fields
 from . import braids
 from .braids import BraidWord, NormalForm
 from .codec import JsonCodec, decode, require_keys
-from .crossing import crossing_matrix, pure_power_matrix
+from .crossing import _pure_power_blocks, crossing_matrix
 from .intlinalg import (
     IntPolynomial,
     ReducedPolynomial,
-    charpoly,
+    _split_block_charpoly,
     integer_roots,
     reduce_poly,
 )
@@ -130,21 +130,21 @@ class SystemInvariantReport(JsonCodec):
 # reports of degree >= 362 are not kept (README, "Caches").
 @braids._weighted_lru(2**18, lambda nf: 128 + nf.degree * (2 * nf.degree + len(nf.factors)))
 def _report_for_normal_form(nf: NormalForm) -> BraidInvariantReport:
-    r, M = pure_power_matrix(nf)
-    cp = charpoly(M)
+    # the pure-power matrix M is read block by block, never built whole
+    r, blocks, S, S_rows = _pure_power_blocks(nf)
+    cp = _split_block_charpoly(blocks)
     # det M = (-1)^n c_0; and M is symmetric, hence diagonalizable, so its
     # rank is n minus the multiplicity of the root 0
     n, zero_mult = cp.degree, next(k for k, c in enumerate(cp.coeffs) if c)
-    S_rows = M.row_multisets()  # M is symmetric, so these are its column multisets too
     return BraidInvariantReport(
         degree=nf.degree,
         r=r,
         charpoly=cp,
         determinant=(-1) ** n * cp.coeffs[0],
         rank=n - zero_mult,
-        S=M.entry_multiset(),
+        S=S,
         S_rows=S_rows,
-        S_cols=S_rows,
+        S_cols=S_rows,  # M is symmetric, so its row multisets are its column multisets
         integer_eigenvalues=integer_roots(cp),
         normal_form=nf,
     )
@@ -325,7 +325,11 @@ def compare_systems(s1: BraidSystem, s2: BraidSystem) -> SystemComparison:
     EULER_CHECKS that differs, else `euler_necessary` if an Euler check
     differs, else `indistinguishable_by_invariants`.
     """
-    r1, r2 = system_invariants(s1), system_invariants(s2)
+    return _compare_reports(system_invariants(s1), system_invariants(s2))
+
+
+def _compare_reports(r1: SystemInvariantReport, r2: SystemInvariantReport) -> SystemComparison:
+    """`compare_systems` of the two systems these are the reports of."""
     same_shape = (r1.degree, r1.length) == (r2.degree, r2.length)
     checks = []
     for name, read in _CHECKS.items():

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import braids
 from .braids import BraidWord
 from .codec import JsonCodec
-from .invariants import BraidSystem, compare_systems
+from .invariants import BraidSystem, _compare_reports, system_invariants
 from .moves import (
     HurwitzMove,
     destabilize,
@@ -244,26 +244,28 @@ def verify_invariance(s: BraidSystem, trials: int, seed: int) -> InvarianceRepor
     """Hammer a system with random move sequences and check every invariant.
 
     Each move is checked by `compare_systems` of the systems before and
-    after it.  A Hurwitz move must keep the shape and every check; global
-    conjugation the shape and every check but the trace, which must
-    follow a^-1 T a instead; a stabilization must change the shape, so
-    only the Euler checks are compared, and it must keep them and be
-    undone componentwise by destabilize.
+    after it; the report of the system before is kept from the move that
+    made it, so no system report is built twice.  A Hurwitz move must
+    keep the shape and every check; global conjugation the shape and
+    every check but the trace, which must follow a^-1 T a instead; a
+    stabilization must change the shape, so only the Euler checks are
+    compared, and it must keep them and be undone componentwise by
+    destabilize.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    base_trace = braids.normal_form(s.trace_product())
+    base_trace, base_rep = braids.normal_form(s.trace_product()), system_invariants(s)
     failures: list[str] = []
     moves_applied = 0
 
     for trial in range(trials):
-        current = s
+        current, current_rep = s, base_rep
         expected_trace = base_trace  # conjugation moves the trace with it
         history: list[str] = []
         for _ in range(rng.randint(1, 8)):
             kind = rng.choice(["hurwitz", "hurwitz", "hurwitz", "conj", "stab"])
-            before = current
+            before_rep = current_rep
             if kind == "hurwitz" and len(current) >= 2:
                 move = HurwitzMove(rng.randint(1, len(current) - 1), rng.random() < 0.5)
                 history.append(str(move))
@@ -287,7 +289,10 @@ def verify_invariance(s: BraidSystem, trials: int, seed: int) -> InvarianceRepor
                 keeps_shape, dropped = False, ()
                 if destabilize(after).normal_forms() != current.normal_forms():
                     failures.append(f"trial {trial}: stabilize round trip broke after {history}")
-            comparison = compare_systems(before, after)
+            after_rep = system_invariants(after)
+            if after is current:
+                current_rep = after_rep
+            comparison = _compare_reports(before_rep, after_rep)
             broken = [c.name for c in comparison.invariants if c.equal is False and c.name not in dropped]
             if comparison.same_shape != keeps_shape:
                 broken.insert(0, "same_shape")

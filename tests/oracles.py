@@ -188,12 +188,15 @@ def permutation_equivalent_brute(M, N) -> bool:
     )
 
 
-def integer_roots_scan(p: IntPolynomial):
+def integer_roots_scan(p: IntPolynomial, bound: int | None = None):
     """(sorted (root, mult) pairs, cofactor) of a nonzero polynomial, by
-    evaluating every integer within the Cauchy bound 1 + max|c_k / c_n|
-    and dividing each root out by exact long division while it divides."""
+    evaluating every integer within `bound` (by default the Cauchy bound
+    1 + max|c_k / c_n|) and dividing each root out by exact long division
+    while it divides.  A smaller bound must still hold every root, such as
+    the largest absolute row sum of a matrix whose charpoly p is."""
     c = list(p.coeffs)
-    bound = 1 + max(abs(v) for v in c[:-1]) // abs(c[-1]) if len(c) > 1 else 0
+    if bound is None:
+        bound = 1 + max(abs(v) for v in c[:-1]) // abs(c[-1]) if len(c) > 1 else 0
     roots = [r for r in range(-bound, bound + 1) if p(r) == 0]
     found = []
     for r in roots:

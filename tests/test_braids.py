@@ -25,6 +25,7 @@ from braidsys import (
     permutation_order,
     power,
     product,
+    system_invariants_from_normal_forms,
 )
 from braidsys import braids
 from braidsys.braids import (
@@ -689,6 +690,20 @@ def test_normal_form_from_json_rejects_a_nonzero_infimum_at_degree_one(infimum):
     # the half twist of B_1 is the identity, whose one form has infimum 0
     with pytest.raises(ValueError, match=f"infimum {infimum}"):
         NormalForm.from_json({"degree": 1, "infimum": infimum, "factors": []})
+
+
+@pytest.mark.parametrize("infimum", [3, -1])
+def test_normal_form_rejects_a_nonzero_infimum_at_degree_one(infimum):
+    # refused where the form is made, so no product or report holds one:
+    # NormalForm(1, 3, ()) * NormalForm(1, 0, ()) used to keep infimum 3,
+    # and a system report of it read trace_is_identity False
+    with pytest.raises(ValueError, match=f"infimum {infimum}"):
+        NormalForm(1, infimum, ()) * NormalForm(1, 0, ())
+    with pytest.raises(ValueError, match=f"infimum {infimum}"):
+        system_invariants_from_normal_forms(1, (NormalForm(1, infimum, ()),))
+    identity = NormalForm(1, 0, ())
+    assert (identity * identity).is_identity()
+    assert system_invariants_from_normal_forms(1, (identity,)).trace_is_identity
 
 
 def test_normal_form_from_json_accepts_the_degree_one_identity():

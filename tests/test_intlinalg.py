@@ -495,6 +495,53 @@ def test_split_roots_searches_divisors_only_on_the_core(monkeypatch):
     assert len(deflations) <= 4
 
 
+def _block_diagonal(blocks):
+    n = sum(map(len, blocks))
+    rows, at = [[0] * n for _ in range(n)], 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[at + i][at : at + len(row)] = row
+        at += len(block)
+    return rows
+
+
+_G = 1009  # a common factor larger than every root of the divided block
+
+
+@pytest.mark.parametrize("blocks", [
+    # divided by 1009: x^3 - 6x - 4 = (x + 2)(x^2 - 2x - 2)
+    [[[0, _G, 2 * _G], [_G, 0, _G], [2 * _G, _G, 0]]],
+    [[[0, 0], [0, 0]], [[0]]],
+    [[[5]], [[-3]], [[0]], [[5]]],
+    [[[0, 2, 3], [2, 0, 5], [3, 5, 0]]],
+    [[[0, 6], [6, 0]], [[0, 0], [0, 0]], [[7]], [[0, 2, 3], [2, 0, 5], [3, 5, 0]], [[0, -4], [-4, 0]]],
+], ids=["common-factor", "all-zero", "1x1", "g-is-1", "mixed"])
+def test_split_block_charpoly_matches_berkowitz_and_the_scan(blocks):
+    # the product of the blocks' polynomials, each block divided by the gcd
+    # of its entries and scaled back, against the block-diagonal matrix's
+    # Berkowitz charpoly and a scan within its largest absolute row sum
+    p = intlinalg._split_block_charpoly(blocks)
+    rows = _block_diagonal(blocks)
+    cp = charpoly_berkowitz(rows)
+    assert p == cp and "_root_split" in vars(p)
+    bound = max(sum(map(abs, row)) for row in rows)
+    assert split_integer_roots(p) == integer_roots_scan(cp, bound)
+    assert factored_str(p) == factored_str(IntPolynomial(cp.coeffs))
+
+
+def test_split_block_charpoly_splits_the_divided_block(monkeypatch):
+    # entries near 10^12: the divided block's polynomial has the roots -2 and
+    # 1 +- sqrt(3), so its split is found at once and scaled back
+    split = []
+    split_roots = intlinalg._split_roots
+    monkeypatch.setattr(intlinalg, "_split_roots", lambda p: split.append(p.coeffs) or split_roots(p))
+    g = 10**12 + 39
+    p = intlinalg._split_block_charpoly([[[0, g, 2 * g], [g, 0, g], [2 * g, g, 0]]])
+    assert split == [(-4, -6, 0, 1)]
+    assert p == IntPolynomial((-4 * g**3, -6 * g**2, 0, 1))
+    assert split_integer_roots(p) == (((-2 * g, 1),), IntPolynomial((-2 * g * g, -2 * g, 1)))
+
+
 def test_reduce_poly_known_values():
     prod = IntPolynomial((1,))
     for root, mult in ((0, 6), (-1, 3), (1, 6), (-3, 1)):

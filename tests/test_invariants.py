@@ -37,6 +37,7 @@ from braidsys import (
 )
 from braidsys import intlinalg, invariants
 from braidsys.braids import BraidWord, NormalForm, Permutation, inverse
+from braidsys.crossing import _pure_power_blocks
 from braidsys.intlinalg import factored_str, split_integer_roots
 from braidsys.invariants import _trace
 
@@ -45,6 +46,8 @@ from oracles import (
     delta_power_word,
     group_order_bfs,
     half_twist_words,
+    integer_roots_scan,
+    odd_infimum_word,
     pure_power_matrix_literal,
     random_word,
 )
@@ -433,18 +436,62 @@ def test_compare_combs_each_system_trace_once(monkeypatch):
     assert back == rep and back._trace_form == rep._trace_form
 
 
-def test_one_report_and_its_rendering_split_the_charpoly_once(monkeypatch):
-    # the report's integer eigenvalues, the factored rendering, the cofactor
-    # and the roots all read the one split kept with the charpoly
+def test_one_report_splits_each_block_once_and_its_rendering_none(monkeypatch):
+    # the report splits each nonzero block of its pure-power matrix once,
+    # divided by the gcd of its entries, and keeps the joined split with the
+    # charpoly; the integer eigenvalues, the factored rendering, the cofactor
+    # and the roots all read it
     split = []
     split_roots = intlinalg._split_roots
     monkeypatch.setattr(intlinalg, "_split_roots", lambda p: split.append(p) or split_roots(p))
     invariants._report_for_normal_form.cache_clear()
-    rep = braid_invariants(parse_word("1,2,-3,2,2,1,-3,1", 4))
+    rep = braid_invariants(parse_word("1,1,-3,-3,-3,-3,5", 7))
+    # three 2x2 blocks (entries 2, -4 and 1) and the zero block of strand 7
+    assert [len(b) for b in _pure_power_blocks(rep.normal_form)[1]] == [2, 2, 2, 1]
+    assert [p.coeffs for p in split] == [(-1, 0, 1)] * 3
     text = factored_str(rep.charpoly)
     assert split_integer_roots(rep.charpoly)[0] == integer_roots(rep.charpoly) == rep.integer_eigenvalues
-    assert len(split) == 1 and split[0] is rep.charpoly
+    assert len(split) == 3 and text == "x (x+1) (x-1) (x+4) (x+2) (x-2) (x-4)"
     assert text == factored_str(IntPolynomial(rep.charpoly.coeffs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(half_twist_words(max_degree=64))
+@example(BraidWord(1))
+@example(delta_power_word(9, 3, (2, 4, -6)))  # infimum d > 0
+@example(delta_power_word(12, -3, (5,)))  # -d > k: half twists left over
+@example(odd_infimum_word(random.Random(5), 40, 80))
+@example(odd_infimum_word(random.Random(6), 64, 16))
+def test_block_route_matches_the_dense_route(w):
+    # the report reads its blocks, multisets and split off the orbits; the
+    # dense route builds the whole matrix, takes its Berkowitz charpoly and
+    # scans for roots within the largest absolute row sum, which bounds
+    # every eigenvalue
+    nf = normal_form(w)
+    rep = invariants._report_for_normal_form(nf)
+    r, M = pure_power_matrix(nf)
+    cp = charpoly_berkowitz(M)
+    roots, rest = integer_roots_scan(cp, max(sum(map(abs, row)) for row in M.entries))
+    assert (rep.r, rep.charpoly) == (r, cp)
+    assert (rep.S, rep.S_rows, rep.S_cols) == (M.entry_multiset(), M.row_multisets(),
+                                               M.col_multisets())
+    assert rep.integer_eigenvalues == roots and split_integer_roots(rep.charpoly) == (roots, rest)
+    assert factored_str(rep.charpoly) == factored_str(IntPolynomial(cp.coeffs))
+
+
+def test_degree_512_report_splits_its_charpoly_exactly():
+    # the seed-7 word of README, "CLI", drawn as the `invariants` benchmark
+    # draws its words: each block's entries share a large factor, which the
+    # split divides out before its divisor scan
+    rng = random.Random(7)
+    m = 512
+    rep = braid_invariants(BraidWord(m, tuple(rng.choice((1, -1)) * rng.randint(1, m - 1)
+                                              for _ in range(2 * m))))
+    roots, rest = split_integer_roots(rep.charpoly)
+    assert rep.r == 360360 and roots == rep.integer_eigenvalues and rest.degree > 0
+    assert IntPolynomial.from_roots([r for r, k in roots for _ in range(k)]) * rest == rep.charpoly
+    assert all(rep.charpoly(r) == 0 for r, _ in roots)
+    assert factored_str(rep.charpoly).startswith("x^88 (x+720720)^2 (x+540540) ")
 
 
 def test_system_from_texts_and_json():

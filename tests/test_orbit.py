@@ -354,6 +354,18 @@ def test_verify_invariance_reports_a_move_that_breaks_what_it_keeps(monkeypatch,
     assert any(broken in f for f in rep.failures), rep.failures
 
 
+def test_verify_invariance_builds_each_system_report_once(monkeypatch):
+    # the report of the system before a move is the one the previous move
+    # built for the system after it; only a stabilized system, checked and
+    # undone, is not kept
+    built = []
+    report = braidsys.orbit.system_invariants
+    monkeypatch.setattr(braidsys.orbit, "system_invariants", lambda s: built.append(s) or report(s))
+    rep = verify_invariance(INTRO_B, trials=20, seed=7)
+    assert rep.passed and len(built) == rep.moves_applied + 1
+    assert len(set(map(id, built))) == len(built)
+
+
 @pytest.mark.parametrize("m", [1, 6, 7])
 def test_orbit_matches_unmemoised_oracle_beyond_the_code_tables(m):
     # degree 1: the identity is the half twist, one code for both;
