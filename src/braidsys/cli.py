@@ -49,8 +49,10 @@ def load_system(path: str) -> BraidSystem:
 
 
 def essential_text(report) -> str:
-    roots, rest = split_integer_roots(report.essential.core)
-    body = "{" + ", ".join(str(root) for root, mult in roots for _ in range(mult)) + "}"
+    # the essential core is the product with every factor x, x - 1 and x + 1
+    # divided out, so its split is the product's kept one without 0 and +-1
+    roots, rest = split_integer_roots(report.charpoly_product)
+    body = "{" + ", ".join(str(root) for root, mult in roots if abs(root) > 1 for _ in range(mult)) + "}"
     if rest.degree > 0:
         body += f" plus roots of ({rest})"
     return body

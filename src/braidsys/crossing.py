@@ -19,10 +19,11 @@ into a word: the half twists of a negative infimum are spent on the
 first factors, turning each into the inverse of its short complement,
 read off by `_Codebook.inverse`, and the half twists left over have a
 closed-form matrix, so only a short mixed word is swept (see
-`_normal_form_entries`).  The pure-power matrix is read off that
-matrix's nonzero entries, one orbit total each (see
-`pure_power_matrix`).  A braid report reads the same orbits block by
-block and never builds the m x m matrix (see `_pure_power_blocks`).
+`_normal_form_entries`).  One pass over that matrix's nonzero entries
+sums each orbit of strand pairs and writes the pure-power matrix block
+by block (`_pure_power_blocks`).  A braid report reads those blocks and
+never builds the m x m matrix; `pure_power_matrix` writes them back at
+their strands.
 """
 
 from __future__ import annotations
@@ -141,12 +142,72 @@ def _normal_form_entries(nf: NormalForm) -> tuple[tuple[int, ...], ...] | list[l
     ]
 
 
-def _pure_power_orbits(b: BraidWord | NormalForm) -> tuple[int, list[list[int]], dict[tuple[int, int, int], int]]:
-    """(r, the cycles of the braid permutation as lists of 0-based strands,
-    the entry of each orbit of strand pairs that is nonzero in the crossing
-    matrix of b^r), the orbits keyed as `pure_power_matrix` names them:
-    (cycle of i, cycle of j, (pos j - pos i) mod gcd of the cycle lengths),
-    cycles by their index."""
+def pure_power_matrix(b: BraidWord | NormalForm) -> tuple[int, CrossingMatrix]:
+    """(r, crossing matrix of b^r) where r is the braid permutation order.
+
+    b^r is a pure braid, so the returned matrix is symmetric: the same in
+    either over-strand convention.  It is read off the matrix C of b
+    alone, with no power word built (see `_pure_power_blocks`, whose
+    blocks are written back at their strands).
+
+    A word is swept as it is, not through its normal form: the sweep is
+    linear in the word, while `normal_form` of a long word is not.  At
+    m = 32 a random word of 2,000 letters took 1.7 ms by the sweep and
+    0.34-0.53 s through `normal_form`, and one of 20,000 letters 7 ms
+    against 33 s (2-core VM, Python 3.11).
+    """
+    r, blocks, _, _ = _pure_power_blocks(b)
+    m = sum(len(strands) for strands, _ in blocks)
+    entries = [[0] * m for _ in range(m)]
+    for strands, rows in blocks:
+        for i, row in zip(strands, rows):
+            for j, v in zip(strands, row):
+                entries[i][j] = v
+    return r, CrossingMatrix(m, tuple(tuple(row) for row in entries))
+
+
+def _multiset(counts: dict[int, int], n: int) -> tuple[int, ...]:
+    """n values, sorted: each key of `counts` (all nonzero) as often as it
+    says, and zeros for the rest."""
+    low: list[int] = []
+    high: list[int] = []
+    for v in sorted(counts):
+        (low if v < 0 else high).extend([v] * counts[v])
+    return tuple(low) + (0,) * (n - len(low) - len(high)) + tuple(high)
+
+
+def _pure_power_blocks(b: BraidWord | NormalForm) -> tuple[
+    int, list[tuple[list[int], list[list[int]]]], tuple[int, ...], tuple[tuple[int, ...], ...]
+]:
+    """(r, the diagonal blocks of the crossing matrix M of b^r, each as its
+    0-based strands and its rows, the entry multiset and the row multisets
+    of M), read off the matrix C of b with no m x m matrix built: one sweep
+    of a word, or, for a normal form, one sweep of a short mixed word plus
+    the closed form of the half twists left over (see
+    `_normal_form_entries`).
+
+    With e the permutation of b, the strands that enter the t-th copy of b
+    at positions e^t(i) and e^t(j) started at i and j, so
+
+        M[i][j] = sum over t < r of C[e^t(i)][e^t(j)].
+
+    The terms repeat along the orbit of (i, j) under e x e, whose length
+    L = lcm(a, b) divides r, for a and b the lengths of the cycles of e
+    through i and j.  The orbit is named by those two cycles and by
+    (pos j - pos i) mod gcd(a, b), pos the place in the cycle, since one
+    step of e adds 1 to both places.  So only the nonzero entries of C
+    are read, each added to its orbit's total, and only the orbits with
+    a nonzero total are written, each with its total times r / L.
+
+    The cycles that a nonzero orbit links are joined into one block
+    (`_components` of the cycles), so no entry of M links two blocks, and
+    listing the strands block by block permutes M to block-diagonal form.
+    A block is a union of whole cycles, which may hold more than one
+    connected component of M's pattern.  An orbit (I, J, delta) writes its
+    entry in lcm(a, b) places, b / gcd(a, b) in each row of I; so every
+    row of one cycle holds the same multiset, and the multisets are
+    counted, not sorted from m^2 entries.
+    """
     if isinstance(b, NormalForm):
         perm, C = b.permutation(), _normal_form_entries(b)
     else:
@@ -165,107 +226,34 @@ def _pure_power_orbits(b: BraidWord | NormalForm) -> tuple[int, list[list[int]],
             cj = cycle_of[j]
             key = (ci, cj, (place[j] - pi) % math.gcd(lengths[ci], lengths[cj]))
             totals[key] = totals.get(key, 0) + row[j]
-    return r, cycles, {
-        key: total * (r // math.lcm(lengths[key[0]], lengths[key[1]]))
-        for key, total in totals.items()
-        if total
-    }
-
-
-def _write_orbit(rows, I, J, delta: int, v: int) -> None:
-    """rows[I[s]][J[s + delta]] = v for every s, places taken mod the
-    lengths of I and J: one orbit's entries, its strands numbered as the
-    rows are."""
-    li, lj = len(I), len(J)
-    for s in range(math.lcm(li, lj)):
-        rows[I[s % li]][J[(s + delta) % lj]] = v
-
-
-def pure_power_matrix(b: BraidWord | NormalForm) -> tuple[int, CrossingMatrix]:
-    """(r, crossing matrix of b^r) where r is the braid permutation order.
-
-    b^r is a pure braid, so the returned matrix is symmetric: the same in
-    either over-strand convention.  It is read off the matrix C of b
-    alone, with no power word built: one sweep of a word, or, for a normal
-    form, one sweep of a short mixed word plus the closed form of the half
-    twists left over (see `_normal_form_entries`).  With e the permutation
-    of b, the strands that enter the t-th copy of b at positions e^t(i)
-    and e^t(j) started at i and j, so
-
-        C(b^r)[i][j] = sum over t < r of C(b)[e^t(i)][e^t(j)].
-
-    The terms repeat along the orbit of (i, j) under e x e, whose length
-    L = lcm(a, b) divides r, for a and b the lengths of the cycles of e
-    through i and j.  The orbit is named by those two cycles and by
-    (pos j - pos i) mod gcd(a, b), pos the place in the cycle, since one
-    step of e adds 1 to both places.  So only the nonzero entries of C
-    are read, each added to its orbit's total, and only the orbits with
-    a nonzero total are written, each with its total times r / L
-    (`_pure_power_orbits`, which the braid reports read directly).
-
-    A word is swept as it is, not through its normal form: the sweep is
-    linear in the word, while `normal_form` of a long word is not.  At
-    m = 32 a random word of 2,000 letters took 1.7 ms by the sweep and
-    0.34-0.53 s through `normal_form`, and one of 20,000 letters 7 ms
-    against 33 s (2-core VM, Python 3.11).
-    """
-    r, cycles, orbits = _pure_power_orbits(b)
-    m = sum(map(len, cycles))
-    entries = [[0] * m for _ in range(m)]
-    for (ci, cj, delta), v in orbits.items():
-        _write_orbit(entries, cycles[ci], cycles[cj], delta, v)
-    return r, CrossingMatrix(m, tuple(tuple(row) for row in entries))
-
-
-def _multiset(counts: dict[int, int], n: int) -> tuple[int, ...]:
-    """n values, sorted: each key of `counts` (all nonzero) as often as it
-    says, and zeros for the rest."""
-    low: list[int] = []
-    high: list[int] = []
-    for v in sorted(counts):
-        (low if v < 0 else high).extend([v] * counts[v])
-    return tuple(low) + (0,) * (n - len(low) - len(high)) + tuple(high)
-
-
-def _pure_power_blocks(b: BraidWord | NormalForm) -> tuple[
-    int, list[list[list[int]]], tuple[int, ...], tuple[tuple[int, ...], ...]
-]:
-    """(r, the diagonal blocks, the entry multiset and the row multisets of
-    the crossing matrix M of b^r), read off the orbits of
-    `_pure_power_orbits` with no m x m matrix built.
-
-    The cycles that a nonzero orbit links are joined into one block
-    (`_components` of the cycles), so no entry of M links two blocks, and
-    listing the strands block by block permutes M to block-diagonal form.
-    A block is a union of whole cycles, which may hold more than one
-    connected component of M's pattern.  An orbit (I, J, delta) writes its entry in lcm(a, b)
-    places, b / gcd(a, b) in each row of I, for a = |I| and b = |J|; so
-    every row of one cycle holds the same multiset, and the multisets are
-    counted, not sorted from m^2 entries.
-    """
-    r, cycles, orbits = _pure_power_orbits(b)
-    m, n = sum(map(len, cycles)), len(cycles)
-    links: list[list[int]] = [[] for _ in range(n)]  # M is symmetric, so links go both ways
-    row_counts: list[dict[int, int]] = [{} for _ in range(n)]  # of one row of each cycle
+    orbits = []  # (cycle of i, cycle of j, delta, entry, length) of each nonzero orbit
+    links: list[list[int]] = [[] for _ in cycles]  # M is symmetric, so links go both ways
+    row_counts: list[dict[int, int]] = [{} for _ in cycles]  # of one row of each cycle
     counts: dict[int, int] = {}  # of M
-    for (ci, cj, _), v in orbits.items():
+    for (ci, cj, delta), total in totals.items():
+        if not total:
+            continue
+        li, lj = lengths[ci], lengths[cj]
+        span = math.lcm(li, lj)
+        v = total * (r // span)
+        orbits.append((ci, cj, delta, v, span))
         links[ci].append(cj)
-        li, lj = len(cycles[ci]), len(cycles[cj])
         row_counts[ci][v] = row_counts[ci].get(v, 0) + lj // math.gcd(li, lj)
-        counts[v] = counts.get(v, 0) + math.lcm(li, lj)
-    blocks, block_of, local = [], [None] * n, [0] * m  # block_of: each cycle's block rows
+        counts[v] = counts.get(v, 0) + span
+    # a block lists its strands cycle by cycle, so the strand at place p of
+    # cycle c is row first + p of its block, (rows, first) = block_of[c]
+    blocks, block_of = [], [None] * len(cycles)
     for group in _components(links):
         strands = [i for c in group for i in cycles[c]]
-        for k, i in enumerate(strands):
-            local[i] = k
-        rows = [[0] * len(strands) for _ in strands]
-        blocks.append(rows)
+        rows, first = [[0] * len(strands) for _ in strands], 0
+        blocks.append((strands, rows))
         for c in group:
-            block_of[c] = rows
-    at = [[local[i] for i in cycle] for cycle in cycles]  # the strands' indices in their block
-    for (ci, cj, delta), v in orbits.items():
-        _write_orbit(block_of[ci], at[ci], at[cj], delta, v)
-    shapes = sorted((_multiset(rc, m), len(c)) for rc, c in zip(row_counts, cycles))
+            block_of[c], first = (rows, first), first + lengths[c]
+    for ci, cj, delta, v, span in orbits:  # the entry at places s and s + delta, for every s
+        (rows, fi), fj, li, lj = block_of[ci], block_of[cj][1], lengths[ci], lengths[cj]
+        for s in range(span):
+            rows[fi + s % li][fj + (s + delta) % lj] = v
+    shapes = sorted((_multiset(rc, m), k) for rc, k in zip(row_counts, lengths))
     S_rows = tuple(chain.from_iterable([row] * k for row, k in shapes))
     return r, blocks, _multiset(counts, m * m), S_rows
 

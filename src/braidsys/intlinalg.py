@@ -17,9 +17,10 @@ finding strips them first and searches only the core for other roots,
 deflating plain coefficient lists; it builds a polynomial only for its
 result.  Each polynomial object computes that split once, on first use,
 and keeps it, so its integer roots, its cofactor and its factored
-rendering all read the same pass.  The charpoly of a braid report comes
-with its split already kept, made block by block on blocks divided by
-the gcd of their entries (`_split_block_charpoly`).
+rendering all read the same pass.  A product of polynomials whose splits
+are known comes with its split kept (`_split_product`): the charpoly of
+a braid report, made block by block on blocks divided by the gcd of
+their entries (`_split_block_charpoly`), and a system's charpoly product.
 """
 
 from __future__ import annotations
@@ -378,10 +379,25 @@ def _scaled(c, g: int) -> list[int]:
     return [v * g ** (n - k) for k, v in enumerate(c)]
 
 
+def _split_product(factors) -> IntPolynomial:
+    """The product of polynomials given with their splits, each as (ascending
+    coefficients, (root, mult) pairs, cofactor coefficients), with its own
+    split kept: the coefficients and the cofactors are multiplied, and the
+    multiplicities of each root added.  A product of polynomials with no
+    integer root has none, so the product of the cofactors is its cofactor."""
+    coeffs, rest, found = [1], [1], {}
+    for c, roots, cofactor in factors:
+        coeffs, rest = _mul_coeffs(coeffs, c), _mul_coeffs(rest, cofactor)
+        for root, mult in roots:
+            found[root] = found.get(root, 0) + mult
+    p = IntPolynomial(tuple(coeffs))
+    object.__setattr__(p, "_root_split", (tuple(sorted(found.items())), IntPolynomial(tuple(rest))))
+    return p
+
+
 def _split_block_charpoly(blocks) -> IntPolynomial:
     """det(xI - M) for the block-diagonal M with these diagonal blocks, with
-    its integer-root split already kept, so `integer_roots`,
-    `split_integer_roots` and `factored_str` of it make no further pass.
+    its integer-root split kept (`_split_product` of the blocks' splits).
 
     An all-zero block of n rows adds the factor x^n.  Each other block B
     is divided by the gcd g of its entries, and `_block_charpoly` and
@@ -391,18 +407,14 @@ def _split_block_charpoly(blocks) -> IntPolynomial:
     An integer root of B's polynomial is g times a rational root of the
     monic integer polynomial of B', hence g times an integer root, with the
     same multiplicity; so the split of B is that of B' with each root
-    times g and the cofactor scaled as the polynomial is.  The product of
-    the monic cofactors has no integer root, so it is the cofactor of the
-    product.
+    times g and the cofactor scaled as the polynomial is.
 
     Each entry of a pure-power matrix is its orbit's total times r / L
-    (`crossing.pure_power_matrix`), so dividing out the gcd leaves small
-    roots and a short divisor scan: the degree-512 report of README, "CLI",
-    splits in well under a second, where a scan of the whole product made
-    6.7 million trial divisions.  A block whose entries share no large
-    factor is scanned as it is.
+    (`crossing._pure_power_blocks`), so dividing out the gcd leaves small
+    roots and a short divisor scan (README, "CLI", at degree 512).  A block
+    whose entries share no large factor is scanned as it is.
     """
-    zeros, coeffs, rest, found = 0, [1], [1], {}
+    zeros, factors = 0, []
     for rows in blocks:
         g = math.gcd(*chain.from_iterable(rows))
         if not g:
@@ -410,15 +422,10 @@ def _split_block_charpoly(blocks) -> IntPolynomial:
             continue
         cp = _block_charpoly([[v // g for v in row] for row in rows])
         roots, cofactor = _split_roots(IntPolynomial(tuple(cp)))
-        coeffs = _mul_coeffs(coeffs, _scaled(cp, g))
-        rest = _mul_coeffs(rest, _scaled(cofactor, g))
-        for root, mult in roots:
-            found[g * root] = found.get(g * root, 0) + mult
+        factors.append((_scaled(cp, g), [(g * root, mult) for root, mult in roots], _scaled(cofactor, g)))
     if zeros:
-        found[0] = found.get(0, 0) + zeros
-    p = IntPolynomial((0,) * zeros + tuple(coeffs))
-    object.__setattr__(p, "_root_split", (tuple(sorted(found.items())), IntPolynomial(tuple(rest))))
-    return p
+        factors.append(([0] * zeros + [1], [(0, zeros)], [1]))
+    return _split_product(factors)
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -536,23 +543,23 @@ def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
     The split is computed once per polynomial object and kept with it, so
     `split_integer_roots` and `factored_str` of the same object reuse it.
     A braid report's charpoly arrives with its split, made on each block
-    of the pure-power matrix divided by the gcd of its entries, so the
-    divisor scans are short: the degree-512 report of README, "CLI", takes
-    about 0.2 s in all.  Any other polynomial is scanned here, with up to
-    min(isqrt(|c0|), root bound) trial divisions of its core's constant
-    term c0: x - c with c near 10^14 takes about a second.  A report
-    block whose entries share no large factor is scanned the same way: a
-    degree-32 form times 10^6 full twists makes one block of gcd 1 with
-    entries near 1.8 * 10^8, and its scan did not finish in 30 s."""
+    of the pure-power matrix divided by the gcd of its entries, and a
+    system's charpoly product with its components' splits joined
+    (`_split_product`): the degree-512 report of README, "CLI", takes
+    about 0.2 s in all, and its system with the word 1 about 0.4 s.  Any
+    other polynomial is scanned here, with up to min(isqrt(|c0|), root
+    bound) trial divisions of its core's constant term c0: x - c with c
+    near 10^14 takes about a second.  A report block whose entries share
+    no large factor is scanned the same way: a degree-32 form times 10^6
+    full twists makes one block of gcd 1 with entries near 1.8 * 10^8,
+    and its scan did not finish in 30 s."""
     return p._root_split[0]
 
 
 def split_integer_roots(p: IntPolynomial) -> tuple[tuple[tuple[int, int], ...], IntPolynomial]:
     """(integer_roots(p), the cofactor of p left once those roots are divided out),
-    from the one split kept with p; `integer_roots` states what its divisor
-    scan costs: none for the charpoly of a braid report, whose split comes
-    with it, and up to min(isqrt(|c0|), root bound) trial divisions of the
-    core's constant term c0 for any other polynomial."""
+    from the one split kept with p: none to make for the charpoly of a
+    report or of a system, which come with theirs (`integer_roots`)."""
     return p._root_split
 
 
@@ -591,11 +598,10 @@ def factored_str(p: IntPolynomial) -> str:
     pass extracted: x, (x+1), (x-1), then the other roots in ascending order.
 
     Whatever does not split over the integers is printed as one dense
-    parenthesized factor at the end.  The charpoly of a braid report comes
-    with its split, so rendering it makes no scan (README, "CLI", for
-    degree 512); any other polynomial is scanned once, with up to
-    min(isqrt(|c0|), root bound) trial divisions of its core's constant
-    term c0 (`integer_roots`).
+    parenthesized factor at the end.  The charpoly of a braid report and
+    the charpoly product of a system come with their splits, so rendering
+    them makes no scan; any other polynomial is scanned once
+    (`integer_roots`).
     """
     if not p:
         return "0"

@@ -28,8 +28,10 @@ from .intlinalg import (
     IntPolynomial,
     ReducedPolynomial,
     _split_block_charpoly,
+    _split_product,
     integer_roots,
     reduce_poly,
+    split_integer_roots,
 )
 
 
@@ -132,7 +134,7 @@ class SystemInvariantReport(JsonCodec):
 def _report_for_normal_form(nf: NormalForm) -> BraidInvariantReport:
     # the pure-power matrix M is read block by block, never built whole
     r, blocks, S, S_rows = _pure_power_blocks(nf)
-    cp = _split_block_charpoly(blocks)
+    cp = _split_block_charpoly([rows for _, rows in blocks])
     # det M = (-1)^n c_0; and M is symmetric, hence diagonalizable, so its
     # rank is n minus the multiplicity of the root 0
     n, zero_mult = cp.degree, next(k for k, c in enumerate(cp.coeffs) if c)
@@ -244,13 +246,16 @@ def system_invariants_from_normal_forms(
     """System invariants computed directly on component normal forms.
 
     The exponent sum is read off the normal form as well, so no
-    word-level representative is needed.
+    word-level representative is needed.  Each component's charpoly comes
+    with its integer-root split kept, and the product is built with theirs
+    joined, so rendering it or its essential roots makes no divisor scan.
     """
-    reports = [_report_for_normal_form(nf) for nf in nfs]
-    prod = IntPolynomial((1,))
-    for rep in reports:
-        prod = prod * rep.charpoly
-    multiset = tuple(sorted((rep.charpoly for rep in reports), key=poly_sort_key))
+    if not nfs:
+        raise ValueError("a braid system needs at least one component")
+    charpolys = [_report_for_normal_form(nf).charpoly for nf in nfs]
+    splits = map(split_integer_roots, charpolys)
+    prod = _split_product([(p.coeffs, roots, rest.coeffs) for p, (roots, rest) in zip(charpolys, splits)])
+    multiset = tuple(sorted(charpolys, key=poly_sort_key))
     trace = _trace(degree, nfs)
     report = SystemInvariantReport(
         degree=degree,

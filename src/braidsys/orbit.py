@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import braids
 from .braids import BraidWord
@@ -40,6 +40,10 @@ class OrbitLimits:
     max_component_canonical_length: int = 64
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if type(v) is not int:  # a bool is none, as in IntPolynomial
+                raise TypeError(f"orbit limit {f.name} is {v!r}, a {type(v).__name__}, not an int")
         if min(self.max_states, self.max_depth, self.max_component_canonical_length) < 1:
             raise ValueError("all orbit limits must be positive")
 

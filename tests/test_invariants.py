@@ -4,6 +4,7 @@ import re
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braidsys import (
     BraidInvariantReport,
@@ -35,7 +36,7 @@ from braidsys import (
     system_invariants,
     system_invariants_from_normal_forms,
 )
-from braidsys import intlinalg, invariants
+from braidsys import cli, intlinalg, invariants
 from braidsys.braids import BraidWord, NormalForm, Permutation, inverse
 from braidsys.crossing import _pure_power_blocks
 from braidsys.intlinalg import factored_str, split_integer_roots
@@ -277,6 +278,11 @@ def test_system_invariants_reject_a_form_of_another_degree(degree, nf):
         system_invariants_from_normal_forms(degree, nfs)
 
 
+def test_system_invariants_reject_an_empty_system():
+    with pytest.raises(ValueError, match="^a braid system needs at least one component$"):
+        system_invariants_from_normal_forms(4, ())
+
+
 def test_system_essential_cores():
     bpvec = BraidSystem.from_texts(4, ["1,-2,3", "-3", "2", "-1"])
     cvec = BraidSystem.from_texts(4, ["1,-2,3", "-3,2,-1"])
@@ -447,7 +453,7 @@ def test_one_report_splits_each_block_once_and_its_rendering_none(monkeypatch):
     invariants._report_for_normal_form.cache_clear()
     rep = braid_invariants(parse_word("1,1,-3,-3,-3,-3,5", 7))
     # three 2x2 blocks (entries 2, -4 and 1) and the zero block of strand 7
-    assert [len(b) for b in _pure_power_blocks(rep.normal_form)[1]] == [2, 2, 2, 1]
+    assert [len(rows) for _, rows in _pure_power_blocks(rep.normal_form)[1]] == [2, 2, 2, 1]
     assert [p.coeffs for p in split] == [(-1, 0, 1)] * 3
     text = factored_str(rep.charpoly)
     assert split_integer_roots(rep.charpoly)[0] == integer_roots(rep.charpoly) == rep.integer_eigenvalues
@@ -492,6 +498,63 @@ def test_degree_512_report_splits_its_charpoly_exactly():
     assert IntPolynomial.from_roots([r for r, k in roots for _ in range(k)]) * rest == rep.charpoly
     assert all(rep.charpoly(r) == 0 for r, _ in roots)
     assert factored_str(rep.charpoly).startswith("x^88 (x+720720)^2 (x+540540) ")
+
+
+def test_degree_512_system_renders_its_product_with_no_divisor_scan(monkeypatch):
+    # the system of the seed-7 word of README, "CLI", and the word 1: its
+    # product carries the components' kept splits joined, so neither P nor
+    # E scans it for roots (each scan of the whole product took about 12 s)
+    rng = random.Random(7)
+    m = 512
+    word = BraidWord(m, tuple(rng.choice((1, -1)) * rng.randint(1, m - 1) for _ in range(2 * m)))
+    rep = system_invariants(BraidSystem(m, (word, BraidWord(m, (1,)))))
+    split = []
+    split_roots = intlinalg._split_roots
+    monkeypatch.setattr(intlinalg, "_split_roots", lambda p: split.append(p) or split_roots(p))
+    product, essential = factored_str(rep.charpoly_product), cli.essential_text(rep)
+    assert split == []
+    assert product.startswith("x^598 (x+1) (x-1) (x+720720)^2 (x+540540) ")
+    assert essential.startswith("{-720720, -720720, -540540, ") and " plus roots of (x^216 - " in essential
+    roots, rest = split_integer_roots(rep.charpoly_product)
+    assert all(rep.charpoly_product(r) == 0 for r, _ in roots) and rest.degree == 216
+
+
+def _essential_text_of_the_core(rep) -> str:
+    # the rendering of E from a divisor scan of the essential core itself
+    roots, rest = split_integer_roots(IntPolynomial(rep.essential.core.coeffs))
+    body = "{" + ", ".join(str(root) for root, mult in roots for _ in range(mult)) + "}"
+    return body + (f" plus roots of ({rest})" if rest.degree > 0 else "")
+
+
+@st.composite
+def small_systems(draw):
+    """(m, component forms) for m <= 16: random words, each form's
+    infimum shifted by up to three half twists."""
+    m = draw(st.integers(1, 16))
+    letters = st.lists(st.integers(1 - m, m - 1).filter(bool), max_size=2 * m if m > 1 else 0)
+    nfs = []
+    for _ in range(draw(st.integers(1, 4))):
+        nf = normal_form(BraidWord(m, tuple(draw(letters))))
+        shift = draw(st.integers(-3, 3)) if m > 1 else 0
+        nfs.append(NormalForm(m, nf.infimum + shift, nf.factors))
+    return m, tuple(nfs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems())
+@example((1, (NormalForm(1, 0, ()),)))
+@example((4, tuple(map(normal_form, BraidSystem.from_texts(4, ["1,2,-3", "3", "-2", "-1"]).components))))
+@example((4, tuple(map(normal_form, BraidSystem.from_texts(4, ["1,-2,3", "-3,2,-1"]).components))))
+@example((6, (NormalForm(6, 2, ()), normal_form(parse_word("1,1,1,3,-5,-5", 6)))))
+def test_system_product_split_is_its_divisor_scan(system):
+    # the product's kept split, joined from the components' splits, against
+    # a fresh scan of the product, and E against a scan of the core
+    m, nfs = system
+    rep = system_invariants_from_normal_forms(m, nfs)
+    prod = rep.charpoly_product
+    roots, rest = intlinalg._split_roots(IntPolynomial(prod.coeffs))
+    assert split_integer_roots(prod) == (roots, IntPolynomial(tuple(rest)))
+    assert cli.essential_text(rep) == _essential_text_of_the_core(rep)
 
 
 def test_system_from_texts_and_json():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,16 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_limits_validation():
     with pytest.raises(ValueError):
         OrbitLimits(max_states=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_states", 2.5), ("max_states", "10"), ("max_depth", True),
+    ("max_component_canonical_length", None),
+])
+def test_limits_must_be_ints(field, value):
+    # a float, a string or a bool used to pass the check and fail later
+    with pytest.raises(TypeError, match=rf"^orbit limit {field} is {re.escape(repr(value))}, a "):
+        OrbitLimits(**{field: value})
 
 
 def test_two_equal_generators_close_immediately():
