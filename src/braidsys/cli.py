@@ -185,10 +185,11 @@ def cmd_apply(args) -> int:
             print(f"step {num}: {entry['move']}{tau_note}")
             print(f"  system: {[str(c) for c in system.components]}")
             print(f"  P = {factored_str(rep.charpoly_product)}; E = {essential_text(rep)}")
+    final = audit[-1]["system"] if audit else system.to_json()  # the last step encoded it
     if args.json:
-        print(json.dumps({"steps": audit, "final": system.to_json()}))
+        print(json.dumps({"steps": audit, "final": final}))
     else:
-        print(f"final: {json.dumps(system.to_json())}")
+        print(f"final: {json.dumps(final)}")
     return 0
 
 

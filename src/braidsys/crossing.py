@@ -20,17 +20,17 @@ first factors, turning each into the inverse of its short complement,
 read off by `_Codebook.inverse`, and the half twists left over have a
 closed-form matrix, so only a short mixed word is swept (see
 `_normal_form_entries`).  One pass over that matrix's nonzero entries
-sums each orbit of strand pairs and writes the pure-power matrix block
-by block (`_pure_power_blocks`).  A braid report reads those blocks and
-never builds the m x m matrix; `pure_power_matrix` writes them back at
-their strands.
+sums each orbit of strand pairs and groups the orbits into the diagonal
+blocks of the pure-power matrix (`_pure_power_blocks`).  A braid report
+reads each block's orbit entries and never writes a row of it;
+`pure_power_matrix` writes the orbits back at their strands.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 
 from .braids import (
     BraidWord,
@@ -148,7 +148,7 @@ def pure_power_matrix(b: BraidWord | NormalForm) -> tuple[int, CrossingMatrix]:
     b^r is a pure braid, so the returned matrix is symmetric: the same in
     either over-strand convention.  It is read off the matrix C of b
     alone, with no power word built (see `_pure_power_blocks`, whose
-    blocks are written back at their strands).
+    orbit entries are written here at their strands).
 
     A word is swept as it is, not through its normal form: the sweep is
     linear in the word, while `normal_form` of a long word is not.  At
@@ -157,12 +157,14 @@ def pure_power_matrix(b: BraidWord | NormalForm) -> tuple[int, CrossingMatrix]:
     against 33 s (2-core VM, Python 3.11).
     """
     r, blocks, _, _ = _pure_power_blocks(b)
-    m = sum(len(strands) for strands, _ in blocks)
+    m = sum(len(strands) for strands, _, _ in blocks)
     entries = [[0] * m for _ in range(m)]
-    for strands, rows in blocks:
-        for i, row in zip(strands, rows):
-            for j, v in zip(strands, row):
-                entries[i][j] = v
+    for strands, lengths, orbits in blocks:
+        firsts = list(accumulate(lengths, initial=0))  # the row of each cycle's place 0
+        for ci, cj, delta, v in orbits:  # the entry at places s and s + delta, for every s
+            fi, fj, li, lj = firsts[ci], firsts[cj], lengths[ci], lengths[cj]
+            for s in range(math.lcm(li, lj)):
+                entries[strands[fi + s % li]][strands[fj + (s + delta) % lj]] = v
     return r, CrossingMatrix(m, tuple(tuple(row) for row in entries))
 
 
@@ -177,14 +179,17 @@ def _multiset(counts: dict[int, int], n: int) -> tuple[int, ...]:
 
 
 def _pure_power_blocks(b: BraidWord | NormalForm) -> tuple[
-    int, list[tuple[list[int], list[list[int]]]], tuple[int, ...], tuple[tuple[int, ...], ...]
+    int,
+    list[tuple[list[int], list[int], list[tuple[int, int, int, int]]]],
+    tuple[int, ...],
+    tuple[tuple[int, ...], ...],
 ]:
     """(r, the diagonal blocks of the crossing matrix M of b^r, each as its
-    0-based strands and its rows, the entry multiset and the row multisets
-    of M), read off the matrix C of b with no m x m matrix built: one sweep
-    of a word, or, for a normal form, one sweep of a short mixed word plus
-    the closed form of the half twists left over (see
-    `_normal_form_entries`).
+    0-based strands, its cycle lengths and its nonzero orbit entries, the
+    entry multiset and the row multisets of M), read off the matrix C of b
+    with no m x m matrix built: one sweep of a word, or, for a normal form,
+    one sweep of a short mixed word plus the closed form of the half twists
+    left over (see `_normal_form_entries`).
 
     With e the permutation of b, the strands that enter the t-th copy of b
     at positions e^t(i) and e^t(j) started at i and j, so
@@ -203,10 +208,15 @@ def _pure_power_blocks(b: BraidWord | NormalForm) -> tuple[
     (`_components` of the cycles), so no entry of M links two blocks, and
     listing the strands block by block permutes M to block-diagonal form.
     A block is a union of whole cycles, which may hold more than one
-    connected component of M's pattern.  An orbit (I, J, delta) writes its
-    entry in lcm(a, b) places, b / gcd(a, b) in each row of I; so every
-    row of one cycle holds the same multiset, and the multisets are
-    counted, not sorted from m^2 entries.
+    connected component of M's pattern.  It lists its strands cycle by
+    cycle, each cycle from place 0, and each nonzero orbit as
+    (I, J, delta, entry), I and J the indices of its cycles in the block;
+    no rows are written (`pure_power_matrix` writes them, and a report's
+    charpoly reads the orbits, `intlinalg._split_block_charpoly`).  An
+    orbit (I, J, delta) writes its entry in lcm(a, b) places,
+    b / gcd(a, b) in each row of I; so every row of one cycle holds the
+    same multiset, and the multisets are counted, not sorted from m^2
+    entries.
     """
     if isinstance(b, NormalForm):
         perm, C = b.permutation(), _normal_form_entries(b)
@@ -226,7 +236,7 @@ def _pure_power_blocks(b: BraidWord | NormalForm) -> tuple[
             cj = cycle_of[j]
             key = (ci, cj, (place[j] - pi) % math.gcd(lengths[ci], lengths[cj]))
             totals[key] = totals.get(key, 0) + row[j]
-    orbits = []  # (cycle of i, cycle of j, delta, entry, length) of each nonzero orbit
+    orbits = []  # (cycle of i, cycle of j, delta, entry) of each nonzero orbit
     links: list[list[int]] = [[] for _ in cycles]  # M is symmetric, so links go both ways
     row_counts: list[dict[int, int]] = [{} for _ in cycles]  # of one row of each cycle
     counts: dict[int, int] = {}  # of M
@@ -236,23 +246,22 @@ def _pure_power_blocks(b: BraidWord | NormalForm) -> tuple[
         li, lj = lengths[ci], lengths[cj]
         span = math.lcm(li, lj)
         v = total * (r // span)
-        orbits.append((ci, cj, delta, v, span))
+        orbits.append((ci, cj, delta, v))
         links[ci].append(cj)
         row_counts[ci][v] = row_counts[ci].get(v, 0) + lj // math.gcd(li, lj)
         counts[v] = counts.get(v, 0) + span
-    # a block lists its strands cycle by cycle, so the strand at place p of
-    # cycle c is row first + p of its block, (rows, first) = block_of[c]
+    # a block lists its cycles in turn; (k, its orbit list) = block_of[c]
+    # for cycle c, the k-th of its block
     blocks, block_of = [], [None] * len(cycles)
     for group in _components(links):
+        block_orbits: list[tuple[int, int, int, int]] = []
         strands = [i for c in group for i in cycles[c]]
-        rows, first = [[0] * len(strands) for _ in strands], 0
-        blocks.append((strands, rows))
-        for c in group:
-            block_of[c], first = (rows, first), first + lengths[c]
-    for ci, cj, delta, v, span in orbits:  # the entry at places s and s + delta, for every s
-        (rows, fi), fj, li, lj = block_of[ci], block_of[cj][1], lengths[ci], lengths[cj]
-        for s in range(span):
-            rows[fi + s % li][fj + (s + delta) % lj] = v
+        blocks.append((strands, [lengths[c] for c in group], block_orbits))
+        for k, c in enumerate(group):
+            block_of[c] = (k, block_orbits)
+    for ci, cj, delta, v in orbits:
+        k, block_orbits = block_of[ci]
+        block_orbits.append((k, block_of[cj][0], delta, v))
     shapes = sorted((_multiset(rc, m), k) for rc, k in zip(row_counts, lengths))
     S_rows = tuple(chain.from_iterable([row] * k for row, k in shapes))
     return r, blocks, _multiset(counts, m * m), S_rows
@@ -276,7 +285,7 @@ def permutation_equivalent(M, N) -> Permutation | None:
     signature prunes nothing.  A shuffled prism C_k x K_2 against a
     shuffled Moebius ladder, worst of 5 shuffles, returned None in 0.55 s
     at n = 16, 3.9 s at n = 18 and 66 s at n = 20 (2-core VM, Python
-    3.11.7).  ROADMAP item 11 plans colour refinement.
+    3.11.7).  ROADMAP item 9 plans colour refinement.
     """
     rm, rn = matrix_rows(M), matrix_rows(N)
     if len(rm) != len(rn):

@@ -8,6 +8,34 @@ primes just below 2^62 that exceeds 2 max_k C(n,k) s^k + 1, where
 s = ceil(sqrt(ceil(F^2 / n))) and F^2 is the sum of the block's squared
 entries: no coefficient is larger in absolute value than half of that (see
 `charpoly`), so each is its symmetric residue mod N.
+
+A braid report's matrix, the crossing matrix M of a pure power b^r, is
+never written: its charpoly is taken by a discrete Fourier transform over
+each cycle of e, the permutation of b (`_dft_charpoly`).  M is constant on
+the orbits of e x e, so it commutes with e's permutation matrix and is
+block-circulant over e's cycles (Davis, *Circulant Matrices*, 1979).  For
+a root of unity omega of order d, the vectors x_J, omega^s at place s of a
+cycle J with d | |J| and 0 elsewhere, span a subspace that M maps into
+itself, by the k_d x k_d matrix A_omega over those cycles with entries
+(|J| / gcd(|I|, |J|)) sum over delta < gcd(|I|, |J|) of v_IJ(delta)
+omega^delta, v_IJ(delta) the entry of the orbit (I, J, delta).  These
+subspaces, one per omega of order dividing a cycle length, add up to the
+whole space, so det(xI - B) of a block B is the product over d of
+F_d = prod over omega of order d of det(xI - A_omega): a one-cycle block
+of length a becomes a linear factors, and a block of k cycles matrices of
+at most k rows.  For d <= 2, omega = +-1 and A_omega is an integer matrix,
+which takes the Hessenberg pass above.  For d > 2, M is symmetric, so
+A_omega is self-adjoint for the weights |J| and has real eigenvalues,
+those of A_(omega^-1) too: F_d = G_d^2, G_d the product over one omega of
+each pair omega, omega^-1.  The Galois group of Q(omega) permutes those
+pairs, so G_d is an integer polynomial, of degree n_d = phi(d) k_d / 2,
+whose roots are a sub-multiset of B's eigenvalues.  The proof of
+`charpoly` therefore bounds its coefficients by C(n_d, k) s^k with B's
+own F^2 (sum |lambda|^2 over a sub-multiset is at most that over all),
+and G_d is computed modulo a product N of primes p = 1 (mod d) below
+2^62 that exceeds twice that plus one, with a root of order d mod each
+(`_prime_root`), and lifted to symmetric residues.
+
 Determinants and ranks use fraction-free Bareiss elimination, so every
 value stays an exact Python integer.  Polynomials are integer
 polynomials stored as ascending coefficient tuples; "essential" root
@@ -168,6 +196,9 @@ def _divide_out(c: list[int], root: int) -> tuple[list[int], int]:
 
 
 _PRIMES: list[int] = []  # the moduli found so far, largest first
+# d -> the primes p = 1 (mod d) found so far, largest first, each with a
+# root of order d mod p (`_prime_root`)
+_PRIME_ROOTS: dict[int, list[tuple[int, int]]] = {}
 
 
 def _is_prime(n: int) -> bool:
@@ -200,6 +231,27 @@ def _modulus(i: int) -> int:
             q -= 2
         _PRIMES.append(q)
     return _PRIMES[i]
+
+
+def _prime_root(i: int, d: int) -> tuple[int, int]:
+    """(p, w): the i-th largest prime p = 1 (mod d) below 2^62 (from 0)
+    and w, a root of exact order d mod p, searched for on first use and
+    kept in `_PRIME_ROOTS[d]`.  w = a^((p-1)/d) for the least a >= 2 with
+    w^(d/q) != 1 for each prime q dividing d, so w^d = 1 and no smaller
+    power is."""
+    found = _PRIME_ROOTS.setdefault(d, [])
+    step = d if d % 2 == 0 else 2 * d  # p is odd, so p = 1 (mod 2d) for odd d
+    while len(found) <= i:
+        p = found[-1][0] - step if found else ((1 << 62) - 2) // step * step + 1
+        while not _is_prime(p):
+            p -= step
+        qs = [q for q in range(2, d + 1) if d % q == 0 and all(q % f for f in range(2, q))]
+        for a in range(2, p):
+            w = pow(a, (p - 1) // d, p)
+            if all(pow(w, d // q, p) != 1 for q in qs):
+                break
+        found.append((p, w))
+    return found[i]
 
 
 def _crt(a: list[int], p: int, b: list[int], q: int) -> list[int]:
@@ -278,10 +330,10 @@ def _charpoly_mod(rows, p: int) -> list[int]:
     return polys[-1]
 
 
-def _coefficient_bound(rows) -> int:
-    """max over k of C(n,k) s^k, s = ceil(sqrt(ceil(F^2 / n))) (1 when n = 0)."""
-    n = len(rows)
-    s = _iroot(-(-sum(v * v for r in rows for v in r) // n), 2) if n else 0
+def _coefficient_bound(n: int, f2: int) -> int:
+    """max over k of C(n,k) s^k, s = ceil(sqrt(ceil(f2 / n))) (1 when n = 0)."""
+    q = -(-f2 // n) if n else 0
+    s = math.isqrt(q - 1) + 1 if q else 0
     term = largest = 1
     for k in range(n):  # term = C(n, k+1) s^(k+1), an exact division
         term = term * (n - k) * s // (k + 1)
@@ -331,7 +383,7 @@ def _block_charpoly(rows) -> list[int]:
     lifted to its symmetric residue."""
     if len(rows) == 1:
         return [-rows[0][0], 1]
-    bound = 2 * _coefficient_bound(rows) + 1
+    bound = 2 * _coefficient_bound(len(rows), sum(v * v for r in rows for v in r)) + 1
     modulus, i = 1, 0
     while modulus <= bound:
         modulus, i = modulus * _modulus(i), i + 1
@@ -395,12 +447,82 @@ def _split_product(factors) -> IntPolynomial:
     return p
 
 
-def _split_block_charpoly(blocks) -> IntPolynomial:
-    """det(xI - M) for the block-diagonal M with these diagonal blocks, with
-    its integer-root split kept (`_split_product` of the blocks' splits).
+def _dft_charpoly(lengths, orbits) -> list[int]:
+    """Ascending coefficients of det(xI - B) for a symmetric block B that is
+    constant on the orbits of e x e, e a permutation with cycles of these
+    lengths, given by its nonzero orbit entries (I, J, delta, v): B is v at
+    place s of cycle I and place s + delta of cycle J, for every s.
 
-    An all-zero block of n rows adds the factor x^n.  Each other block B
-    is divided by the gcd g of its entries, and `_block_charpoly` and
+    The product over each d dividing a cycle length of F_d (see the
+    module docstring): `_block_charpoly` of the integer A_omega for
+    d <= 2, and G_d^2 for d > 2.  G_d is the product of det(xI - A_omega)
+    over omega = W^u, u < d / 2 a unit mod d, modulo the product N of the
+    fewest primes p = 1 (mod d) below 2^62 with
+    N > 2 max_k C(n_d, k) s^k + 1, s from B's F^2, and W a root of order d
+    mod each of them; each coefficient is lifted to its symmetric residue.
+    A 1 x 1 A_omega, a block's only cycle whose length d divides, is
+    written inline as the factor x - A_omega.
+    """
+    f2, scaled = 0, []  # B's F^2, and each orbit with its entry times |J| / gcd(|I|, |J|)
+    for i, j, delta, v in orbits:
+        g = math.gcd(a := lengths[i], b := lengths[j])
+        f2 += v * v * (a // g * b)
+        scaled.append((i, j, delta, v * (b // g)))
+    factors = []
+    for d in sorted({d for a in set(lengths) for d in range(1, a + 1) if a % d == 0}):
+        at, k = [None] * len(lengths), 0  # the row of A of each cycle whose length d divides
+        for c, a in enumerate(lengths):
+            if a % d == 0:
+                at[c], k = k, k + 1
+        terms = [(at[i], at[j], delta % d, c) for i, j, delta, c in scaled
+                 if at[i] is not None and at[j] is not None]
+        if d <= 2:  # omega = +-1: A is an integer matrix
+            A = [[0] * k for _ in range(k)]
+            for a, b, e, c in terms:
+                A[a][b] += -c if e else c
+            factors.append(_block_charpoly(A))
+            continue
+        units = [u for u in range(1, d // 2 + 1) if math.gcd(u, d) == 1]
+        bound = 2 * _coefficient_bound(len(units) * k, f2) + 1
+        N, W, i = 1, 0, 0
+        while N <= bound:
+            p, w = _prime_root(i, d)
+            W, N, i = _crt([W], N, [w], p)[0], N * p, i + 1
+        powers = [1] * d
+        for e in range(1, d):
+            powers[e] = powers[e - 1] * W % N
+        factor = [1]
+        for u in units:
+            if k == 1:  # times x - A
+                a = sum(c * powers[u * e % d] for _, _, e, c in terms)
+                factor = [(x - a * y) % N for x, y in zip([0] + factor, factor + [0])]
+                continue
+            A = [[0] * k for _ in range(k)]
+            for a, b, e, c in terms:
+                A[a][b] += c * powers[u * e % d]
+            factor = [v % N for v in _mul_coeffs(factor, _charpoly_mod(A, N))]
+        factor = [c - N if 2 * c > N else c for c in factor]
+        factors.append(_mul_coeffs(factor, factor))
+    return functools.reduce(_mul_coeffs, factors)
+
+
+def _split_block_charpoly(blocks) -> IntPolynomial:
+    """det(xI - M) for the symmetric block-diagonal M with these diagonal
+    blocks, each given as its cycle lengths and its nonzero orbit entries
+    (see `_dft_charpoly`), with its integer-root split kept
+    (`_split_product` of the blocks' splits).
+
+    A block's polynomial is the product of its DFT factors F_d, one for
+    each order d of a root of unity that divides a cycle length, so no
+    block's rows are written and no pass is larger than the number of the
+    block's cycles.  Each F_d, or its square root G_d for d > 2, is an
+    integer polynomial whose roots are some of the block's eigenvalues, so
+    the Schur-Maclaurin bound of `charpoly` holds for it with its own
+    degree and the block's F^2 (module docstring), and it is computed
+    modulo primes p = 1 (mod d).
+
+    A block with no nonzero entry adds the factor x^n.  Each other block B
+    is divided by the gcd g of its entries, and `_dft_charpoly` and
     `_split_roots` run on B' = B / g.
     det(xI - g B') = g^n det((x / g) I - B'), so the coefficient of x^k is
     g^(n-k) times that of B', and each eigenvalue is g times one of B'.
@@ -415,12 +537,12 @@ def _split_block_charpoly(blocks) -> IntPolynomial:
     whose entries share no large factor is scanned as it is.
     """
     zeros, factors = 0, []
-    for rows in blocks:
-        g = math.gcd(*chain.from_iterable(rows))
+    for lengths, orbits in blocks:
+        g = math.gcd(*(v for *_, v in orbits))
         if not g:
-            zeros += len(rows)
+            zeros += sum(lengths)
             continue
-        cp = _block_charpoly([[v // g for v in row] for row in rows])
+        cp = _dft_charpoly(lengths, [(i, j, delta, v // g) for i, j, delta, v in orbits])
         roots, cofactor = _split_roots(IntPolynomial(tuple(cp)))
         factors.append((_scaled(cp, g), [(g * root, mult) for root, mult in roots], _scaled(cofactor, g)))
     if zeros:

@@ -132,9 +132,9 @@ class SystemInvariantReport(JsonCodec):
 # reports of degree >= 362 are not kept (README, "Caches").
 @braids._weighted_lru(2**18, lambda nf: 128 + nf.degree * (2 * nf.degree + len(nf.factors)))
 def _report_for_normal_form(nf: NormalForm) -> BraidInvariantReport:
-    # the pure-power matrix M is read block by block, never built whole
+    # the pure-power matrix M is read block by block off its orbits, never written
     r, blocks, S, S_rows = _pure_power_blocks(nf)
-    cp = _split_block_charpoly([rows for _, rows in blocks])
+    cp = _split_block_charpoly([(lengths, orbits) for _, lengths, orbits in blocks])
     # det M = (-1)^n c_0; and M is symmetric, hence diagonalizable, so its
     # rank is n minus the multiplicity of the root 0
     n, zero_mult = cp.degree, next(k for k, c in enumerate(cp.coeffs) if c)

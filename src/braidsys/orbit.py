@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, fields
 
 from . import braids
-from .braids import BraidWord
+from .braids import BraidWord, NormalForm
 from .codec import JsonCodec
 from .invariants import BraidSystem, _compare_reports, system_invariants
 from .moves import (
@@ -207,14 +207,26 @@ def replay_witness(s: BraidSystem, witness) -> BraidSystem:
     return s
 
 
+def _conjugacy_type(nf: NormalForm) -> tuple[int, list[int]]:
+    """(exponent sum, cycle type of the permutation): equal for conjugates."""
+    return nf.exponent_sum(), sorted(map(len, nf.permutation().cycles()))
+
+
 def find_conjugator(b: BraidWord, target: BraidWord, max_length: int = 4) -> BraidWord | None:
-    """Breadth-first search for a short word a with a^{-1} b a = target."""
+    """Breadth-first search for a short word a with a^{-1} b a = target.
+
+    Conjugate braids have the same exponent sum and permutations of the
+    same cycle type, so a pair that differs in either returns None before
+    the search; a conjugate pair runs the same search as without the check.
+    """
     braids.check_same_degree(b.degree, target.degree)
     target_nf = braids.normal_form(target)
     gens = [k for i in range(1, b.degree) for k in (i, -i)]
     b_nf = braids.normal_form(b)
     if b_nf == target_nf:
         return BraidWord(b.degree)
+    if _conjugacy_type(b_nf) != _conjugacy_type(target_nf):
+        return None
     seen = {b_nf}
     queue = deque([BraidWord(b.degree)])
     while queue:

@@ -345,6 +345,33 @@ def half_twist_words(draw, max_degree: int = 32):
     return delta_power_word(m, d, tuple(s * i for s, i in zip(signs, body)))
 
 
+@st.composite
+def cycle_type_words(draw, max_degree: int = 20):
+    """A word whose permutation has cycles of drawn lengths, among them
+    lengths d with phi(d) > 2 (5, 7, 8, 9, 12, 16), often several of
+    different lengths: a run of signed letters i, i+1, ... on each cycle's
+    strands, pure letter pairs k, k at the boundaries of the runs and
+    anywhere else to link the cycles, and the whole conjugated by a short
+    word, which keeps the cycle type."""
+    lengths = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 12, 16]), min_size=1, max_size=4)
+                   .filter(lambda ls: 2 <= sum(ls) <= max_degree))
+    m = sum(lengths)
+    letters, at = [], 0
+    for a in lengths:
+        letters += [draw(st.sampled_from((1, -1))) * i for i in range(at + 1, at + a)]
+        at += a
+    # after the runs, a pair at the boundary of two runs links their cycles
+    bounds = list(itertools.accumulate(lengths[:-1]))
+    for k in draw(st.lists(st.sampled_from(bounds), max_size=3)) if bounds else ():
+        letters += [k, k]
+    for _ in range(draw(st.integers(0, 6))):
+        k = draw(st.sampled_from((1, -1))) * draw(st.integers(1, m - 1))
+        at = draw(st.integers(0, len(letters)))
+        letters[at:at] = [k, k]
+    conj = draw(st.lists(st.integers(1, m - 1), max_size=3))
+    return BraidWord(m, tuple(-k for k in reversed(conj)) + tuple(letters) + tuple(conj))
+
+
 def delta_power_word(m: int, d: int, letters: tuple = ()) -> BraidWord:
     """The literal word Delta^d followed by `letters`."""
     delta = _delta_letters(m)

@@ -147,6 +147,20 @@ def test_apply_roundtrip_scripts(capsys, system_files):
     assert all(braids_equal(a, b) for a, b in zip(final.components, original.components))
 
 
+def test_apply_json_encodes_each_system_once(capsys, system_files, monkeypatch):
+    # `final` is the last step's encoding; with no steps, the loaded system's
+    encoded = []
+    real = BraidSystem.to_json
+    monkeypatch.setattr(BraidSystem, "to_json", lambda self: encoded.append(self) or real(self))
+    assert main(["apply", "--system", system_files["intro_b"], "--steps", "H 1 + / H 1 -", "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert len(encoded) == 2 and result["final"] == result["steps"][-1]["system"]
+    encoded.clear()
+    assert main(["apply", "--system", system_files["intro_b"], "--steps", "", "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert len(encoded) == 1 and result == {"steps": [], "final": real(load_system(system_files["intro_b"]))}
+
+
 def test_apply_global_conjugation_roundtrip(capsys, system_files):
     rc = main(["apply", "--system", system_files["intro_b"], "--steps", "GC 1,-2 / GC 2,-1", "--json"])
     assert rc == 0

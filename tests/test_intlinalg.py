@@ -311,7 +311,7 @@ def test_charpoly_coefficients_within_the_frobenius_bound():
             assert abs(cp.coefficient(n - k)) <= math.comb(n, k) * s**k
         rho = max(sum(map(abs, r)) for r in rows)
         bound = max(math.comb(n, k) * s**k for k in range(n + 1))
-        assert intlinalg._coefficient_bound(rows) == bound
+        assert intlinalg._coefficient_bound(n, f2) == bound
         assert bound <= max(math.comb(n, k) * rho**k for k in range(n + 1))
 
 
@@ -324,6 +324,19 @@ def test_moduli_are_distinct_primes_below_2_62():
     assert math.prod(used) > bound  # that call needed 52 of them
     assert len(set(used)) == len(used)
     assert all(2**61 < p < 2**62 and is_prime_mr(p) for p in used)
+
+
+def test_prime_roots_are_primes_1_mod_d_with_roots_of_order_d():
+    # the DFT moduli of every order d up to 64 and of the longest cycles:
+    # distinct primes below 2^62, largest first, each with a root whose
+    # powers below the d-th, checked one by one, are not 1
+    for d in [*range(1, 65), 512, 1024, 2048]:
+        pairs = [intlinalg._prime_root(i, d) for i in range(3)]
+        primes = [p for p, _ in pairs]
+        assert primes == sorted(set(primes), reverse=True) and intlinalg._PRIME_ROOTS[d][:3] == pairs
+        for p, w in pairs:
+            assert p < 2**62 and (p - 1) % d == 0 and is_prime_mr(p)
+            assert pow(w, d, p) == 1 and all(pow(w, e, p) != 1 for e in range(1, d) if d % e == 0)
 
 
 def test_import_computes_no_moduli():
@@ -495,6 +508,52 @@ def test_split_roots_searches_divisors_only_on_the_core(monkeypatch):
     assert len(deflations) <= 4
 
 
+def _as_orbits(rows):
+    """A block in the form `_split_block_charpoly` reads, for the identity
+    permutation: every strand its own cycle of length 1, and every nonzero
+    entry its own orbit (I, J, 0, entry)."""
+    return [1] * len(rows), [(i, j, 0, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+
+
+@st.composite
+def symmetric_orbit_blocks(draw):
+    """(a block as `_dft_charpoly` reads it, its dense rows): cycles
+    of drawn lengths, among them lengths d with phi(d) > 2, and for each
+    orbit (I, J, delta) an entry up to 10^30 or none, the same for its
+    mirror (J, I, -delta), so the rows are symmetric."""
+    lengths = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 16]), min_size=1, max_size=3)
+                   .filter(lambda ls: sum(ls) <= 16))
+    top = draw(st.sampled_from([1, 10**6, 10**30]))
+    entries = {}
+    for i, a in enumerate(lengths):
+        for j in range(i, len(lengths)):
+            g = math.gcd(a, lengths[j])
+            for delta in range(g):
+                if (j, i, -delta % g) not in entries and (v := draw(st.integers(-top, top))):
+                    entries[i, j, delta] = entries[j, i, -delta % g] = v
+    firsts = list(itertools.accumulate(lengths, initial=0))
+    rows = [[0] * firsts[-1] for _ in range(firsts[-1])]
+    for (i, j, delta), v in entries.items():
+        a, b = lengths[i], lengths[j]
+        for s in range(math.lcm(a, b)):
+            rows[firsts[i] + s % a][firsts[j] + (s + delta) % b] = v
+    return (lengths, [(i, j, delta, v) for (i, j, delta), v in entries.items()]), rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_orbit_blocks())
+@example((([16], [(0, 0, 1, 10**30), (0, 0, 15, 10**30), (0, 0, 3, -7), (0, 0, 13, -7)]),
+          [[10**30 if (j - i) % 16 in (1, 15) else -7 if (j - i) % 16 in (3, 13) else 0
+            for j in range(16)] for i in range(16)]))
+def test_dft_charpoly_matches_berkowitz(block_rows):
+    # the DFT factors, each modulo primes 1 mod d above its own bound,
+    # against the Berkowitz charpoly of the dense block (no root split:
+    # entries near 10^30 with no common factor make a long divisor scan)
+    block, rows = block_rows
+    assert rows == [list(col) for col in zip(*rows)]
+    assert IntPolynomial(tuple(intlinalg._dft_charpoly(*block))) == charpoly_berkowitz(rows)
+
+
 def _block_diagonal(blocks):
     n = sum(map(len, blocks))
     rows, at = [[0] * n for _ in range(n)], 0
@@ -520,7 +579,7 @@ def test_split_block_charpoly_matches_berkowitz_and_the_scan(blocks):
     # the product of the blocks' polynomials, each block divided by the gcd
     # of its entries and scaled back, against the block-diagonal matrix's
     # Berkowitz charpoly and a scan within its largest absolute row sum
-    p = intlinalg._split_block_charpoly(blocks)
+    p = intlinalg._split_block_charpoly(list(map(_as_orbits, blocks)))
     rows = _block_diagonal(blocks)
     cp = charpoly_berkowitz(rows)
     assert p == cp and "_root_split" in vars(p)
@@ -536,7 +595,7 @@ def test_split_block_charpoly_splits_the_divided_block(monkeypatch):
     split_roots = intlinalg._split_roots
     monkeypatch.setattr(intlinalg, "_split_roots", lambda p: split.append(p.coeffs) or split_roots(p))
     g = 10**12 + 39
-    p = intlinalg._split_block_charpoly([[[0, g, 2 * g], [g, 0, g], [2 * g, g, 0]]])
+    p = intlinalg._split_block_charpoly([_as_orbits([[0, g, 2 * g], [g, 0, g], [2 * g, g, 0]])])
     assert split == [(-4, -6, 0, 1)]
     assert p == IntPolynomial((-4 * g**3, -6 * g**2, 0, 1))
     assert split_integer_roots(p) == (((-2 * g, 1),), IntPolynomial((-2 * g * g, -2 * g, 1)))

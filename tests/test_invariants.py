@@ -44,6 +44,7 @@ from braidsys.invariants import _trace
 
 from oracles import (
     charpoly_berkowitz,
+    cycle_type_words,
     delta_power_word,
     group_order_bfs,
     half_twist_words,
@@ -112,6 +113,28 @@ def test_report_fields_match_the_literal_power(w):
                                                M.col_multisets())
     assert rep.integer_eigenvalues == integer_roots(cp)
     assert rep.normal_form == normal_form(w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cycle_type_words(max_degree=20), st.integers(-3, 3))
+@example(BraidWord(16, tuple(range(1, 16))), 0)  # one 16-cycle: phi(16) = 8
+@example(BraidWord(16, tuple(range(1, 9)) + (10, 11, 12, 13, 14, 15) + (9, 9)), -2)  # cycles of 9 and 7
+@example(BraidWord(20, tuple(range(1, 12)) + tuple(range(13, 20)) + (-12, -12)), 3)  # 12 and 8
+def test_report_fields_match_the_literal_power_on_long_cycles(w, shift):
+    # every report field, from the orbits of the form with its infimum
+    # shifted, against the matrix of the literal power of that form's word:
+    # its Berkowitz charpoly, Bareiss determinant and rank, multisets, and
+    # the roots of a scan within its largest absolute row sum
+    nf = normal_form(w)
+    form = NormalForm(w.degree, nf.infimum + shift, nf.factors)
+    r, M = pure_power_matrix_literal(form.to_word())
+    cp = charpoly_berkowitz(M)
+    roots, _ = integer_roots_scan(cp, max(sum(map(abs, row)) for row in M.entries))
+    assert invariants._report_for_normal_form(form) == BraidInvariantReport(
+        degree=w.degree, r=r, charpoly=cp, determinant=determinant(M), rank=rank(M),
+        S=M.entry_multiset(), S_rows=M.row_multisets(), S_cols=M.col_multisets(),
+        integer_eigenvalues=roots, normal_form=form,
+    )
 
 
 def test_conjugation_invariance_of_reports():
@@ -453,7 +476,7 @@ def test_one_report_splits_each_block_once_and_its_rendering_none(monkeypatch):
     invariants._report_for_normal_form.cache_clear()
     rep = braid_invariants(parse_word("1,1,-3,-3,-3,-3,5", 7))
     # three 2x2 blocks (entries 2, -4 and 1) and the zero block of strand 7
-    assert [len(rows) for _, rows in _pure_power_blocks(rep.normal_form)[1]] == [2, 2, 2, 1]
+    assert [len(strands) for strands, _, _ in _pure_power_blocks(rep.normal_form)[1]] == [2, 2, 2, 1]
     assert [p.coeffs for p in split] == [(-1, 0, 1)] * 3
     text = factored_str(rep.charpoly)
     assert split_integer_roots(rep.charpoly)[0] == integer_roots(rep.charpoly) == rep.integer_eigenvalues

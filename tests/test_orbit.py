@@ -309,6 +309,32 @@ def test_find_conjugator_reference_pair():
         find_conjugator(parse_word("1", 3), parse_word("1", 4))
 
 
+def test_find_conjugator_returns_none_on_differing_conjugacy_types(monkeypatch):
+    # cycle types (a 4-cycle against a transposition) or exponent sums
+    # (2 against 0, both a 3-cycle) differ, so no word is ever conjugated
+    calls = []
+    real = braids.conjugate
+    monkeypatch.setattr(braids, "conjugate", lambda b, a: calls.append(a) or real(b, a))
+    for m in (4, 6):
+        assert find_conjugator(parse_word("1,2,-3", m), parse_word("1,1,-3", m), max_length=5) is None
+    assert find_conjugator(parse_word("1,2", 4), parse_word("1,-2", 4), max_length=5) is None
+    assert calls == []
+    # a conjugate pair still searches
+    assert find_conjugator(parse_word("1", 3), parse_word("2", 3), max_length=2) is not None
+    assert calls
+
+
+def test_find_conjugator_finds_random_conjugates():
+    rng = random.Random(43)
+    for _ in range(60):
+        m = rng.randint(2, 5)
+        b, a = random_word(rng, m, 5), random_word(rng, m, 3, min_len=1)
+        target = conjugate(b, a)
+        w = find_conjugator(b, target, max_length=len(a))
+        assert w is not None and len(w) <= len(a)
+        assert normal_form(conjugate(b, w)) == normal_form(target)
+
+
 def test_verify_invariance_reference_system():
     bvec = BraidSystem.from_texts(4, ["1,2,-3", "3", "-2", "-1"])
     rep = verify_invariance(bvec, trials=100, seed=7)
