@@ -20,10 +20,11 @@ first factors, turning each into the inverse of its short complement,
 read off by `_Codebook.inverse`, and the half twists left over have a
 closed-form matrix, so only a short mixed word is swept (see
 `_normal_form_entries`).  One pass over that matrix's nonzero entries
-sums each orbit of strand pairs and groups the orbits into the diagonal
-blocks of the pure-power matrix (`_pure_power_blocks`).  A braid report
-reads each block's orbit entries and never writes a row of it;
-`pure_power_matrix` writes the orbits back at their strands.
+sums each orbit of strand pairs (`_pure_power_blocks`), and
+`intlinalg._orbit_blocks`, the block split that `intlinalg.charpoly` also
+uses, groups the orbits into the diagonal blocks of the pure-power matrix.
+A braid report reads each block's orbit entries and never writes a row
+of it; `pure_power_matrix` writes the orbits back at their strands.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .braids import (
     _permutation_letters,
     permutation,
 )
-from .intlinalg import _components, matrix_rows
+from .intlinalg import _orbit_blocks, matrix_rows
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,7 @@ def _pure_power_blocks(b: BraidWord | NormalForm) -> tuple[
     a nonzero total are written, each with its total times r / L.
 
     The cycles that a nonzero orbit links are joined into one block
-    (`_components` of the cycles), so no entry of M links two blocks, and
+    (`intlinalg._orbit_blocks`), so no entry of M links two blocks, and
     listing the strands block by block permutes M to block-diagonal form.
     A block is a union of whole cycles, which may hold more than one
     connected component of M's pattern.  It lists its strands cycle by
@@ -237,7 +238,6 @@ def _pure_power_blocks(b: BraidWord | NormalForm) -> tuple[
             key = (ci, cj, (place[j] - pi) % math.gcd(lengths[ci], lengths[cj]))
             totals[key] = totals.get(key, 0) + row[j]
     orbits = []  # (cycle of i, cycle of j, delta, entry) of each nonzero orbit
-    links: list[list[int]] = [[] for _ in cycles]  # M is symmetric, so links go both ways
     row_counts: list[dict[int, int]] = [{} for _ in cycles]  # of one row of each cycle
     counts: dict[int, int] = {}  # of M
     for (ci, cj, delta), total in totals.items():
@@ -247,21 +247,10 @@ def _pure_power_blocks(b: BraidWord | NormalForm) -> tuple[
         span = math.lcm(li, lj)
         v = total * (r // span)
         orbits.append((ci, cj, delta, v))
-        links[ci].append(cj)
         row_counts[ci][v] = row_counts[ci].get(v, 0) + lj // math.gcd(li, lj)
         counts[v] = counts.get(v, 0) + span
-    # a block lists its cycles in turn; (k, its orbit list) = block_of[c]
-    # for cycle c, the k-th of its block
-    blocks, block_of = [], [None] * len(cycles)
-    for group in _components(links):
-        block_orbits: list[tuple[int, int, int, int]] = []
-        strands = [i for c in group for i in cycles[c]]
-        blocks.append((strands, [lengths[c] for c in group], block_orbits))
-        for k, c in enumerate(group):
-            block_of[c] = (k, block_orbits)
-    for ci, cj, delta, v in orbits:
-        k, block_orbits = block_of[ci]
-        block_orbits.append((k, block_of[cj][0], delta, v))
+    blocks = [([i for c in group for i in cycles[c]], block_lengths, block_orbits)
+              for group, block_lengths, block_orbits in _orbit_blocks(lengths, orbits)]
     shapes = sorted((_multiset(rc, m), k) for rc, k in zip(row_counts, lengths))
     S_rows = tuple(chain.from_iterable([row] * k for row, k in shapes))
     return r, blocks, _multiset(counts, m * m), S_rows

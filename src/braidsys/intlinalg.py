@@ -1,40 +1,47 @@
 """
 Exact integer linear algebra and polynomial arithmetic.
 
-A characteristic polynomial is the product of those of the diagonal
-blocks, the connected components of the nonzero pattern.  Each block of
-n > 1 rows takes one Hessenberg reduction in O(n^3) modulo N, a product of
-primes just below 2^62 that exceeds 2 max_k C(n,k) s^k + 1, where
-s = ceil(sqrt(ceil(F^2 / n))) and F^2 is the sum of the block's squared
-entries: no coefficient is larger in absolute value than half of that (see
-`charpoly`), so each is its symmetric residue mod N.
+A characteristic polynomial takes one route, a discrete Fourier
+transform over the cycles of a permutation e whose permutation matrix
+commutes with the matrix (`_dft_charpoly`).  Such a matrix is constant on
+the orbits of e x e, so it is block-circulant over e's cycles (Davis,
+*Circulant Matrices*, 1979), and it is given by its nonzero orbit entries
+(I, J, delta, v), v the entry at place s of cycle I and place s + delta
+of cycle J, for every s.  A braid report's matrix, the crossing matrix M
+of a pure power b^r, is one for e the permutation of b, and is never
+written.  Any square matrix is one for e the identity: each index is its
+own cycle of length 1 and each nonzero entry its own orbit (`charpoly`).
+The polynomial is the product of those of the diagonal blocks, the
+connected components of the cycles that an entry links
+(`_orbit_blocks`).
 
-A braid report's matrix, the crossing matrix M of a pure power b^r, is
-never written: its charpoly is taken by a discrete Fourier transform over
-each cycle of e, the permutation of b (`_dft_charpoly`).  M is constant on
-the orbits of e x e, so it commutes with e's permutation matrix and is
-block-circulant over e's cycles (Davis, *Circulant Matrices*, 1979).  For
-a root of unity omega of order d, the vectors x_J, omega^s at place s of a
-cycle J with d | |J| and 0 elsewhere, span a subspace that M maps into
-itself, by the k_d x k_d matrix A_omega over those cycles with entries
-(|J| / gcd(|I|, |J|)) sum over delta < gcd(|I|, |J|) of v_IJ(delta)
-omega^delta, v_IJ(delta) the entry of the orbit (I, J, delta).  These
-subspaces, one per omega of order dividing a cycle length, add up to the
-whole space, so det(xI - B) of a block B is the product over d of
-F_d = prod over omega of order d of det(xI - A_omega): a one-cycle block
-of length a becomes a linear factors, and a block of k cycles matrices of
-at most k rows.  For d <= 2, omega = +-1 and A_omega is an integer matrix,
-which takes the Hessenberg pass above.  For d > 2, M is symmetric, so
-A_omega is self-adjoint for the weights |J| and has real eigenvalues,
-those of A_(omega^-1) too: F_d = G_d^2, G_d the product over one omega of
-each pair omega, omega^-1.  The Galois group of Q(omega) permutes those
-pairs, so G_d is an integer polynomial, of degree n_d = phi(d) k_d / 2,
-whose roots are a sub-multiset of B's eigenvalues.  The proof of
-`charpoly` therefore bounds its coefficients by C(n_d, k) s^k with B's
-own F^2 (sum |lambda|^2 over a sub-multiset is at most that over all),
-and G_d is computed modulo a product N of primes p = 1 (mod d) below
-2^62 that exceeds twice that plus one, with a root of order d mod each
-(`_prime_root`), and lifted to symmetric residues.
+For a root of unity omega of order d, the vectors x_J, omega^s at place s
+of a cycle J with d | |J| and 0 elsewhere, span a subspace that a block
+maps into itself, by the k_d x k_d matrix A_omega over those cycles with
+entries (|J| / gcd(|I|, |J|)) sum over delta < gcd(|I|, |J|) of
+v_IJ(delta) omega^delta.  These subspaces, one per omega of order
+dividing a cycle length, add up to the whole space, so det(xI - B) of a
+block B is the product over d of F_d = prod over omega of order d of
+det(xI - A_omega): a one-cycle block of length a becomes a linear
+factors, a block of k cycles matrices of at most k rows, and a block of
+1-cycles its own rows, at d = 1.  For d <= 2, omega = +-1 and A_omega is
+an integer matrix.  For d > 2, the block must be symmetric, as every
+pure-power block is: then A_omega is self-adjoint for the weights |J|
+and has real eigenvalues, those of A_(omega^-1) too, so F_d = G_d^2, G_d
+the product over one omega of each pair omega, omega^-1.  The Galois
+group of Q(omega) permutes those pairs, so G_d is an integer polynomial,
+of degree phi(d) k_d / 2.
+
+So each F_d for d <= 2 and each G_d is an integer polynomial of some
+degree n whose roots are a sub-multiset of B's eigenvalues, and the
+proof of `charpoly` bounds its coefficients by C(n, k) s^k, with
+s = ceil(sqrt(ceil(F^2 / n))) and F^2 the sum of B's squared entries
+(sum |lambda|^2 over a sub-multiset is at most that over all).  A 1 x 1
+A_omega for d <= 2 gives the factor x - A_omega; every other
+det(xI - A_omega) is one Hessenberg reduction in O(k^3) modulo a product
+N of primes p = 1 (mod d) below 2^62 that exceeds 2 max_k C(n, k) s^k + 1,
+with a root of order d mod each (`_prime_root`), and each coefficient is
+lifted to its symmetric residue mod N.
 
 Determinants and ranks use fraction-free Bareiss elimination, so every
 value stays an exact Python integer.  Polynomials are integer
@@ -57,7 +64,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
 
 from .codec import JsonCodec
 
@@ -195,9 +202,8 @@ def _divide_out(c: list[int], root: int) -> tuple[list[int], int]:
     return c, mult
 
 
-_PRIMES: list[int] = []  # the moduli found so far, largest first
 # d -> the primes p = 1 (mod d) found so far, largest first, each with a
-# root of order d mod p (`_prime_root`)
+# root of order d mod p (`_prime_root`); d = 1 serves every dense block
 _PRIME_ROOTS: dict[int, list[tuple[int, int]]] = {}
 
 
@@ -221,16 +227,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _modulus(i: int) -> int:
-    """The i-th largest prime below 2^62 (from 0), searched for on first use."""
-    while len(_PRIMES) <= i:
-        q = _PRIMES[-1] - 2 if _PRIMES else (1 << 62) - 1
-        while not _is_prime(q):
-            q -= 2
-        _PRIMES.append(q)
-    return _PRIMES[i]
 
 
 def _prime_root(i: int, d: int) -> tuple[int, int]:
@@ -341,53 +337,37 @@ def _coefficient_bound(n: int, f2: int) -> int:
     return largest
 
 
-def _components(links) -> list[list[int]]:
-    """The connected components of the graph on 0..n-1 in which links[i]
-    lists the neighbours of i, every edge in the lists of both its ends:
-    each an ascending list of indices, in the order of their least index."""
-    seen = [False] * len(links)
-    blocks = []
-    for start in range(len(links)):
+def _orbit_blocks(lengths, orbits) -> list[tuple[list[int], list[int], list[tuple[int, int, int, int]]]]:
+    """The diagonal blocks of a matrix that is constant on the orbits of
+    e x e, e a permutation with cycles of these lengths, given by its
+    nonzero orbit entries (I, J, delta, v) (see `_dft_charpoly`): the
+    connected components of the cycles that an orbit links, either way,
+    in the order of their least cycle, each as (its cycles, ascending,
+    their lengths, its orbits with I and J renumbered within it).  No
+    entry links two blocks, so listing them in turn permutes the matrix to
+    block-diagonal form."""
+    n = len(lengths)
+    links: list[list[int]] = [[] for _ in range(n)]
+    for i, j, _, _ in orbits:
+        links[i].append(j)
+        links[j].append(i)
+    seen, at, into, blocks = [False] * n, [0] * n, [None] * n, []
+    for start in range(n):
         if seen[start]:
             continue
-        seen[start] = True
-        block = [start]
-        for i in block:  # the list grows while it is walked
-            for j in links[i]:
+        seen[start], group = True, [start]
+        for c in group:  # the list grows while it is walked
+            for j in links[c]:
                 if not seen[j]:
                     seen[j] = True
-                    block.append(j)
-        blocks.append(sorted(block))
+                    group.append(j)
+        group.sort()
+        blocks.append((group, [lengths[c] for c in group], []))
+        for k, c in enumerate(group):  # each cycle's index in its block, and the block's orbit list
+            at[c], into[c] = k, blocks[-1][2]
+    for i, j, delta, v in orbits:
+        into[i].append((at[i], at[j], delta, v))
     return blocks
-
-
-def _blocks(rows) -> list[list[int]]:
-    """The connected components of the links i - j with M[i][j] != 0 or
-    M[j][i] != 0, each an ascending list of indices.  No entry of M links
-    two components, so listing them in turn permutes M to block-diagonal
-    form."""
-    n = len(rows)
-    links = [list(compress(range(n), row)) for row in rows]
-    back: list[list[int]] = [[] for _ in range(n)]
-    for i, js in enumerate(links):
-        for j in js:
-            back[j].append(i)
-    return _components([js + bs for js, bs in zip(links, back)])
-
-
-def _block_charpoly(rows) -> list[int]:
-    """Ascending coefficients of det(xI - B) for one diagonal block B (see
-    `charpoly`): x - v for B = [v], else one `_charpoly_mod` pass modulo
-    the product N of the fewest primes below 2^62 with
-    N > 2 max_k C(n,k) s^k + 1 for this block's n and s, each coefficient
-    lifted to its symmetric residue."""
-    if len(rows) == 1:
-        return [-rows[0][0], 1]
-    bound = 2 * _coefficient_bound(len(rows), sum(v * v for r in rows for v in r)) + 1
-    modulus, i = 1, 0
-    while modulus <= bound:
-        modulus, i = modulus * _modulus(i), i + 1
-    return [c - modulus if 2 * c > modulus else c for c in _charpoly_mod(rows, modulus)]
 
 
 def charpoly(M) -> IntPolynomial:
@@ -396,9 +376,13 @@ def charpoly(M) -> IntPolynomial:
 
     A simultaneous permutation of rows and columns, which keeps
     det(xI - M), brings any square matrix to block-diagonal form with one
-    block per connected component of its nonzero pattern (`_blocks`).  A
-    pure-power matrix at m = 32 splits into about ten such blocks, the
-    largest of about ten rows, so most of the O(n^3) pass is never run.
+    block per connected component of its nonzero pattern: `_orbit_blocks`
+    of the nonzero entries, each index its own cycle of length 1, so each
+    entry (i, j) is the orbit (i, j, 0, M[i][j]).  `_dft_charpoly` then
+    meets only d = 1, where A_1 is the block's own rows: x - v for a block
+    [v], one Hessenberg pass for a larger one.  A pure-power matrix at
+    m = 32 splits into about ten such blocks, the largest of about ten
+    rows, so most of the O(n^3) pass is never run.
 
     Within a block of size n, the coefficient of x^(n-k) is
     (-1)^k e_k(lambda), e_k the k-th elementary symmetric function of the
@@ -419,9 +403,10 @@ def charpoly(M) -> IntPolynomial:
     gives each coefficient mod N, unique in the symmetric range.
     """
     rows = matrix_rows(M)
+    entries = [(i, j, 0, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
     coeffs = [1]
-    for block in _blocks(rows):
-        coeffs = _mul_coeffs(coeffs, _block_charpoly([[rows[i][j] for j in block] for i in block]))
+    for _, lengths, orbits in _orbit_blocks([1] * len(rows), entries):
+        coeffs = _mul_coeffs(coeffs, _dft_charpoly(lengths, orbits))
     return IntPolynomial(tuple(coeffs))
 
 
@@ -448,20 +433,22 @@ def _split_product(factors) -> IntPolynomial:
 
 
 def _dft_charpoly(lengths, orbits) -> list[int]:
-    """Ascending coefficients of det(xI - B) for a symmetric block B that is
-    constant on the orbits of e x e, e a permutation with cycles of these
-    lengths, given by its nonzero orbit entries (I, J, delta, v): B is v at
-    place s of cycle I and place s + delta of cycle J, for every s.
+    """Ascending coefficients of det(xI - B) for a block B that is constant
+    on the orbits of e x e, e a permutation with cycles of these lengths,
+    given by its nonzero orbit entries (I, J, delta, v) (module docstring).
+    B must be symmetric if a cycle is longer than 2; a block of 1-cycles,
+    a dense matrix's, need not be.
 
-    The product over each d dividing a cycle length of F_d (see the
-    module docstring): `_block_charpoly` of the integer A_omega for
-    d <= 2, and G_d^2 for d > 2.  G_d is the product of det(xI - A_omega)
-    over omega = W^u, u < d / 2 a unit mod d, modulo the product N of the
-    fewest primes p = 1 (mod d) below 2^62 with
-    N > 2 max_k C(n_d, k) s^k + 1, s from B's F^2, and W a root of order d
-    mod each of them; each coefficient is lifted to its symmetric residue.
-    A 1 x 1 A_omega, a block's only cycle whose length d divides, is
-    written inline as the factor x - A_omega.
+    The product over each d dividing a cycle length of F_d (module
+    docstring): F_d for d <= 2 and G_d^2 for d > 2, F_d and G_d the
+    product of det(xI - A_omega) over omega = W^u, u <= d / 2 a unit mod d
+    (u = 1 for d <= 2, as +-1 each pair with themselves).  Each is taken
+    modulo the product N of the fewest primes p = 1 (mod d) below 2^62
+    with N > 2 max_k C(n, k) s^k + 1, n its degree and s from B's F^2, and
+    W a root of order d mod each of them; each coefficient is lifted to its
+    symmetric residue.  A 1 x 1 A_omega, a block's only cycle whose length d
+    divides, is written inline as the factor x - A_omega, over the integers
+    for d <= 2.
     """
     f2, scaled = 0, []  # B's F^2, and each orbit with its entry times |J| / gcd(|I|, |J|)
     for i, j, delta, v in orbits:
@@ -476,13 +463,10 @@ def _dft_charpoly(lengths, orbits) -> list[int]:
                 at[c], k = k, k + 1
         terms = [(at[i], at[j], delta % d, c) for i, j, delta, c in scaled
                  if at[i] is not None and at[j] is not None]
-        if d <= 2:  # omega = +-1: A is an integer matrix
-            A = [[0] * k for _ in range(k)]
-            for a, b, e, c in terms:
-                A[a][b] += -c if e else c
-            factors.append(_block_charpoly(A))
+        if k == 1 and d <= 2:  # x - A, A an integer
+            factors.append([-sum(-c if e else c for *_, e, c in terms), 1])
             continue
-        units = [u for u in range(1, d // 2 + 1) if math.gcd(u, d) == 1]
+        units = [u for u in range(1, d // 2 + 1) if math.gcd(u, d) == 1] or [1]  # d = 1: omega = 1 alone
         bound = 2 * _coefficient_bound(len(units) * k, f2) + 1
         N, W, i = 1, 0, 0
         while N <= bound:
@@ -500,26 +484,19 @@ def _dft_charpoly(lengths, orbits) -> list[int]:
             A = [[0] * k for _ in range(k)]
             for a, b, e, c in terms:
                 A[a][b] += c * powers[u * e % d]
-            factor = [v % N for v in _mul_coeffs(factor, _charpoly_mod(A, N))]
+            cp = _charpoly_mod(A, N)
+            factor = cp if u == 1 else [v % N for v in _mul_coeffs(factor, cp)]
         factor = [c - N if 2 * c > N else c for c in factor]
-        factors.append(_mul_coeffs(factor, factor))
+        factors.append(_mul_coeffs(factor, factor) if d > 2 else factor)
     return functools.reduce(_mul_coeffs, factors)
 
 
 def _split_block_charpoly(blocks) -> IntPolynomial:
     """det(xI - M) for the symmetric block-diagonal M with these diagonal
     blocks, each given as its cycle lengths and its nonzero orbit entries
-    (see `_dft_charpoly`), with its integer-root split kept
-    (`_split_product` of the blocks' splits).
-
-    A block's polynomial is the product of its DFT factors F_d, one for
-    each order d of a root of unity that divides a cycle length, so no
-    block's rows are written and no pass is larger than the number of the
-    block's cycles.  Each F_d, or its square root G_d for d > 2, is an
-    integer polynomial whose roots are some of the block's eigenvalues, so
-    the Schur-Maclaurin bound of `charpoly` holds for it with its own
-    degree and the block's F^2 (module docstring), and it is computed
-    modulo primes p = 1 (mod d).
+    (`_orbit_blocks`), with its integer-root split kept (`_split_product`
+    of the blocks' splits).  No block's rows are written: each block's
+    polynomial is `_dft_charpoly`'s.
 
     A block with no nonzero entry adds the factor x^n.  Each other block B
     is divided by the gcd g of its entries, and `_dft_charpoly` and

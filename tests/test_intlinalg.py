@@ -130,7 +130,7 @@ def test_charpoly_lift_at_the_edges_of_the_moduli():
     # a constant term of half a product of moduli, rounded either way, is
     # lifted right only if the product of the moduli used exceeds 2|a| + 1
     for k in (1, 2, 3):
-        q = math.prod(intlinalg._modulus(i) for i in range(k))
+        q = math.prod(intlinalg._prime_root(i, 1)[0] for i in range(k))
         for a in ((q - 1) // 2, (q + 1) // 2):
             assert charpoly([[a]]) == IntPolynomial((-a, 1))
             assert charpoly([[-a]]) == IntPolynomial((a, 1))
@@ -180,8 +180,65 @@ def hidden_block_matrices(draw):
 @example([[7 if i == j else 0 for j in range(4)] for i in range(4)])  # 1x1 blocks
 @example([[0, 3, 0], [0, 0, 0], [0, 0, 5]])  # a one-way link
 def test_charpoly_of_hidden_blocks_matches_berkowitz(rows):
-    assert intlinalg._blocks(rows) == matrix_components(rows)
+    entries = [(i, j, 0, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+    groups = [group for group, _, _ in intlinalg._orbit_blocks([1] * len(rows), entries)]
+    assert groups == matrix_components(rows)
     assert charpoly(rows) == charpoly_berkowitz(rows)
+
+
+def _orbit_rows(lengths, orbits):
+    """The dense rows of the orbit entries (I, J, delta, v), written as
+    `pure_power_matrix` writes them: v at place s of cycle I and place
+    s + delta of cycle J for every s, the cycles in turn, each from place 0."""
+    firsts = list(itertools.accumulate(lengths, initial=0))
+    rows = [[0] * firsts[-1] for _ in range(firsts[-1])]
+    for i, j, delta, v in orbits:
+        a, b = lengths[i], lengths[j]
+        for s in range(math.lcm(a, b)):
+            rows[firsts[i] + s % a][firsts[j] + (s + delta) % b] = v
+    return rows
+
+
+@st.composite
+def orbit_lists(draw):
+    """(cycle lengths 1-6, distinct nonzero orbit entries (I, J, delta, v) in
+    a random order): few enough to leave several blocks, and each orbit
+    drawn alone, so most link their two cycles one way only."""
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=7))
+    keys = [(i, j, delta) for i, a in enumerate(lengths) for j, b in enumerate(lengths)
+            for delta in range(math.gcd(a, b))]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(lengths) + 2))
+    values = st.integers(-10**6, 10**6).filter(bool)
+    return lengths, [(i, j, delta, draw(values)) for i, j, delta in chosen]
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbit_lists())
+@example(([3, 1, 2, 3], [(3, 0, 1, 5), (0, 3, 2, 5), (2, 2, 1, -1)]))  # a mirrored pair
+@example(([4, 2], [(1, 0, 1, 7)]))  # one link, one way
+def test_orbit_blocks_split_the_written_rows(lengths_orbits):
+    lengths, orbits = lengths_orbits
+    rows = _orbit_rows(lengths, orbits)
+    blocks = intlinalg._orbit_blocks(lengths, orbits)
+    firsts = list(itertools.accumulate(lengths, initial=0))
+    strands_of = [list(range(firsts[c], firsts[c + 1])) for c in range(len(lengths))]
+    # whole cycles: the blocks partition the cycles, and each block's strands
+    # are those of its cycles, so no cycle is split between two blocks
+    assert sorted(c for group, _, _ in blocks for c in group) == list(range(len(lengths)))
+    block_of = {}
+    for b, (group, _, _) in enumerate(blocks):
+        block_of.update((i, b) for c in group for i in strands_of[c])
+    # no nonzero entry links two blocks
+    assert all(block_of[i] == block_of[j] for i, row in enumerate(rows) for j, v in enumerate(row) if v)
+    # and the blocks are the finest such: the components of the cycles that an entry links
+    links = [[int(any(rows[i][j] for i in strands_of[c] for j in strands_of[e])) for e in range(len(lengths))]
+             for c in range(len(lengths))]
+    assert [group for group, _, _ in blocks] == matrix_components(links)
+    # each block's renumbered orbits rewrite exactly its rows
+    for group, block_lengths, block_orbits in blocks:
+        assert block_lengths == [lengths[c] for c in group]
+        strands = [i for c in group for i in strands_of[c]]
+        assert _orbit_rows(block_lengths, block_orbits) == [[rows[i][j] for j in strands] for i in strands]
 
 
 def _record_moduli(monkeypatch):
@@ -231,7 +288,7 @@ def test_charpoly_splits_the_modulus_at_a_zero_divisor_pivot(monkeypatch):
     # every pivot candidate of the first column is a nonzero multiple of the
     # first prime, so modulo N (several primes: the entries are large) the
     # first pivot is a zero divisor, and N splits into that prime and the rest
-    p0, p1 = intlinalg._modulus(0), intlinalg._modulus(1)
+    p0, p1 = intlinalg._prime_root(0, 1)[0], intlinalg._prime_root(1, 1)[0]
     rng = random.Random(36)
     n = 6
     rows = [[rng.randint(-10**20, 10**20) for _ in range(n)] for _ in range(n)]
@@ -258,7 +315,7 @@ def zero_divisor_matrices(draw):
     rows = [[draw(st.integers(-top, top)) for _ in range(n)] for _ in range(n)]
     columns = draw(st.lists(st.integers(0, n - 1), max_size=3))
     for j in columns + [0] * draw(st.booleans()):
-        p = intlinalg._modulus(draw(st.integers(0, 1)))
+        p = intlinalg._prime_root(draw(st.integers(0, 1)), 1)[0]
         for r in rows:
             r[j] = p * draw(st.integers(-(top // p), top // p))
     return rows
@@ -320,7 +377,7 @@ def test_moduli_are_distinct_primes_below_2_62():
     rho, n = 10**30, 32
     charpoly([[rho if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)])
     bound = 2 * max(math.comb(n, k) * rho**k for k in range(n + 1)) + 1
-    used = intlinalg._PRIMES
+    used = [p for p, _ in intlinalg._PRIME_ROOTS[1]]
     assert math.prod(used) > bound  # that call needed 52 of them
     assert len(set(used)) == len(used)
     assert all(2**61 < p < 2**62 and is_prime_mr(p) for p in used)
@@ -339,8 +396,25 @@ def test_prime_roots_are_primes_1_mod_d_with_roots_of_order_d():
             assert pow(w, d, p) == 1 and all(pow(w, e, p) != 1 for e in range(1, d) if d % e == 0)
 
 
+def test_prime_roots_are_the_largest_primes_1_mod_d_in_order():
+    # the i-th entry of `_PRIME_ROOTS[d]` is the i-th prime p = 1 (mod d)
+    # below 2^62 met by a scan down from 2^62 - 1 that tests every integer;
+    # d = 1 serves every dense block, and d = 2 walks the same primes
+    for d in (1, 2, 3, 4, 6, 1024):
+        want, n = [], 2**62 - 1
+        while len(want) < 3:
+            if (n - 1) % d == 0 and is_prime_mr(n):
+                want.append(n)
+            n -= 1
+        assert [intlinalg._prime_root(i, d)[0] for i in range(3)] == want
+    n = max(len(intlinalg._PRIME_ROOTS[1]), len(intlinalg._PRIME_ROOTS[2]))
+    for d in (1, 2):
+        intlinalg._prime_root(n - 1, d)
+    assert [p for p, _ in intlinalg._PRIME_ROOTS[1]] == [p for p, _ in intlinalg._PRIME_ROOTS[2]]
+
+
 def test_import_computes_no_moduli():
-    code = "import braidsys; from braidsys import intlinalg; print(len(intlinalg._PRIMES))"
+    code = "import braidsys; from braidsys import intlinalg; print(len(intlinalg._PRIME_ROOTS))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=60, check=True).stdout
@@ -531,13 +605,8 @@ def symmetric_orbit_blocks(draw):
             for delta in range(g):
                 if (j, i, -delta % g) not in entries and (v := draw(st.integers(-top, top))):
                     entries[i, j, delta] = entries[j, i, -delta % g] = v
-    firsts = list(itertools.accumulate(lengths, initial=0))
-    rows = [[0] * firsts[-1] for _ in range(firsts[-1])]
-    for (i, j, delta), v in entries.items():
-        a, b = lengths[i], lengths[j]
-        for s in range(math.lcm(a, b)):
-            rows[firsts[i] + s % a][firsts[j] + (s + delta) % b] = v
-    return (lengths, [(i, j, delta, v) for (i, j, delta), v in entries.items()]), rows
+    orbits = [(i, j, delta, v) for (i, j, delta), v in entries.items()]
+    return (lengths, orbits), _orbit_rows(lengths, orbits)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,9 +1,13 @@
 """The README's library tour runs, and prints what its comments say."""
 
 import contextlib
+import importlib
 import io
 import pathlib
+import pkgutil
 import re
+
+import braidsys
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +27,16 @@ def test_library_tour_prints_its_commented_values():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_backticked_module_names_resolve():
+    # `intlinalg._PRIME_ROOTS` and the like name the code: each such name
+    # must still be an attribute of its braidsys module
+    text = README.read_text(encoding="utf-8")
+    modules = {m.name for m in pkgutil.iter_modules(braidsys.__path__)}
+    names = [(mod, name) for mod, name in re.findall(r"`(\w+)\.(\w+)`", text)
+             if mod in modules or mod == "braidsys"]
+    assert len(names) >= 10
+    for mod, name in names:
+        target = braidsys if mod == "braidsys" else importlib.import_module(f"braidsys.{mod}")
+        assert hasattr(target, name), f"README names `{mod}.{name}`, which does not exist"
