@@ -614,8 +614,6 @@ def _split_roots(p: IntPolynomial) -> tuple[tuple[tuple[int, int], ...], list[in
     red = reduce_poly(p)
     found = [(r, m) for r, m in ((-1, red.neg_one_mult), (0, red.zero_mult), (1, red.one_mult)) if m]
     q = list(red.core.coeffs)
-    if len(q) == 1:
-        return tuple(found), q
     at_one, at_minus_one = sum(q), sum(q[0::2]) - sum(q[1::2])
     c0 = abs(q[0])
     bound = _root_bound(q)

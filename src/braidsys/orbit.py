@@ -16,13 +16,12 @@ certificate; `truncated` promises nothing.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, fields
 
 from . import braids
 from .braids import BraidWord, NormalForm
 from .codec import JsonCodec
-from .invariants import BraidSystem, _compare_reports, system_invariants
+from .invariants import BraidSystem, _compare_reports, _trace, system_invariants
 from .moves import (
     HurwitzMove,
     destabilize,
@@ -170,7 +169,7 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, intern: _Interner, target: int | N
     return (parents, "truncated", None) if truncated else (parents, "complete", depth - 1)
 
 
-def _witness(parents: dict, key) -> tuple[HurwitzMove, ...]:
+def _witness(parents: dict, key) -> tuple:
     path = []
     while parents[key] is not None:
         key, move = parents[key]
@@ -218,29 +217,40 @@ def find_conjugator(b: BraidWord, target: BraidWord, max_length: int = 4) -> Bra
     Conjugate braids have the same exponent sum and permutations of the
     same cycle type, so a pair that differs in either returns None before
     the search; a conjugate pair runs the same search as without the check.
+
+    The search has the shape of `_bfs`: a state is the codebook form of
+    a^{-1} b a, one frontier list per depth, up to max_length depths, with
+    the letters tried in the order 1, -1, 2, -2, ...  Each node costs one
+    product of three forms, k^{-1} c k for letter k, two of them single
+    letters, and there are at most (2(m - 1))^L nodes at depth L.  `parents` records each new form
+    with (its parent form, the letter), so `_witness` spells the first word
+    found, the same witness as a word-by-word BFS that dedups by normal form.
     """
     braids.check_same_degree(b.degree, target.degree)
-    target_nf = braids.normal_form(target)
-    gens = [k for i in range(1, b.degree) for k in (i, -i)]
-    b_nf = braids.normal_form(b)
+    m = b.degree
+    b_nf, target_nf = braids.normal_form(b), braids.normal_form(target)
     if b_nf == target_nf:
-        return BraidWord(b.degree)
+        return BraidWord(m)
     if _conjugacy_type(b_nf) != _conjugacy_type(target_nf):
         return None
-    seen = {b_nf}
-    queue = deque([BraidWord(b.degree)])
-    while queue:
-        a = queue.popleft()
-        if len(a) >= max_length:
-            continue
-        for k in gens:
-            a2 = BraidWord(b.degree, a.letters + (k,))
-            nf = braids.normal_form(braids.conjugate(b, a2))
-            if nf == target_nf:
-                return a2
-            if nf not in seen:
-                seen.add(nf)
-                queue.append(a2)
+    book = braids._book(m)
+    forms = {k: book.form(braids.normal_form(braids.generator(m, i, k))) for i in range(1, m) for k in (i, -i)}
+    letters = [(k, forms[-k], form) for k, form in forms.items()]
+    start, goal = book.form(b_nf), book.form(target_nf)
+    parents: dict = {start: None}
+    frontier = [start]
+    for _ in range(max_length):
+        found = []
+        for c in frontier:
+            for k, k_inv, k_form in letters:
+                nxt = book.mul(k_inv, c, k_form)
+                if nxt in parents:
+                    continue
+                parents[nxt] = (c, k)
+                if nxt == goal:
+                    return BraidWord(m, _witness(parents, nxt))
+                found.append(nxt)
+        frontier = found
     return None
 
 
@@ -262,57 +272,53 @@ def verify_invariance(s: BraidSystem, trials: int, seed: int) -> InvarianceRepor
     Each move is checked by `compare_systems` of the systems before and
     after it; the report of the system before is kept from the move that
     made it, so no system report is built twice.  A Hurwitz move must
-    keep the shape and every check; global conjugation the shape and
-    every check but the trace, which must follow a^-1 T a instead; a
-    stabilization must change the shape, so only the Euler checks are
-    compared, and it must keep them and be undone componentwise by
-    destabilize.
+    keep the shape and every check; global conjugation by a the shape and
+    every check but the trace, which must be a^-1 T a for the trace T of
+    the system before it, both read off the reports; a stabilization must
+    change the shape, so only the Euler checks are compared, and it must
+    keep them and be undone componentwise by destabilize.  A one-component
+    system has no Hurwitz move, so its Hurwitz draws become stabilizations.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    base_trace, base_rep = braids.normal_form(s.trace_product()), system_invariants(s)
+    base_rep = system_invariants(s)
     failures: list[str] = []
     moves_applied = 0
 
     for trial in range(trials):
         current, current_rep = s, base_rep
-        expected_trace = base_trace  # conjugation moves the trace with it
         history: list[str] = []
         for _ in range(rng.randint(1, 8)):
             kind = rng.choice(["hurwitz", "hurwitz", "hurwitz", "conj", "stab"])
-            before_rep = current_rep
             if kind == "hurwitz" and len(current) >= 2:
                 move = HurwitzMove(rng.randint(1, len(current) - 1), rng.random() < 0.5)
                 history.append(str(move))
-                after = current = hurwitz_move(current, move, simplify=True)
-                keeps_shape, dropped = True, ()
+                after, keeps_shape, dropped = hurwitz_move(current, move, simplify=True), True, ()
             elif kind == "conj":
                 gens = [k for i in range(1, current.degree) for k in (i, -i)]
                 if not gens:
                     continue
                 a = BraidWord(current.degree, tuple(rng.choice(gens) for _ in range(rng.randint(1, 4))))
                 history.append(f"GC {a.to_text()}")
-                after = current = global_conjugate(current, a, simplify=True)
-                keeps_shape, dropped = True, ("trace_product",)
-                nf_a = braids.normal_form(a)
-                expected_trace = nf_a.inverse() * expected_trace * nf_a
-                if braids.normal_form(current.trace_product()) != expected_trace:
-                    failures.append(f"trial {trial}: trace did not follow conjugation after {history}")
+                after = global_conjugate(current, a, simplify=True)
+                keeps_shape, dropped, nf_a = True, ("trace_product",), braids.normal_form(a)
+                traced = _trace(current.degree, (nf_a.inverse(), current_rep._trace_form, nf_a))  # a^-1 T a
             else:
                 history.append("STAB/DESTAB")
-                after = stabilize(current)  # checked, then undone
-                keeps_shape, dropped = False, ()
-                if destabilize(after).normal_forms() != current.normal_forms():
+                after, keeps_shape, dropped = stabilize(current), False, ()  # checked, then undone
+                if destabilize(after).normal_forms() != current_rep.normal_forms:
                     failures.append(f"trial {trial}: stabilize round trip broke after {history}")
             after_rep = system_invariants(after)
-            if after is current:
-                current_rep = after_rep
-            comparison = _compare_reports(before_rep, after_rep)
+            if kind == "conj" and after_rep._trace_form != traced:
+                failures.append(f"trial {trial}: trace did not follow conjugation after {history}")
+            comparison = _compare_reports(current_rep, after_rep)
             broken = [c.name for c in comparison.invariants if c.equal is False and c.name not in dropped]
             if comparison.same_shape != keeps_shape:
                 broken.insert(0, "same_shape")
             if broken:
                 failures.append(f"trial {trial}: {', '.join(broken)} broke after {history}")
+            if keeps_shape:
+                current, current_rep = after, after_rep
             moves_applied += 1
     return InvarianceReport(trials, moves_applied, seed, tuple(failures))

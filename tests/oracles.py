@@ -11,6 +11,7 @@ from braidsys import (
     BraidWord,
     HurwitzMove,
     IntPolynomial,
+    braids,
     crossing_matrix,
     hurwitz_move_nf,
     normal_form,
@@ -20,7 +21,7 @@ from braidsys import (
 )
 from braidsys.braids import NormalForm, _book, _tup_left_complement
 from braidsys.intlinalg import matrix_rows
-from braidsys.orbit import OrbitResult
+from braidsys.orbit import OrbitResult, _conjugacy_type
 
 
 def charpoly_cofactor(rows):
@@ -444,3 +445,32 @@ def orbit_bfs_plain(s, limits, target=None):
     if truncated:
         return OrbitResult("truncated", len(parents)), states
     return OrbitResult("complete", len(parents), frontier_exhausted_at_depth=last_depth), states
+
+
+def find_conjugator_words(b: BraidWord, target: BraidWord, max_length: int = 4) -> BraidWord | None:
+    """find_conjugator by a BFS over words: a queue of words a, and for each
+    letter the normal form of the literal conjugate word (a k)^-1 b (a k),
+    deduplicated by that normal form."""
+    braids.check_same_degree(b.degree, target.degree)
+    target_nf = braids.normal_form(target)
+    gens = [k for i in range(1, b.degree) for k in (i, -i)]
+    b_nf = braids.normal_form(b)
+    if b_nf == target_nf:
+        return BraidWord(b.degree)
+    if _conjugacy_type(b_nf) != _conjugacy_type(target_nf):
+        return None
+    seen = {b_nf}
+    queue = deque([BraidWord(b.degree)])
+    while queue:
+        a = queue.popleft()
+        if len(a) >= max_length:
+            continue
+        for k in gens:
+            a2 = BraidWord(b.degree, a.letters + (k,))
+            nf = braids.normal_form(braids.conjugate(b, a2))
+            if nf == target_nf:
+                return a2
+            if nf not in seen:
+                seen.add(nf)
+                queue.append(a2)
+    return None

@@ -507,6 +507,10 @@ def test_integer_roots_known_values():
     q = IntPolynomial((-3, 8, -6, 0, 1))
     assert integer_roots(q) == ((-3, 1), (1, 3))
     assert integer_roots(IntPolynomial.x_power(5)) == ((0, 5),)
+    # constant cores: the root bound is 0, so no candidate is tried
+    p = IntPolynomial((5,)) * IntPolynomial.x_power(2) * IntPolynomial.from_roots([1, -1, -1, -1])
+    assert split_integer_roots(p) == (((-1, 3), (0, 2), (1, 1)), IntPolynomial((5,)))
+    assert split_integer_roots(IntPolynomial((-7,))) == ((), IntPolynomial((-7,)))
 
 
 def test_integer_roots_reconstruction():

@@ -311,10 +311,11 @@ def test_find_conjugator_reference_pair():
 
 def test_find_conjugator_returns_none_on_differing_conjugacy_types(monkeypatch):
     # cycle types (a 4-cycle against a transposition) or exponent sums
-    # (2 against 0, both a 3-cycle) differ, so no word is ever conjugated
+    # (2 against 0, both a 3-cycle) differ, so the search never starts:
+    # its first step builds the generators' forms
     calls = []
-    real = braids.conjugate
-    monkeypatch.setattr(braids, "conjugate", lambda b, a: calls.append(a) or real(b, a))
+    real = braids.generator
+    monkeypatch.setattr(braids, "generator", lambda *args: calls.append(args) or real(*args))
     for m in (4, 6):
         assert find_conjugator(parse_word("1,2,-3", m), parse_word("1,1,-3", m), max_length=5) is None
     assert find_conjugator(parse_word("1,2", 4), parse_word("1,-2", 4), max_length=5) is None
@@ -333,6 +334,19 @@ def test_find_conjugator_finds_random_conjugates():
         w = find_conjugator(b, target, max_length=len(a))
         assert w is not None and len(w) <= len(a)
         assert normal_form(conjugate(b, w)) == normal_form(target)
+
+
+def test_find_conjugator_matches_the_word_bfs():
+    # the search over codebook forms finds the word-by-word BFS's witness,
+    # letter for letter, or fails where it fails
+    rng = random.Random(97)
+    for _ in range(600):
+        m = rng.randint(1, 6)
+        b = random_word(rng, m, 6, min_len=1)
+        target = conjugate(b, random_word(rng, m, 3, min_len=1)) if rng.random() < 0.7 else random_word(rng, m, 6)
+        max_length = rng.randint(-1, 4)
+        got, want = (f(b, target, max_length) for f in (find_conjugator, oracles.find_conjugator_words))
+        assert (got is None, got and got.letters) == (want is None, want and want.letters), (b, target, max_length)
 
 
 def test_verify_invariance_reference_system():
@@ -389,6 +403,18 @@ def test_verify_invariance_reports_a_move_that_breaks_what_it_keeps(monkeypatch,
     rep = verify_invariance(INTRO_B, trials=20, seed=7)
     assert not rep.passed
     assert any(broken in f for f in rep.failures), rep.failures
+
+
+def test_verify_invariance_reports_a_trace_that_does_not_follow_conjugation(monkeypatch):
+    # conjugating once more by sigma_1 keeps the shape and every other
+    # check, and moves this system's trace (INTRO_B's is the identity)
+    conj = braidsys.orbit.global_conjugate
+    sigma1 = parse_word("1", 4)
+    monkeypatch.setattr(braidsys.orbit, "global_conjugate",
+                        lambda s, a, **kwargs: conj(conj(s, a, **kwargs), sigma1, **kwargs))
+    rep = verify_invariance(BraidSystem.from_texts(4, ["1,2", "-3", "2"]), trials=20, seed=7)
+    assert not rep.passed
+    assert all("trace did not follow conjugation" in f for f in rep.failures), rep.failures
 
 
 def test_verify_invariance_builds_each_system_report_once(monkeypatch):

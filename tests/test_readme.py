@@ -29,14 +29,33 @@ def test_library_tour_prints_its_commented_values():
     assert out.getvalue().splitlines() == expected
 
 
+def _module_names(text: str) -> list[tuple[str, str]]:
+    """Each backticked `module.name` in text whose module is braidsys or one of its modules."""
+    modules = {m.name for m in pkgutil.iter_modules(braidsys.__path__)}
+    return [(mod, name) for mod, name in re.findall(r"`(\w+)\.(\w+)`", text)
+            if mod in modules or mod == "braidsys"]
+
+
+def _stale(names) -> list[str]:
+    return [f"{mod}.{name}" for mod, name in names
+            if not hasattr(braidsys if mod == "braidsys" else importlib.import_module(f"braidsys.{mod}"), name)]
+
+
 def test_backticked_module_names_resolve():
     # `intlinalg._PRIME_ROOTS` and the like name the code: each such name
     # must still be an attribute of its braidsys module
-    text = README.read_text(encoding="utf-8")
-    modules = {m.name for m in pkgutil.iter_modules(braidsys.__path__)}
-    names = [(mod, name) for mod, name in re.findall(r"`(\w+)\.(\w+)`", text)
-             if mod in modules or mod == "braidsys"]
+    names = _module_names(README.read_text(encoding="utf-8"))
     assert len(names) >= 10
-    for mod, name in names:
-        target = braidsys if mod == "braidsys" else importlib.import_module(f"braidsys.{mod}")
-        assert hasattr(target, name), f"README names `{mod}.{name}`, which does not exist"
+    stale = _stale(names)
+    assert not stale, f"README names {stale}, which do not exist"
+
+
+def test_backticked_module_names_in_the_code_and_ci_resolve():
+    # the docstrings and comments of the package and the CI workflow name
+    # code the same way, and are held to the same check
+    root = README.parent
+    paths = sorted((root / "src" / "braidsys").glob("*.py")) + [root / ".github" / "workflows" / "ci.yml"]
+    names = {path.name: _module_names(path.read_text(encoding="utf-8")) for path in paths}
+    assert sum(map(len, names.values())) >= 5
+    stale = {path: _stale(found) for path, found in names.items()}
+    assert not any(stale.values()), f"these name code that does not exist: {stale}"
