@@ -183,7 +183,7 @@ def cmd_apply(args) -> int:
         if not args.json:
             tau_note = "" if tau_check is None else f"  [tau check: {tau_check}]"
             print(f"step {num}: {entry['move']}{tau_note}")
-            print(f"  system: {[str(c) for c in system.components]}")
+            print(f"  system: {[text or '<empty>' for text in entry['system']['components']]}")
             print(f"  P = {factored_str(rep.charpoly_product)}; E = {essential_text(rep)}")
     final = audit[-1]["system"] if audit else system.to_json()  # the last step encoded it
     if args.json:

@@ -17,7 +17,7 @@ so the same under either convention.
 A braid given by its normal form Delta^d A_1 ... A_k is not re-expanded
 into a word: the half twists of a negative infimum are spent on the
 first factors, turning each into the inverse of its short complement,
-read off by `_Codebook.inverse`, and the half twists left over have a
+read off by `NormalForm.inverse`, and the half twists left over have a
 closed-form matrix, so only a short mixed word is swept (see
 `_normal_form_entries`).  One pass over that matrix's nonzero entries
 sums each orbit of strand pairs (`_pure_power_blocks`), and
@@ -37,7 +37,6 @@ from .braids import (
     BraidWord,
     NormalForm,
     Permutation,
-    _book,
     _permutation_letters,
     permutation,
 )
@@ -100,7 +99,7 @@ def _normal_form_entries(nf: NormalForm) -> tuple[tuple[int, ...], ...] | list[l
     """Crossing matrix rows of the normal form Delta^d A_1 ... A_k, from a
     sweep of a short mixed word.
 
-    For d < 0 and t = min(-d, k), `_Codebook.inverse` reads the inverse of
+    For d < 0 and t = min(-d, k), `NormalForm.inverse` reads the inverse of
     Delta^-t A_1 ... A_t off as Delta^0 B_t ... B_1, B_j the left complement
     of A_j, flipped when t - j is even (El-Rifai and Morton 1994; Epstein
     et al., *Word Processing in Groups*, ch. 9).  So Delta^-t A_1 ... A_t
@@ -123,11 +122,9 @@ def _normal_form_entries(nf: NormalForm) -> tuple[tuple[int, ...], ...] | list[l
     m, d, factors = nf.degree, nf.infimum, nf.factors
     t = min(-d, len(factors)) if d < 0 else 0
     letters: list[int] = []
-    if t:
-        book = _book(m)
-        complements = book.normal_form(book.inverse((-t, book.encode(factors[:t])))).factors
-        for c in reversed(complements):
-            letters += [-k for k in reversed(_permutation_letters(c))]
+    complements = NormalForm(m, -t, factors[:t]).inverse().factors if t else ()
+    for c in reversed(complements):
+        letters += [-k for k in reversed(_permutation_letters(c))]
     for a in factors[t:]:
         letters += _permutation_letters(a)
     W = crossing_matrix(BraidWord(m, tuple(letters))).entries

@@ -122,7 +122,7 @@ class SystemInvariantReport(JsonCodec):
     def _trace_form(self) -> NormalForm:
         # the combed product of the components; a report built from normal
         # forms keeps the one that its trace_is_identity was read off
-        return _trace(self.degree, self.normal_forms)
+        return braids._nf_product(NormalForm(self.degree, 0, ()), *self.normal_forms)
 
 
 # A report of degree m holds m**2 ints in each of S and S_rows, and its
@@ -232,14 +232,6 @@ def _group_order_cached(gens: tuple[tuple[int, ...], ...]) -> int:
     return math.prod(map(len, trans))
 
 
-def _trace(degree: int, nfs) -> NormalForm:
-    """The product of the components, combed as one product of forms."""
-    for nf in nfs:
-        braids.check_same_degree(degree, nf.degree)
-    book = braids._book(degree)
-    return book.normal_form(book.mul((0, ()), *map(book.form, nfs)))
-
-
 def system_invariants_from_normal_forms(
     degree: int, nfs: tuple[NormalForm, ...]
 ) -> SystemInvariantReport:
@@ -256,7 +248,7 @@ def system_invariants_from_normal_forms(
     splits = map(split_integer_roots, charpolys)
     prod = _split_product([(p.coeffs, roots, rest.coeffs) for p, (roots, rest) in zip(charpolys, splits)])
     multiset = tuple(sorted(charpolys, key=poly_sort_key))
-    trace = _trace(degree, nfs)
+    trace = braids._nf_product(NormalForm(degree, 0, ()), *nfs)
     report = SystemInvariantReport(
         degree=degree,
         length=len(nfs),

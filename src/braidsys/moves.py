@@ -62,27 +62,27 @@ def hurwitz_move_nf(state, move: HurwitzMove):
     """The same move on a tuple of component normal forms.
 
     Equivalent to hurwitz_move followed by taking normal forms; it runs
-    the move on the forms of the codebook (`hurwitz_move_codes`), as the
-    orbit search does, so that words never have to be re-expanded.
+    `hurwitz_move_codes` with the product of normal forms,
+    `braids._nf_product`, so that words never have to be re-expanded.
     """
     i = move.index
     _check_move_index(i, len(state))
     a, b = state[i - 1], state[i]
     braids.check_same_degree(a.degree, b.degree)
-    book = braids._book(a.degree)
-    x, y = book.form(a), book.form(b)
-    pair = hurwitz_move_codes(book, x, y, move.inverse, book.inverse(x if move.inverse else y))
-    return (*state[: i - 1], *map(book.normal_form, pair), *state[i + 1 :])
+    pair = hurwitz_move_codes(braids._nf_product, a, b, move.inverse, (a if move.inverse else b).inverse())
+    return (*state[: i - 1], *pair, *state[i + 1 :])
 
 
-def hurwitz_move_codes(book, x, y, inverse: bool, inv):
-    """The move on the lone pair (x, y) of codebook forms: (y, y^{-1} x y),
-    or (x y x^{-1}, x) for the undo direction.  `inv` is the form of the
-    one inverse the move needs, y^{-1} or for the undo x^{-1}; the orbit
-    search memoises it for each form it interns."""
+def hurwitz_move_codes(mul, x, y, inverse: bool, inv):
+    """The move on the lone pair (x, y): (y, y^{-1} x y), or (x y x^{-1}, x)
+    for the undo direction, with `mul` the product of any number of values,
+    left to right.  `inv` is the one inverse the move needs, y^{-1} or for
+    the undo x^{-1}.  `hurwitz_move_nf` runs it on normal forms; the orbit
+    search runs it on its codebook forms (infimum, codes) with the
+    codebook's product, and memoises the inverse for each form it interns."""
     if inverse:
-        return book.mul(x, y, inv), x
-    return y, book.mul(inv, x, y)
+        return mul(x, y, inv), x
+    return y, mul(inv, x, y)
 
 
 def hurwitz_act(s: BraidSystem, beta: BraidWord, simplify: bool = False) -> BraidSystem:

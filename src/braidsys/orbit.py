@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from . import braids
 from .braids import BraidWord, NormalForm
 from .codec import JsonCodec
-from .invariants import BraidSystem, _compare_reports, _trace, system_invariants
+from .invariants import BraidSystem, _compare_reports, system_invariants
 from .moves import (
     HurwitzMove,
     destabilize,
@@ -117,13 +117,13 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, intern: _Interner, target: int | N
 
     A move changes only the pair it acts on, and normal forms are
     canonical, so each (pair, direction) is computed at most once per
-    search, by `hurwitz_move_codes` on the pair's codebook forms with the
-    inverses `intern` memoises; (a, b) -> (c, d) also records the
-    opposite move (c, d) -> (a, b), which undoes it.  The memo, keyed by
-    2*pair + inverse, holds the change to the packed pair and whether
-    both new forms are within the canonical-length limit.  The start is
-    never cut by that limit, so if it holds a longer form every new state
-    is checked whole.  The memo dies with the search.
+    search, by `hurwitz_move_codes` with `_Codebook.mul` on the pair's
+    codebook forms and the inverses `intern` memoises; (a, b) -> (c, d)
+    also records the opposite move (c, d) -> (a, b), which undoes it.
+    The memo, keyed by 2*pair + inverse, holds the change to the packed
+    pair and whether both new forms are within the canonical-length
+    limit.  The start is never cut by that limit, so if it holds a longer
+    form every new state is checked whole.  The memo dies with the search.
     """
     start = intern.pack(s.normal_forms())
     parents: dict = {start: None}
@@ -133,7 +133,7 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, intern: _Interner, target: int | N
     mask2 = (1 << 2 * width) - 1
     moves = [(width * (i - 1), inv, HurwitzMove(i, inv)) for i in range(1, len(s)) for inv in (False, True)]
     start_short = all(map(short.__getitem__, intern.ids_of(start)))
-    book, forms = intern.book, intern.forms
+    mul, forms = intern.book.mul, intern.forms
     moved: dict = {}  # 2*pair + inverse -> (change to the pair, both new forms short)
     frontier, depth, truncated = [start], 0, False
     while frontier:
@@ -146,7 +146,7 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, intern: _Interner, target: int | N
                 hit = moved.get(2 * pair + inv)
                 if hit is None:
                     b, a = divmod(pair, 1 << width)
-                    c, d = hurwitz_move_codes(book, forms[a], forms[b], inv, intern.inverse(a if inv else b))
+                    c, d = hurwitz_move_codes(mul, forms[a], forms[b], inv, intern.inverse(a if inv else b))
                     c, d = intern(c), intern(d)
                     new = c | (d << width)
                     hit = moved[2 * pair + inv] = (new - pair, short[c] and short[d])
@@ -303,7 +303,7 @@ def verify_invariance(s: BraidSystem, trials: int, seed: int) -> InvarianceRepor
                 history.append(f"GC {a.to_text()}")
                 after = global_conjugate(current, a, simplify=True)
                 keeps_shape, dropped, nf_a = True, ("trace_product",), braids.normal_form(a)
-                traced = _trace(current.degree, (nf_a.inverse(), current_rep._trace_form, nf_a))  # a^-1 T a
+                traced = braids._nf_product(nf_a.inverse(), current_rep._trace_form, nf_a)  # a^-1 T a
             else:
                 history.append("STAB/DESTAB")
                 after, keeps_shape, dropped = stabilize(current), False, ()  # checked, then undone

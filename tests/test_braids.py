@@ -1,6 +1,9 @@
+import ast
 import functools
 import itertools
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,12 +63,20 @@ def test_parse_word_basics():
     assert w.letters == (1, 1, -2)
     assert parse_word("", 3).letters == ()
     assert parse_word("1, -2, 3", 4).letters == (1, -2, 3)
+    assert parse_word("+3, 01 -02", 4).letters == (3, 1, -2)
 
 
 @pytest.mark.parametrize("text", ["0", "3", "-3", "1, x"])
 def test_parse_word_rejects_bad_tokens(text):
     with pytest.raises(ValueError):
         parse_word(text, 3)
+
+
+@pytest.mark.parametrize("text", ["1_2", "\u0661", "1\u0662", "+-1", "1.0"])
+def test_a_generator_token_is_ascii_digits_with_an_optional_sign(text):
+    # int() alone reads "1_2" as 12, a typo for 1,2, and the Arabic-Indic "\u0661" as 1
+    with pytest.raises(ValueError, match=f"^bad generator token {re.escape(repr(text))}$"):
+        parse_word(text, 16)
 
 
 def test_braid_word_validation():
@@ -368,6 +379,36 @@ def test_variadic_product_matches_the_two_step_product_and_the_word():
                 if m <= 6 or n <= 3:  # the bubble oracle is slow on longer words beyond degree 6
                     word = BraidWord(m, tuple(k for nf in nfs for k in nf.to_word().letters))
                     assert book.normal_form(got) == bubble_normal_form(word)
+
+
+def test_power_squares_and_multiplies(monkeypatch):
+    # one product of |k| copies combs each copy back through the whole list:
+    # 800 against 5 ms at k = 4,000 (ROADMAP, measured dead ends)
+    nf = normal_form(parse_word("3,2,-3", 4))
+    up = down = NormalForm(4, 0, ())
+    for k in range(21):
+        assert nf.power(k) == up and nf.power(-k) == down
+        up, down = up * nf, down * nf.inverse()
+    combed = []
+    nf_product = braids._nf_product
+    monkeypatch.setattr(braids, "_nf_product", lambda *nfs: combed.append(len(nfs) - 1) or nf_product(*nfs))
+    for k in (4000, -4000):
+        combed.clear()
+        nf.power(k)
+        assert sum(combed) <= 2 * k.bit_length()
+
+
+def test_only_braids_and_orbit_reach_the_codebook():
+    # the codebook's forms (infimum, codes) hold int codes at degree <= 5 and
+    # image tuples above; every other module works on NormalForm values
+    reached = set()
+    for path in Path(braids.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            match node:
+                case ast.Name(id=name) | ast.Attribute(attr=name) | ast.alias(name=name):
+                    if name in ("_book", "_Codebook"):
+                        reached.add(path.name)
+    assert reached == {"braids.py", "orbit.py"}
 
 
 @pytest.mark.parametrize("op", [

@@ -157,7 +157,6 @@ def test_every_module_level_cache_clear_takes_no_argument():
         "braidsys.braids._nf_inverse",
         "braidsys.cli._parser",
         "braidsys.codec._keys",
-        "braidsys.crossing._book",
         "braidsys.invariants._report_for_normal_form",
         "braidsys.invariants._group_order_cached",
     }

@@ -58,6 +58,12 @@ def test_invariants_word_mode(capsys):
     assert "x^5 - 21x^3 - 16x^2 + 108x + 144" in out
 
 
+def test_invariants_rejects_a_token_int_alone_would_read(capsys):
+    # int("1_2") is 12, so a typo for 1,2 would report another braid
+    assert main(["invariants", "--degree", "16", "--word", "1_2"]) == 1
+    assert capsys.readouterr().err == "error: bad generator token '1_2'\n"
+
+
 def test_invariants_empty_word(capsys):
     assert main(["invariants", "--degree", "4", "--word", ""]) == 0
     out = capsys.readouterr().out
@@ -159,6 +165,17 @@ def test_apply_json_encodes_each_system_once(capsys, system_files, monkeypatch):
     assert main(["apply", "--system", system_files["intro_b"], "--steps", "", "--json"]) == 0
     result = json.loads(capsys.readouterr().out)
     assert len(encoded) == 1 and result == {"steps": [], "final": real(load_system(system_files["intro_b"]))}
+
+
+def test_apply_text_renders_each_word_as_encoded(capsys, tmp_path):
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"degree": 3, "components": ["", "1"]}))
+    assert main(["apply", "--system", str(system), "--steps", "H 1 +"]) == 0
+    assert capsys.readouterr().out == (
+        "step 1: H 1 +\n"
+        "  system: ['1', '<empty>']\n"
+        "  P = x^4 (x+1) (x-1); E = {}\n"
+        'final: {"degree": 3, "components": ["1", ""]}\n')
 
 
 def test_apply_global_conjugation_roundtrip(capsys, system_files):

@@ -36,11 +36,10 @@ from braidsys import (
     system_invariants,
     system_invariants_from_normal_forms,
 )
-from braidsys import cli, intlinalg, invariants
-from braidsys.braids import BraidWord, NormalForm, Permutation, inverse
+from braidsys import braids, cli, intlinalg, invariants
+from braidsys.braids import BraidWord, NormalForm, Permutation, _nf_product, inverse
 from braidsys.crossing import _pure_power_blocks
 from braidsys.intlinalg import factored_str, split_integer_roots
-from braidsys.invariants import _trace
 
 from oracles import (
     charpoly_berkowitz,
@@ -283,7 +282,7 @@ def test_trace_matches_the_normal_form_of_the_trace_product():
         if closed:
             words.append(inverse(BraidWord(m, tuple(k for w in words for k in w.letters))))
         s = BraidSystem(m, tuple(words))
-        trace = _trace(m, s.normal_forms())
+        trace = _nf_product(NormalForm(m, 0, ()), *s.normal_forms())
         assert trace == normal_form(s.trace_product())
         identities += trace.is_identity()
     assert 100 <= identities < 200
@@ -452,8 +451,8 @@ def test_comparison_json_roundtrips(left, right, verdict):
 
 def test_compare_combs_each_system_trace_once(monkeypatch):
     combed = []
-    trace = invariants._trace
-    monkeypatch.setattr(invariants, "_trace", lambda m, nfs: combed.append(m) or trace(m, nfs))
+    product = braids._nf_product
+    monkeypatch.setattr(braids, "_nf_product", lambda *nfs: combed.append(nfs) or product(*nfs))
     s1 = BraidSystem.from_texts(4, ["1,2,-3", "3", "-2", "1"])
     s2 = BraidSystem.from_texts(4, ["1,-2,3", "-3", "2", "-1"])
     c = compare_systems(s1, s2)

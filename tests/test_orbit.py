@@ -135,9 +135,10 @@ def _recording(keys):
     """A spy on the search's move on codebook forms; it records each
     computed (pair, direction) as (normal form, normal form, inverse)."""
 
-    def recorded(book, x, y, inverse, inv):
+    def recorded(mul, x, y, inverse, inv):
+        book = braids._book(4)
         keys.append((book.normal_form(x), book.normal_form(y), inverse))
-        return hurwitz_move_codes(book, x, y, inverse, inv)
+        return hurwitz_move_codes(mul, x, y, inverse, inv)
 
     return recorded
 
