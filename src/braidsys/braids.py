@@ -597,18 +597,27 @@ class BraidWord:
         return self.to_text() if self.letters else "<empty>"
 
 
+def _integer(text: str, what: str = "integer") -> int:
+    """The integer that text spells as ASCII digits with an optional sign,
+    which is how every integer a user types is read: generator tokens,
+    script step indices and the CLI's numeric options.  int() alone also
+    takes "1_2" and non-ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"bad {what} {text!r}")
+    return int(text)
+
+
 def parse_word(text: str, degree: int) -> BraidWord:
     """Parse a comma or space separated list of signed generator indices.
 
-    A token is ASCII digits with an optional sign; k > 0 denotes the k-th
-    generator, k < 0 its inverse; empty text is the identity braid.
+    A token is ASCII digits with an optional sign (`_integer`); k > 0
+    denotes the k-th generator, k < 0 its inverse; empty text is the
+    identity braid.
     """
     tokens = [t for t in text.replace(",", " ").split() if t]
     letters = []
     for tok in tokens:
-        if not re.fullmatch(r"[+-]?[0-9]+", tok):  # int() also takes "1_2" and non-ASCII digits
-            raise ValueError(f"bad generator token {tok!r}")
-        k = int(tok)
+        k = _integer(tok, "generator token")
         if k == 0 or abs(k) >= degree:
             raise ValueError(f"generator token {tok!r} out of range for degree {degree}")
         letters.append(k)

@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import refsuite
-from .braids import MAX_DEGREE, BraidWord, parse_word
+from .braids import MAX_DEGREE, BraidWord, _integer, parse_word
 from .intlinalg import factored_str, split_integer_roots
 from .invariants import BraidSystem, braid_invariants, compare_systems, system_invariants
 from .moves import (
@@ -124,7 +124,7 @@ def _parse_step(op: str, args: list[str]):
     """(label, move) of one script step; the move maps a system to
     (system, tau check or None)."""
     if op == "H" and len(args) == 2 and args[1] in ("+", "-"):
-        mv = HurwitzMove(int(args[0]), args[1] == "-")
+        mv = HurwitzMove(_integer(args[0]), args[1] == "-")
         return str(mv), lambda s: (hurwitz_move(s, mv, simplify=True), None)
     if op == "GC":
         word = " ".join(args)
@@ -134,7 +134,7 @@ def _parse_step(op: str, args: list[str]):
     if op == "DESTAB" and not args:
         return op, lambda s: (destabilize(s), None)
     if op == "FUSE" and len(args) == 2:
-        l, q = map(int, args)
+        l, q = map(_integer, args)
         return f"FUSE {l} {q}", lambda s: euler_fuse(s, l, q)
     raise ValueError("unrecognized step")
 
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", parents=[common],
                        help="invariant report for a braid word or a system file")
-    p.add_argument("--degree", type=int, help=f"number of strands, 1 to {MAX_DEGREE}")
+    p.add_argument("--degree", type=_integer, help=f"number of strands, 1 to {MAX_DEGREE}")
     p.add_argument("--word", help="signed letters such as 3,-1,4; its normal form takes "
                                   "O(L^2) time in its length L")
     p.add_argument("--system", help="system JSON file")
@@ -262,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", parents=[common], help="bounded orbit search")
     p.add_argument("--system", required=True)
     p.add_argument("--target")
-    p.add_argument("--max-states", type=int, default=OrbitLimits.max_states)
-    p.add_argument("--max-depth", type=int, default=OrbitLimits.max_depth)
-    p.add_argument("--max-canonical-length", type=int,
+    p.add_argument("--max-states", type=_integer, default=OrbitLimits.max_states)
+    p.add_argument("--max-depth", type=_integer, default=OrbitLimits.max_depth)
+    p.add_argument("--max-canonical-length", type=_integer,
                    default=OrbitLimits.max_component_canonical_length)
     p.set_defaults(func=cmd_orbit)
 

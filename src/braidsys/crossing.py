@@ -20,18 +20,19 @@ first factors, turning each into the inverse of its short complement,
 read off by `NormalForm.inverse`, and the half twists left over have a
 closed-form matrix, so only a short mixed word is swept (see
 `_normal_form_entries`).  One pass over that matrix's nonzero entries
-sums each orbit of strand pairs (`_pure_power_blocks`), and
-`intlinalg._orbit_blocks`, the block split that `intlinalg.charpoly` also
-uses, groups the orbits into the diagonal blocks of the pure-power matrix.
-A braid report reads each block's orbit entries and never writes a row
-of it; `pure_power_matrix` writes the orbits back at their strands.
+sums each orbit of strand pairs (`_pure_power_orbits`), and the
+pure-power matrix is handed over as the cycles of the braid permutation
+and those orbit entries: the shape in which `intlinalg.charpoly` takes
+any matrix, and which `intlinalg` alone splits into diagonal blocks.  A
+braid report reads the orbit entries and never writes a row;
+`pure_power_matrix` writes each orbit back at its strands.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress
+from itertools import chain, compress
 
 from .braids import (
     BraidWord,
@@ -40,7 +41,7 @@ from .braids import (
     _permutation_letters,
     permutation,
 )
-from .intlinalg import _orbit_blocks, matrix_rows
+from .intlinalg import matrix_rows
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,9 @@ def pure_power_matrix(b: BraidWord | NormalForm) -> tuple[int, CrossingMatrix]:
 
     b^r is a pure braid, so the returned matrix is symmetric: the same in
     either over-strand convention.  It is read off the matrix C of b
-    alone, with no power word built (see `_pure_power_blocks`, whose
-    orbit entries are written here at their strands).
+    alone, with no power word built (see `_pure_power_orbits`): each
+    orbit (I, J, delta, v) writes v at the strands in place s of cycle I
+    and place s + delta of cycle J, for every s < lcm(|I|, |J|).
 
     A word is swept as it is, not through its normal form: the sweep is
     linear in the word, while `normal_form` of a long word is not.  At
@@ -154,15 +156,14 @@ def pure_power_matrix(b: BraidWord | NormalForm) -> tuple[int, CrossingMatrix]:
     0.34-0.53 s through `normal_form`, and one of 20,000 letters 7 ms
     against 33 s (2-core VM, Python 3.11).
     """
-    r, blocks, _, _ = _pure_power_blocks(b)
-    m = sum(len(strands) for strands, _, _ in blocks)
+    r, cycles, orbits, _, _ = _pure_power_orbits(b)
+    m = b.degree
     entries = [[0] * m for _ in range(m)]
-    for strands, lengths, orbits in blocks:
-        firsts = list(accumulate(lengths, initial=0))  # the row of each cycle's place 0
-        for ci, cj, delta, v in orbits:  # the entry at places s and s + delta, for every s
-            fi, fj, li, lj = firsts[ci], firsts[cj], lengths[ci], lengths[cj]
-            for s in range(math.lcm(li, lj)):
-                entries[strands[fi + s % li]][strands[fj + (s + delta) % lj]] = v
+    for ci, cj, delta, v in orbits:
+        si, sj = cycles[ci], cycles[cj]
+        li, lj = len(si), len(sj)
+        for s in range(math.lcm(li, lj)):
+            entries[si[s % li]][sj[(s + delta) % lj]] = v
     return r, CrossingMatrix(m, tuple(tuple(row) for row in entries))
 
 
@@ -176,18 +177,20 @@ def _multiset(counts: dict[int, int], n: int) -> tuple[int, ...]:
     return tuple(low) + (0,) * (n - len(low) - len(high)) + tuple(high)
 
 
-def _pure_power_blocks(b: BraidWord | NormalForm) -> tuple[
+def _pure_power_orbits(b: BraidWord | NormalForm) -> tuple[
     int,
-    list[tuple[list[int], list[int], list[tuple[int, int, int, int]]]],
+    list[list[int]],
+    list[tuple[int, int, int, int]],
     tuple[int, ...],
     tuple[tuple[int, ...], ...],
 ]:
-    """(r, the diagonal blocks of the crossing matrix M of b^r, each as its
-    0-based strands, its cycle lengths and its nonzero orbit entries, the
-    entry multiset and the row multisets of M), read off the matrix C of b
-    with no m x m matrix built: one sweep of a word, or, for a normal form,
-    one sweep of a short mixed word plus the closed form of the half twists
-    left over (see `_normal_form_entries`).
+    """(r, the cycles of the permutation of b as 0-based strands, each from
+    place 0, the nonzero orbit entries (I, J, delta, v) of the crossing
+    matrix M of b^r, I and J indices of cycles, the entry multiset and the
+    row multisets of M), read off the matrix C of b with no m x m matrix
+    built: one sweep of a word, or, for a normal form, one sweep of a short
+    mixed word plus the closed form of the half twists left over (see
+    `_normal_form_entries`).
 
     With e the permutation of b, the strands that enter the t-th copy of b
     at positions e^t(i) and e^t(j) started at i and j, so
@@ -200,18 +203,10 @@ def _pure_power_blocks(b: BraidWord | NormalForm) -> tuple[
     (pos j - pos i) mod gcd(a, b), pos the place in the cycle, since one
     step of e adds 1 to both places.  So only the nonzero entries of C
     are read, each added to its orbit's total, and only the orbits with
-    a nonzero total are written, each with its total times r / L.
-
-    The cycles that a nonzero orbit links are joined into one block
-    (`intlinalg._orbit_blocks`), so no entry of M links two blocks, and
-    listing the strands block by block permutes M to block-diagonal form.
-    A block is a union of whole cycles, which may hold more than one
-    connected component of M's pattern.  It lists its strands cycle by
-    cycle, each cycle from place 0, and each nonzero orbit as
-    (I, J, delta, entry), I and J the indices of its cycles in the block;
-    no rows are written (`pure_power_matrix` writes them, and a report's
-    charpoly reads the orbits, `intlinalg._split_block_charpoly`).  An
-    orbit (I, J, delta) writes its entry in lcm(a, b) places,
+    a nonzero total are kept, each with its total times r / L.  No rows
+    are written (`pure_power_matrix` writes them, and a report's charpoly
+    reads the cycle lengths and the orbits, `intlinalg._split_charpoly`).
+    An orbit (I, J, delta) writes its entry in lcm(a, b) places,
     b / gcd(a, b) in each row of I; so every row of one cycle holds the
     same multiset, and the multisets are counted, not sorted from m^2
     entries.
@@ -246,11 +241,9 @@ def _pure_power_blocks(b: BraidWord | NormalForm) -> tuple[
         orbits.append((ci, cj, delta, v))
         row_counts[ci][v] = row_counts[ci].get(v, 0) + lj // math.gcd(li, lj)
         counts[v] = counts.get(v, 0) + span
-    blocks = [([i for c in group for i in cycles[c]], block_lengths, block_orbits)
-              for group, block_lengths, block_orbits in _orbit_blocks(lengths, orbits)]
     shapes = sorted((_multiset(rc, m), k) for rc, k in zip(row_counts, lengths))
     S_rows = tuple(chain.from_iterable([row] * k for row, k in shapes))
-    return r, blocks, _multiset(counts, m * m), S_rows
+    return r, cycles, orbits, _multiset(counts, m * m), S_rows
 
 
 def _signature(rows, i: int) -> tuple:

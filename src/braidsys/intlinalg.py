@@ -8,7 +8,8 @@ the orbits of e x e, so it is block-circulant over e's cycles (Davis,
 *Circulant Matrices*, 1979), and it is given by its nonzero orbit entries
 (I, J, delta, v), v the entry at place s of cycle I and place s + delta
 of cycle J, for every s.  A braid report's matrix, the crossing matrix M
-of a pure power b^r, is one for e the permutation of b, and is never
+of a pure power b^r, is one for e the permutation of b: `crossing` hands
+it over as e's cycle lengths and its orbit entries, and it is never
 written.  Any square matrix is one for e the identity: each index is its
 own cycle of length 1 and each nonzero entry its own orbit (`charpoly`).
 The polynomial is the product of those of the diagonal blocks, the
@@ -55,7 +56,7 @@ and keeps it, so its integer roots, its cofactor and its factored
 rendering all read the same pass.  A product of polynomials whose splits
 are known comes with its split kept (`_split_product`): the charpoly of
 a braid report, made block by block on blocks divided by the gcd of
-their entries (`_split_block_charpoly`), and a system's charpoly product.
+their entries (`_split_charpoly`), and a system's charpoly product.
 """
 
 from __future__ import annotations
@@ -491,11 +492,12 @@ def _dft_charpoly(lengths, orbits) -> list[int]:
     return functools.reduce(_mul_coeffs, factors)
 
 
-def _split_block_charpoly(blocks) -> IntPolynomial:
-    """det(xI - M) for the symmetric block-diagonal M with these diagonal
-    blocks, each given as its cycle lengths and its nonzero orbit entries
-    (`_orbit_blocks`), with its integer-root split kept (`_split_product`
-    of the blocks' splits).  No block's rows are written: each block's
+def _split_charpoly(lengths, orbits) -> IntPolynomial:
+    """det(xI - M) for a symmetric M that is constant on the orbits of
+    e x e, e a permutation with cycles of these lengths, given by its
+    nonzero orbit entries (I, J, delta, v), with its integer-root split
+    kept (`_split_product` of its diagonal blocks' splits, the blocks of
+    `_orbit_blocks` in their order).  No row is written: each block's
     polynomial is `_dft_charpoly`'s.
 
     A block with no nonzero entry adds the factor x^n.  Each other block B
@@ -509,17 +511,17 @@ def _split_block_charpoly(blocks) -> IntPolynomial:
     times g and the cofactor scaled as the polynomial is.
 
     Each entry of a pure-power matrix is its orbit's total times r / L
-    (`crossing._pure_power_blocks`), so dividing out the gcd leaves small
+    (`crossing._pure_power_orbits`), so dividing out the gcd leaves small
     roots and a short divisor scan (README, "CLI", at degree 512).  A block
     whose entries share no large factor is scanned as it is.
     """
     zeros, factors = 0, []
-    for lengths, orbits in blocks:
-        g = math.gcd(*(v for *_, v in orbits))
+    for _, block_lengths, block_orbits in _orbit_blocks(lengths, orbits):
+        g = math.gcd(*(v for *_, v in block_orbits))
         if not g:
-            zeros += sum(lengths)
+            zeros += sum(block_lengths)
             continue
-        cp = _dft_charpoly(lengths, [(i, j, delta, v // g) for i, j, delta, v in orbits])
+        cp = _dft_charpoly(block_lengths, [(i, j, delta, v // g) for i, j, delta, v in block_orbits])
         roots, cofactor = _split_roots(IntPolynomial(tuple(cp)))
         factors.append((_scaled(cp, g), [(g * root, mult) for root, mult in roots], _scaled(cofactor, g)))
     if zeros:

@@ -23,11 +23,11 @@ from dataclasses import dataclass, fields
 from . import braids
 from .braids import BraidWord, NormalForm
 from .codec import JsonCodec, decode, require_keys
-from .crossing import _pure_power_blocks, crossing_matrix
+from .crossing import _pure_power_orbits, crossing_matrix
 from .intlinalg import (
     IntPolynomial,
     ReducedPolynomial,
-    _split_block_charpoly,
+    _split_charpoly,
     _split_product,
     integer_roots,
     reduce_poly,
@@ -132,9 +132,9 @@ class SystemInvariantReport(JsonCodec):
 # reports of degree >= 362 are not kept (README, "Caches").
 @braids._weighted_lru(2**18, lambda nf: 128 + nf.degree * (2 * nf.degree + len(nf.factors)))
 def _report_for_normal_form(nf: NormalForm) -> BraidInvariantReport:
-    # the pure-power matrix M is read block by block off its orbits, never written
-    r, blocks, S, S_rows = _pure_power_blocks(nf)
-    cp = _split_block_charpoly([(lengths, orbits) for _, lengths, orbits in blocks])
+    # the pure-power matrix M is read off its cycles and orbits, never written
+    r, cycles, orbits, S, S_rows = _pure_power_orbits(nf)
+    cp = _split_charpoly(list(map(len, cycles)), orbits)
     # det M = (-1)^n c_0; and M is symmetric, hence diagonalizable, so its
     # rank is n minus the multiplicity of the root 0
     n, zero_mult = cp.degree, next(k for k, c in enumerate(cp.coeffs) if c)

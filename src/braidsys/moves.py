@@ -11,6 +11,7 @@ through the stored words.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import braids
@@ -43,18 +44,16 @@ def hurwitz_move(s: BraidSystem, move: HurwitzMove, simplify: bool = False) -> B
     """Replace (b_i, b_{i+1}) by (b_{i+1}, b_{i+1}^{-1} b_i b_{i+1}), or undo it.
 
     The conjugated component is stored as the literal conjugation word
-    unless simplify is set.
+    unless simplify is set: `hurwitz_move_codes` with the concatenation of
+    words for the product.
     """
     i = move.index
     _check_move_index(i, len(s))
     comps = list(s.components)
     a, b = comps[i - 1], comps[i]
-    if not move.inverse:
-        comps[i - 1] = b
-        comps[i] = _maybe_simplify(braids.conjugate(a, b), simplify)
-    else:
-        comps[i - 1] = _maybe_simplify(braids.conjugate(b, braids.inverse(a)), simplify)
-        comps[i] = a
+    comps[i - 1 : i + 1] = hurwitz_move_codes(
+        lambda *words: _maybe_simplify(functools.reduce(braids.product, words), simplify),
+        a, b, move.inverse, braids.inverse(a if move.inverse else b))
     return BraidSystem(s.degree, tuple(comps))
 
 
@@ -77,9 +76,10 @@ def hurwitz_move_codes(mul, x, y, inverse: bool, inv):
     """The move on the lone pair (x, y): (y, y^{-1} x y), or (x y x^{-1}, x)
     for the undo direction, with `mul` the product of any number of values,
     left to right.  `inv` is the one inverse the move needs, y^{-1} or for
-    the undo x^{-1}.  `hurwitz_move_nf` runs it on normal forms; the orbit
-    search runs it on its codebook forms (infimum, codes) with the
-    codebook's product, and memoises the inverse for each form it interns."""
+    the undo x^{-1}.  `hurwitz_move` runs it on words, `hurwitz_move_nf`
+    on normal forms; the orbit search runs it on its codebook forms
+    (infimum, codes) with the codebook's product, and memoises the inverse
+    for each form it interns."""
     if inverse:
         return mul(x, y, inv), x
     return y, mul(inv, x, y)

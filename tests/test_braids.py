@@ -398,17 +398,23 @@ def test_power_squares_and_multiplies(monkeypatch):
         assert sum(combed) <= 2 * k.bit_length()
 
 
-def test_only_braids_and_orbit_reach_the_codebook():
+@pytest.mark.parametrize("names, owners", [
     # the codebook's forms (infimum, codes) hold int codes at degree <= 5 and
     # image tuples above; every other module works on NormalForm values
+    (("_book", "_Codebook"), {"braids.py", "orbit.py"}),
+    # only intlinalg splits a matrix into diagonal blocks: crossing hands a
+    # pure-power matrix over as its cycles and orbit entries
+    (("_orbit_blocks",), {"intlinalg.py"}),
+], ids=["codebook", "block-split"])
+def test_only_braids_and_orbit_reach_the_codebook(names, owners):
     reached = set()
     for path in Path(braids.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             match node:
                 case ast.Name(id=name) | ast.Attribute(attr=name) | ast.alias(name=name):
-                    if name in ("_book", "_Codebook"):
+                    if name in names:
                         reached.add(path.name)
-    assert reached == {"braids.py", "orbit.py"}
+    assert reached == owners
 
 
 @pytest.mark.parametrize("op", [

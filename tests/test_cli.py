@@ -204,6 +204,10 @@ def test_apply_reports_bad_step(capsys, system_files):
     rc = main(["apply", "--system", system_files["intro_b"], "--steps", "H 1 + / FUSE 9 9"])
     assert rc == 1
     assert "step 2" in capsys.readouterr().err
+    # a step index reads as a word's token does: no "_" separators, ASCII digits only
+    for steps in ("FUSE 0_1 1", "H \u0661 +"):
+        assert main(["apply", "--system", system_files["intro_b"], "--steps", steps]) == 1
+        assert capsys.readouterr().err == f"error: bad script step: {steps!r}\n"
 
 
 def test_apply_labels_each_step_as_parsed(capsys, system_files):
@@ -418,7 +422,8 @@ def _files(draw):
 
 _STEPS = st.lists(st.sampled_from(
     ["H 1 +", "H 2 -", "H 0 +", "H 1 ?", "GC 1,-2", "GC 9", "STAB", "DESTAB",
-     "FUSE 1 1", "FUSE 1 0", "FUSE 2 5", "bogus"]), max_size=3).map(" / ".join)
+     "FUSE 1 1", "FUSE 1 0", "FUSE 2 5", "bogus", "H 0_1 +", "FUSE \u0661 1"]),
+    max_size=3).map(" / ".join)
 _LIMITS = st.sampled_from([12, 3, 1, 30, 2, 0, -1]).map(str)
 
 
@@ -428,6 +433,7 @@ _REJECTED = [
     [],
     ["apply", "--steps=H 1 +"],
     ["invariants", "--degree=x", "--word=1"],
+    ["invariants", "--degree=0_4", "--word=1"],
     ["compare", "FILE1"],
     ["orbit", "--system", "FILE1", "--max-states=many"],
     ["papersuite", "--bogus"],

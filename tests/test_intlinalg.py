@@ -587,7 +587,7 @@ def test_split_roots_searches_divisors_only_on_the_core(monkeypatch):
 
 
 def _as_orbits(rows):
-    """A block in the form `_split_block_charpoly` reads, for the identity
+    """A matrix in the form `_split_charpoly` reads, for the identity
     permutation: every strand its own cycle of length 1, and every nonzero
     entry its own orbit (I, J, 0, entry)."""
     return [1] * len(rows), [(i, j, 0, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
@@ -652,8 +652,8 @@ def test_split_block_charpoly_matches_berkowitz_and_the_scan(blocks):
     # the product of the blocks' polynomials, each block divided by the gcd
     # of its entries and scaled back, against the block-diagonal matrix's
     # Berkowitz charpoly and a scan within its largest absolute row sum
-    p = intlinalg._split_block_charpoly(list(map(_as_orbits, blocks)))
     rows = _block_diagonal(blocks)
+    p = intlinalg._split_charpoly(*_as_orbits(rows))
     cp = charpoly_berkowitz(rows)
     assert p == cp and "_root_split" in vars(p)
     bound = max(sum(map(abs, row)) for row in rows)
@@ -668,7 +668,7 @@ def test_split_block_charpoly_splits_the_divided_block(monkeypatch):
     split_roots = intlinalg._split_roots
     monkeypatch.setattr(intlinalg, "_split_roots", lambda p: split.append(p.coeffs) or split_roots(p))
     g = 10**12 + 39
-    p = intlinalg._split_block_charpoly([_as_orbits([[0, g, 2 * g], [g, 0, g], [2 * g, g, 0]])])
+    p = intlinalg._split_charpoly(*_as_orbits([[0, g, 2 * g], [g, 0, g], [2 * g, g, 0]]))
     assert split == [(-4, -6, 0, 1)]
     assert p == IntPolynomial((-4 * g**3, -6 * g**2, 0, 1))
     assert split_integer_roots(p) == (((-2 * g, 1),), IntPolynomial((-2 * g * g, -2 * g, 1)))

@@ -38,7 +38,7 @@ from braidsys import (
 )
 from braidsys import braids, cli, intlinalg, invariants
 from braidsys.braids import BraidWord, NormalForm, Permutation, _nf_product, inverse
-from braidsys.crossing import _pure_power_blocks
+from braidsys.crossing import _pure_power_orbits
 from braidsys.intlinalg import factored_str, split_integer_roots
 
 from oracles import (
@@ -475,7 +475,9 @@ def test_one_report_splits_each_block_once_and_its_rendering_none(monkeypatch):
     invariants._report_for_normal_form.cache_clear()
     rep = braid_invariants(parse_word("1,1,-3,-3,-3,-3,5", 7))
     # three 2x2 blocks (entries 2, -4 and 1) and the zero block of strand 7
-    assert [len(strands) for strands, _, _ in _pure_power_blocks(rep.normal_form)[1]] == [2, 2, 2, 1]
+    _, cycles, orbits, _, _ = _pure_power_orbits(rep.normal_form)
+    blocks = intlinalg._orbit_blocks(list(map(len, cycles)), orbits)
+    assert [sum(lengths) for _, lengths, _ in blocks] == [2, 2, 2, 1]
     assert [p.coeffs for p in split] == [(-1, 0, 1)] * 3
     text = factored_str(rep.charpoly)
     assert split_integer_roots(rep.charpoly)[0] == integer_roots(rep.charpoly) == rep.integer_eigenvalues

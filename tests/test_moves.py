@@ -52,6 +52,9 @@ def test_hurwitz_move_definition(bvec):
     assert moved.components[2].letters == (2, 3, -2)  # literal conjugation word
     undone = hurwitz_move(moved, HurwitzMove(2, inverse=True))
     assert components_equal(undone, bvec)
+    back = hurwitz_move(bvec, HurwitzMove(2, inverse=True))
+    assert back.components[1].letters == (3, -2, -3)  # literal word b_2 b_3 b_2^-1
+    assert back.components[2].letters == (3,)
 
 
 def test_hurwitz_move_index_bounds(bvec):
