@@ -293,8 +293,16 @@ class _Codebook:
         identities, and a factor combed back through them comes out unchanged
         in front of them, so trailing identities are dropped before each
         append (`strip` would drop them anyway).
+
+        Above degree 5, where no table holds the fixes, a pair with a half
+        twist makes no pair fix: (Delta, b) is left-weighted, as Delta is the
+        largest simple element, and (a, Delta) becomes (Delta, tau(a)) by one
+        flip, since a Delta = Delta tau(a).  `fix` of such a pair would give
+        the same, after up to m(m-1)/2 transfers.
         """
         ident, table, fix = self.ident, self.table, self.fix
+        if table is None:
+            delta, flip = self.delta, self.flip
         n, fill, unfilled = len(self.images), self.fill, _UNFILLED
         for y in codes:
             while facs and facs[-1] == ident:
@@ -303,9 +311,15 @@ class _Codebook:
             j = len(facs) - 2
             if table is None:
                 while j >= 0:
-                    a, b, moved = fix(facs[j], facs[j + 1])
-                    if not moved:
+                    a, b = facs[j], facs[j + 1]
+                    if a == delta:  # left-weighted, whatever b is
                         break
+                    if b == delta:  # a Delta = Delta tau(a)
+                        a, b = delta, flip(a)
+                    else:
+                        a, b, moved = fix(a, b)
+                        if not moved:
+                            break
                     facs[j], facs[j + 1] = a, b
                     j -= 1
                 continue

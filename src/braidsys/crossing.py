@@ -19,8 +19,9 @@ into a word: the half twists of a negative infimum are spent on the
 first factors, turning each into the inverse of its short complement,
 read off by `NormalForm.inverse`, and the half twists left over have a
 closed-form matrix, so only a short mixed word is swept (see
-`_normal_form_entries`).  One pass over that matrix's nonzero entries
-sums each orbit of strand pairs (`_pure_power_orbits`), and the
+`_normal_form_entries`).  A sweep keeps its matrix's nonzero entries as
+a dict (`crossing_matrix`); one pass over them sums each orbit of strand
+pairs (`_pure_power_orbits`), and the
 pure-power matrix is handed over as the cycles of the braid permutation
 and those orbit entries: the shape in which `intlinalg.charpoly` takes
 any matrix, and which `intlinalg` alone splits into diagonal blocks.  A
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, combinations
 
 from .braids import (
     BraidWord,
@@ -80,25 +81,35 @@ class CrossingMatrix:
 
 
 def crossing_matrix(b: BraidWord) -> CrossingMatrix:
-    """Signed over-crossing counts between all strand pairs of the word."""
+    """Signed over-crossing counts between all strand pairs of the word.
+
+    The matrix keeps its nonzero entries as the dict `_counts`, {(i, j):
+    entry} with 0-based strands, outside its fields (as an `IntPolynomial`
+    keeps its `_root_split`): `_pure_power_orbits` sums them rather than
+    scanning m rows."""
     m = b.degree
     entries = [[0] * m for _ in range(m)]
-    pos = list(range(1, m + 1))  # strand currently at each position
+    crossed = set()  # (over, under) of every crossing, at most m(m - 1) pairs
+    pos = list(range(m))  # strand currently at each position, 0-based
     for k in b.letters:
         i = abs(k)
         u, v = pos[i - 1], pos[i]
         if k > 0:
-            over, under, sign = u, v, 1
+            entries[u][v] += 1
+            crossed.add((u, v))
         else:
-            over, under, sign = v, u, -1
-        entries[over - 1][under - 1] += sign
-        pos[i - 1], pos[i] = pos[i], pos[i - 1]
-    return CrossingMatrix(m, tuple(tuple(row) for row in entries))
+            entries[v][u] -= 1
+            crossed.add((v, u))
+        pos[i - 1], pos[i] = v, u
+    M = CrossingMatrix(m, tuple(map(tuple, entries)))
+    object.__setattr__(M, "_counts", {(i, j): x for i, j in crossed if (x := entries[i][j])})
+    return M
 
 
-def _normal_form_entries(nf: NormalForm) -> tuple[tuple[int, ...], ...] | list[list[int]]:
-    """Crossing matrix rows of the normal form Delta^d A_1 ... A_k, from a
-    sweep of a short mixed word.
+def _normal_form_entries(nf: NormalForm) -> dict[tuple[int, int], int]:
+    """The nonzero entries {(i, j): entry}, 0-based, of the crossing matrix
+    of the normal form Delta^d A_1 ... A_k, from a sweep of a short mixed
+    word.
 
     For d < 0 and t = min(-d, k), `NormalForm.inverse` reads the inverse of
     Delta^-t A_1 ... A_t off as Delta^0 B_t ... B_1, B_j the left complement
@@ -118,7 +129,7 @@ def _normal_form_entries(nf: NormalForm) -> tuple[tuple[int, ...], ...] | list[l
     right passes over, with sign -1.  So for i < j, Delta^e adds ceil(e/2)
     to C[i][j] and floor(e/2) to C[j][i], for e of either sign.  The
     strand that starts at i enters the swept word at position i, or at
-    m+1-i when e is odd.
+    m+1-i when e is odd.  Then nearly every entry is nonzero.
     """
     m, d, factors = nf.degree, nf.infimum, nf.factors
     t = min(-d, len(factors)) if d < 0 else 0
@@ -128,17 +139,23 @@ def _normal_form_entries(nf: NormalForm) -> tuple[tuple[int, ...], ...] | list[l
         letters += [-k for k in reversed(_permutation_letters(c))]
     for a in factors[t:]:
         letters += _permutation_letters(a)
-    W = crossing_matrix(BraidWord(m, tuple(letters))).entries
+    counts = crossing_matrix(BraidWord(m, tuple(letters)))._counts
     e = d + t
     if not e:
-        return W
+        return counts
     if e % 2:
-        W = [row[::-1] for row in W[::-1]]
+        counts = {(m - 1 - i, m - 1 - j): v for (i, j), v in counts.items()}
     upper, lower = -(-e // 2), e // 2
-    return [
-        [v + lower for v in row[:i]] + [0] + [v + upper for v in row[i + 1 :]]
-        for i, row in enumerate(W)
-    ]
+    # the pairs (i, j) with i < j, then those with i > j, made at C speed
+    C = dict.fromkeys(combinations(range(m), 2), upper) if upper else {}
+    if lower:
+        C.update(dict.fromkeys(combinations(range(m - 1, -1, -1), 2), lower))
+    for key, v in counts.items():
+        if v := C.get(key, 0) + v:
+            C[key] = v
+        else:
+            del C[key]
+    return C
 
 
 def pure_power_matrix(b: BraidWord | NormalForm) -> tuple[int, CrossingMatrix]:
@@ -187,10 +204,14 @@ def _pure_power_orbits(b: BraidWord | NormalForm) -> tuple[
     """(r, the cycles of the permutation of b as 0-based strands, each from
     place 0, the nonzero orbit entries (I, J, delta, v) of the crossing
     matrix M of b^r, I and J indices of cycles, the entry multiset and the
-    row multisets of M), read off the matrix C of b with no m x m matrix
-    built: one sweep of a word, or, for a normal form, one sweep of a short
-    mixed word plus the closed form of the half twists left over (see
-    `_normal_form_entries`).
+    row multisets of M), read off the nonzero entries of the matrix C of
+    b, with no m x m matrix of b^r built: those that one sweep of a word
+    keeps with its matrix (`crossing_matrix`), or, for a normal form, those
+    of one sweep of a short mixed word plus the closed form of the half
+    twists left over (`_normal_form_entries`).  The pass below is the same
+    for both: over the swept letters' entries when no half twist is left
+    (e = 0, as for the random words of the `invariants` benchmark), and
+    over nearly all m(m - 1) entries otherwise.
 
     With e the permutation of b, the strands that enter the t-th copy of b
     at positions e^t(i) and e^t(j) started at i and j, so
@@ -214,7 +235,7 @@ def _pure_power_orbits(b: BraidWord | NormalForm) -> tuple[
     if isinstance(b, NormalForm):
         perm, C = b.permutation(), _normal_form_entries(b)
     else:
-        perm, C = permutation(b), crossing_matrix(b).entries
+        perm, C = permutation(b), crossing_matrix(b)._counts
     m, cycles = perm.degree, [[i - 1 for i in c] for c in perm.cycles()]
     cycle_of, place = [0] * m, [0] * m
     for c, cycle in enumerate(cycles):
@@ -223,12 +244,10 @@ def _pure_power_orbits(b: BraidWord | NormalForm) -> tuple[
     lengths = list(map(len, cycles))
     r = math.lcm(*lengths)
     totals: dict[tuple[int, int, int], int] = {}
-    for i, row in enumerate(C):
-        ci, pi = cycle_of[i], place[i]
-        for j in compress(range(m), row):
-            cj = cycle_of[j]
-            key = (ci, cj, (place[j] - pi) % math.gcd(lengths[ci], lengths[cj]))
-            totals[key] = totals.get(key, 0) + row[j]
+    for (i, j), v in C.items():
+        ci, cj = cycle_of[i], cycle_of[j]
+        key = (ci, cj, (place[j] - place[i]) % math.gcd(lengths[ci], lengths[cj]))
+        totals[key] = totals.get(key, 0) + v
     orbits = []  # (cycle of i, cycle of j, delta, entry) of each nonzero orbit
     row_counts: list[dict[int, int]] = [{} for _ in cycles]  # of one row of each cycle
     counts: dict[int, int] = {}  # of M

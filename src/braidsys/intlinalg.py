@@ -37,12 +37,17 @@ So each F_d for d <= 2 and each G_d is an integer polynomial of some
 degree n whose roots are a sub-multiset of B's eigenvalues, and the
 proof of `charpoly` bounds its coefficients by C(n, k) s^k, with
 s = ceil(sqrt(ceil(F^2 / n))) and F^2 the sum of B's squared entries
-(sum |lambda|^2 over a sub-multiset is at most that over all).  A 1 x 1
-A_omega for d <= 2 gives the factor x - A_omega; every other
-det(xI - A_omega) is one Hessenberg reduction in O(k^3) modulo a product
-N of primes p = 1 (mod d) below 2^62 that exceeds 2 max_k C(n, k) s^k + 1,
-with a root of order d mod each (`_prime_root`), and each coefficient is
-lifted to its symmetric residue mod N.
+(sum |lambda|^2 over a sub-multiset is at most that over all).
+`_dft_charpoly` returns them as factors, each G_d twice.  The exact
+ones are written in closed form: for d <= 2, A_omega of one or two rows
+gives x - a or x^2 - (tr A) x + det A; and one cycle alone at an order d
+in 1, 2, 3, 4 and 6, where 2 cos(2 pi / d) is an integer, gives x - lambda
+with 2 lambda the sum of c 2 cos(2 pi delta / d) (A_omega is real, as B
+is symmetric).  Every other det(xI - A_omega) is one Hessenberg
+reduction in O(k^3) modulo a product N of primes p = 1 (mod d) below
+2^62 that exceeds 2 max_k C(n, k) s^k + 1, with a root of order d mod
+each (`_prime_root`), and each coefficient is lifted to its symmetric
+residue mod N.
 
 Determinants and ranks use fraction-free Bareiss elimination, so every
 value stays an exact Python integer.  Polynomials are integer
@@ -55,8 +60,10 @@ result.  Each polynomial object computes that split once, on first use,
 and keeps it, so its integer roots, its cofactor and its factored
 rendering all read the same pass.  A product of polynomials whose splits
 are known comes with its split kept (`_split_product`): the charpoly of
-a braid report, made block by block on blocks divided by the gcd of
-their entries (`_split_charpoly`), and a system's charpoly product.
+a braid report, split factor by factor, the DFT factors of each block
+divided by the gcd of its entries, a linear factor its own root and a
+quadratic one split by its discriminant (`_split_charpoly`), and a
+system's charpoly product.
 """
 
 from __future__ import annotations
@@ -381,9 +388,10 @@ def charpoly(M) -> IntPolynomial:
     of the nonzero entries, each index its own cycle of length 1, so each
     entry (i, j) is the orbit (i, j, 0, M[i][j]).  `_dft_charpoly` then
     meets only d = 1, where A_1 is the block's own rows: x - v for a block
-    [v], one Hessenberg pass for a larger one.  A pure-power matrix at
-    m = 32 splits into about ten such blocks, the largest of about ten
-    rows, so most of the O(n^3) pass is never run.
+    [v], x^2 - (tr A) x + det A for a block A of two rows, and one
+    Hessenberg pass for a larger one.  A pure-power matrix at m = 32
+    splits into about ten such blocks, the largest of about ten rows, so
+    most of the O(n^3) pass is never run.
 
     Within a block of size n, the coefficient of x^(n-k) is
     (-1)^k e_k(lambda), e_k the k-th elementary symmetric function of the
@@ -400,14 +408,15 @@ def charpoly(M) -> IntPolynomial:
     F^2 <= n rho^2 for rho the largest absolute row sum, s <= rho, so the
     bound is never weaker than the row-sum bound C(n,k) rho^k.  Primes
     are multiplied until their product N exceeds twice the largest C(n,k) s^k
-    plus one; one `_charpoly_mod` pass per block of two or more rows then
-    gives each coefficient mod N, unique in the symmetric range.
+    plus one; one `_charpoly_mod` pass per block of three or more rows
+    then gives each coefficient mod N, unique in the symmetric range.
     """
     rows = matrix_rows(M)
     entries = [(i, j, 0, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
     coeffs = [1]
     for _, lengths, orbits in _orbit_blocks([1] * len(rows), entries):
-        coeffs = _mul_coeffs(coeffs, _dft_charpoly(lengths, orbits))
+        for c, _ in _dft_charpoly(lengths, orbits):  # a block of 1-cycles has one factor
+            coeffs = _mul_coeffs(coeffs, c)
     return IntPolynomial(tuple(coeffs))
 
 
@@ -418,14 +427,17 @@ def _scaled(c, g: int) -> list[int]:
 
 
 def _split_product(factors) -> IntPolynomial:
-    """The product of polynomials given with their splits, each as (ascending
-    coefficients, (root, mult) pairs, cofactor coefficients), with its own
-    split kept: the coefficients and the cofactors are multiplied, and the
-    multiplicities of each root added.  A product of polynomials with no
-    integer root has none, so the product of the cofactors is its cofactor."""
+    """The product of monic polynomials given with their splits, each as
+    (ascending coefficients, (root, mult) pairs, cofactor coefficients),
+    with its own split kept: the coefficients and the cofactors are
+    multiplied, and the multiplicities of each root added.  A product of
+    polynomials with no integer root has none, so the product of the
+    cofactors is its cofactor."""
     coeffs, rest, found = [1], [1], {}
     for c, roots, cofactor in factors:
-        coeffs, rest = _mul_coeffs(coeffs, c), _mul_coeffs(rest, cofactor)
+        coeffs = _mul_coeffs(coeffs, c)
+        if len(cofactor) > 1:  # a monic cofactor of degree 0 is 1
+            rest = _mul_coeffs(rest, cofactor)
         for root, mult in roots:
             found[root] = found.get(root, 0) + mult
     p = IntPolynomial(tuple(coeffs))
@@ -433,24 +445,55 @@ def _split_product(factors) -> IntPolynomial:
     return p
 
 
-def _dft_charpoly(lengths, orbits) -> list[int]:
-    """Ascending coefficients of det(xI - B) for a block B that is constant
-    on the orbits of e x e, e a permutation with cycles of these lengths,
-    given by its nonzero orbit entries (I, J, delta, v) (module docstring).
-    B must be symmetric if a cycle is longer than 2; a block of 1-cycles,
-    a dense matrix's, need not be.
+# 2 cos(2 pi e / d) at each e < d, for the root orders d at which it is an integer
+_TWICE_COS = {1: (2,), 2: (2, -2), 3: (2, -1, -1), 4: (2, 0, -2, 0), 6: (2, 1, -1, -2, -1, 1)}
 
-    The product over each d dividing a cycle length of F_d (module
-    docstring): F_d for d <= 2 and G_d^2 for d > 2, F_d and G_d the
-    product of det(xI - A_omega) over omega = W^u, u <= d / 2 a unit mod d
-    (u = 1 for d <= 2, as +-1 each pair with themselves).  Each is taken
-    modulo the product N of the fewest primes p = 1 (mod d) below 2^62
-    with N > 2 max_k C(n, k) s^k + 1, n its degree and s from B's F^2, and
-    W a root of order d mod each of them; each coefficient is lifted to its
-    symmetric residue.  A 1 x 1 A_omega, a block's only cycle whose length d
-    divides, is written inline as the factor x - A_omega, over the integers
-    for d <= 2.
+
+def _integer_charpoly(A, f2: int) -> list[int]:
+    """Ascending coefficients of det(xI - A) for an integer matrix A whose
+    eigenvalues are some of those of a matrix with F^2 = f2, so that its
+    coefficients are bounded by C(n, k) s^k (`charpoly`): x - a and
+    x^2 - (tr A) x + det A in closed form, and one `_charpoly_mod` pass,
+    modulo primes above twice that bound, for three or more rows."""
+    if len(A) == 1:
+        return [-A[0][0], 1]
+    if len(A) == 2:
+        (a, b), (c, d) = A
+        return [a * d - b * c, -a - d, 1]
+    N, bound, i = 1, 2 * _coefficient_bound(len(A), f2) + 1, 0
+    while N <= bound:
+        N, i = N * _prime_root(i, 1)[0], i + 1
+    return [c - N if 2 * c > N else c for c in _charpoly_mod(A, N)]
+
+
+def _dft_charpoly(lengths, orbits) -> list[tuple[list[int], int]]:
+    """det(xI - B) as factors (ascending coefficients, multiplicity), for a
+    block B that is constant on the orbits of e x e, e a permutation with
+    cycles of these lengths, given by its nonzero orbit entries
+    (I, J, delta, v) (module docstring).  B must be symmetric if a cycle is
+    longer than 2; a block of 1-cycles, a dense matrix's, need not be.
+
+    One factor per d dividing a cycle length (module docstring): F_d,
+    multiplicity 1, for d <= 2, and G_d, multiplicity 2, for d > 2, F_d
+    and G_d the product of det(xI - A_omega) over omega = W^u, u <= d / 2 a
+    unit mod d (u = 1 for d <= 2, as +-1 each pair with themselves).  A
+    block of 1-cycles meets only d = 1, where A_1 is its own rows, written
+    straight from its orbits.  Exact factors are written in closed form:
+    for d <= 2 A_omega is an integer matrix, and one of one or two rows
+    gives x - a or x^2 - (tr A) x + det A (`_integer_charpoly`); for a
+    block's only cycle whose length d divides, at d in 1, 2, 3, 4 and 6,
+    A_omega = sum of c omega^delta is the real lambda, 2 lambda = sum of
+    c 2 cos(2 pi delta / d), an integer.  Every other factor is taken
+    modulo the product N of the fewest primes p = 1 (mod d) below 2^62 with
+    N > 2 max_k C(n, k) s^k + 1, n its degree and s from B's F^2, and W a
+    root of order d mod each of them; each coefficient is lifted to its
+    symmetric residue.
     """
+    if max(lengths) == 1:  # A_1 is B
+        A = [[0] * len(lengths) for _ in lengths]
+        for i, j, _, v in orbits:
+            A[i][j] += v
+        return [(_integer_charpoly(A, sum(v * v for *_, v in orbits)), 1)]
     f2, scaled = 0, []  # B's F^2, and each orbit with its entry times |J| / gcd(|I|, |J|)
     for i, j, delta, v in orbits:
         g = math.gcd(a := lengths[i], b := lengths[j])
@@ -464,10 +507,17 @@ def _dft_charpoly(lengths, orbits) -> list[int]:
                 at[c], k = k, k + 1
         terms = [(at[i], at[j], delta % d, c) for i, j, delta, c in scaled
                  if at[i] is not None and at[j] is not None]
-        if k == 1 and d <= 2:  # x - A, A an integer
-            factors.append([-sum(-c if e else c for *_, e, c in terms), 1])
+        if k == 1 and d in _TWICE_COS:  # x - lambda
+            twice = _TWICE_COS[d]
+            factors.append(([-sum(c * twice[e] for *_, e, c in terms) // 2, 1], 2 if d > 2 else 1))
             continue
-        units = [u for u in range(1, d // 2 + 1) if math.gcd(u, d) == 1] or [1]  # d = 1: omega = 1 alone
+        if d <= 2:  # A is an integer matrix
+            A = [[0] * k for _ in range(k)]
+            for a, b, e, c in terms:
+                A[a][b] += -c if e else c
+            factors.append((_integer_charpoly(A, f2), 1))
+            continue
+        units = [u for u in range(1, d // 2 + 1) if math.gcd(u, d) == 1]
         bound = 2 * _coefficient_bound(len(units) * k, f2) + 1
         N, W, i = 1, 0, 0
         while N <= bound:
@@ -487,28 +537,49 @@ def _dft_charpoly(lengths, orbits) -> list[int]:
                 A[a][b] += c * powers[u * e % d]
             cp = _charpoly_mod(A, N)
             factor = cp if u == 1 else [v % N for v in _mul_coeffs(factor, cp)]
-        factor = [c - N if 2 * c > N else c for c in factor]
-        factors.append(_mul_coeffs(factor, factor) if d > 2 else factor)
-    return functools.reduce(_mul_coeffs, factors)
+        factors.append(([c - N if 2 * c > N else c for c in factor], 2))
+    return factors
+
+
+def _split_factor(c) -> tuple[tuple[tuple[int, int], ...], list[int]]:
+    """(roots, cofactor) of the monic polynomial with ascending coefficients
+    c, as `_split_roots` gives them, but a double root listed twice, once
+    per factor, which `_split_product` adds up: x + c0 is its own root, and
+    x^2 + bx + c0 has the integer roots (-b +- s) / 2 when its
+    discriminant is a square s^2 (s = b mod 2, since b^2 - 4 c0 = b^2
+    mod 4), else none."""
+    if len(c) == 2:
+        return ((-c[0], 1),), [1]
+    if len(c) == 3:
+        disc = c[1] * c[1] - 4 * c[0]
+        s = math.isqrt(disc) if disc >= 0 else -1
+        if s * s != disc:
+            return (), c
+        return (((-c[1] - s) // 2, 1), ((-c[1] + s) // 2, 1)), [1]
+    return _split_roots(IntPolynomial(tuple(c)))
 
 
 def _split_charpoly(lengths, orbits) -> IntPolynomial:
     """det(xI - M) for a symmetric M that is constant on the orbits of
     e x e, e a permutation with cycles of these lengths, given by its
     nonzero orbit entries (I, J, delta, v), with its integer-root split
-    kept (`_split_product` of its diagonal blocks' splits, the blocks of
-    `_orbit_blocks` in their order).  No row is written: each block's
-    polynomial is `_dft_charpoly`'s.
+    kept (`_split_product` of the splits of its diagonal blocks' factors,
+    the blocks of `_orbit_blocks` in their order).  No row is written:
+    each block's factors are `_dft_charpoly`'s.
 
     A block with no nonzero entry adds the factor x^n.  Each other block B
-    is divided by the gcd g of its entries, and `_dft_charpoly` and
-    `_split_roots` run on B' = B / g.
-    det(xI - g B') = g^n det((x / g) I - B'), so the coefficient of x^k is
-    g^(n-k) times that of B', and each eigenvalue is g times one of B'.
-    An integer root of B's polynomial is g times a rational root of the
-    monic integer polynomial of B', hence g times an integer root, with the
-    same multiplicity; so the split of B is that of B' with each root
-    times g and the cofactor scaled as the polynomial is.
+    is divided by the gcd g of its entries, and `_dft_charpoly` runs on
+    B' = B / g.  det(xI - g B') = g^n det((x / g) I - B'), so the
+    coefficient of x^k is g^(n-k) times that of B', and each eigenvalue is
+    g times one of B'.  An integer root of B's polynomial is g times a
+    rational root of the monic integer polynomial of B', hence g times an
+    integer root, with the same multiplicity; so the split of B is that of
+    B' with each root times g and the cofactor scaled as the polynomial
+    is.  B' is split one factor at a time (`_split_factor`): a linear
+    factor is its own root, a quadratic one splits by its discriminant,
+    and only a factor of degree three or more is scanned by `_split_roots`.
+    A polynomial with no integer root times another has none, so the
+    factors' cofactors multiply to the block's.
 
     Each entry of a pure-power matrix is its orbit's total times r / L
     (`crossing._pure_power_orbits`), so dividing out the gcd leaves small
@@ -521,9 +592,11 @@ def _split_charpoly(lengths, orbits) -> IntPolynomial:
         if not g:
             zeros += sum(block_lengths)
             continue
-        cp = _dft_charpoly(block_lengths, [(i, j, delta, v // g) for i, j, delta, v in block_orbits])
-        roots, cofactor = _split_roots(IntPolynomial(tuple(cp)))
-        factors.append((_scaled(cp, g), [(g * root, mult) for root, mult in roots], _scaled(cofactor, g)))
+        for c, mult in _dft_charpoly(block_lengths, [(i, j, delta, v // g) for i, j, delta, v in block_orbits]):
+            roots, cofactor = _split_factor(c)
+            if g > 1:
+                c, roots, cofactor = _scaled(c, g), [(g * root, m) for root, m in roots], _scaled(cofactor, g)
+            factors += [(c, roots, cofactor)] * mult
     if zeros:
         factors.append(([0] * zeros + [1], [(0, zeros)], [1]))
     return _split_product(factors)

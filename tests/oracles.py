@@ -277,10 +277,9 @@ def bubble_normal_form(b: BraidWord) -> NormalForm:
     """Left normal form of a word from the bubble fixpoint.  Each letter is
     a permutation braid, sigma_i^{-1} being Delta^{-1} times the complement
     of sigma_i; every Delta^{-1} is moved to the front, which conjugates
-    the factors before it by the half twist.  Leading half twists of the
-    fixpoint join the infimum and trailing identities are dropped."""
+    the factors before it by the half twist (`bubble_form`)."""
     m = b.degree
-    w0, ident = tuple(range(m, 0, -1)), tuple(range(1, m + 1))
+    ident = tuple(range(1, m + 1))
     infimum, facs = 0, []
     for k in b.letters:
         i = abs(k)
@@ -291,6 +290,15 @@ def bubble_normal_form(b: BraidWord) -> NormalForm:
             facs = [tuple(m + 1 - f[m - j] for j in range(1, m + 1)) for f in facs]
             facs.append(tuple(s[m - j] for j in range(1, m + 1)))  # c with c s = Delta
             infimum -= 1
+    return bubble_form(m, infimum, facs)
+
+
+def bubble_form(m: int, infimum: int, facs) -> NormalForm:
+    """Left normal form of Delta^infimum times the permutation braids facs
+    (image tuples), from the bubble fixpoint: leading half twists of the
+    fixpoint join the infimum and trailing identities are dropped."""
+    w0, ident = tuple(range(m, 0, -1)), tuple(range(1, m + 1))
+    facs = list(facs)
     bubble_normalize(facs)
     while facs and facs[0] == w0:
         facs.pop(0)

@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidsys import (
     BraidSystem,
@@ -47,10 +47,12 @@ from braidsys.braids import (
 from oracles import (
     _delta_letters,
     _pair_fix,
+    bubble_form,
     bubble_normal_form,
     bubble_normalize,
     delta_power_word,
     flip_by_conjugation,
+    half_twist_words,
     normal_form_letterwise,
     odd_infimum_word,
     permutation_letters_restart,
@@ -498,6 +500,60 @@ def test_half_twist_words_reach_the_comb_whole(comb_inputs, m):
     assert normal_form(inverse(delta)) == NormalForm(m, -1, ())
     assert normal_form(power(delta, -2)) == NormalForm(m, -2, ())
     assert comb_inputs == [1, 1, 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(half_twist_words(max_degree=12).filter(lambda w: w.degree > 5))
+@example(delta_power_word(6, 2, (1, -5, 3)))
+@example(delta_power_word(12, -3, (4, 4)))
+@example(BraidWord(9, (2, -7, 3) + tuple(_delta_letters(9)) + (5,)))  # a factor before the twist
+def test_half_twists_in_the_tuple_comb_match_the_bubble_oracle(w):
+    # above degree 5 the comb meets Delta whole: the pieces of a spelled-out
+    # half twist make one factor.  The bubble oracle sweeps one factor per
+    # letter, which takes seconds per half twist at degree 16 and up, so the
+    # words stop at degree 12; the factor lists below reach degree 40
+    assert normal_form(w) == bubble_normal_form(w)
+
+
+@st.composite
+def half_twist_factor_lists(draw, max_degree: int = 40):
+    """(m, factors): 6 <= m <= max_degree and up to six permutation braids
+    as image tuples, each the half twist, a random one or a generator."""
+    m = draw(st.integers(6, max_degree))
+    delta, ident = tuple(range(m, 0, -1)), tuple(range(1, m + 1))
+    factor = st.one_of(
+        st.just(delta),
+        st.permutations(ident).map(tuple),
+        st.integers(1, m - 1).map(lambda i: ident[: i - 1] + (i + 1, i) + ident[i + 1 :]),
+    )
+    return m, draw(st.lists(factor, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_twist_factor_lists())
+@example((40, [tuple(range(40, 0, -1))] * 2))
+@example((7, [(2, 1, 3, 4, 5, 6, 7), tuple(range(7, 0, -1)), (1, 3, 2, 4, 5, 6, 7)]))
+def test_tuple_comb_takes_half_twists_without_a_pair_fix(m_facs):
+    # the comb of the factors, the half twist among them whole, against the
+    # bubble fixpoint of the same list; no pair with a half twist in it
+    # reaches the pair fix: (Delta, b) is left-weighted and (a, Delta) is
+    # (Delta, tau(a))
+    m, facs = m_facs
+    book = _Codebook(m)
+    delta = book.delta
+    fixed = []
+
+    def recording(a, b, fix=book.fix):
+        fixed.append((a, b))
+        return fix(a, b)
+
+    book.fix = recording
+    form = book.mul((0, ()), *[(0, (f,)) for f in facs])
+    assert book.normal_form(form) == bubble_form(m, 0, facs)
+    assert not any(delta in pair for pair in fixed)
+    a = tuple(range(2, m + 1)) + (1,)
+    assert book.mul((0, (a,)), (0, (delta,))) == (1, (_tup_flip(a),))
+    assert book.mul((0, (delta,)), (0, (a,))) == (1, (a,))
 
 
 def test_permutation_letters_match_the_restarting_scan():

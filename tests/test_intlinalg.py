@@ -265,8 +265,9 @@ def _frobenius_modulus_bound(rows) -> int:
 @pytest.mark.parametrize("m, seed", [(24, 31), (24, 32), (32, 33)])
 def test_charpoly_of_normal_form_pure_powers(monkeypatch, m, seed):
     # the report's matrices: pure powers read off the normal form, which
-    # split into blocks; each block of two or more rows takes one
-    # Hessenberg pass, modulo a product of primes above its own bound
+    # split into blocks; each block of three or more rows takes one
+    # Hessenberg pass, modulo a product of primes above its own bound, and
+    # a block of one or two rows none (x - v, x^2 - (tr A) x + det A)
     rng = random.Random(seed)
     _, M = pure_power_matrix(normal_form(random_word(rng, m, 2 * m, min_len=2 * m)))
     calls, real = [], intlinalg._charpoly_mod
@@ -278,8 +279,9 @@ def test_charpoly_of_normal_form_pure_powers(monkeypatch, m, seed):
     monkeypatch.setattr(intlinalg, "_charpoly_mod", recorded)
     assert charpoly(M) == charpoly_berkowitz(M)
     rows = M.entries
-    blocks = [[[rows[i][j] for j in b] for i in b] for b in matrix_components(rows) if len(b) > 1]
-    assert len(blocks) > 1  # the matrix does split
+    components = matrix_components(rows)
+    blocks = [[[rows[i][j] for j in b] for i in b] for b in components if len(b) > 2]
+    assert len(blocks) > 1 and any(len(b) == 2 for b in components)  # the matrix does split
     assert [sub for sub, _ in calls] == blocks
     assert all(p > _frobenius_modulus_bound(sub) for sub, p in calls)
 
@@ -593,6 +595,16 @@ def _as_orbits(rows):
     return [1] * len(rows), [(i, j, 0, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
 
 
+def _factor_product(factors):
+    """The product of `_dft_charpoly`'s (ascending coefficients,
+    multiplicity) factors, each to its multiplicity."""
+    p = IntPolynomial((1,))
+    for c, mult in factors:
+        for _ in range(mult):
+            p = p * IntPolynomial(tuple(c))
+    return p
+
+
 @st.composite
 def symmetric_orbit_blocks(draw):
     """(a block as `_dft_charpoly` reads it, its dense rows): cycles
@@ -619,12 +631,15 @@ def symmetric_orbit_blocks(draw):
           [[10**30 if (j - i) % 16 in (1, 15) else -7 if (j - i) % 16 in (3, 13) else 0
             for j in range(16)] for i in range(16)]))
 def test_dft_charpoly_matches_berkowitz(block_rows):
-    # the DFT factors, each modulo primes 1 mod d above its own bound,
-    # against the Berkowitz charpoly of the dense block (no root split:
+    # the DFT factors, each in closed form or modulo primes 1 mod d above
+    # its own bound, monic, squared for d > 2, and their product against
+    # the Berkowitz charpoly of the dense block (no root split:
     # entries near 10^30 with no common factor make a long divisor scan)
     block, rows = block_rows
     assert rows == [list(col) for col in zip(*rows)]
-    assert IntPolynomial(tuple(intlinalg._dft_charpoly(*block))) == charpoly_berkowitz(rows)
+    factors = intlinalg._dft_charpoly(*block)
+    assert all(c[-1] == 1 and mult in (1, 2) for c, mult in factors)
+    assert _factor_product(factors) == charpoly_berkowitz(rows)
 
 
 def _block_diagonal(blocks):
@@ -672,6 +687,70 @@ def test_split_block_charpoly_splits_the_divided_block(monkeypatch):
     assert split == [(-4, -6, 0, 1)]
     assert p == IntPolynomial((-4 * g**3, -6 * g**2, 0, 1))
     assert split_integer_roots(p) == (((-2 * g, 1),), IntPolynomial((-2 * g * g, -2 * g, 1)))
+
+
+@st.composite
+def scaled_symmetric_blocks(draw):
+    """(cycle lengths, orbit entries, dense rows) of a symmetric matrix
+    that is constant on the orbits of e x e: one to four cycles of lengths
+    1-12, at most 24 strands, and small entries, the same for each orbit
+    (I, J, delta) and its mirror (J, I, -delta), all times one drawn common
+    factor.  Small entries make linear and quadratic factors with integer
+    roots."""
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4).filter(lambda ls: sum(ls) <= 24))
+    g = draw(st.sampled_from([1, 2, 3, 7, 60]))  # the scan below grows with g
+    entries = {}
+    for i, a in enumerate(lengths):
+        for j in range(i, len(lengths)):
+            h = math.gcd(a, lengths[j])
+            for delta in range(h):
+                if (j, i, -delta % h) not in entries and (v := draw(st.integers(-3, 3))):
+                    entries[i, j, delta] = entries[j, i, -delta % h] = g * v
+    return _with_rows(lengths, entries)
+
+
+def _with_rows(lengths, entries):
+    """(lengths, orbits, dense rows) of the orbit entries {(I, J, delta): v}."""
+    orbits = [(i, j, delta, v) for (i, j, delta), v in entries.items()]
+    return lengths, orbits, _orbit_rows(lengths, orbits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_symmetric_blocks())
+# a 6-cycle and a 4-cycle: linear factors at d = 1, 2, 3, 6 and d = 1, 2, 4
+@example(_with_rows([6], {(0, 0, 1): 7, (0, 0, 5): 7, (0, 0, 2): -14, (0, 0, 4): -14, (0, 0, 3): 21}))
+@example(_with_rows([4], {(0, 0, 1): 2, (0, 0, 3): 2, (0, 0, 2): 5}))
+# a (1, 2) block: A_1 of two rows, x^2 - x - 2 = (x - 2)(x + 1), and x + 1 at d = 2
+@example(_with_rows([1, 2], {(0, 1, 0): 1, (1, 0, 0): 1, (1, 1, 1): 1}))
+# quadratic factors: x^2 - 2x - 3 = (x - 3)(x + 1), x^2 - x - 1 (no integer root),
+# and x^2 - 1 of the block divided by 63
+@example(_with_rows([1, 1], {(0, 0, 0): 1, (0, 1, 0): 2, (1, 0, 0): 2, (1, 1, 0): 1}))
+@example(_with_rows([1, 1], {(0, 1, 0): 1, (1, 0, 0): 1, (1, 1, 0): 1}))
+@example(_with_rows([1, 1], {(0, 1, 0): 63, (1, 0, 0): 63}))
+def test_split_charpoly_closed_forms_match_berkowitz_and_the_scan(block):
+    # the polynomial, its integer roots and its cofactor, from the closed
+    # forms, the discriminant and the divisor scan factor by factor, against
+    # the dense rows' Berkowitz charpoly and a scan within the largest
+    # absolute row sum, which bounds every eigenvalue
+    lengths, orbits, rows = block
+    p = intlinalg._split_charpoly(lengths, orbits)
+    cp = charpoly_berkowitz(rows)
+    assert p == cp
+    bound = max(sum(map(abs, row)) for row in rows)
+    assert split_integer_roots(p) == integer_roots_scan(cp, bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-10**20, 10**20), min_size=n, max_size=n), min_size=n, max_size=n)))
+@example([[1, 2], [3, 4]])
+@example([[0, 0], [5, 0]])  # one link, one way: x^2
+@example([[2, -1, 0], [7, 0, 3], [0, 0, 1]])
+@example([[0, 4, 0], [0, 0, 0], [0, 0, -2]])  # a 2 x 2 block and a 1 x 1 block
+def test_charpoly_of_small_dense_matrices_matches_berkowitz(rows):
+    # not symmetric: A_1 of one or two rows in closed form, of three rows
+    # by the modular pass
+    assert charpoly(rows) == charpoly_berkowitz(rows)
 
 
 def test_reduce_poly_known_values():

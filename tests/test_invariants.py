@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import re
@@ -465,24 +467,62 @@ def test_compare_combs_each_system_trace_once(monkeypatch):
 
 
 def test_one_report_splits_each_block_once_and_its_rendering_none(monkeypatch):
-    # the report splits each nonzero block of its pure-power matrix once,
-    # divided by the gcd of its entries, and keeps the joined split with the
-    # charpoly; the integer eigenvalues, the factored rendering, the cofactor
-    # and the roots all read it
-    split = []
-    split_roots = intlinalg._split_roots
-    monkeypatch.setattr(intlinalg, "_split_roots", lambda p: split.append(p) or split_roots(p))
+    # the report splits each factor of each nonzero block of its pure-power
+    # matrix once, divided by the gcd of the block's entries, and keeps the
+    # joined split with the charpoly; the integer eigenvalues, the factored
+    # rendering, the cofactor and the roots all read it.  Linear and
+    # quadratic factors need no divisor scan
+    split, scanned = [], []
+    split_factor, split_roots = intlinalg._split_factor, intlinalg._split_roots
+    monkeypatch.setattr(intlinalg, "_split_factor", lambda c: split.append(list(c)) or split_factor(c))
+    monkeypatch.setattr(intlinalg, "_split_roots", lambda p: scanned.append(p) or split_roots(p))
     invariants._report_for_normal_form.cache_clear()
     rep = braid_invariants(parse_word("1,1,-3,-3,-3,-3,5", 7))
-    # three 2x2 blocks (entries 2, -4 and 1) and the zero block of strand 7
+    # three 2x2 blocks (entries 2, -4 and 1) and the zero block of strand 7:
+    # the fixed strands 1, 2 and 3, 4 give A_1 = [[0, +-1], [+-1, 0]] and
+    # x^2 - 1, the 2-cycle of strands 5, 6 gives x - 1 at d = 1 and x + 1 at d = 2
     _, cycles, orbits, _, _ = _pure_power_orbits(rep.normal_form)
     blocks = intlinalg._orbit_blocks(list(map(len, cycles)), orbits)
     assert [sum(lengths) for _, lengths, _ in blocks] == [2, 2, 2, 1]
-    assert [p.coeffs for p in split] == [(-1, 0, 1)] * 3
+    assert split == [[-1, 0, 1], [-1, 0, 1], [-1, 1], [1, 1]] and scanned == []
     text = factored_str(rep.charpoly)
     assert split_integer_roots(rep.charpoly)[0] == integer_roots(rep.charpoly) == rep.integer_eigenvalues
-    assert len(split) == 3 and text == "x (x+1) (x-1) (x+4) (x+2) (x-2) (x-4)"
+    assert len(split) == 4 and scanned == [] and text == "x (x+1) (x-1) (x+4) (x+2) (x-2) (x-4)"
     assert text == factored_str(IntPolynomial(rep.charpoly.coeffs))
+
+
+def _pinned_report_words():
+    """1,000 seeded words of degree 1-64: a third random words of up to 2m
+    letters, the rest Delta^d times a random word, d in -3..3 but not 0, of
+    up to m letters or of up to 3, so that many forms have d > 0 or -d > k."""
+    rng = random.Random(36)
+    words = []
+    for i in range(1000):
+        m = rng.randint(1, 64)
+        if m < 2 or i % 3 == 0:
+            words.append(random_word(rng, m, 2 * m))
+        else:
+            d = rng.choice((-3, -2, -1, 1, 2, 3))
+            words.append(delta_power_word(m, d, random_word(rng, m, m if i % 3 == 1 else 3).letters))
+    return words
+
+
+def test_report_digest_is_pinned():
+    # one sha256 over every report's JSON and factored charpoly: any change
+    # to a report's bytes, of any field, changes it.  Taken before the
+    # charpoly was split factor by factor and the crossing counts kept
+    # sparse; both left every byte alone
+    digest = hashlib.sha256()
+    kinds = {"d > 0": 0, "-d > k": 0}
+    for w in _pinned_report_words():
+        rep = braid_invariants(w)
+        nf = rep.normal_form
+        kinds["d > 0"] += nf.infimum > 0
+        kinds["-d > k"] += -nf.infimum > len(nf.factors)
+        digest.update(json.dumps(rep.to_json(), sort_keys=True).encode())
+        digest.update(factored_str(rep.charpoly).encode())
+    assert kinds == {"d > 0": 222, "-d > k": 234}
+    assert digest.hexdigest() == "9a9010e15f5829a9f13fd8ed4399236b80ef563edf912137016598294ad26510"
 
 
 @settings(max_examples=30, deadline=None)
