@@ -396,6 +396,10 @@ def _weighted_lru(budget: int, weight):
     `budget`: the least recently used entries are evicted to make room, and
     a result heavier than the whole budget is returned but not kept.
 
+    Further positional arguments are passed on to the function on a miss
+    and are no part of the key: they may change how the result is
+    computed, never what it is.
+
     The weights count the ints an entry holds in tuples, plus 128 for its
     fixed part, so that a budget bounds bytes too (README, "Caches").  The
     wrapper is a plain function carrying `cache_info()` and `cache_clear()`,
@@ -408,7 +412,7 @@ def _weighted_lru(budget: int, weight):
         held = hits = misses = 0
 
         @functools.wraps(fn)
-        def cached(arg):
+        def cached(arg, *rest):
             nonlocal held, hits, misses
             with lock:
                 entry = entries.get(arg)
@@ -417,7 +421,7 @@ def _weighted_lru(budget: int, weight):
                     entries.move_to_end(arg)
                     return entry[0]
                 misses += 1
-            result, w = fn(arg), weight(arg)
+            result, w = fn(arg, *rest), weight(arg)
             if w <= budget:
                 entry = (result, w)
                 with lock:

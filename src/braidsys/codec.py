@@ -4,7 +4,9 @@ JSON encoding of the frozen dataclass values, derived from their fields.
 A value encodes as an object with one key per field, in field order; the
 key is the field name unless the field's metadata names another
 (`field(metadata={"json": key})`).  Tuples become lists, None stays null
-and nested values use their own `to_json`.  Decoding follows the field
+and nested values use their own `to_json`.  The items of a tuple field
+share one type, so a tuple of ints, bools, strs or None is copied into
+a list whole, with no call per item.  Decoding follows the field
 type hints and coerces nothing: a value of the wrong JSON type raises
 TypeError, and a missing or unknown key ValueError, each naming the
 key.  A union takes null only if it names None, and otherwise tries its
@@ -54,10 +56,16 @@ def _keys(cls) -> tuple[tuple[str, str], ...]:
     return tuple((f.name, f.metadata.get("json", f.name)) for f in fields(cls))
 
 
+_PLAIN = (int, str, type(None))  # an int, bool, str or None encodes as itself
+
+
 def _encode(value):
-    if value is None or isinstance(value, (int, str)):
+    if isinstance(value, _PLAIN):
         return value
     if isinstance(value, tuple):
+        # every tuple field holds one type, so one plain item means all are
+        if not value or isinstance(value[0], _PLAIN):
+            return list(value)
         return [_encode(v) for v in value]
     return value.to_json()
 

@@ -14,11 +14,14 @@ convention swaps over and under in every crossing, so its matrix is
 `CrossingMatrix.transpose()`.  Every pure-power matrix is symmetric and
 so the same under either convention.
 
-A braid given by its normal form Delta^d A_1 ... A_k is not re-expanded
-into a word: the half twists of a negative infimum are spent on the
-first factors, turning each into the inverse of its short complement,
-read off by `NormalForm.inverse`, and the half twists left over have a
-closed-form matrix, so only a short mixed word is swept (see
+A word is swept as it is.  The matrix is the same on every word of a
+braid, so a report of a word sweeps that word, not its normal form
+(`invariants.braid_invariants`).  A braid given by its normal form
+Delta^d A_1 ... A_k alone is not re-expanded into a word: the half
+twists of a negative infimum are spent on the first factors, turning
+each into the inverse of its short complement, read off by
+`NormalForm.inverse`, and the half twists left over have a closed-form
+matrix, added orbit by orbit, so only a short mixed word is swept (see
 `_normal_form_entries`).  A sweep keeps its matrix's nonzero entries as
 a dict (`crossing_matrix`); one pass over them sums each orbit of strand
 pairs (`_pure_power_orbits`), and the
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, product
 
 from .braids import (
     BraidWord,
@@ -106,10 +109,10 @@ def crossing_matrix(b: BraidWord) -> CrossingMatrix:
     return M
 
 
-def _normal_form_entries(nf: NormalForm) -> dict[tuple[int, int], int]:
-    """The nonzero entries {(i, j): entry}, 0-based, of the crossing matrix
-    of the normal form Delta^d A_1 ... A_k, from a sweep of a short mixed
-    word.
+def _normal_form_entries(nf: NormalForm) -> tuple[dict[tuple[int, int], int], int]:
+    """(the nonzero entries {(i, j): entry}, 0-based, of the crossing matrix
+    of a short mixed word, e): the crossing matrix of the normal form
+    Delta^d A_1 ... A_k is that of Delta^e plus those entries.
 
     For d < 0 and t = min(-d, k), `NormalForm.inverse` reads the inverse of
     Delta^-t A_1 ... A_t off as Delta^0 B_t ... B_1, B_j the left complement
@@ -127,9 +130,11 @@ def _normal_form_entries(nf: NormalForm) -> dict[tuple[int, int], int]:
     positions, so the strand on the left alternates from one half twist
     to the next.  It passes over in Delta; in Delta^-1 the strand on the
     right passes over, with sign -1.  So for i < j, Delta^e adds ceil(e/2)
-    to C[i][j] and floor(e/2) to C[j][i], for e of either sign.  The
-    strand that starts at i enters the swept word at position i, or at
-    m+1-i when e is odd.  Then nearly every entry is nonzero.
+    to C[i][j] and floor(e/2) to C[j][i], for e of either sign: e to the
+    two together.  The strand that starts at i enters the swept word at
+    position i, or at m+1-i when e is odd, so the entries returned are
+    reindexed by that reversal.  `_pure_power_orbits` adds the closed form
+    orbit by orbit; written out, nearly every entry would be nonzero.
     """
     m, d, factors = nf.degree, nf.infimum, nf.factors
     t = min(-d, len(factors)) if d < 0 else 0
@@ -141,21 +146,9 @@ def _normal_form_entries(nf: NormalForm) -> dict[tuple[int, int], int]:
         letters += _permutation_letters(a)
     counts = crossing_matrix(BraidWord(m, tuple(letters)))._counts
     e = d + t
-    if not e:
-        return counts
     if e % 2:
         counts = {(m - 1 - i, m - 1 - j): v for (i, j), v in counts.items()}
-    upper, lower = -(-e // 2), e // 2
-    # the pairs (i, j) with i < j, then those with i > j, made at C speed
-    C = dict.fromkeys(combinations(range(m), 2), upper) if upper else {}
-    if lower:
-        C.update(dict.fromkeys(combinations(range(m - 1, -1, -1), 2), lower))
-    for key, v in counts.items():
-        if v := C.get(key, 0) + v:
-            C[key] = v
-        else:
-            del C[key]
-    return C
+    return counts, e
 
 
 def pure_power_matrix(b: BraidWord | NormalForm) -> tuple[int, CrossingMatrix]:
@@ -207,11 +200,9 @@ def _pure_power_orbits(b: BraidWord | NormalForm) -> tuple[
     row multisets of M), read off the nonzero entries of the matrix C of
     b, with no m x m matrix of b^r built: those that one sweep of a word
     keeps with its matrix (`crossing_matrix`), or, for a normal form, those
-    of one sweep of a short mixed word plus the closed form of the half
-    twists left over (`_normal_form_entries`).  The pass below is the same
-    for both: over the swept letters' entries when no half twist is left
-    (e = 0, as for the random words of the `invariants` benchmark), and
-    over nearly all m(m - 1) entries otherwise.
+    of one sweep of a short mixed word, to which the closed form of the
+    half twists left over is added orbit by orbit (`_normal_form_entries`,
+    `_add_half_twists`).  So the pass below reads only swept entries.
 
     With e the permutation of b, the strands that enter the t-th copy of b
     at positions e^t(i) and e^t(j) started at i and j, so
@@ -233,9 +224,9 @@ def _pure_power_orbits(b: BraidWord | NormalForm) -> tuple[
     entries.
     """
     if isinstance(b, NormalForm):
-        perm, C = b.permutation(), _normal_form_entries(b)
+        perm, (C, e) = b.permutation(), _normal_form_entries(b)
     else:
-        perm, C = permutation(b), crossing_matrix(b)._counts
+        perm, C, e = permutation(b), crossing_matrix(b)._counts, 0
     m, cycles = perm.degree, [[i - 1 for i in c] for c in perm.cycles()]
     cycle_of, place = [0] * m, [0] * m
     for c, cycle in enumerate(cycles):
@@ -248,6 +239,8 @@ def _pure_power_orbits(b: BraidWord | NormalForm) -> tuple[
         ci, cj = cycle_of[i], cycle_of[j]
         key = (ci, cj, (place[j] - place[i]) % math.gcd(lengths[ci], lengths[cj]))
         totals[key] = totals.get(key, 0) + v
+    if e:
+        totals = _add_half_twists(totals, lengths, e)
     orbits = []  # (cycle of i, cycle of j, delta, entry) of each nonzero orbit
     row_counts: list[dict[int, int]] = [{} for _ in cycles]  # of one row of each cycle
     counts: dict[int, int] = {}  # of M
@@ -263,6 +256,38 @@ def _pure_power_orbits(b: BraidWord | NormalForm) -> tuple[
     shapes = sorted((_multiset(rc, m), k) for rc, k in zip(row_counts, lengths))
     S_rows = tuple(chain.from_iterable([row] * k for row, k in shapes))
     return r, cycles, orbits, _multiset(counts, m * m), S_rows
+
+
+def _add_half_twists(
+    swept: dict[tuple[int, int, int], int], lengths: list[int], e: int
+) -> dict[tuple[int, int, int], int]:
+    """The orbit totals of C + H, keyed (I, J, delta) as in
+    `_pure_power_orbits`, from `swept`, those of C, where H is the crossing
+    matrix of Delta^e and the cycles have these lengths.
+
+    Every orbit O of pairs of distinct strands gets a total, but none is
+    summed entry by entry.  M is symmetric, so O and its transpose O^T
+    have equal totals, and H[i][j] + H[j][i] = e for i != j; so, for O of
+    length L, T(O) = (S(O) + S(O^T) + e L) / 2 with S the swept totals,
+    and e L / 2 where neither was swept.  The transpose of (I, J, delta) is
+    (J, I, -delta mod gcd(|I|, |J|)).
+    """
+    by_length: dict[int, list[int]] = {}
+    for c, length in enumerate(lengths):
+        by_length.setdefault(length, []).append(c)
+    totals: dict[tuple[int, int, int], int] = {}
+    for a, I in by_length.items():
+        for b, J in by_length.items():
+            g = math.gcd(a, b)
+            totals.update(dict.fromkeys(product(I, J, range(g)), e * (a // g * b) // 2))
+    for c in range(len(lengths)):
+        del totals[c, c, 0]  # the diagonal
+    for (ci, cj, delta), s in swept.items():
+        li, lj = lengths[ci], lengths[cj]
+        g = math.gcd(li, lj)
+        back = (cj, ci, -delta % g)
+        totals[ci, cj, delta] = totals[back] = (s + swept.get(back, 0) + e * (li // g * lj)) // 2
+    return totals
 
 
 def _signature(rows, i: int) -> tuple:

@@ -131,9 +131,13 @@ class SystemInvariantReport(JsonCodec):
 # apply steps finds its reports again; it bounds the cache under 2.7 MB, and
 # reports of degree >= 362 are not kept (README, "Caches").
 @braids._weighted_lru(2**18, lambda nf: 128 + nf.degree * (2 * nf.degree + len(nf.factors)))
-def _report_for_normal_form(nf: NormalForm) -> BraidInvariantReport:
-    # the pure-power matrix M is read off its cycles and orbits, never written
-    r, cycles, orbits, S, S_rows = _pure_power_orbits(nf)
+def _report_for_normal_form(
+    nf: NormalForm, b: BraidWord | NormalForm | None = None
+) -> BraidInvariantReport:
+    # the pure-power matrix M is read off its cycles and orbits, never
+    # written; C(b) is the same on every word of a braid, so a word b of nf,
+    # when given, is swept in place of the form, and keys nothing
+    r, cycles, orbits, S, S_rows = _pure_power_orbits(nf if b is None else b)
     cp = _split_charpoly(list(map(len, cycles)), orbits)
     # det M = (-1)^n c_0; and M is symmetric, hence diagonalizable, so its
     # rank is n minus the multiplicity of the root 0
@@ -153,8 +157,15 @@ def _report_for_normal_form(nf: NormalForm) -> BraidInvariantReport:
 
 
 def braid_invariants(b: BraidWord) -> BraidInvariantReport:
-    """Permutation order, pure-power crossing matrix, and everything read off it."""
-    return _report_for_normal_form(braids.normal_form(b))
+    """Permutation order, pure-power crossing matrix, and everything read off it.
+
+    The report is cached by the normal form of b, and on a miss its
+    crossing counts come from one sweep of b itself, with no Garside
+    inverse and no factor spelled: 64 letters where the form's mixed word
+    (`crossing._normal_form_entries`) has 90, for random words of 2m
+    letters at m = 32.
+    """
+    return _report_for_normal_form(braids.normal_form(b), b)
 
 
 def permutation_group_order(perms) -> int:
@@ -242,9 +253,24 @@ def system_invariants_from_normal_forms(
     with its integer-root split kept, and the product is built with theirs
     joined, so rendering it or its essential roots makes no divisor scan.
     """
+    return _system_report(degree, nfs, nfs)
+
+
+def system_invariants(s: BraidSystem) -> SystemInvariantReport:
+    """`system_invariants_from_normal_forms` of the components' forms, each
+    report built on a miss from a sweep of its component, as
+    `braid_invariants` builds it."""
+    return _system_report(s.degree, s.normal_forms(), s.components)
+
+
+def _system_report(
+    degree: int, nfs: tuple[NormalForm, ...], swept: tuple[BraidWord | NormalForm, ...]
+) -> SystemInvariantReport:
+    """The report of the system of these forms, `swept[i]` the braid of
+    `nfs[i]` that its report sweeps on a miss: a word of it or the form."""
     if not nfs:
         raise ValueError("a braid system needs at least one component")
-    charpolys = [_report_for_normal_form(nf).charpoly for nf in nfs]
+    charpolys = [_report_for_normal_form(nf, b).charpoly for nf, b in zip(nfs, swept)]
     splits = map(split_integer_roots, charpolys)
     prod = _split_product([(p.coeffs, roots, rest.coeffs) for p, (roots, rest) in zip(charpolys, splits)])
     multiset = tuple(sorted(charpolys, key=poly_sort_key))
@@ -263,10 +289,6 @@ def system_invariants_from_normal_forms(
     )
     object.__setattr__(report, "_trace_form", trace)  # compare_systems renders it
     return report
-
-
-def system_invariants(s: BraidSystem) -> SystemInvariantReport:
-    return system_invariants_from_normal_forms(s.degree, s.normal_forms())
 
 
 # The checks of compare_systems, in order, each reading a value off a

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -7,11 +8,22 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidsys import BraidSystem, BraidWord, braids_equal, cli, refsuite
+from braidsys import (
+    BraidSystem,
+    BraidWord,
+    braid_invariants,
+    braids_equal,
+    cli,
+    compare_systems,
+    refsuite,
+    system_invariants,
+)
 from braidsys.braids import MAX_DEGREE, parse_word
 from braidsys.cli import load_system, main
+from braidsys.codec import JsonCodec
 from braidsys.invariants import BraidInvariantReport, SystemInvariantReport
-from braidsys.orbit import OrbitLimits
+from braidsys.moves import HurwitzMove
+from braidsys.orbit import OrbitLimits, OrbitResult
 
 
 @pytest.fixture
@@ -290,6 +302,58 @@ def test_row_ok_must_match_its_values(expected, computed, ok):
     data = {"id": "r", "description": "", "expected": expected, "computed": computed, "ok": ok}
     with pytest.raises(ValueError):
         refsuite.Row.from_json(data)
+
+
+def _codec_types(cls=JsonCodec):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _codec_types(sub)
+
+
+def _tuples_in(data) -> int:
+    if isinstance(data, tuple):
+        return 1 + sum(map(_tuples_in, data))
+    if isinstance(data, list):
+        return sum(map(_tuples_in, data))
+    if isinstance(data, dict):
+        return sum(map(_tuples_in, data.values()))
+    return 0
+
+
+def test_to_json_gives_lists_never_tuples():
+    # a tuple of plain values is copied into a list whole; a value of each
+    # JsonCodec type, holding every tuple field it has, encodes with lists
+    # alone at every depth
+    a = BraidSystem.from_texts(6, ["1,2,-3", "3,-5", "-2", "-1,4"])
+    b = BraidSystem.from_texts(6, ["1,-2,3", "-3,2,-1"])
+    rows = (refsuite.Row("a", "", "1", "1", True), refsuite.Row("b", "", "1", "2", False))
+    values = [
+        braid_invariants(parse_word("1,2,-3,-3,5", 6)),
+        system_invariants(a),
+        compare_systems(a, b),  # shapes differ: the skipped checks hold None
+        compare_systems(a, BraidSystem.from_texts(6, ["1", "-2,1", "3", "4"])),
+        OrbitResult("target_found", 3, (HurwitzMove(1), HurwitzMove(2, True)), 1),
+        refsuite.SuiteResult(rows, False),
+    ]
+    checks = values[3].invariants
+    assert any(type(c.left) is tuple for c in checks) and any(c.left is None for c in values[2].invariants)
+    seen = set()
+
+    def walk(value):
+        if isinstance(value, tuple):
+            for v in value:
+                walk(v)
+        elif isinstance(value, JsonCodec):
+            seen.add(type(value))
+            for f in dataclasses.fields(value):
+                walk(getattr(value, f.name))
+
+    for value in values:
+        walk(value)
+        data = value.to_json()
+        assert _tuples_in(data) == 0
+        assert type(value).from_json(json.loads(json.dumps(data))) == value
+    assert seen == set(_codec_types())
 
 
 def test_papersuite_flipped_convention(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -38,7 +39,7 @@ from braidsys import (
     system_invariants,
     system_invariants_from_normal_forms,
 )
-from braidsys import braids, cli, intlinalg, invariants
+from braidsys import braids, cli, crossing, intlinalg, invariants
 from braidsys.braids import BraidWord, NormalForm, Permutation, _nf_product, inverse
 from braidsys.crossing import _pure_power_orbits
 from braidsys.intlinalg import factored_str, split_integer_roots
@@ -507,22 +508,88 @@ def _pinned_report_words():
     return words
 
 
-def test_report_digest_is_pinned():
-    # one sha256 over every report's JSON and factored charpoly: any change
-    # to a report's bytes, of any field, changes it.  Taken before the
-    # charpoly was split factor by factor and the crossing counts kept
-    # sparse; both left every byte alone
+def _report_digest(reports) -> tuple[dict[str, int], str]:
+    """(how many forms have d > 0 and -d > k, one sha256 over every report's
+    JSON and factored charpoly): any change to a report's bytes, of any
+    field, changes it."""
     digest = hashlib.sha256()
     kinds = {"d > 0": 0, "-d > k": 0}
-    for w in _pinned_report_words():
-        rep = braid_invariants(w)
+    for rep in reports:
         nf = rep.normal_form
         kinds["d > 0"] += nf.infimum > 0
         kinds["-d > k"] += -nf.infimum > len(nf.factors)
         digest.update(json.dumps(rep.to_json(), sort_keys=True).encode())
         digest.update(factored_str(rep.charpoly).encode())
-    assert kinds == {"d > 0": 222, "-d > k": 234}
-    assert digest.hexdigest() == "9a9010e15f5829a9f13fd8ed4399236b80ef563edf912137016598294ad26510"
+    return kinds, digest.hexdigest()
+
+
+# Taken before the charpoly was split factor by factor, the crossing counts
+# kept sparse and a word's report read off the word; each left every byte alone
+_PINNED_DIGEST = ({"d > 0": 222, "-d > k": 234},
+                  "9a9010e15f5829a9f13fd8ed4399236b80ef563edf912137016598294ad26510")
+
+
+def test_report_digest_is_pinned():
+    # the reports of the words, each swept as it is
+    invariants._report_for_normal_form.cache_clear()
+    assert _report_digest(map(braid_invariants, _pinned_report_words())) == _PINNED_DIGEST
+
+
+def test_form_report_digest_is_pinned():
+    # the reports of the same words' normal forms, with no word to sweep:
+    # the short mixed word and the closed form of the half twists left over
+    forms = [normal_form(w) for w in _pinned_report_words()]
+    invariants._report_for_normal_form.cache_clear()
+    assert _report_digest(map(invariants._report_for_normal_form, forms)) == _PINNED_DIGEST
+
+
+@settings(max_examples=80, deadline=None)
+@given(half_twist_words(max_degree=48))
+@example(BraidWord(1))
+@example(delta_power_word(9, 3, (2, 4, -6)))  # infimum d > 0
+@example(delta_power_word(12, -3, (5,)))  # -d > k: half twists left over
+def test_word_and_form_routes_give_equal_reports(w):
+    # C(b) is a braid invariant, so a report built from a sweep of the word
+    # equals one built from the normal form, field by field; both are built
+    # afresh, past the cache
+    nf = normal_form(w)
+    build = invariants._report_for_normal_form.__wrapped__
+    by_word, by_form = build(nf, w), build(nf)
+    for f in dataclasses.fields(BraidInvariantReport):
+        assert getattr(by_word, f.name) == getattr(by_form, f.name), f.name
+
+
+def test_word_reports_reach_no_form_sweep_and_no_garside_inverse(monkeypatch):
+    # braid_invariants and system_invariants read the crossing counts off the
+    # words they are given: the form's mixed word and the Garside inverse
+    # that spells it are left to reports of forms alone
+    calls = {"_normal_form_entries": 0, "inverse": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(crossing, "_normal_form_entries",
+                        counted("_normal_form_entries", crossing._normal_form_entries))
+    monkeypatch.setattr(NormalForm, "inverse", counted("inverse", NormalForm.inverse))
+    rng = random.Random(37)
+    words = [random_word(rng, 12, 24) for _ in range(20)]
+    words += [delta_power_word(12, d, random_word(rng, 12, 3).letters) for d in (-3, -1, 2)]
+    forms = [normal_form(w) for w in words]
+    assert any(nf.infimum < 0 for nf in forms) and any(nf.infimum > 0 for nf in forms)
+    report = invariants._report_for_normal_form
+    for build in (lambda: [braid_invariants(w) for w in words],
+                  lambda: system_invariants(BraidSystem(12, tuple(words)))):
+        report.cache_clear()
+        build()
+        assert report.cache_info().misses == len(set(forms))
+        assert calls == {"_normal_form_entries": 0, "inverse": 0}
+    # the counters count on the form route
+    report.cache_clear()
+    system_invariants_from_normal_forms(12, tuple(forms))
+    assert calls["_normal_form_entries"] == len(set(forms)) and calls["inverse"] > 0
 
 
 @settings(max_examples=30, deadline=None)
