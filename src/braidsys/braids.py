@@ -102,8 +102,7 @@ def _tup_inverse(a: tuple[int, ...]) -> list[int]:
 
 def _tup_flip(a: tuple[int, ...]) -> tuple[int, ...]:
     # conjugation by the half twist; an involution on permutation braids
-    m = len(a)
-    return tuple(m + 1 - a[m - k] for k in range(1, m + 1))
+    return tuple(map((len(a) + 1).__sub__, reversed(a)))
 
 
 def _tup_left_complement(a: tuple[int, ...]) -> tuple[int, ...]:

@@ -59,11 +59,14 @@ deflating plain coefficient lists; it builds a polynomial only for its
 result.  Each polynomial object computes that split once, on first use,
 and keeps it, so its integer roots, its cofactor and its factored
 rendering all read the same pass.  A product of polynomials whose splits
-are known comes with its split kept (`_split_product`): the charpoly of
-a braid report, split factor by factor, the DFT factors of each block
-divided by the gcd of its entries, a linear factor its own root and a
-quadratic one split by its discriminant (`_split_charpoly`), and a
-system's charpoly product.
+are known is multiplied out once, from those splits alone, and keeps its
+own (`_split_product`): the multiplicities of each root are added, the
+cofactors multiplied, and that cofactor times the linear factor of each
+root, to its multiplicity, is the product.  Two products are built so:
+the charpoly of a braid report, from the splits of the DFT factors of
+each block divided by the gcd of its entries, a linear factor its own
+root and a quadratic one split by its discriminant (`_split_charpoly`),
+and a system's charpoly product, from its components' kept splits.
 """
 
 from __future__ import annotations
@@ -426,22 +429,37 @@ def _scaled(c, g: int) -> list[int]:
     return [v * g ** (n - k) for k, v in enumerate(c)]
 
 
-def _split_product(factors) -> IntPolynomial:
-    """The product of monic polynomials given with their splits, each as
-    (ascending coefficients, (root, mult) pairs, cofactor coefficients),
-    with its own split kept: the coefficients and the cofactors are
-    multiplied, and the multiplicities of each root added.  A product of
-    polynomials with no integer root has none, so the product of the
-    cofactors is its cofactor."""
-    coeffs, rest, found = [1], [1], {}
-    for c, roots, cofactor in factors:
-        coeffs = _mul_coeffs(coeffs, c)
+def _split_product(splits) -> IntPolynomial:
+    """The product of monic polynomials given by their splits alone, each
+    as ((root, mult) pairs, cofactor coefficients), with its own split
+    kept.  The multiplicities of each root are added, and the non-constant
+    cofactors multiplied into the product's cofactor: a product of
+    polynomials with no integer root has none.  The product itself is
+    that cofactor times (x - r)^k for each nonzero root r of multiplicity
+    k, then shifted up by the multiplicity of the root 0.  A factor
+    (x - r)^k is k synthetic steps, one pass each over the product so
+    far, while k is less than that product's length n; otherwise its
+    closed form, coefficients C(k, j) (-r)^(k-j), is multiplied in by
+    `_mul_coeffs` in n passes.  The steps multiply by r alone, where each
+    closed-form coefficient is a full-size binomial."""
+    rest, found = [1], {}
+    for roots, cofactor in splits:
         if len(cofactor) > 1:  # a monic cofactor of degree 0 is 1
             rest = _mul_coeffs(rest, cofactor)
         for root, mult in roots:
             found[root] = found.get(root, 0) + mult
-    p = IntPolynomial(tuple(coeffs))
-    object.__setattr__(p, "_root_split", (tuple(sorted(found.items())), IntPolynomial(tuple(rest))))
+    roots = tuple(sorted(found.items()))
+    coeffs = rest
+    for r, k in roots:
+        if not r:
+            continue
+        if k < len(coeffs):
+            for _ in range(k):
+                coeffs = [p - r * q for p, q in zip([0] + coeffs, coeffs + [0])]
+        else:
+            coeffs = _mul_coeffs(coeffs, [math.comb(k, j) * (-r) ** (k - j) for j in range(k + 1)])
+    p = IntPolynomial((0,) * found.get(0, 0) + tuple(coeffs))
+    object.__setattr__(p, "_root_split", (roots, IntPolynomial(tuple(rest))))
     return p
 
 
@@ -563,9 +581,10 @@ def _split_charpoly(lengths, orbits) -> IntPolynomial:
     """det(xI - M) for a symmetric M that is constant on the orbits of
     e x e, e a permutation with cycles of these lengths, given by its
     nonzero orbit entries (I, J, delta, v), with its integer-root split
-    kept (`_split_product` of the splits of its diagonal blocks' factors,
-    the blocks of `_orbit_blocks` in their order).  No row is written:
-    each block's factors are `_dft_charpoly`'s.
+    kept: `_split_product` of the splits of its diagonal blocks' factors,
+    the blocks of `_orbit_blocks` in their order.  No row is written, and
+    no factor is kept past its split: each block's factors are
+    `_dft_charpoly`'s, and the polynomial is multiplied out from the splits.
 
     A block with no nonzero entry adds the factor x^n.  Each other block B
     is divided by the gcd g of its entries, and `_dft_charpoly` runs on
@@ -574,10 +593,11 @@ def _split_charpoly(lengths, orbits) -> IntPolynomial:
     g times one of B'.  An integer root of B's polynomial is g times a
     rational root of the monic integer polynomial of B', hence g times an
     integer root, with the same multiplicity; so the split of B is that of
-    B' with each root times g and the cofactor scaled as the polynomial
-    is.  B' is split one factor at a time (`_split_factor`): a linear
-    factor is its own root, a quadratic one splits by its discriminant,
-    and only a factor of degree three or more is scanned by `_split_roots`.
+    B' with each root times g and the cofactor, if it is not 1, scaled as
+    the polynomial is.  B' is split one factor at a time
+    (`_split_factor`): a linear factor is its own root, a quadratic one
+    splits by its discriminant, and only a factor of degree three or more
+    is scanned by `_split_roots`.
     A polynomial with no integer root times another has none, so the
     factors' cofactors multiply to the block's.
 
@@ -586,7 +606,7 @@ def _split_charpoly(lengths, orbits) -> IntPolynomial:
     roots and a short divisor scan (README, "CLI", at degree 512).  A block
     whose entries share no large factor is scanned as it is.
     """
-    zeros, factors = 0, []
+    zeros, splits = 0, []
     for _, block_lengths, block_orbits in _orbit_blocks(lengths, orbits):
         g = math.gcd(*(v for *_, v in block_orbits))
         if not g:
@@ -595,11 +615,13 @@ def _split_charpoly(lengths, orbits) -> IntPolynomial:
         for c, mult in _dft_charpoly(block_lengths, [(i, j, delta, v // g) for i, j, delta, v in block_orbits]):
             roots, cofactor = _split_factor(c)
             if g > 1:
-                c, roots, cofactor = _scaled(c, g), [(g * root, m) for root, m in roots], _scaled(cofactor, g)
-            factors += [(c, roots, cofactor)] * mult
+                roots = [(g * root, m) for root, m in roots]
+                if len(cofactor) > 1:
+                    cofactor = _scaled(cofactor, g)
+            splits += [(roots, cofactor)] * mult
     if zeros:
-        factors.append(([0] * zeros + [1], [(0, zeros)], [1]))
-    return _split_product(factors)
+        splits.append((((0, zeros),), [1]))
+    return _split_product(splits)
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -718,7 +740,7 @@ def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
     of the pure-power matrix divided by the gcd of its entries, and a
     system's charpoly product with its components' splits joined
     (`_split_product`): the degree-512 report of README, "CLI", takes
-    about 0.2 s in all, and its system with the word 1 about 0.4 s.  Any
+    0.15-0.19 s in all, and its system with the word 1 about 0.2 s.  Any
     other polynomial is scanned here, with up to min(isqrt(|c0|), root
     bound) trial divisions of its core's constant term c0: x - c with c
     near 10^14 takes about a second.  A report block whose entries share

@@ -271,8 +271,7 @@ def _system_report(
     if not nfs:
         raise ValueError("a braid system needs at least one component")
     charpolys = [_report_for_normal_form(nf, b).charpoly for nf, b in zip(nfs, swept)]
-    splits = map(split_integer_roots, charpolys)
-    prod = _split_product([(p.coeffs, roots, rest.coeffs) for p, (roots, rest) in zip(charpolys, splits)])
+    prod = _split_product([(roots, rest.coeffs) for roots, rest in map(split_integer_roots, charpolys)])
     multiset = tuple(sorted(charpolys, key=poly_sort_key))
     trace = braids._nf_product(NormalForm(degree, 0, ()), *nfs)
     report = SystemInvariantReport(

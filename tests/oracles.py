@@ -216,6 +216,34 @@ def integer_roots_scan(p: IntPolynomial, bound: int | None = None):
     return tuple(found), IntPolynomial(tuple(c))
 
 
+def convolve(a, b) -> list:
+    """Ascending coefficients of the product of two nonempty ascending
+    coefficient sequences, one term at a time."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def split_product_chain(factors) -> IntPolynomial:
+    """The product of monic polynomials given with their splits, each as
+    (ascending coefficients, (root, mult) pairs, cofactor coefficients),
+    with its own split kept, by two chains of products: one over the
+    coefficients and one over the non-constant cofactors, the
+    multiplicities of each root added."""
+    coeffs, rest, found = [1], [1], {}
+    for c, roots, cofactor in factors:
+        coeffs = convolve(coeffs, c)
+        if len(cofactor) > 1:
+            rest = convolve(rest, cofactor)
+        for root, mult in roots:
+            found[root] = found.get(root, 0) + mult
+    p = IntPolynomial(tuple(coeffs))
+    object.__setattr__(p, "_root_split", (tuple(sorted(found.items())), IntPolynomial(tuple(rest))))
+    return p
+
+
 def opposite_convention_matrix(b: BraidWord) -> tuple[tuple[int, ...], ...]:
     """Crossing matrix rows under the opposite over-strand rule, swept
     independently: in a positive letter the strand entering at the right

@@ -683,6 +683,12 @@ def test_flip_table_matches_the_conjugated_word():
         book = _book(m)
         for p in itertools.permutations(range(1, m + 1)):
             assert book.images[book.flip(book.codes[p])] == _tup_flip(p) == flip_by_conjugation(p)
+    # past the tables, random permutations of degree 6-64
+    rng = random.Random(38)
+    for m in range(6, 65):
+        for _ in range(2):
+            p = tuple(rng.sample(range(1, m + 1), m))
+            assert _tup_flip(p) == flip_by_conjugation(p)
 
 
 def test_complement_table_completes_the_half_twist():

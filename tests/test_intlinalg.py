@@ -31,12 +31,14 @@ from braidsys.intlinalg import split_integer_roots
 from oracles import (
     charpoly_berkowitz,
     charpoly_cofactor,
+    convolve,
     det_fraction,
     integer_roots_scan,
     is_prime_mr,
     matrix_components,
     random_word,
     rank_fraction,
+    split_product_chain,
 )
 
 
@@ -687,6 +689,62 @@ def test_split_block_charpoly_splits_the_divided_block(monkeypatch):
     assert split == [(-4, -6, 0, 1)]
     assert p == IntPolynomial((-4 * g**3, -6 * g**2, 0, 1))
     assert split_integer_roots(p) == (((-2 * g, 1),), IntPolynomial((-2 * g * g, -2 * g, 1)))
+
+
+def _split(roots, cofactor):
+    """(ascending coefficients, roots, cofactor) of the cofactor times
+    (x - r)^k for each (r, k) in roots."""
+    c = list(cofactor)
+    for r, k in roots:
+        for _ in range(k):
+            c = convolve(c, [-r, 1])
+    return c, tuple(roots), list(cofactor)
+
+
+@st.composite
+def root_splits(draw):
+    """One to six splits as `split_product_chain` takes them.  The roots
+    come from one pool of up to four, around 0 or all of one sign near
+    +-10^6, and 0 may join them, so that a root recurs within and across
+    splits, with multiplicities 1-6.  A cofactor is 1 or a product of one
+    to three quadratics x^2 + a x + b with b > a^2 / 4, which have no real
+    root; with |a| up to 10^15 its coefficients reach about 10^30."""
+    center = draw(st.sampled_from([0, 10**6, -10**6]))
+    pool = [center + d for d in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))]
+    pool += [0] if draw(st.booleans()) else []
+    size = draw(st.sampled_from([10, 10**15]))
+    splits = []
+    for _ in range(draw(st.integers(1, 6))):
+        roots = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 6)), max_size=3))
+        cofactor = [1]
+        for _ in range(draw(st.integers(0, 3))):
+            a = draw(st.integers(-size, size))
+            cofactor = convolve(cofactor, [a * a // 4 + draw(st.integers(1, size * size)), a, 1])
+        splits.append(_split(roots, cofactor))
+    return splits
+
+
+@settings(max_examples=200, deadline=None)
+@given(root_splits())
+@example([])
+@example([_split((), [1])])
+@example([_split(((0, 3),), [1]), _split(((0, 1), (2, 1)), [1])])  # zero roots alone, then shifted
+# the same root with k = 1 and k >= 2 across splits, on a short and a long product
+@example([_split(((2, 1),), [1]), _split(((2, 3), (-1, 1)), [1])])
+@example([_split(((-1, 1),), [5, 4, 3, 2, 1]), _split(((-1, 4), (3, 6)), [1])])
+# same-sign roots near 10^6 with the largest binomials, and near -10^6
+@example([_split(((10**6, 6), (10**6 - 1, 6)), [1]), _split(((10**6, 6),), [1])])
+@example([_split(((-10**6, 6), (-10**6 + 3, 1)), [1]), _split(((-10**6 + 3, 5),), [1])])
+# a dense cofactor near 10^30, then roots of multiplicity below and above its length
+@example([_split(((7, 2),), convolve([10**30 + 1, 10**15, 1], [10**30 + 7, -10**15, 1])),
+          _split(((7, 1), (-5, 9)), [3, 1, 1])])
+def test_split_product_matches_the_two_chain_oracle(splits):
+    # the product built from the splits alone, its coefficients and its kept
+    # split, against the product of the full coefficients
+    p = intlinalg._split_product([(roots, cofactor) for _, roots, cofactor in splits])
+    q = split_product_chain(splits)
+    assert p.coeffs == q.coeffs
+    assert p._root_split == q._root_split
 
 
 @st.composite

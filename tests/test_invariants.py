@@ -543,6 +543,40 @@ def test_form_report_digest_is_pinned():
     assert _report_digest(map(invariants._report_for_normal_form, forms)) == _PINNED_DIGEST
 
 
+def _pinned_systems():
+    """131 seeded systems: one of each degree 1-16 and length 1-8, then three
+    of degree 32 and length 64.  A component is a random word of up to m
+    letters or, one time in three, Delta^d times one of up to 3, d in -2..2,
+    so that roots recur within a component and across components."""
+    rng = random.Random(38)
+
+    def component(m):
+        if m < 2 or rng.randrange(3):
+            return random_word(rng, m, m)
+        return delta_power_word(m, rng.randint(-2, 2), random_word(rng, m, 3).letters)
+
+    shapes = [(m, k) for m in range(1, 17) for k in range(1, 9)] + [(32, 64)] * 3
+    return [BraidSystem(m, tuple(component(m) for _ in range(k))) for m, k in shapes]
+
+
+# Taken before a system's charpoly product was multiplied out from its
+# components' splits alone
+_PINNED_SYSTEM_DIGEST = "ab977662a49b3ebb4d4365efb26e02851b99f61410e34e7d86a0be4a5a94de12"
+
+
+def test_system_digest_is_pinned():
+    # one sha256 over every system report's JSON, its factored charpoly
+    # product and its essential roots as the CLI prints them
+    invariants._report_for_normal_form.cache_clear()
+    digest = hashlib.sha256()
+    for s in _pinned_systems():
+        rep = system_invariants(s)
+        digest.update(json.dumps(rep.to_json(), sort_keys=True).encode())
+        digest.update(factored_str(rep.charpoly_product).encode())
+        digest.update(cli.essential_text(rep).encode())
+    assert digest.hexdigest() == _PINNED_SYSTEM_DIGEST
+
+
 @settings(max_examples=80, deadline=None)
 @given(half_twist_words(max_degree=48))
 @example(BraidWord(1))
