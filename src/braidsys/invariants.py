@@ -169,7 +169,9 @@ def braid_invariants(b: BraidWord) -> BraidInvariantReport:
 
 
 def permutation_group_order(perms) -> int:
-    """Order of the subgroup generated by the given permutations."""
+    """Order of the subgroup generated by the given permutations: n! or
+    n!/2 when Jordan's theorem recognises S_n or A_n, else by Schreier-Sims
+    (`_group_order_cached`)."""
     perms = list(perms)
     if not perms:
         return 1
@@ -186,12 +188,115 @@ def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-# A key holds one image tuple per generator.  A miss costs a Schreier-Sims
-# run, so the budget keeps every group that a 30-second `audit` benchmark
-# run meets again; it bounds the cache under 2.2 MB up to degree 256
-# (README, "Caches").
+# A key holds one image tuple per generator.  A miss costs a recognition
+# pass, and a Schreier-Sims run only when recognition fails, so the budget
+# keeps every group that a 30-second `audit` benchmark run meets again; it
+# bounds the cache under 2.2 MB up to degree 256 (README, "Caches").
 @braids._weighted_lru(2**18, lambda gens: 128 + sum(map(len, gens)))
 def _group_order_cached(gens: tuple[tuple[int, ...], ...]) -> int:
+    """The order of the group G the 1-based image tuples `gens` generate.
+
+    G is first tested for being S_n or A_n by Jordan's theorem (Jordan
+    1873; Dixon-Mortimer, *Permutation Groups*, 1996, Thms 3.3A and 3.3E):
+    a primitive group of degree n that holds a p-cycle, p prime and either
+    p <= 3 or p <= n - 3, contains A_n.  The tests run in this order:
+    1. G is transitive;
+    2. some generator g has exactly one cycle of a prime length p and all
+       its other cycle lengths prime to p, so that g^L is a p-cycle, L the
+       lcm of the other lengths (no power is computed);
+    3. G is primitive: for every point b, the least block holding 0 and b
+       is every point (Atkinson 1975).  The stabiliser of 0 carries that
+       block for b to the one for h(b), so one b is tried in each orbit of
+       the generators that fix 0.  This costs the most, so it runs last.
+    Then |G| is n! if some generator is odd and n!/2 if none is.  Any
+    other group is left to `_schreier_sims_order`.
+    """
+    gens0 = [tuple(v - 1 for v in g) for g in gens]
+    return _symmetric_order(gens0) or _schreier_sims_order(gens0)
+
+
+def _symmetric_order(gens: list[tuple[int, ...]]) -> int | None:
+    """n! or n!/2 when Jordan's theorem proves that the 0-based `gens`
+    generate S_n or A_n (`_group_order_cached`), else None."""
+    n = len(gens[0])
+    if len(_orbit(gens, 0)) < n or not any(map(_has_lone_prime_cycle, gens)):
+        return None
+    fixers, seen = [g for g in gens if g[0] == 0], {0}
+    for b in range(1, n):
+        if b not in seen:
+            if not _least_block_is_everything(gens, b):
+                return None
+            seen |= _orbit(fixers, b)
+    odd = any((n - len(_cycle_lengths(g))) % 2 for g in gens)
+    return math.factorial(n) // (1 if odd else 2)
+
+
+def _orbit(gens: list[tuple[int, ...]], x: int) -> set[int]:
+    seen, stack = {x}, [x]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            if g[x] not in seen:
+                seen.add(g[x])
+                stack.append(g[x])
+    return seen
+
+
+def _cycle_lengths(g: tuple[int, ...]) -> list[int]:
+    seen = [False] * len(g)
+    lengths = []
+    for start in range(len(g)):
+        if not seen[start]:
+            k, x = 0, start
+            while not seen[x]:
+                seen[x] = True
+                x, k = g[x], k + 1
+            lengths.append(k)
+    return lengths
+
+
+def _has_lone_prime_cycle(g: tuple[int, ...]) -> bool:
+    """Whether g has exactly one cycle of some prime length p, with
+    p <= 3 or p <= n - 3, and every other cycle length prime to p."""
+    n, lengths = len(g), _cycle_lengths(g)
+    return any(
+        1 < p and (p <= 3 or p <= n - 3) and all(p % d for d in range(2, math.isqrt(p) + 1))
+        and sum(k % p == 0 for k in lengths) == 1
+        for p in set(lengths)
+    )
+
+
+def _least_block_is_everything(gens: list[tuple[int, ...]], b: int) -> bool:
+    """Whether the least block of the transitive group of `gens` that holds
+    0 and b is every point: the classes of a union-find are merged along
+    the images of each merged pair until they are closed, or until one
+    class holds every point (Atkinson 1975)."""
+    n = len(gens[0])
+    parent, size = list(range(n)), [1] * n
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    parent[b], size[0] = 0, 2
+    pairs = [(0, b)]
+    while pairs:
+        x, y = pairs.pop()
+        for g in gens:
+            u, v = find(g[x]), find(g[y])
+            if u != v:
+                if size[u] < size[v]:
+                    u, v = v, u
+                parent[v] = u
+                size[u] += size[v]
+                if size[u] == n:
+                    return True
+                pairs.append((u, v))
+    return size[find(0)] == n
+
+
+def _schreier_sims_order(gens: list[tuple[int, ...]]) -> int:
     """Deterministic Schreier-Sims on the base 0..n-1, as one worklist
     (Sims 1970; Knuth 1991, "Efficient representation of perm groups";
     Seress, *Permutation Group Algorithms*, 2003, ch. 4).
@@ -207,14 +312,14 @@ def _group_order_cached(gens: tuple[tuple[int, ...], ...]) -> int:
     (point, generator) pair is formed once, by whichever of the two came
     later, and transversal entries never change.  So once the worklist is
     empty, every Schreier generator of a level lies in the group of the
-    next, and the order is the product of the transversal sizes.  Points
-    are 0-based inside; `gens` are 1-based image tuples of one degree.
+    next, and the order is the product of the transversal sizes.  `gens`
+    are 0-based image tuples of one degree.
     """
     n = len(gens[0])
     identity = tuple(range(n))
     strong: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     trans = [{i: (identity, identity)} for i in range(n)]
-    work = [(0, tuple(v - 1 for v in g)) for g in gens]
+    work = [(0, g) for g in gens]
     while work:
         start, h = work.pop()
         stop = start

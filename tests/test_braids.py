@@ -192,6 +192,24 @@ def test_normal_form_exponent_sum_matches_the_word():
     assert signs == {-1, 0, 1}
 
 
+def test_exponent_sum_counts_each_factor_without_spelling_it(monkeypatch):
+    # a factor's length is the inversion count of its bisect pass, which is
+    # the length of its spelling; the count spells no factor
+    rng = random.Random(46)
+    forms = []
+    for m in range(1, 33):
+        for _ in range(4):
+            p = tuple(rng.sample(range(1, m + 1), m))
+            assert braids._permutation_length(p) == len(_permutation_letters(p))
+            w = delta_power_word(m, rng.randint(-2, 2), random_word(rng, m, 2 * m).letters)
+            nf = normal_form(w)
+            lengths = [len(_permutation_letters(f)) for f in nf.factors]
+            assert list(map(braids._permutation_length, nf.factors)) == lengths
+            forms.append((nf, w))
+    monkeypatch.setattr(braids, "_permutation_letters", lambda p: pytest.fail("spelled a factor"))
+    assert all(nf.exponent_sum() == exponent_sum(w) for nf, w in forms)
+
+
 def test_normal_form_group_laws():
     rng = random.Random(0)
     for _ in range(150):

@@ -424,6 +424,113 @@ def test_permutation_group_order_closed_forms(m):
         assert permutation_group_order([rotation, *scalings]) == m * (m - 1)
 
 
+def _order_by_recognition(perms) -> int:
+    """The uncached `_group_order_cached`: recognition, then Schreier-Sims."""
+    return invariants._group_order_cached.__wrapped__(tuple(sorted({p.images for p in perms})))
+
+
+def _order_by_schreier_sims(perms) -> int:
+    return invariants._schreier_sims_order([tuple(v - 1 for v in p.images) for p in perms])
+
+
+def _recognised(perms) -> bool:
+    return invariants._symmetric_order([tuple(v - 1 for v in p.images) for p in perms]) is not None
+
+
+def _full_or_transpositions(rng: random.Random, m: int) -> list[Permutation]:
+    """1-4 generators of degree m, each a random permutation or a product
+    of 1-4 random transpositions."""
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        if m < 2 or rng.random() < 0.5:
+            gens.append(Permutation(tuple(rng.sample(range(1, m + 1), m))))
+        else:
+            g = Permutation(tuple(range(1, m + 1)))
+            for _ in range(rng.randint(1, 4)):
+                g = g.then(_cycle(m, rng.sample(range(1, m + 1), 2)))
+            gens.append(g)
+    return gens
+
+
+def _check_recognition(rng: random.Random, sets: int, degrees: range, oracle) -> tuple[int, int]:
+    """Checks that orders of random `_full_or_transpositions` sets equal the
+    oracle's; returns how many sets generate S_n or A_n, and how many are
+    recognised."""
+    full = recognised = 0
+    for _ in range(sets):
+        m = rng.choice(degrees)
+        gens = _full_or_transpositions(rng, m)
+        order = oracle(gens)
+        assert _order_by_recognition(gens) == order, gens
+        full += order in (math.factorial(m), math.factorial(m) // 2)
+        recognised += _recognised(gens)
+    return full, recognised
+
+
+def test_recognition_matches_schreier_sims_at_degrees_9_to_40():
+    full, recognised = _check_recognition(random.Random(39), 80, range(9, 41), _order_by_schreier_sims)
+    assert recognised >= 0.8 * full >= 24
+
+
+def test_recognition_matches_the_bfs_oracle_at_degrees_1_to_7():
+    # below degree 8 a lone 5- or 7-cycle is too long for Jordan's theorem
+    full, recognised = _check_recognition(random.Random(40), 300, range(1, 8),
+                                          lambda gens: group_order_bfs([g.images for g in gens]))
+    assert recognised >= 0.6 * full >= 90
+
+
+@pytest.mark.parametrize("images, order, recognised", [
+    ([(1,)], 1, False),
+    ([(1, 2)], 1, False),
+    ([(2, 1)], 2, True),  # S_2: one 2-cycle
+    ([(1, 2, 3)], 1, False),
+    ([(2, 1, 3)], 2, False),  # intransitive
+    ([(2, 3, 1)], 3, True),  # A_3: one 3-cycle
+    ([(2, 3, 1), (2, 1, 3)], 6, True),
+    ([(3, 2, 1), (1, 3, 2)], 6, True),
+])
+def test_recognition_at_degrees_1_to_3(images, order, recognised):
+    gens = [Permutation(p) for p in images]
+    assert _order_by_recognition(gens) == group_order_bfs(images) == order
+    assert _recognised(gens) == recognised
+
+
+def _three_letter_system(m: int) -> BraidSystem:
+    """2m random 3-letter words of degree m, seed 5: full S_m monodromy."""
+    rng = random.Random(5)
+    words = [",".join(str(rng.choice((1, -1)) * rng.randint(1, m - 1)) for _ in range(3))
+             for _ in range(2 * m)]
+    return BraidSystem.from_texts(m, words)
+
+
+def test_schreier_sims_runs_only_when_recognition_fails(monkeypatch):
+    runs = []
+    schreier_sims = invariants._schreier_sims_order
+    monkeypatch.setattr(invariants, "_schreier_sims_order", lambda gens: runs.append(gens) or schreier_sims(gens))
+    artin = [_cycle(12, [i, i + 1]) for i in range(1, 12)]
+    # each component is three transpositions, so odd, and the group is S_64
+    system = [permutation(c) for c in _three_letter_system(64).components]
+    three_cycles = [_cycle(9, [1, 2, k]) for k in range(3, 10)]
+    assert _order_by_recognition(artin) == math.factorial(12)
+    assert _order_by_recognition(system) == math.factorial(64)
+    assert _order_by_recognition(three_cycles) == math.factorial(9) // 2
+    assert runs == []
+    # each breaks one condition: S_2 wr S_4 holds (1 2) but keeps the blocks
+    # {1, 2}, {3, 4}, ...; AGL(1, 7) is primitive, but its only lone prime
+    # cycle is a 7-cycle, and 7 > 7 - 3; (1 2) with (4 5 6) is intransitive;
+    # D_8 has no lone prime cycle
+    wreath = [_cycle(8, [1, 2]), _cycle(8, [1, 3, 5, 7]).then(_cycle(8, [2, 4, 6, 8])),
+              _cycle(8, [1, 3]).then(_cycle(8, [2, 4]))]
+    agl = [_cycle(7, list(range(1, 8)))] + [
+        Permutation(tuple(a * x % 7 + 1 for x in range(7))) for a in range(2, 7)]
+    intransitive = [_cycle(6, [1, 2]), _cycle(6, [4, 5, 6])]
+    dihedral = [_cycle(8, list(range(1, 9))), Permutation(tuple(range(8, 0, -1)))]
+    for gens, order in ((wreath, 2**4 * 24), (agl, 42), (intransitive, 6), (dihedral, 16)):
+        runs.clear()
+        assert _order_by_recognition(gens) == order
+        assert len(runs) == 1
+
+
 def test_system_invariants_full_symmetric_monodromy_at_degree_12():
     # the 11 Artin generators: monodromy S_12, far past what listing the group allows
     s = BraidSystem.from_texts(12, [str(i) for i in range(1, 12)])
