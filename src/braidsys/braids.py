@@ -208,7 +208,7 @@ def _lw_fix_dual(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...
     return tuple(_tup_inverse([ai[k] for k in order])), tuple([b[k] for k in order]), True
 
 
-# A slot of `_Codebook.table` that no comb has read yet.
+# A slot of `_Codebook.table` that no product has read yet.
 _UNFILLED = object()
 
 
@@ -220,15 +220,15 @@ class _Codebook:
     braids (0 the identity, n - 1 the half twist), and flip and left
     complement are tables by number.  The pair fixes live in one flat list
     of n**2 slots: slot a*n + b holds None when the pair (a, b) is
-    left-weighted already, else the fixed pair of codes.  The comb reads
-    the slot inline and fills it from `fix` the first time it reads it.
-    The table is not filled eagerly: a full degree-5 table is 14,400 pair
-    fixes, the cost of many short orbit searches, and every cache clear
-    starts it over.  Above degree 5 pairs rarely repeat, so the image
-    tuple is its own code and the comb calls `fix` on it directly;
-    nothing is numbered or memoised.  `fix` is the pair fix on image
-    tuples at every degree.  `_book` builds one codebook per degree on
-    first use, so emptying its cache empties the tables too.
+    left-weighted already, else the fixed pair of codes.  `mul` walks the
+    table itself, reading a slot inline and filling it from `fix` the
+    first time it reads it.  The table is not filled eagerly: a full
+    degree-5 table is 14,400 pair fixes, the cost of many short orbit
+    searches, and every cache clear starts it over.  Above degree 5 pairs
+    rarely repeat, so the image tuple is its own code and `comb` calls
+    `fix` on it directly; nothing is numbered or memoised.  `fix` is the
+    pair fix on image tuples at every degree.  `_book` builds one codebook
+    per degree on first use, so emptying its cache empties the tables too.
 
     Every product of forms is one `mul` call: a word's pieces, the check
     that a JSON form is a normal form, the orbit search's moves and
@@ -276,8 +276,9 @@ class _Codebook:
             codes = tuple(map(self.images.__getitem__, codes))
         return NormalForm(self.degree, infimum, codes)
 
-    def comb(self, facs: list, codes) -> None:
-        """Append each code to the left-weighted list `facs`, combing it back.
+    def comb(self, facs: list, tuples) -> None:
+        """Append each image tuple to the left-weighted list `facs`, combing
+        it back; the comb above degree 5, where no table holds the fixes.
 
         After an append only the new last pair can fail to be left-weighted.
         Fixing a pair leaves it left-weighted, and by the domino rule the
@@ -291,59 +292,32 @@ class _Codebook:
         In a left-weighted list an identity factor is followed only by
         identities, and a factor combed back through them comes out unchanged
         in front of them, so trailing identities are dropped before each
-        append (`strip` would drop them anyway).
+        append (`mul` would strip them anyway).
 
-        Above degree 5, where no table holds the fixes, a pair with a half
-        twist makes no pair fix: (Delta, b) is left-weighted, as Delta is the
-        largest simple element, and (a, Delta) becomes (Delta, tau(a)) by one
-        flip, since a Delta = Delta tau(a).  `fix` of such a pair would give
-        the same, after up to m(m-1)/2 transfers.
+        A pair with a half twist makes no pair fix: (Delta, b) is
+        left-weighted, as Delta is the largest simple element, and (a, Delta)
+        becomes (Delta, tau(a)) by one flip, since a Delta = Delta tau(a).
+        `fix` of such a pair would give the same, after up to m(m-1)/2
+        transfers.
         """
-        ident, table, fix = self.ident, self.table, self.fix
-        if table is None:
-            delta, flip = self.delta, self.flip
-        n, fill, unfilled = len(self.images), self.fill, _UNFILLED
-        for y in codes:
+        ident, delta, flip, fix = self.ident, self.delta, self.flip, self.fix
+        for y in tuples:
             while facs and facs[-1] == ident:
                 facs.pop()
             facs.append(y)
             j = len(facs) - 2
-            if table is None:
-                while j >= 0:
-                    a, b = facs[j], facs[j + 1]
-                    if a == delta:  # left-weighted, whatever b is
-                        break
-                    if b == delta:  # a Delta = Delta tau(a)
-                        a, b = delta, flip(a)
-                    else:
-                        a, b, moved = fix(a, b)
-                        if not moved:
-                            break
-                    facs[j], facs[j + 1] = a, b
-                    j -= 1
-                continue
-            # y is the code bound for facs[j + 1], written there once the comb stops
             while j >= 0:
-                k = facs[j] * n + y
-                fixed = table[k]
-                if fixed is None:
+                a, b = facs[j], facs[j + 1]
+                if a == delta:  # left-weighted, whatever b is
                     break
-                if fixed is unfilled:
-                    fixed = fill(k)
-                    if fixed is None:
+                if b == delta:  # a Delta = Delta tau(a)
+                    a, b = delta, flip(a)
+                else:
+                    a, b, moved = fix(a, b)
+                    if not moved:
                         break
-                y, facs[j + 1] = fixed
+                facs[j], facs[j + 1] = a, b
                 j -= 1
-            facs[j + 1] = y
-
-    def strip(self, facs: list) -> tuple[int, tuple]:
-        """(leading half twists, the codes between them and the trailing identities)."""
-        lo, hi = 0, len(facs)
-        while lo < hi and facs[lo] == self.delta:
-            lo += 1
-        while lo < hi and facs[hi - 1] == self.ident:
-            hi -= 1
-        return lo, tuple(facs[lo:hi])
 
     def mul(self, x: tuple[int, tuple], *rest: tuple[int, tuple]) -> tuple[int, tuple]:
         """The form of the product of x and the forms in `rest`, left to right.
@@ -351,24 +325,55 @@ class _Codebook:
         The one routine that combs forms together.  By Delta^p X Delta^q Y
         = Delta^(p+q) tau^q(X) Y, tau the flip (a Garside automorphism), a
         form's codes are flipped once, when the infima after it sum to an
-        odd number.  x's codes start the list, left-weighted already; the
-        later forms' codes are combed on in one `comb` call, and the list is
-        stripped once at the end.
+        odd number.  x's codes start the list, left-weighted already, and
+        the later forms' codes are combed on, as `comb` does: at degree <= 5
+        by the walk of the pair table below, which reads a slot inline and
+        fills it from `fix` the first time it reads it, above degree 5 by
+        one `comb` call.  The list is stripped of its leading half twists
+        and trailing identities once at the end.
         """
         p, xs = x
         odd = 0
         for q, _ in rest:
             odd ^= q & 1
             p += q
-        flip = self.flip
+        flip, table = self.flip, self.table
         facs = list(map(flip, xs)) if odd else list(xs)
-        codes: list = []
-        for q, ys in rest:
-            odd ^= q & 1
-            codes += map(flip, ys) if odd else ys
-        self.comb(facs, codes)
-        shift, norm = self.strip(facs)
-        return p + shift, norm
+        if table is None:
+            tuples: list = []
+            for q, ys in rest:
+                odd ^= q & 1
+                tuples += map(flip, ys) if odd else ys
+            self.comb(facs, tuples)
+        else:
+            n, fill, unfilled = len(self.images), self.fill, _UNFILLED
+            for q, ys in rest:
+                odd ^= q & 1
+                for y in map(flip, ys) if odd else ys:
+                    while facs and not facs[-1]:  # code 0 is the identity
+                        facs.pop()
+                    # y is the code bound for facs[j + 1], written there once the comb stops
+                    j = len(facs) - 1
+                    facs.append(y)
+                    while j >= 0:
+                        k = facs[j] * n + y
+                        fixed = table[k]
+                        if fixed is None:
+                            break
+                        if fixed is unfilled:
+                            fixed = fill(k)
+                            if fixed is None:
+                                break
+                        y, facs[j + 1] = fixed
+                        j -= 1
+                    facs[j + 1] = y
+        ident, delta = self.ident, self.delta
+        lo, hi = 0, len(facs)
+        while lo < hi and facs[lo] == delta:
+            lo += 1
+        while lo < hi and facs[hi - 1] == ident:
+            hi -= 1
+        return p + lo, tuple(facs[lo:hi])
 
     def inverse(self, x: tuple[int, tuple]) -> tuple[int, tuple]:
         """The form of x^{-1}: Delta^{-1} c_k ... Delta^{-1} c_1 Delta^{-p} for the left
@@ -609,10 +614,17 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        check_degree(self.degree)
-        for k in self.letters:
-            if k == 0 or abs(k) > self.degree - 1:
-                raise ValueError(f"letter {k} out of range for degree {self.degree}")
+        d, letters = self.degree, self.letters
+        if type(d) is not int:  # a bool is no int here, as in IntPolynomial
+            raise TypeError(f"degree {d!r} is a {type(d).__name__}, not an int")
+        check_degree(d)
+        # one plain loop: min, max, `0 in` and a set of the letters' types over
+        # the tuple took 1.4-3.6x its time at 3 to 1,000 letters (Python 3.11)
+        for k in letters:
+            if type(k) is not int:
+                raise TypeError(f"letter {k!r} is a {type(k).__name__}, not an int")
+            if k == 0 or abs(k) >= d:
+                raise ValueError(f"letter {k} out of range for degree {d}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -711,7 +723,15 @@ def exponent_sum(b: BraidWord) -> int:
 
 
 def normal_form(b: BraidWord) -> NormalForm:
-    """Left Garside normal form of the braid represented by the word.
+    """Left Garside normal form of the braid represented by the word: the
+    codebook form of `_word_form`, decoded once.  A word of L letters
+    costs O(L^2) pair fixes at a fixed degree."""
+    return _book(b.degree).normal_form(_word_form(b))
+
+
+def _word_form(b: BraidWord) -> tuple[int, tuple]:
+    """The codebook form (infimum, codes) of the word's normal form, which
+    the orbit search interns without building a `NormalForm`.
 
     The word is cut into pieces, runs of same-sign letters whose product
     is one permutation braid s, and `_Codebook.mul` gets one form per
@@ -761,7 +781,7 @@ def normal_form(b: BraidWord) -> NormalForm:
     book = _book(m)
     forms = [(0, (c,)) if si is not None else book.inverse((0, (c,)))
              for c, si in zip(book.encode(map(tuple, pieces)), invs)]
-    return book.normal_form(book.mul((0, ()), *forms))
+    return book.mul((0, ()), *forms)
 
 
 def is_identity(b: BraidWord) -> bool:

@@ -27,6 +27,12 @@ class HurwitzMove(JsonCodec):
     index: int
     inverse: bool = False
 
+    def __post_init__(self):
+        if type(self.index) is not int:  # HurwitzMove(True) would move pair 1
+            raise TypeError(f"move index {self.index!r} is a {type(self.index).__name__}, not an int")
+        if type(self.inverse) is not bool:
+            raise TypeError(f"move inverse {self.inverse!r} is not a bool")
+
     def __str__(self) -> str:
         return f"H {self.index} {'-' if self.inverse else '+'}"
 

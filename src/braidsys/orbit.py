@@ -62,8 +62,9 @@ class _Interner:
     form once a move has needed it.  A state of n components packs
     component j's number into bits [j*width, (j+1)*width).  The start and
     the target take at most 2n numbers, and each of the at most 2(n-1)
-    moves computed for each of at most max_states expanded states at most
-    two more, so every number is below 2n + 4(n-1)*max_states < 2**width."""
+    moves computed for each of at most max_states expanded states one
+    more, the one form the move made, so every number is below
+    2n + 2(n-1)*max_states < 2**width."""
 
     def __init__(self, s: BraidSystem, limits: OrbitLimits):
         self.book = braids._book(s.degree)
@@ -73,7 +74,7 @@ class _Interner:
         self.inverses: list = []
         self.max_length = limits.max_component_canonical_length
         n = len(s)
-        self.width = (2 * n + 4 * (n - 1) * limits.max_states).bit_length()
+        self.width = (2 * n + 2 * (n - 1) * limits.max_states).bit_length()
         self.shifts = range(0, n * self.width, self.width)
 
     def __call__(self, form) -> int:
@@ -95,8 +96,10 @@ class _Interner:
         mask = (1 << self.width) - 1
         return [(state >> shift) & mask for shift in self.shifts]
 
-    def pack(self, normal_forms) -> int:
-        return sum(self(self.book.form(nf)) << shift for shift, nf in zip(self.shifts, normal_forms))
+    def pack(self, s: BraidSystem) -> int:
+        """The state of a system, each component interned from the codebook
+        form of its word, with no `NormalForm` built."""
+        return sum(self(braids._word_form(c)) << shift for shift, c in zip(self.shifts, s.components))
 
     def unpack(self, state: int) -> tuple:
         return tuple(self.book.normal_form(self.forms[k]) for k in self.ids_of(state))
@@ -118,52 +121,67 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, intern: _Interner, target: int | N
     A move changes only the pair it acts on, and normal forms are
     canonical, so each (pair, direction) is computed at most once per
     search, by `hurwitz_move_codes` with `_Codebook.mul` on the pair's
-    codebook forms and the inverses `intern` memoises; (a, b) -> (c, d)
-    also records the opposite move (c, d) -> (a, b), which undoes it.
-    The memo, keyed by 2*pair + inverse, holds the change to the packed
-    pair and whether both new forms are within the canonical-length
-    limit.  The start is never cut by that limit, so if it holds a longer
-    form every new state is checked whole.  The memo dies with the search.
+    codebook forms and the inverses `intern` memoises.  One of the two
+    new forms is a form of the pair, so only the other is interned.  The
+    memo is keyed by the packed pair, one dict lookup per pair of an
+    expanded state, and holds [forward, undo]: for each direction the
+    change to the packed pair and whether both new forms are within the
+    canonical-length limit, None until computed.  (a, b) -> (c, d) also
+    fills the opposite slot of (c, d)'s entry, the move back to (a, b),
+    if it is empty; for equal components (c, d) is (a, b), so that is the
+    other slot of the same entry, and for commuting ones it is (b, a)'s
+    entry.  The start is never cut by that
+    limit, so if it holds a longer form every new state is checked whole.
+    The memo dies with the search.
     """
-    start = intern.pack(s.normal_forms())
+    start = intern.pack(s)
     parents: dict = {start: None}
     if start == target:
         return parents, "target_found", None
-    width, short = intern.width, intern.short
-    mask2 = (1 << 2 * width) - 1
-    moves = [(width * (i - 1), inv, HurwitzMove(i, inv)) for i in range(1, len(s)) for inv in (False, True)]
+    width, short, forms, inverse = intern.width, intern.short, intern.forms, intern.inverse
+    low, mask2, max_states = (1 << width) - 1, (1 << 2 * width) - 1, limits.max_states
+    pairs = [(width * (i - 1), ((False, HurwitzMove(i, False)), (True, HurwitzMove(i, True))))
+             for i in range(1, len(s))]
     start_short = all(map(short.__getitem__, intern.ids_of(start)))
-    mul, forms = intern.book.mul, intern.forms
-    moved: dict = {}  # 2*pair + inverse -> (change to the pair, both new forms short)
+    mul = intern.book.mul
+    moved: dict = {}  # packed pair -> [forward, undo], each (change to the pair, both new forms short)
     frontier, depth, truncated = [start], 0, False
     while frontier:
         if depth >= limits.max_depth:
             return parents, "truncated", None
         found = []
         for state in frontier:
-            for shift, inv, move in moves:
+            for shift, directions in pairs:
                 pair = (state >> shift) & mask2
-                hit = moved.get(2 * pair + inv)
-                if hit is None:
-                    b, a = divmod(pair, 1 << width)
-                    c, d = hurwitz_move_codes(mul, forms[a], forms[b], inv, intern.inverse(a if inv else b))
-                    c, d = intern(c), intern(d)
-                    new = c | (d << width)
-                    hit = moved[2 * pair + inv] = (new - pair, short[c] and short[d])
-                    moved.setdefault(2 * new + (not inv), (pair - new, short[a] and short[b]))
-                delta, ok = hit
-                nxt = state + (delta << shift)
-                if nxt in parents:
-                    continue
-                if len(parents) >= limits.max_states:
-                    return parents, "truncated", None
-                if not (ok and (start_short or all(map(short.__getitem__, intern.ids_of(nxt))))):
-                    truncated = True
-                    continue
-                parents[nxt] = (state, move)
-                if nxt == target:
-                    return parents, "target_found", None
-                found.append(nxt)
+                entry = moved.get(pair)
+                if entry is None:
+                    entry = moved[pair] = [None, None]
+                for inv, move in directions:
+                    hit = entry[inv]
+                    if hit is None:
+                        a, b = pair & low, pair >> width
+                        c, d = hurwitz_move_codes(mul, forms[a], forms[b], inv, inverse(a if inv else b))
+                        c, d = (intern(c), a) if inv else (b, intern(d))
+                        new = c | (d << width)
+                        hit = entry[inv] = (new - pair, short[c] and short[d])
+                        back = moved.get(new)  # entry itself when new == pair
+                        if back is None:
+                            back = moved[new] = [None, None]
+                        if back[not inv] is None:
+                            back[not inv] = (pair - new, short[a] and short[b])
+                    delta, ok = hit
+                    nxt = state + (delta << shift)
+                    if nxt in parents:
+                        continue
+                    if len(parents) >= max_states:
+                        return parents, "truncated", None
+                    if not (ok and (start_short or all(map(short.__getitem__, intern.ids_of(nxt))))):
+                        truncated = True
+                        continue
+                    parents[nxt] = (state, move)
+                    if nxt == target:
+                        return parents, "target_found", None
+                    found.append(nxt)
         frontier = found
         depth += 1
     return (parents, "truncated", None) if truncated else (parents, "complete", depth - 1)
@@ -186,7 +204,7 @@ def hurwitz_orbit(
     if target is not None and (target.degree != s.degree or len(target) != len(s)):
         raise ValueError("target must have the same degree and length as the source")
     intern = _Interner(s, limits)
-    target_key = intern.pack(target.normal_forms()) if target is not None else None
+    target_key = intern.pack(target) if target is not None else None
     parents, status, depth = _bfs(s, limits, intern, target_key)
     return OrbitResult(status, len(parents),
                        witness=_witness(parents, target_key) if status == "target_found" else None,
@@ -225,7 +243,13 @@ def find_conjugator(b: BraidWord, target: BraidWord, max_length: int = 4) -> Bra
     letters, and there are at most (2(m - 1))^L nodes at depth L.  `parents` records each new form
     with (its parent form, the letter), so `_witness` spells the first word
     found, the same witness as a word-by-word BFS that dedups by normal form.
+    A max_length that is not an int raises TypeError, a negative one
+    ValueError: neither may read as a search that found nothing.
     """
+    if type(max_length) is not int:  # True would run one depth
+        raise TypeError(f"max_length {max_length!r} is a {type(max_length).__name__}, not an int")
+    if max_length < 0:
+        raise ValueError(f"max_length must be >= 0, got {max_length}")
     braids.check_same_degree(b.degree, target.degree)
     m = b.degree
     b_nf, target_nf = braids.normal_form(b), braids.normal_form(target)

@@ -89,6 +89,35 @@ def test_braid_word_validation():
     assert BraidWord(1).letters == ()
 
 
+@pytest.mark.parametrize("degree, letters, message", [
+    (4, (1, 0, 2), "letter 0 out of range for degree 4"),
+    (4, (1, -2, 4), "letter 4 out of range for degree 4"),
+    (4, (-4, 9), "letter -4 out of range for degree 4"),  # the first bad letter is named
+    (1, (1,), "letter 1 out of range for degree 1"),
+    (512, (511, -511, 512), "letter 512 out of range for degree 512"),
+])
+def test_braid_word_names_the_first_letter_out_of_range(degree, letters, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        BraidWord(degree, letters)
+
+
+@pytest.mark.parametrize("degree, letters, message", [
+    # a float or a bool used to pass the check: the float failed deep in
+    # `permutation`, and True stood for the letter or degree 1
+    (4, (1.0,), "letter 1.0 is a float, not an int"),
+    (4, (1, -2, True), "letter True is a bool, not an int"),
+    (4, (2, "1"), "letter '1' is a str, not an int"),
+    (4, (0, 1.5), "letter 0 out of range for degree 4"),  # the first bad letter is named
+    (True, (), "degree True is a bool, not an int"),
+    (4.0, (1,), "degree 4.0 is a float, not an int"),
+    ("4", (), "degree '4' is a str, not an int"),
+])
+def test_braid_word_letters_and_degree_must_be_ints(degree, letters, message):
+    error = ValueError if "range" in message else TypeError
+    with pytest.raises(error, match=rf"^{re.escape(message)}$"):
+        BraidWord(degree, letters)
+
+
 @pytest.mark.parametrize("word, text", [(BraidWord(3), "<empty>"), (BraidWord(3, (1, -2)), "1,-2")])
 def test_braid_word_str(word, text):
     assert str(word) == text
@@ -284,10 +313,17 @@ def test_normal_form_factors_are_left_weighted():
 
 def _combed(m, facs, strip_only=False):
     """(half-twist shift, image tuples) of the codebook's comb of an image
-    tuple list, or of its strip alone."""
+    tuple list, or of its strip alone: its leading half twists counted and
+    its trailing identities dropped."""
+    if strip_only:
+        lo, hi = 0, len(facs)
+        while lo < hi and facs[lo] == tuple(range(m, 0, -1)):
+            lo += 1
+        while lo < hi and facs[hi - 1] == tuple(range(1, m + 1)):
+            hi -= 1
+        return lo, tuple(facs[lo:hi])
     book = _book(m)
-    codes = list(book.encode(facs))
-    nf = book.normal_form(book.strip(codes) if strip_only else book.mul((0, ()), (0, codes)))
+    nf = book.normal_form(book.mul((0, ()), (0, book.encode(facs))))
     return nf.infimum, nf.factors
 
 

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 
 import pytest
 
@@ -62,6 +63,20 @@ def test_hurwitz_move_index_bounds(bvec):
         hurwitz_move(bvec, HurwitzMove(0))
     with pytest.raises(ValueError):
         hurwitz_move(bvec, HurwitzMove(4))
+
+
+@pytest.mark.parametrize("args, message", [
+    # True used to move pair 1, and 1.0 failed inside hurwitz_move
+    ((True,), "move index True is a bool, not an int"),
+    ((1.0,), "move index 1.0 is a float, not an int"),
+    (("1",), "move index '1' is a str, not an int"),
+    ((1, 1), "move inverse 1 is not a bool"),
+    ((1, None), "move inverse None is not a bool"),
+])
+def test_hurwitz_move_fields_are_checked_by_type(args, message):
+    with pytest.raises(TypeError, match=rf"^{re.escape(message)}$"):
+        HurwitzMove(*args)
+    assert HurwitzMove(1, True).inverse is True and HurwitzMove(2).inverse is False
 
 
 def test_exponent_shadow_single_move(bvec, bpvec):

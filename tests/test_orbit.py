@@ -187,6 +187,48 @@ def test_orbit_computes_each_move_once_per_pair(monkeypatch):
     assert computed == first
 
 
+def test_orbit_memo_edge_cases_match_unmemoised_oracle(monkeypatch):
+    # the memo holds [forward, undo] per packed pair, whatever its position
+    x, y = normal_form(parse_word("1", 4)), normal_form(parse_word("3", 4))
+    for inverse in (False, True):
+        # equal components: the move maps the pair to itself, so its undo
+        # lands in the other slot of its own entry
+        assert hurwitz_move_nf((x, x), HurwitzMove(1, inverse)) == (x, x)
+        # commuting components: the move swaps the pair
+        assert hurwitz_move_nf((x, y), HurwitzMove(1, inverse)) == (y, x)
+    systems = [
+        (4, ["1", "1", "1"]),
+        (4, ["1", "1", "2"]),
+        (4, ["2", "2", "-2"]),
+        (4, ["1", "3", "1", "3"]),
+        (4, ["1", "3", "3", "1"]),
+        # one component at several positions: one entry serves several pairs
+        (4, ["1,2", "3", "1,2", "3", "1,2"]),
+        (4, ["-1", "2", "-1", "2", "-1"]),
+    ]
+    limits = [OrbitLimits(max_states=300), OrbitLimits(max_states=6), OrbitLimits(max_states=40),
+              OrbitLimits(max_depth=2), OrbitLimits(max_states=300, max_component_canonical_length=1)]
+    computed = []
+    monkeypatch.setattr(braidsys.orbit, "hurwitz_move_codes", _recording(computed))
+    statuses = set()
+    for m, texts in systems:
+        s = BraidSystem.from_texts(m, texts)
+        target = s
+        for move in (HurwitzMove(1), HurwitzMove(len(s) - 1, True), HurwitzMove(1)):
+            target = hurwitz_move(target, move)
+        for lims in limits:
+            states = orbit_bfs_plain(s, lims)[1]
+            for tgt in (None, target):
+                computed.clear()
+                res = orbit_bfs_plain(s, lims, tgt)[0]
+                assert hurwitz_orbit(s, lims, tgt) == res, (texts, lims, tgt)
+                # each (pair, direction) is computed once, at whatever position
+                assert len(set(computed)) == len(computed), (texts, lims, tgt)
+                statuses.add(res.status)
+            assert list(orbit_states(s, lims)) == states, (texts, lims)
+    assert statuses == {"complete", "truncated", "target_found"}
+
+
 def _random_search(rng, m=None):
     if m is None:
         m = rng.randint(2, 5)
@@ -272,7 +314,7 @@ def test_interned_forms_fit_the_packed_field_width(monkeypatch):
         hurwitz_orbit(s, lims, target)
         (intern,) = interners
         n = len(s)
-        assert len(intern.forms) <= 2 * n + 4 * (n - 1) * lims.max_states < 2 ** intern.width
+        assert len(intern.forms) <= 2 * n + 2 * (n - 1) * lims.max_states < 2 ** intern.width
 
 
 def test_bfs_is_deterministic():
@@ -308,6 +350,22 @@ def test_find_conjugator_reference_pair():
     assert find_conjugator(parse_word("1,2,-3", 4), parse_word("1,-2,3", 4), max_length=3) is None
     with pytest.raises(ValueError, match=r"^degree mismatch: 3 vs 4$"):
         find_conjugator(parse_word("1", 3), parse_word("1", 4))
+
+
+@pytest.mark.parametrize("max_length, error, message", [
+    # a negative bound used to return None, "not found within the bound",
+    # and True ran one depth
+    (-1, ValueError, "max_length must be >= 0, got -1"),
+    (True, TypeError, "max_length True is a bool, not an int"),
+    (2.0, TypeError, "max_length 2.0 is a float, not an int"),
+    (None, TypeError, "max_length None is a NoneType, not an int"),
+])
+def test_find_conjugator_checks_its_bound(max_length, error, message):
+    b, target = parse_word("1", 3), parse_word("2", 3)
+    with pytest.raises(error, match=rf"^{re.escape(message)}$"):
+        find_conjugator(b, target, max_length)
+    assert find_conjugator(b, target, 0) is None  # a zero bound searches no depth
+    assert find_conjugator(b, b, 0) == BraidWord(3)
 
 
 def test_find_conjugator_returns_none_on_differing_conjugacy_types(monkeypatch):
@@ -346,6 +404,10 @@ def test_find_conjugator_matches_the_word_bfs():
         b = random_word(rng, m, 6, min_len=1)
         target = conjugate(b, random_word(rng, m, 3, min_len=1)) if rng.random() < 0.7 else random_word(rng, m, 6)
         max_length = rng.randint(-1, 4)
+        if max_length < 0:  # a negative bound is an error, not a search that found nothing
+            with pytest.raises(ValueError, match=r"^max_length must be >= 0, got -1$"):
+                find_conjugator(b, target, max_length)
+            continue
         got, want = (f(b, target, max_length) for f in (find_conjugator, oracles.find_conjugator_words))
         assert (got is None, got and got.letters) == (want is None, want and want.letters), (b, target, max_length)
 
