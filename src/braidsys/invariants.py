@@ -57,17 +57,31 @@ class BraidInvariantReport(JsonCodec):
 
 @dataclass(frozen=True)
 class BraidSystem:
-    """An ordered tuple of braid words sharing one degree."""
+    """An ordered tuple of braid words sharing one degree.
+
+    The components are stored as a tuple, whatever iterable they come in,
+    so a system never changes after it is built.  Their normal forms are
+    computed at most once, on the first `normal_forms()`; a move that has
+    computed the forms of the system it returns hands them on to it (see
+    `moves`).  The forms are no field: equality, hashing and the JSON
+    encoding read the degree and the words alone.
+    """
 
     degree: int
     components: tuple[BraidWord, ...]
 
     def __post_init__(self):
+        d = self.degree
+        if type(d) is not int:  # a bool is no int here, as in BraidWord
+            raise TypeError(f"system degree {d!r} is a {type(d).__name__}, not an int")
+        object.__setattr__(self, "components", tuple(self.components))
         if not self.components:
             raise ValueError("a braid system needs at least one component")
         for c in self.components:
-            if c.degree != self.degree:
-                raise ValueError(f"component degree {c.degree} != system degree {self.degree}")
+            if not isinstance(c, BraidWord):
+                raise TypeError(f"component {c!r} is a {type(c).__name__}, not a BraidWord")
+            if c.degree != d:
+                raise ValueError(f"component degree {c.degree} != system degree {d}")
 
     def __len__(self) -> int:
         return len(self.components)
@@ -75,8 +89,13 @@ class BraidSystem:
     def trace_product(self) -> BraidWord:
         return BraidWord(self.degree, tuple(k for c in self.components for k in c.letters))
 
-    def normal_forms(self) -> tuple[NormalForm, ...]:
+    @functools.cached_property
+    def _forms(self) -> tuple[NormalForm, ...]:
+        # set by a move on the system it returns when it has the forms
         return tuple(braids.normal_form(c) for c in self.components)
+
+    def normal_forms(self) -> tuple[NormalForm, ...]:
+        return self._forms
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "components": [c.to_text() for c in self.components]}

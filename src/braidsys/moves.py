@@ -2,11 +2,23 @@
 Moves on braid systems: Hurwitz action, global conjugation,
 stabilization/destabilization, and Euler fusion/fission bookkeeping.
 
-All moves return new systems.  Conjugation makes stored words grow, so
-each move accepts simplify=True to re-expand the changed components from
-their normal forms followed by free reduction; no further shortening is
-attempted.  Canonical comparison always goes through normal forms, never
-through the stored words.
+All moves return new systems.  A system computes its components' normal
+forms at most once (`BraidSystem.normal_forms`).  A Hurwitz move, a
+global conjugation and a fusion compute the forms of the components they
+make as products of forms (`braids._nf_product`) and hand them to the
+system they return, so a run of moves normalises each component once.
+They do so when simplify is set or the input holds its forms already: a
+caller that reads only words normalises nothing more.  stabilize and
+destabilize hand on no forms, since the half twist of the new degree is
+another braid.
+
+Conjugation makes stored words grow, so hurwitz_move and
+global_conjugate accept simplify=True, which stores each conjugated
+component as the re-expansion of its normal form (`NormalForm.to_word`,
+freely reduced; the form is unique, so this is `canonical_word` of the
+literal word); else the literal word is stored, freely reduced.  No
+further shortening is attempted.  Canonical comparison always goes
+through normal forms, never through the stored words.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ import functools
 from dataclasses import dataclass
 
 from . import braids
-from .braids import BraidWord
+from .braids import BraidWord, NormalForm
 from .codec import JsonCodec
 from .invariants import BraidSystem, compare_systems, euler_move_needed
 
@@ -37,8 +49,17 @@ class HurwitzMove(JsonCodec):
         return f"H {self.index} {'-' if self.inverse else '+'}"
 
 
-def _maybe_simplify(word: BraidWord, simplify: bool) -> BraidWord:
-    return braids.canonical_word(word) if simplify else braids.free_reduce(word)
+def _held_forms(s: BraidSystem) -> tuple[NormalForm, ...] | None:
+    """The forms s has computed or been handed, else None."""
+    return vars(s).get("_forms")
+
+
+def _system(degree: int, comps: tuple[BraidWord, ...], forms) -> BraidSystem:
+    """The system of these words, holding `forms` as theirs unless None."""
+    s = BraidSystem(degree, comps)
+    if forms is not None:
+        object.__setattr__(s, "_forms", forms)  # as the report keeps its _trace_form
+    return s
 
 
 def _check_move_index(i: int, length: int) -> None:
@@ -49,18 +70,27 @@ def _check_move_index(i: int, length: int) -> None:
 def hurwitz_move(s: BraidSystem, move: HurwitzMove, simplify: bool = False) -> BraidSystem:
     """Replace (b_i, b_{i+1}) by (b_{i+1}, b_{i+1}^{-1} b_i b_{i+1}), or undo it.
 
-    The conjugated component is stored as the literal conjugation word
-    unless simplify is set: `hurwitz_move_codes` with the concatenation of
-    words for the product.
+    The moved pair's forms are `hurwitz_move_nf` of the pair's forms, which
+    the system returned holds; they are computed when simplify is set or s
+    holds its forms.  The conjugated component is stored as its form
+    re-expanded when simplify is set, else as the freely reduced
+    conjugation word (`hurwitz_move_codes` on words); the other component
+    of the pair is stored as it was.
     """
     i = move.index
     _check_move_index(i, len(s))
+    forms = s.normal_forms() if simplify else _held_forms(s)
+    if forms is not None:
+        forms = hurwitz_move_nf(forms, move)
     comps = list(s.components)
     a, b = comps[i - 1], comps[i]
-    comps[i - 1 : i + 1] = hurwitz_move_codes(
-        lambda *words: _maybe_simplify(functools.reduce(braids.product, words), simplify),
-        a, b, move.inverse, braids.inverse(a if move.inverse else b))
-    return BraidSystem(s.degree, tuple(comps))
+    if simplify:
+        comps[i - 1 : i + 1] = (forms[i - 1].to_word(), a) if move.inverse else (b, forms[i].to_word())
+    else:
+        comps[i - 1 : i + 1] = hurwitz_move_codes(
+            lambda *words: braids.free_reduce(functools.reduce(braids.product, words)),
+            a, b, move.inverse, braids.inverse(a if move.inverse else b))
+    return _system(s.degree, tuple(comps), forms)
 
 
 def hurwitz_move_nf(state, move: HurwitzMove):
@@ -101,12 +131,24 @@ def hurwitz_act(s: BraidSystem, beta: BraidWord, simplify: bool = False) -> Brai
 
 
 def global_conjugate(s: BraidSystem, a: BraidWord, simplify: bool = False) -> BraidSystem:
-    """Conjugate every component by the same braid."""
+    """Conjugate every component by the same braid: b -> a^{-1} b a.
+
+    When simplify is set or s holds its forms, a is normalised once and
+    each new form is the product of forms a^{-1} f a, which the system
+    returned holds.  A component is stored as its form re-expanded when
+    simplify is set, else as the freely reduced conjugation word.
+    """
     braids.check_same_degree(s.degree, a.degree)
-    return BraidSystem(
-        s.degree,
-        tuple(_maybe_simplify(braids.conjugate(c, a), simplify) for c in s.components),
-    )
+    forms = s.normal_forms() if simplify else _held_forms(s)
+    if forms is not None:
+        fa = braids.normal_form(a)
+        fa_inv = fa.inverse()
+        forms = tuple(braids._nf_product(fa_inv, f, fa) for f in forms)
+    if simplify:
+        comps = tuple(f.to_word() for f in forms)
+    else:
+        comps = tuple(braids.free_reduce(braids.conjugate(c, a)) for c in s.components)
+    return _system(s.degree, comps, forms)
 
 
 def stabilize(s: BraidSystem) -> BraidSystem:
@@ -146,7 +188,10 @@ def tau(b: BraidWord) -> int:
 
 
 def euler_fuse(s: BraidSystem, l: int, q: int) -> tuple[BraidSystem, bool]:
-    """Fuse components l..l+q into their product.
+    """Fuse components l..l+q into their product, stored as the literal
+    concatenation of their words.  When s holds its forms, the fused
+    component's form is the product of the pieces' forms, and the system
+    returned holds the forms.
 
     The returned flag reports whether tau of the product equals the sum
     of the tau values of the pieces; only then is the inverse fission a
@@ -160,7 +205,10 @@ def euler_fuse(s: BraidSystem, l: int, q: int) -> tuple[BraidSystem, bool]:
     fused = BraidSystem(s.degree, pieces).trace_product()
     tau_check = tau(fused) == sum(tau(p) for p in pieces)
     comps = s.components[: l - 1] + (fused,) + s.components[l + q :]
-    return BraidSystem(s.degree, comps), tau_check
+    forms = _held_forms(s)
+    if forms is not None:
+        forms = forms[: l - 1] + (braids._nf_product(*forms[l - 1 : l + q]),) + forms[l + q :]
+    return _system(s.degree, comps, forms), tau_check
 
 
 def euler_fission_check(whole: BraidWord, pieces) -> bool:

@@ -260,6 +260,42 @@ def test_braid_system_validation():
         BraidSystem(3, (BraidWord(4, (1,)),))
 
 
+def test_braid_system_holds_immutable_typed_values():
+    w = BraidWord(4, (1, -3))
+    # any iterable is stored as a tuple: the system cannot change under its
+    # forms, and it hashes
+    listed = [w, w]
+    s = BraidSystem(4, listed)
+    listed.append(BraidWord(4, (2,)))
+    assert s.components == (w, w) and s == BraidSystem(4, (w, w))
+    assert hash(s) == hash(BraidSystem(4, iter((w, w))))
+    for degree in (4.0, True, "4", None):
+        with pytest.raises(TypeError, match=rf"^system degree {re.escape(repr(degree))} is a "
+                                            rf"{type(degree).__name__}, not an int$"):
+            BraidSystem(degree, (BraidWord(1),))
+    for comp in ("1,2", (1, 2), normal_form(w)):
+        with pytest.raises(TypeError, match=rf"^component {re.escape(repr(comp))} is a "
+                                            rf"{type(comp).__name__}, not a BraidWord$"):
+            BraidSystem(4, (w, comp))
+    with pytest.raises(TypeError, match=r"^component '1' is a str, not a BraidWord$"):
+        BraidSystem(4, "1,2")
+
+
+def test_braid_system_forms_are_computed_once_and_are_no_field(monkeypatch):
+    s = BraidSystem.from_texts(4, ["1,2,-3", "3", "-3,2,3"])
+    calls = []
+    real = braids.normal_form
+    monkeypatch.setattr(braids, "normal_form", lambda b: calls.append(b) or real(b))
+    forms = s.normal_forms()
+    assert s.normal_forms() is forms and calls == list(s.components)
+    assert forms == tuple(map(real, s.components))
+    # equality, hashing, repr and the JSON encoding read the words alone
+    fresh = BraidSystem(s.degree, s.components)
+    assert fresh == s and hash(fresh) == hash(s) and repr(fresh) == repr(s)
+    assert fresh.to_json() == s.to_json()
+    assert [f.name for f in dataclasses.fields(BraidSystem)] == ["degree", "components"]
+
+
 def test_system_invariants_reference_pair():
     bvec = BraidSystem.from_texts(4, ["1,2,-3", "3", "-2", "-1"])
     rep = system_invariants(bvec)

@@ -9,16 +9,19 @@ from braidsys import (
     BraidWord,
     HurwitzMove,
     braids_equal,
+    canonical_word,
     conjugate,
     destabilize,
     euler_fission_check,
     euler_fuse,
     euler_necessity,
     exponent_sum,
+    free_reduce,
     generator,
     global_conjugate,
     hurwitz_act,
     hurwitz_move,
+    inverse,
     is_identity,
     normal_form,
     parse_word,
@@ -28,7 +31,9 @@ from braidsys import (
     tau,
 )
 
-from oracles import random_word
+from braidsys import braids, cli
+from braidsys.moves import hurwitz_move_codes
+from oracles import bubble_normal_form, random_word
 
 
 def components_equal(s1, s2):
@@ -94,9 +99,12 @@ def test_nf_move_agrees_with_word_move():
         m, n = rng.randint(2, 5), rng.randint(2, 4)
         s = BraidSystem(m, tuple(random_word(rng, m, 6) for _ in range(n)))
         move = HurwitzMove(rng.randint(1, n - 1), rng.random() < 0.5)
-        via_words = hurwitz_move(s, move).normal_forms()
+        # the forms of fresh systems of the moved words: a moved system holds
+        # forms that `hurwitz_move_nf` computed
+        via_words = BraidSystem(m, hurwitz_move(s, move).components).normal_forms()
         via_nf = hurwitz_move_nf(s.normal_forms(), move)
-        assert via_words == via_nf == hurwitz_move(s, move, simplify=True).normal_forms()
+        simplified = hurwitz_move(s, move, simplify=True).components
+        assert via_words == via_nf == BraidSystem(m, simplified).normal_forms()
     with pytest.raises(ValueError):
         hurwitz_move_nf(s.normal_forms(), HurwitzMove(n))
     mixed = (normal_form(parse_word("1", 3)), normal_form(parse_word("1", 4)))
@@ -114,8 +122,119 @@ def test_nf_move_agrees_with_word_move_beyond_the_code_tables(m):
         s = BraidSystem(m, tuple(random_word(rng, m, 6) for _ in range(n)))
         move = HurwitzMove(rng.randint(1, n - 1), rng.random() < 0.5)
         via_nf = hurwitz_move_nf(s.normal_forms(), move)
-        assert hurwitz_move(s, move).normal_forms() == via_nf
-        assert hurwitz_move(s, move, simplify=True).normal_forms() == via_nf
+        for simplify in (False, True):
+            moved = hurwitz_move(s, move, simplify=simplify)
+            assert BraidSystem(m, moved.components).normal_forms() == via_nf
+
+
+def _word_step(s, op, arg, simplify):
+    """The step's words as the moves spelled them by words alone: the
+    literal word, freely reduced, or with simplify its canonical word."""
+    spell = canonical_word if simplify else free_reduce
+    if op == "H":
+        a, b = s.components[arg.index - 1 : arg.index + 1]
+        pair = hurwitz_move_codes(lambda *ws: spell(functools.reduce(product, ws)), a, b,
+                                  arg.inverse, inverse(a if arg.inverse else b))
+        return s.components[: arg.index - 1] + pair + s.components[arg.index + 1 :]
+    if op == "GC":
+        return tuple(spell(conjugate(c, arg)) for c in s.components)
+    l, q = arg
+    return s.components[: l - 1] + (functools.reduce(product, s.components[l - 1 : l + q]),) \
+        + s.components[l + q :]
+
+
+def _random_step(rng, s):
+    """(op, arg) of a random step that s can take."""
+    m, n = s.degree, len(s)
+    ops = ["GC"] + ["H", "H", "FUSE"] * (n >= 2) + ["STAB"] * (m < 8 and n < 8) + ["DESTAB"] * (n >= 3)
+    op = rng.choice(ops)
+    if op == "H":
+        return op, HurwitzMove(rng.randint(1, n - 1), rng.random() < 0.5)
+    if op == "GC":
+        return op, random_word(rng, m, 3)
+    if op == "FUSE":
+        l = rng.randint(1, n - 1)
+        return op, (l, rng.randint(1, n - l))
+    return op, None
+
+
+def _take_step(s, op, arg, simplify):
+    if op == "H":
+        return hurwitz_move(s, arg, simplify=simplify)
+    if op == "GC":
+        return global_conjugate(s, arg, simplify=simplify)
+    if op == "FUSE":
+        return euler_fuse(s, *arg)[0]
+    return stabilize(s) if op == "STAB" else destabilize(s)
+
+
+@pytest.mark.parametrize("simplify", [False, True])
+def test_carried_forms_match_fresh_forms_and_the_bubble_oracle(simplify):
+    # the forms a moved system holds are those of a fresh system of its
+    # words, and at degree <= 4 those of the bubble-sort oracle; the words
+    # do not depend on whether the input held its forms
+    rng = random.Random(410 + simplify)
+    taken = {}
+    for _ in range(60):
+        m = rng.randint(1, 8)
+        s = BraidSystem(m, tuple(random_word(rng, m, 4) for _ in range(rng.randint(1, 5))))
+        for _ in range(8):
+            op, arg = _random_step(rng, s)
+            lazy = BraidSystem(s.degree, s.components)
+            try:
+                t = _take_step(s, op, arg, simplify)
+            except ValueError:  # a DESTAB that the components block
+                assert op == "DESTAB"
+                continue
+            taken[op] = taken.get(op, 0) + 1
+            if op in ("H", "GC", "FUSE"):
+                assert t.components == _word_step(s, op, arg, simplify), (op, arg)
+            from_lazy = _take_step(lazy, op, arg, simplify)
+            assert from_lazy == t
+            # forms are carried only if simplify computed them or s held them
+            assert ("_forms" in vars(from_lazy)) == (simplify and op in ("H", "GC"))
+            fresh = BraidSystem(t.degree, t.components).normal_forms()
+            assert t.normal_forms() == fresh, (op, arg)
+            if t.degree <= 4:
+                assert fresh == tuple(map(bubble_normal_form, t.components))
+            s = t
+    assert set(taken) == {"H", "GC", "FUSE", "STAB", "DESTAB"}, taken
+
+
+def _count_normal_form_calls(monkeypatch):
+    calls = []
+
+    def counted(b):
+        calls.append(b)
+        return real(b)
+
+    real = braids.normal_form
+    monkeypatch.setattr(braids, "normal_form", counted)
+    return calls
+
+
+def test_moves_on_held_forms_normalise_only_a_conjugator(monkeypatch, bvec):
+    bvec.normal_forms()
+    calls = _count_normal_form_calls(monkeypatch)
+    moved = hurwitz_move(bvec, HurwitzMove(2, True), simplify=True)
+    moved = hurwitz_move(moved, HurwitzMove(1), simplify=False)
+    fused, _ = euler_fuse(moved, 2, 2)
+    system_invariants(moved)
+    system_invariants(fused)
+    assert calls == []
+    a = parse_word("1,-2", 4)
+    system_invariants(global_conjugate(moved, a, simplify=True))
+    assert calls == [a]
+
+
+def test_apply_normalises_each_loaded_component_once(monkeypatch, tmp_path):
+    # the loaded system's forms, then none: each H step carries them on and
+    # its report reads them
+    path = tmp_path / "system.json"
+    path.write_text('{"degree": 4, "components": ["1,2,-3", "3", "-2", "-1"]}')
+    calls = _count_normal_form_calls(monkeypatch)
+    assert cli.main(["apply", "--system", str(path), "--steps", "H 1 + / H 3 - / H 2 +", "--json"]) == 0
+    assert [c.to_text() for c in calls] == ["1,2,-3", "3", "-2", "-1"]
 
 
 def test_trace_preserved_by_moves():

@@ -131,12 +131,13 @@ def test_orbit_result_json_roundtrip():
         assert braidsys.orbit.OrbitResult.from_json(res.to_json()) == res
 
 
-def _recording(keys):
-    """A spy on the search's move on codebook forms; it records each
-    computed (pair, direction) as (normal form, normal form, inverse)."""
+def _recording(keys, degree):
+    """A spy on the move on codebook forms of a search at this degree; it
+    records each computed (pair, direction) as (normal form, normal form,
+    inverse)."""
+    book = braids._book(degree)
 
     def recorded(mul, x, y, inverse, inv):
-        book = braids._book(4)
         keys.append((book.normal_form(x), book.normal_form(y), inverse))
         return hurwitz_move_codes(mul, x, y, inverse, inv)
 
@@ -148,7 +149,7 @@ def test_orbit_states_computes_the_moves_hurwitz_orbit_computes(monkeypatch):
     # every name the orbit module binds to the move function
     for name, value in list(vars(braidsys.orbit).items()):
         if value is hurwitz_move_codes:
-            monkeypatch.setattr(braidsys.orbit, name, _recording(calls))
+            monkeypatch.setattr(braidsys.orbit, name, _recording(calls, INTRO_B.degree))
     for lims in [OrbitLimits(max_states=300), OrbitLimits(max_states=300, max_depth=3),
                  OrbitLimits(max_states=300, max_component_canonical_length=3),
                  OrbitLimits(max_states=1)]:
@@ -163,7 +164,7 @@ def test_orbit_states_computes_the_moves_hurwitz_orbit_computes(monkeypatch):
 
 def test_orbit_computes_each_move_once_per_pair(monkeypatch):
     computed, tried = [], []
-    monkeypatch.setattr(braidsys.orbit, "hurwitz_move_codes", _recording(computed))
+    monkeypatch.setattr(braidsys.orbit, "hurwitz_move_codes", _recording(computed, INTRO_B.degree))
 
     def tried_move(state, move):
         i = move.index
@@ -205,13 +206,16 @@ def test_orbit_memo_edge_cases_match_unmemoised_oracle(monkeypatch):
         # one component at several positions: one entry serves several pairs
         (4, ["1,2", "3", "1,2", "3", "1,2"]),
         (4, ["-1", "2", "-1", "2", "-1"]),
+        # other degrees: the spy decodes the forms with their own codebook
+        (3, ["1", "2", "1", "-2"]),
+        (5, ["1,2", "4", "1,2", "-3,4"]),
     ]
     limits = [OrbitLimits(max_states=300), OrbitLimits(max_states=6), OrbitLimits(max_states=40),
               OrbitLimits(max_depth=2), OrbitLimits(max_states=300, max_component_canonical_length=1)]
     computed = []
-    monkeypatch.setattr(braidsys.orbit, "hurwitz_move_codes", _recording(computed))
     statuses = set()
     for m, texts in systems:
+        monkeypatch.setattr(braidsys.orbit, "hurwitz_move_codes", _recording(computed, m))
         s = BraidSystem.from_texts(m, texts)
         target = s
         for move in (HurwitzMove(1), HurwitzMove(len(s) - 1, True), HurwitzMove(1)):
