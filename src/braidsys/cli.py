@@ -272,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the bundled reference-value regression suite")
     p.add_argument("--flipped-convention", action="store_true",
                    help="use the opposite over-strand rule, which transposes every crossing "
-                        "matrix; pure-power matrices are symmetric, so it reaches only the "
-                        "cm-weave-* rows")
+                        "matrix; pure-power matrices are symmetric, so only the perm-3 row, "
+                        "the matrix of the asymmetric word 1,1,-2, expects another value")
     p.set_defaults(func=cmd_papersuite)
     return parser
 

@@ -308,7 +308,8 @@ def permutation_equivalent(M, N) -> Permutation | None:
     signature prunes nothing.  A shuffled prism C_k x K_2 against a
     shuffled Moebius ladder, worst of 5 shuffles, returned None in 0.55 s
     at n = 16, 3.9 s at n = 18 and 66 s at n = 20 (2-core VM, Python
-    3.11.7).  ROADMAP item 9 plans colour refinement.
+    3.11.7).  The ROADMAP item "`permutation_equivalent` by colour
+    refinement" plans the fix.
     """
     rm, rn = matrix_rows(M), matrix_rows(N)
     if len(rm) != len(rn):

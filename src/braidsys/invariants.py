@@ -62,9 +62,10 @@ class BraidSystem:
     The components are stored as a tuple, whatever iterable they come in,
     so a system never changes after it is built.  Their normal forms are
     computed at most once, on the first `normal_forms()`; a move that has
-    computed the forms of the system it returns hands them on to it (see
-    `moves`).  The forms are no field: equality, hashing and the JSON
-    encoding read the degree and the words alone.
+    computed the forms of the system it returns hands them on to it
+    through `_system`, and `_held_forms` reads them (see `moves`).  The
+    forms are no field: equality, hashing and the JSON encoding read the
+    degree and the words alone.
     """
 
     degree: int
@@ -112,6 +113,19 @@ class BraidSystem:
     @staticmethod
     def from_texts(degree: int, texts) -> "BraidSystem":
         return BraidSystem(degree, tuple(braids.parse_word(t, degree) for t in texts))
+
+
+def _held_forms(s: BraidSystem) -> tuple[NormalForm, ...] | None:
+    """The forms s has computed or been handed, else None."""
+    return vars(s).get("_forms")
+
+
+def _system(degree: int, comps: tuple[BraidWord, ...], forms) -> BraidSystem:
+    """The system of these words, holding `forms` as theirs unless None."""
+    s = BraidSystem(degree, comps)
+    if forms is not None:
+        object.__setattr__(s, "_forms", forms)  # as the report keeps its _trace_form
+    return s
 
 
 def poly_sort_key(p: IntPolynomial) -> tuple:

@@ -27,9 +27,9 @@ import functools
 from dataclasses import dataclass
 
 from . import braids
-from .braids import BraidWord, NormalForm
+from .braids import BraidWord
 from .codec import JsonCodec
-from .invariants import BraidSystem, compare_systems, euler_move_needed
+from .invariants import BraidSystem, _held_forms, _system, compare_systems, euler_move_needed
 
 
 @dataclass(frozen=True)
@@ -47,19 +47,6 @@ class HurwitzMove(JsonCodec):
 
     def __str__(self) -> str:
         return f"H {self.index} {'-' if self.inverse else '+'}"
-
-
-def _held_forms(s: BraidSystem) -> tuple[NormalForm, ...] | None:
-    """The forms s has computed or been handed, else None."""
-    return vars(s).get("_forms")
-
-
-def _system(degree: int, comps: tuple[BraidWord, ...], forms) -> BraidSystem:
-    """The system of these words, holding `forms` as theirs unless None."""
-    s = BraidSystem(degree, comps)
-    if forms is not None:
-        object.__setattr__(s, "_forms", forms)  # as the report keeps its _trace_form
-    return s
 
 
 def _check_move_index(i: int, length: int) -> None:

@@ -5,10 +5,13 @@ the public pipeline and compares exactly; the CLI `papersuite` command
 renders the table.
 
 Polynomials are read off the reports users get: `braid_invariants` for
-one braid, `system_invariants` for a system.  The flipped over-strand
-convention is the transpose of every crossing matrix.  Every pure-power
-matrix is symmetric, so the flag reaches only the `cm-weave-*` rows,
-which sweep a power word with `crossing_matrix`.
+one braid, `system_invariants` for a system.  Under the opposite
+over-strand convention (`run(flipped=True)`) every word the suite sweeps
+with `crossing_matrix` gets the transpose.  Every pure-power matrix is
+symmetric, so of the rows only `perm-3` expects another value: the
+crossing matrix of the asymmetric word 1,1,-2, written out for each
+convention.  The `cm-weave-*` rows sweep too, but read an all-zero
+matrix either way.
 """
 
 from __future__ import annotations
@@ -66,16 +69,21 @@ INTRO_BP = ["1,-2,3", "-3", "2", "-1"]
 FUSED_C = ["1,-2,3", "-3,2,-1"]
 
 
-def build_rows(flipped: bool = False) -> list[Row]:
+def run(flipped: bool = False) -> tuple[list[Row], bool]:
+    """Every row, and whether all of them pass; flipped takes the opposite
+    over-strand convention."""
     rows: list[Row] = []
+    sweep = (lambda w: crossing_matrix(w).transpose()) if flipped else crossing_matrix
 
     def add(row_id, description, expected, computed):
         expected, computed = str(expected), str(computed)
         rows.append(Row(row_id, description, expected, computed, expected == computed))
 
     # permutations and orders
-    add("perm-3", "permutation of 1,1,-2 in B3",
-        (1, 3, 2), braids.permutation(parse_word("1,1,-2", 3)).images)
+    w3 = parse_word("1,1,-2", 3)
+    cm3 = ((0, 1, 0), (1, 0, -1), (0, 0, 0)) if flipped else ((0, 1, 0), (1, 0, 0), (0, -1, 0))
+    add("perm-3", "permutation and crossing matrix of 1,1,-2 in B3",
+        ((1, 3, 2), cm3), (braids.permutation(w3).images, sweep(w3).entries))
     bvec = BraidSystem.from_texts(4, INTRO_B)
     bpvec = BraidSystem.from_texts(4, INTRO_BP)
     add("perm-4tuple", "component permutations of the reference 4-systems",
@@ -114,9 +122,7 @@ def build_rows(flipped: bool = False) -> list[Row]:
 
     # weaving words: the pure power has a zero crossing matrix
     for m in (3, 5, 7):
-        Mw = crossing_matrix(braids.power(family_weaving(m), m))
-        if flipped:
-            Mw = Mw.transpose()
+        Mw = sweep(braids.power(family_weaving(m), m))
         add(f"cm-weave-{m}", f"pure power of the alternating word on {m} strands is flat",
             True, all(v == 0 for row in Mw.entries for v in row))
 
@@ -226,9 +232,4 @@ def build_rows(flipped: bool = False) -> list[Row]:
          len(f2) == 2
          and all(braids.braids_equal(x, y) for x, y in zip(f2.components, cvec.components))))
 
-    return rows
-
-
-def run(flipped: bool = False) -> tuple[list[Row], bool]:
-    rows = build_rows(flipped=flipped)
     return rows, all(row.ok for row in rows)

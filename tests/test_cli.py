@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import io
@@ -21,9 +22,11 @@ from braidsys import (
 from braidsys.braids import MAX_DEGREE, parse_word
 from braidsys.cli import load_system, main
 from braidsys.codec import JsonCodec
+from braidsys.crossing import crossing_matrix
 from braidsys.invariants import BraidInvariantReport, SystemInvariantReport
 from braidsys.moves import HurwitzMove
 from braidsys.orbit import OrbitLimits, OrbitResult
+from oracles import opposite_convention_matrix
 
 
 @pytest.fixture
@@ -357,9 +360,21 @@ def test_to_json_gives_lists_never_tuples():
 
 
 def test_papersuite_flipped_convention(capsys):
-    # pure-power rows are symmetric, so the whole table passes either way
-    assert main(["papersuite", "--flipped-convention", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["all_pass"]
+    # the opposite over-strand rule transposes every matrix the suite
+    # sweeps; pure-power matrices are symmetric, so the two tables differ
+    # in perm-3 alone, whose word 1,1,-2 has an asymmetric matrix: this
+    # sweep's by default, the independent opposite sweep's under the flag
+    tables = []
+    for flag in ([], ["--flipped-convention"]):
+        assert main(["papersuite", *flag, "--json"]) == 0
+        tables.append(json.loads(capsys.readouterr().out))
+    plain, flipped = tables
+    assert plain["all_pass"] and flipped["all_pass"]
+    assert len(plain["rows"]) == len(flipped["rows"]) == 38
+    assert [a["id"] for a, b in zip(plain["rows"], flipped["rows"]) if a != b] == ["perm-3"]
+    (_, cm), (_, cm_flipped) = (ast.literal_eval(t["rows"][0]["computed"]) for t in tables)
+    w = parse_word("1,1,-2", 3)
+    assert cm == crossing_matrix(w).entries != cm_flipped == opposite_convention_matrix(w)
 
 
 def test_one_parser_serves_every_call(capsys, monkeypatch, system_files):
@@ -571,8 +586,8 @@ PINNED = [
     ("compare_intro_b.json", ["compare", "{intro_b}", "{intro_b_moved}", "--json"], 0),
     ("compare_full_s8.json", ["compare", "{full_s8}", "{full_s8_moved}", "--json"], 0),
     ("papersuite.json", ["papersuite", "--json"], 0),
-    # every row is symmetric in the over-strand rule, so the bytes are the same
-    ("papersuite.json", ["papersuite", "--flipped-convention", "--json"], 0),
+    # the same table but for the perm-3 row, whose matrix is transposed
+    ("papersuite_flipped.json", ["papersuite", "--flipped-convention", "--json"], 0),
     # degree 24, where normal_form groups far-commuting letters into pieces
     ("invariants_word_m24.json",
      ["invariants", "--degree", "24", "--word",
