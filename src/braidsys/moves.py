@@ -12,6 +12,11 @@ caller that reads only words normalises nothing more.  stabilize and
 destabilize hand on no forms, since the half twist of the new degree is
 another braid.
 
+The Hurwitz move is written once, in `hurwitz_move_codes`, for words,
+normal forms and the orbit search's codebook forms alike.  It takes the
+pair's product as factors: (x, y) here, the product's one form in the
+search, which keeps it per pair.  This module never touches the codebook.
+
 Conjugation makes stored words grow, so hurwitz_move and
 global_conjugate accept simplify=True, which stores each conjugated
 component as the re-expansion of its normal form (`NormalForm.to_word`,
@@ -76,7 +81,7 @@ def hurwitz_move(s: BraidSystem, move: HurwitzMove, simplify: bool = False) -> B
     else:
         comps[i - 1 : i + 1] = hurwitz_move_codes(
             lambda *words: braids.free_reduce(functools.reduce(braids.product, words)),
-            a, b, move.inverse, braids.inverse(a if move.inverse else b))
+            a, b, (a, b), move.inverse, braids.inverse(a if move.inverse else b))
     return _system(s.degree, tuple(comps), forms)
 
 
@@ -85,27 +90,37 @@ def hurwitz_move_nf(state, move: HurwitzMove):
 
     Equivalent to hurwitz_move followed by taking normal forms; it runs
     `hurwitz_move_codes` with the product of normal forms,
-    `braids._nf_product`, so that words never have to be re-expanded.
+    `braids._nf_product`, so that words never have to be re-expanded.  The
+    pair's product is handed over as its factors (a, b), so each move is
+    one `_nf_product` of three forms and no product is computed on its own.
     """
     i = move.index
     _check_move_index(i, len(state))
     a, b = state[i - 1], state[i]
     braids.check_same_degree(a.degree, b.degree)
-    pair = hurwitz_move_codes(braids._nf_product, a, b, move.inverse, (a if move.inverse else b).inverse())
+    inv = (a if move.inverse else b).inverse()
+    pair = hurwitz_move_codes(braids._nf_product, a, b, (a, b), move.inverse, inv)
     return (*state[: i - 1], *pair, *state[i + 1 :])
 
 
-def hurwitz_move_codes(mul, x, y, inverse: bool, inv):
+def hurwitz_move_codes(mul, x, y, xy: tuple, inverse: bool, inv):
     """The move on the lone pair (x, y): (y, y^{-1} x y), or (x y x^{-1}, x)
     for the undo direction, with `mul` the product of any number of values,
-    left to right.  `inv` is the one inverse the move needs, y^{-1} or for
-    the undo x^{-1}.  `hurwitz_move` runs it on words, `hurwitz_move_nf`
-    on normal forms; the orbit search runs it on its codebook forms
-    (infimum, codes) with the codebook's product, and memoises the inverse
-    for each form it interns."""
+    left to right.  `xy` is the pair's product x y as a tuple of factors,
+    and `inv` the one inverse the move needs, y^{-1} or for the undo
+    x^{-1}: the new component is mul(inv, *xy) or mul(*xy, inv).
+
+    A move keeps the product of its pair, y (y^{-1} x y) = (x y x^{-1}) x
+    = x y (Hurwitz 1891), so every pair a search meets at one position
+    shares one product.  `hurwitz_move` runs the move on words and
+    `hurwitz_move_nf` on normal forms, both with xy = (x, y), one product
+    of three values; the orbit search runs it on its codebook forms
+    (infimum, codes) with the codebook's product and xy = (the form of
+    x y,), one product of two forms, keeping for each pair it meets that
+    form and for each form it interns the inverse."""
     if inverse:
-        return mul(x, y, inv), x
-    return y, mul(inv, x, y)
+        return mul(*xy, inv), x
+    return y, mul(inv, *xy)
 
 
 def hurwitz_act(s: BraidSystem, beta: BraidWord, simplify: bool = False) -> BraidSystem:

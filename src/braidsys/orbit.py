@@ -121,18 +121,22 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, intern: _Interner, target: int | N
     A move changes only the pair it acts on, and normal forms are
     canonical, so each (pair, direction) is computed at most once per
     search, by `hurwitz_move_codes` with `_Codebook.mul` on the pair's
-    codebook forms and the inverses `intern` memoises.  One of the two
-    new forms is a form of the pair, so only the other is interned.  The
-    memo is keyed by the packed pair, one dict lookup per pair of an
-    expanded state, and holds [forward, undo]: for each direction the
-    change to the packed pair and whether both new forms are within the
-    canonical-length limit, None until computed.  (a, b) -> (c, d) also
-    fills the opposite slot of (c, d)'s entry, the move back to (a, b),
-    if it is empty; for equal components (c, d) is (a, b), so that is the
-    other slot of the same entry, and for commuting ones it is (b, a)'s
-    entry.  The start is never cut by that
-    limit, so if it holds a longer form every new state is checked whole.
-    The memo dies with the search.
+    codebook forms, its product and the inverses `intern` memoises.  One
+    of the two new forms is a form of the pair, so only the other is
+    interned.  The memo is keyed by the packed pair, one dict lookup per
+    pair of an expanded state, and holds [forward, undo, xy]: for each
+    direction the change to the packed pair and whether both new forms
+    are within the canonical-length limit, None until computed, and the
+    codebook form of the pair's product.  (a, b) -> (c, d) also fills the
+    opposite slot of (c, d)'s entry, the move back to (a, b), if it is
+    empty; for equal components (c, d) is (a, b), so that is the other
+    slot of the same entry, and for commuting ones it is (b, a)'s entry.
+    A move keeps its pair's product, so a new entry made that way gets
+    the product of (a, b) too: a product is computed only for a pair
+    first met in an expanded state, once, and each move is one product of
+    two forms, y^{-1} (x y) or (x y) x^{-1}.  The start is never cut by
+    the canonical-length limit, so if it holds a longer form every new
+    state is checked whole.  The memo dies with the search.
     """
     start = intern.pack(s)
     parents: dict = {start: None}
@@ -144,7 +148,9 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, intern: _Interner, target: int | N
              for i in range(1, len(s))]
     start_short = all(map(short.__getitem__, intern.ids_of(start)))
     mul = intern.book.mul
-    moved: dict = {}  # packed pair -> [forward, undo], each (change to the pair, both new forms short)
+    # packed pair -> [forward, undo, xy]: each direction (change to the pair,
+    # both new forms short), and the form of the pair's product
+    moved: dict = {}
     frontier, depth, truncated = [start], 0, False
     while frontier:
         if depth >= limits.max_depth:
@@ -155,18 +161,21 @@ def _bfs(s: BraidSystem, limits: OrbitLimits, intern: _Interner, target: int | N
                 pair = (state >> shift) & mask2
                 entry = moved.get(pair)
                 if entry is None:
-                    entry = moved[pair] = [None, None]
+                    entry = moved[pair] = [None, None, None]
                 for inv, move in directions:
                     hit = entry[inv]
                     if hit is None:
                         a, b = pair & low, pair >> width
-                        c, d = hurwitz_move_codes(mul, forms[a], forms[b], inv, inverse(a if inv else b))
+                        x, y, xy = forms[a], forms[b], entry[2]
+                        if xy is None:
+                            xy = entry[2] = mul(x, y)
+                        c, d = hurwitz_move_codes(mul, x, y, (xy,), inv, inverse(a if inv else b))
                         c, d = (intern(c), a) if inv else (b, intern(d))
                         new = c | (d << width)
                         hit = entry[inv] = (new - pair, short[c] and short[d])
                         back = moved.get(new)  # entry itself when new == pair
                         if back is None:
-                            back = moved[new] = [None, None]
+                            back = moved[new] = [None, None, xy]
                         if back[not inv] is None:
                             back[not inv] = (pair - new, short[a] and short[b])
                     delta, ok = hit

@@ -3,6 +3,7 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from braidsys import (
     BraidSystem,
@@ -33,7 +34,7 @@ from braidsys import (
 
 from braidsys import braids, cli
 from braidsys.moves import hurwitz_move_codes
-from oracles import bubble_normal_form, random_word
+from oracles import bubble_normal_form, delta_power_word, random_word
 
 
 def components_equal(s1, s2):
@@ -127,13 +128,55 @@ def test_nf_move_agrees_with_word_move_beyond_the_code_tables(m):
             assert BraidSystem(m, moved.components).normal_forms() == via_nf
 
 
+@st.composite
+def move_pairs(draw):
+    """Two words Delta^d w of one degree in 2..8, d in -3..3 and w short."""
+    m = draw(st.integers(2, 8))
+    letters = st.lists(st.sampled_from([k for i in range(1, m) for k in (i, -i)]), max_size=8)
+    return tuple(delta_power_word(m, draw(st.integers(-3, 3)), tuple(draw(letters))) for _ in range(2))
+
+
+def _words_mul(*words):
+    return free_reduce(functools.reduce(product, words))
+
+
+@settings(max_examples=150, deadline=None)
+@given(move_pairs())
+@example((BraidWord(4), BraidWord(4)))  # the identity
+@example((BraidWord(5), parse_word("2,-4", 5)))
+@example((delta_power_word(5, 2), delta_power_word(5, -3)))  # half twist powers
+@example((delta_power_word(6, 1), parse_word("1,2,-5", 6)))
+@example((parse_word("1,-3,2", 8), parse_word("-1,2", 8)))
+@example((parse_word("-1,2,-1", 3), parse_word("2,-1,2", 3)))  # equal components, two spellings
+@example((parse_word("1,2", 6), parse_word("4,-5", 6)))  # commuting components
+def test_move_given_the_pair_product_is_the_move_given_the_pair(pair):
+    # hurwitz_move_codes with xy the pair's product as one value gives what it
+    # gives with the two factors, on words (freely reduced), on normal forms
+    # and on codebook forms, in both directions
+    x, y = pair
+    book = braids._book(x.degree)
+    fx, fy = normal_form(x), normal_form(y)
+    kinds = [(_words_mul, x, y, inverse, normal_form),
+             (braids._nf_product, fx, fy, lambda nf: nf.inverse(), lambda nf: nf),
+             (book.mul, book.form(fx), book.form(fy), book.inverse, book.normal_form)]
+    for undo in (False, True):
+        made = set()
+        for mul, a, b, inv_of, decode in kinds:
+            inv = inv_of(a if undo else b)
+            by_factors = hurwitz_move_codes(mul, a, b, (a, b), undo, inv)
+            assert hurwitz_move_codes(mul, a, b, (mul(a, b),), undo, inv) == by_factors, (mul, undo)
+            made.add(tuple(map(decode, by_factors)))
+        # and the three kinds move the pair to one pair of braids
+        assert len(made) == 1
+
+
 def _word_step(s, op, arg, simplify):
     """The step's words as the moves spelled them by words alone: the
     literal word, freely reduced, or with simplify its canonical word."""
     spell = canonical_word if simplify else free_reduce
     if op == "H":
         a, b = s.components[arg.index - 1 : arg.index + 1]
-        pair = hurwitz_move_codes(lambda *ws: spell(functools.reduce(product, ws)), a, b,
+        pair = hurwitz_move_codes(lambda *ws: spell(functools.reduce(product, ws)), a, b, (a, b),
                                   arg.inverse, inverse(a if arg.inverse else b))
         return s.components[: arg.index - 1] + pair + s.components[arg.index + 1 :]
     if op == "GC":

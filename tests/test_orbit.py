@@ -137,9 +137,9 @@ def _recording(keys, degree):
     inverse)."""
     book = braids._book(degree)
 
-    def recorded(mul, x, y, inverse, inv):
+    def recorded(mul, x, y, xy, inverse, inv):
         keys.append((book.normal_form(x), book.normal_form(y), inverse))
-        return hurwitz_move_codes(mul, x, y, inverse, inv)
+        return hurwitz_move_codes(mul, x, y, xy, inverse, inv)
 
     return recorded
 
@@ -188,8 +188,33 @@ def test_orbit_computes_each_move_once_per_pair(monkeypatch):
     assert computed == first
 
 
+MEMO_EDGE_SYSTEMS = [
+    (4, ["1", "1", "1"]),
+    (4, ["1", "1", "2"]),
+    (4, ["2", "2", "-2"]),
+    (4, ["1", "3", "1", "3"]),
+    (4, ["1", "3", "3", "1"]),
+    # one component at several positions: one entry serves several pairs
+    (4, ["1,2", "3", "1,2", "3", "1,2"]),
+    (4, ["-1", "2", "-1", "2", "-1"]),
+    # other degrees: the spy decodes the forms with their own codebook
+    (3, ["1", "2", "1", "-2"]),
+    (5, ["1,2", "4", "1,2", "-3,4"]),
+]
+MEMO_EDGE_LIMITS = [
+    OrbitLimits(max_states=300), OrbitLimits(max_states=6), OrbitLimits(max_states=40),
+    OrbitLimits(max_depth=2), OrbitLimits(max_states=300, max_component_canonical_length=1),
+]
+
+
+def _moved_target(s):
+    for move in (HurwitzMove(1), HurwitzMove(len(s) - 1, True), HurwitzMove(1)):
+        s = hurwitz_move(s, move)
+    return s
+
+
 def test_orbit_memo_edge_cases_match_unmemoised_oracle(monkeypatch):
-    # the memo holds [forward, undo] per packed pair, whatever its position
+    # the memo holds [forward, undo, xy] per packed pair, whatever its position
     x, y = normal_form(parse_word("1", 4)), normal_form(parse_word("3", 4))
     for inverse in (False, True):
         # equal components: the move maps the pair to itself, so its undo
@@ -197,30 +222,13 @@ def test_orbit_memo_edge_cases_match_unmemoised_oracle(monkeypatch):
         assert hurwitz_move_nf((x, x), HurwitzMove(1, inverse)) == (x, x)
         # commuting components: the move swaps the pair
         assert hurwitz_move_nf((x, y), HurwitzMove(1, inverse)) == (y, x)
-    systems = [
-        (4, ["1", "1", "1"]),
-        (4, ["1", "1", "2"]),
-        (4, ["2", "2", "-2"]),
-        (4, ["1", "3", "1", "3"]),
-        (4, ["1", "3", "3", "1"]),
-        # one component at several positions: one entry serves several pairs
-        (4, ["1,2", "3", "1,2", "3", "1,2"]),
-        (4, ["-1", "2", "-1", "2", "-1"]),
-        # other degrees: the spy decodes the forms with their own codebook
-        (3, ["1", "2", "1", "-2"]),
-        (5, ["1,2", "4", "1,2", "-3,4"]),
-    ]
-    limits = [OrbitLimits(max_states=300), OrbitLimits(max_states=6), OrbitLimits(max_states=40),
-              OrbitLimits(max_depth=2), OrbitLimits(max_states=300, max_component_canonical_length=1)]
     computed = []
     statuses = set()
-    for m, texts in systems:
+    for m, texts in MEMO_EDGE_SYSTEMS:
         monkeypatch.setattr(braidsys.orbit, "hurwitz_move_codes", _recording(computed, m))
         s = BraidSystem.from_texts(m, texts)
-        target = s
-        for move in (HurwitzMove(1), HurwitzMove(len(s) - 1, True), HurwitzMove(1)):
-            target = hurwitz_move(target, move)
-        for lims in limits:
+        target = _moved_target(s)
+        for lims in MEMO_EDGE_LIMITS:
             states = orbit_bfs_plain(s, lims)[1]
             for tgt in (None, target):
                 computed.clear()
@@ -231,6 +239,71 @@ def test_orbit_memo_edge_cases_match_unmemoised_oracle(monkeypatch):
                 statuses.add(res.status)
             assert list(orbit_states(s, lims)) == states, (texts, lims)
     assert statuses == {"complete", "truncated", "target_found"}
+
+
+def _searched_products(monkeypatch, s, lims, target=None):
+    """hurwitz_orbit of s, and the codebook products its search computes,
+    in order: ("pair", (x, y)) for the product of a pair (x, y) and
+    ("move", (x, y), made) for a move of (x, y) to the pair `made`, all
+    forms decoded to normal forms.  Products that pack the start and the
+    target, and the one inside each move, are not listed."""
+    book = braids._book(s.degree)
+    events, quiet = [], []
+    real_mul, real_pack = braids._Codebook.mul, braidsys.orbit._Interner.pack
+
+    def mul(self, *forms):
+        if not quiet:
+            events.append(("pair", tuple(map(book.normal_form, forms))))
+        return real_mul(self, *forms)
+
+    def move(mul, x, y, xy, inverse, inv):
+        quiet.append(move)
+        made = hurwitz_move_codes(mul, x, y, xy, inverse, inv)
+        quiet.pop()
+        events.append(("move", tuple(map(book.normal_form, (x, y))), tuple(map(book.normal_form, made))))
+        return made
+
+    def pack(self, system):
+        quiet.append(pack)
+        try:
+            return real_pack(self, system)
+        finally:
+            quiet.pop()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(braids._Codebook, "mul", mul)
+        patch.setattr(braidsys.orbit, "hurwitz_move_codes", move)
+        patch.setattr(braidsys.orbit._Interner, "pack", pack)
+        res = hurwitz_orbit(s, lims, target)
+    return res, events
+
+
+def test_orbit_computes_each_pair_product_once_and_none_for_a_made_pair(monkeypatch):
+    searches = [(INTRO_B, OrbitLimits(max_states=300), None)]
+    for m, texts in MEMO_EDGE_SYSTEMS:
+        s = BraidSystem.from_texts(m, texts)
+        searches += [(s, lims, tgt) for lims in MEMO_EDGE_LIMITS for tgt in (None, _moved_target(s))]
+    pair_total = move_total = 0
+    for s, lims, target in searches:
+        expected = orbit_bfs_plain(s, lims, target)[0]
+        res, events = _searched_products(monkeypatch, s, lims, target)
+        assert res == expected, (s, lims, target)
+        # a pair's product is computed once, and never once a move made the
+        # pair: the move handed it the product of the pair it moved
+        with_product = set()
+        for event in events:
+            if event[0] == "pair":
+                assert len(event[1]) == 2 and event[1] not in with_product, (s, lims, target, event)
+                with_product.add(event[1])
+            else:
+                assert event[1] in with_product, (s, lims, target, event)
+                with_product.add(event[2])
+        pairs = sum(event[0] == "pair" for event in events)
+        moves = len(events) - pairs
+        if s is INTRO_B:
+            assert 0 < pairs < moves
+        pair_total, move_total = pair_total + pairs, move_total + moves
+    assert 0 < pair_total < move_total
 
 
 def _random_search(rng, m=None):
