@@ -733,36 +733,64 @@ def _word_form(b: BraidWord) -> tuple[int, tuple]:
     """The codebook form (infimum, codes) of the word's normal form, which
     the orbit search interns without building a `NormalForm`.
 
-    The word is cut into pieces, runs of same-sign letters whose product
+    The word is cut into pieces, runs of letters of one sign whose product
     is one permutation braid s, and `_Codebook.mul` gets one form per
     piece: Delta^0 s, or for a piece s^{-1} the inverse of that form,
     Delta^{-1} c with c the left complement of s, read off by
-    `_Codebook.inverse`.
-    A letter sigma_i^{+-1} joins the latest piece t of its sign iff no
-    later piece holds sigma_{i-1}, sigma_i or sigma_{i+1}, and t stays
-    simple: the strands ending at positions i, i+1 of s have not crossed
-    (positive), or, since s^{-1} sigma_i^{-1} = (sigma_i s)^{-1}, the
-    strands starting there have not, s(i) < s(i+1) (negative).  Else it
-    opens a new piece.  The join is sound by far commutation (sigma_i
-    sigma_j = sigma_j sigma_i for |i - j| >= 2): the letter commutes with
-    every letter after t, so the pieces spell the same braid, and the
-    unique normal form is the one of the letters combed one by one.  This
-    is the grouping of the Cartier-Foata normal form (Cartier and Foata
-    1969; Epstein et al., Word Processing in Groups, ch. 9).  `last[j]`,
-    the latest piece holding sigma_j, makes the test O(1) per letter.
+    `_Codebook.inverse`.  A letter sigma_i^{+-1} moves left past the
+    pieces it commutes with (sigma_i sigma_j = sigma_j sigma_i for
+    |i - j| >= 2), i.e. past every piece after the latest one holding
+    sigma_{i-1}, sigma_i or sigma_{i+1}, and then:
+    - it cancels against h, the latest piece holding sigma_i, iff h has
+      the other sign, no later piece holds sigma_{i-1} or sigma_{i+1},
+      and h ends in the crossing: for a positive h = s the strands ending
+      at positions i, i+1 have crossed, so s = s' sigma_i; for a negative
+      h = s^{-1} the strands starting there have, s(i) > s(i+1), so
+      s = sigma_i s' and s^{-1} sigma_i = s'^{-1}.  The crossing is
+      undone in s, and s' is simple;
+    - else it joins the latest piece t of its sign iff no later piece
+      holds sigma_{i-1}, sigma_i or sigma_{i+1}, and t stays simple: the
+      strands ending at positions i, i+1 of s have not crossed
+      (positive), or, since s^{-1} sigma_i^{-1} = (sigma_i s)^{-1}, the
+      strands starting there have not, s(i) < s(i+1) (negative);
+    - else it opens a new piece.
+    Both steps are sound by far commutation: the letter commutes with
+    every letter after h or t, so the pieces spell the same braid, and
+    the unique normal form is the one of the letters combed one by one.
+    Undoing a crossing and adding one swap the same two entries of s.
+    This is the grouping of the Cartier-Foata normal form (Cartier and
+    Foata 1969; Epstein et al., Word Processing in Groups, ch. 9),
+    extended across signs.  `last[j]` is the latest piece holding
+    sigma_j, which makes both tests O(1) per letter; piece p is written
+    2p + 1 if positive and 2p if negative, so the sign test is one `&`,
+    and in a run of one sign it fails at once.  A cancel leaves `last`
+    as it is, so last[j] may name a later piece than the latest one that
+    still holds sigma_j.  That only blocks moves the letters would allow,
+    since a cancel still needs the crossing in h.
     A factor may comb back through every factor before it, so a word of L
     letters costs O(L^2) pair fixes at a fixed degree.
     """
     m = b.degree
     pieces: list[list[int]] = []  # s of each piece, as an image list
     invs: list[list[int] | None] = []  # s^{-1} of a positive piece, None for a negative one
-    last = [-1] * (m + 1)  # last[j]: latest piece holding sigma_j, -1 for none
-    latest = [-1, -1]  # latest negative and latest positive piece
+    last = [-1] * (m + 1)  # last[j]: latest piece holding sigma_j as 2p + sign, -1 for none
+    latest = [-1, -1]  # latest negative and latest positive piece, as in `last`
     for k in b.letters:
-        i = abs(k)
-        t = latest[k > 0]
-        if t >= 0 and t >= last[i - 1] and t >= last[i] and t >= last[i + 1]:
-            s, si = pieces[t], invs[t]
+        i, pos = abs(k), k > 0
+        h = last[i]
+        if h & 1 != pos and h >= last[i - 1] and h >= last[i + 1] and h >= 0:
+            s, si = pieces[h >> 1], invs[h >> 1]
+            if si is None:
+                if s[i - 1] > s[i]:
+                    s[i - 1], s[i] = s[i], s[i - 1]
+                    continue
+            elif si[i - 1] > si[i]:
+                s[si[i - 1] - 1], s[si[i] - 1] = i + 1, i
+                si[i - 1], si[i] = si[i], si[i - 1]
+                continue
+        t = latest[pos]
+        if t >= 0 and t >= last[i - 1] and t >= h and t >= last[i + 1]:
+            s, si = pieces[t >> 1], invs[t >> 1]
             if si is None:
                 if s[i - 1] < s[i]:
                     s[i - 1], s[i] = s[i], s[i - 1]
@@ -775,9 +803,9 @@ def _word_form(b: BraidWord) -> tuple[int, tuple]:
                 continue
         s = list(range(1, m + 1))
         s[i - 1], s[i] = i + 1, i
-        latest[k > 0] = last[i] = len(pieces)
+        latest[pos] = last[i] = 2 * len(pieces) + pos
         pieces.append(s)
-        invs.append(s[:] if k > 0 else None)
+        invs.append(s[:] if pos else None)
     book = _book(m)
     forms = [(0, (c,)) if si is not None else book.inverse((0, (c,)))
              for c, si in zip(book.encode(map(tuple, pieces)), invs)]

@@ -507,6 +507,62 @@ def test_normal_form_of_far_commuting_words_matches_bubble_oracle(w):
     assert normal_form(w) == bubble_normal_form(w)
 
 
+@st.composite
+def cancelling_words(draw, min_degree, max_degree):
+    """Words in which letters meet their inverses past letters they commute
+    with: random letters with sigma_i^e, a few letters two or more from i,
+    sigma_i^-e inserted among them, or u v u^{-1} for random u and v."""
+    m = draw(st.integers(min_degree, max_degree))
+    if m < 2:
+        return BraidWord(m)
+    sign = st.sampled_from((1, -1))
+
+    def letters(indices, max_size):
+        return draw(st.lists(st.builds(lambda i, e: i * e, indices, sign), max_size=max_size))
+
+    anywhere = st.integers(1, m - 1)
+    if draw(st.booleans()):
+        u = letters(anywhere, m)
+        return BraidWord(m, (*u, *letters(anywhere, m), *(-k for k in reversed(u))))
+    word = []
+    for _ in range(draw(st.integers(0, 8))):
+        i, e = draw(anywhere), draw(sign)
+        far = [j for j in range(1, m) if abs(j - i) >= 2]
+        between = letters(st.sampled_from(far), 4) if far else []
+        word += [*letters(anywhere, 3), e * i, *between, -e * i]
+    return BraidWord(m, tuple(word))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelling_words(9, 32))
+@example(BraidWord(9, (1, 2, 1, -5, 7, -2, 3)))  # sigma_1 sigma_2 sigma_1 sigma_7 loses its sigma_2
+def test_normal_form_of_cancelling_words_matches_letterwise_comb(w):
+    assert normal_form(w) == normal_form_letterwise(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelling_words(1, 12))
+@example(BraidWord(6, (-2, -1, 4, 1, 2)))  # both letters cancel: sigma_4 is left
+def test_normal_form_of_cancelling_words_matches_bubble_oracle(w):
+    assert normal_form(w) == bubble_normal_form(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(far_commuting_words(1, 32), cancelling_words(1, 32)))
+def test_a_word_times_its_inverse_is_the_identity(w):
+    assert normal_form(product(w, inverse(w))).is_identity()
+
+
+@pytest.mark.parametrize("m", [16, 64, 128])
+def test_normal_form_of_a_re_expanded_form_is_the_form(m):
+    # to_word spells half-twist blocks, then the factors, so later letters
+    # cancel against whole half-twist pieces
+    rng = random.Random(m)
+    for _ in range(3):
+        nf = normal_form(random_word(rng, m, 2 * m, 2 * m))
+        assert normal_form(nf.to_word()) == nf
+
+
 @pytest.fixture
 def comb_inputs(monkeypatch):
     """The piece count each normal_form call hands the comb: the number of
@@ -528,10 +584,10 @@ def comb_inputs(monkeypatch):
     (2, (1,), 1),
     (2, (-1,), 1),
     (2, (1, 1), 2),  # sigma_1 sigma_1 is not simple
-    (2, (1, -1), 2),
-    (2, (1, -1, 1), 3),
+    (2, (1, -1), 1),  # sigma_1^{-1} cancels against the sigma_1 piece
+    (2, (1, -1, 1), 1),  # ... which the last sigma_1 joins again
     (4, (2, 2), 2),
-    (4, (2, -2), 2),
+    (4, (2, -2), 1),
     (6, (1, -2, 1), 3),  # sigma_2^{-1} holds a neighbour of sigma_1: blocked
     (6, (1, -5, 1), 3),  # reaches the sigma_1 piece, but sigma_1 sigma_1 is not simple
     (6, (1, -5, 3), 2),  # slides past sigma_5^{-1} and joins the sigma_1 piece
@@ -539,6 +595,11 @@ def comb_inputs(monkeypatch):
     (6, (1, 2, 1), 1),
     (6, (-1, -2, -1), 1),
     (6, (1, 3, 5, -2, -4), 2),
+    (6, (1, -5, -1), 2),  # slides past sigma_5^{-1} and cancels against the sigma_1 piece
+    (6, (-1, 5, 1), 2),
+    (6, (1, -2, -1), 2),  # blocked by sigma_2^{-1}, which holds a neighbour of sigma_1
+    (6, (1, 2, 1, -2), 1),  # sigma_2 is a right descent of sigma_1 sigma_2 sigma_1
+    (6, (2, 1, -2), 2),  # sigma_2 is not a right descent of sigma_2 sigma_1
 ])
 def test_normal_form_pieces(comb_inputs, degree, letters, pieces):
     w = BraidWord(degree, letters)
@@ -688,7 +749,7 @@ def test_dual_pair_fix_matches_the_rescanning_oracle_near_delta(pair):
 
 @pytest.mark.parametrize("m, by_oracle", [(128, 6), (192, 1), (256, 0)])
 def test_dual_pair_fix_matches_the_insertion_pass_on_combed_pairs(monkeypatch, m, by_oracle):
-    # the pairs the comb fixes for a random 2m-letter word: the same form
+    # the pairs the comb fixes for a random 3m-letter word: the same form
     # whichever path runs, and the same fix on every pair of the dual shape.
     # The rescanning oracle takes 0.1 s a pair at degree 128, so it checks
     # only the first few
@@ -701,7 +762,7 @@ def test_dual_pair_fix_matches_the_insertion_pass_on_combed_pairs(monkeypatch, m
 
     book.fix = recording
     monkeypatch.setattr(braids, "_book", lambda degree: book)
-    word = random_word(random.Random(m), m, 2 * m, 2 * m)
+    word = random_word(random.Random(m), m, 3 * m, 3 * m)
     nf = normal_form(word)
     combed = [(a, b) for a, b in pairs if b[0] > b[-1] and a[0] < a[-1]]
     with monkeypatch.context() as insertion_only:
