@@ -65,28 +65,30 @@ class Permutation:
         return all(v == k for k, v in enumerate(self.images, start=1))
 
     def cycles(self) -> list[list[int]]:
-        seen = [False] * len(self.images)
-        out = []
-        for start in range(1, len(self.images) + 1):
-            if seen[start - 1]:
-                continue
-            cyc = []
-            k = start
-            while not seen[k - 1]:
-                seen[k - 1] = True
-                cyc.append(k)
-                k = self.images[k - 1]
-            out.append(cyc)
-        return out
+        return [[k + 1 for k in cyc] for cyc in _tup_cycles(self.images)]
 
     def cycle_count(self) -> int:
-        return len(self.cycles())
+        return len(_tup_cycles(self.images))
 
     def order(self) -> int:
-        r = 1
-        for cyc in self.cycles():
-            r = math.lcm(r, len(cyc))
-        return r
+        return math.lcm(*map(len, _tup_cycles(self.images)))
+
+
+def _tup_cycles(a, base: int = 1) -> list[list[int]]:
+    """The cycles of the permutation k -> a[k] - base of 0..len(a)-1, each
+    as its 0-based points from its least one, in the order of those: base 1
+    reads 1-based images, as a Permutation holds them, and base 0 0-based ones."""
+    seen = [False] * len(a)
+    out = []
+    for start in range(len(a)):
+        if not seen[start]:
+            cyc, k = [], start
+            while not seen[k]:
+                seen[k] = True
+                cyc.append(k)
+                k = a[k] - base
+            out.append(cyc)
+    return out
 
 
 def _tup_then(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

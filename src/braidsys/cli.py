@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
 

@@ -43,6 +43,7 @@ from .braids import (
     NormalForm,
     Permutation,
     _permutation_letters,
+    _tup_cycles,
     permutation,
 )
 from .intlinalg import matrix_rows
@@ -227,7 +228,7 @@ def _pure_power_orbits(b: BraidWord | NormalForm) -> tuple[
         perm, (C, e) = b.permutation(), _normal_form_entries(b)
     else:
         perm, C, e = permutation(b), crossing_matrix(b)._counts, 0
-    m, cycles = perm.degree, [[i - 1 for i in c] for c in perm.cycles()]
+    m, cycles = perm.degree, _tup_cycles(perm.images)
     cycle_of, place = [0] * m, [0] * m
     for c, cycle in enumerate(cycles):
         for p, i in enumerate(cycle):

@@ -38,16 +38,15 @@ degree n whose roots are a sub-multiset of B's eigenvalues, and the
 proof of `charpoly` bounds its coefficients by C(n, k) s^k, with
 s = ceil(sqrt(ceil(F^2 / n))) and F^2 the sum of B's squared entries
 (sum |lambda|^2 over a sub-multiset is at most that over all).
-`_dft_charpoly` returns them as factors, each G_d twice.  The exact
-ones are written in closed form: for d <= 2, A_omega of one or two rows
-gives x - a or x^2 - (tr A) x + det A; and one cycle alone at an order d
-in 1, 2, 3, 4 and 6, where 2 cos(2 pi / d) is an integer, gives x - lambda
-with 2 lambda the sum of c 2 cos(2 pi delta / d) (A_omega is real, as B
-is symmetric).  Every other det(xI - A_omega) is one Hessenberg
-reduction in O(k^3) modulo a product N of primes p = 1 (mod d) below
-2^62 that exceeds 2 max_k C(n, k) s^k + 1, with a root of order d mod
-each (`_prime_root`), and each coefficient is lifted to its symmetric
-residue mod N.
+`_dft_charpoly` returns them as factors, each G_d twice, each by one of
+three routes.  One cycle alone at an order d in 1, 2, 3, 4 and 6, where
+2 cos(2 pi / d) is an integer, gives x - lambda with 2 lambda the sum of
+c 2 cos(2 pi delta / d) (A_omega is real, as B is symmetric or d <= 2).
+For d <= 2, A_omega of two rows gives x^2 - (tr A) x + det A.  Every
+other det(xI - A_omega) is one Hessenberg reduction in O(k^3) modulo a
+product N of primes p = 1 (mod d) below 2^62 that exceeds
+2 max_k C(n, k) s^k + 1, with a root of order d mod each (`_prime_root`),
+and each coefficient is lifted to its symmetric residue mod N.
 
 Determinants and ranks use fraction-free Bareiss elimination, so every
 value stays an exact Python integer.  Polynomials are integer
@@ -62,11 +61,12 @@ rendering all read the same pass.  A product of polynomials whose splits
 are known is multiplied out once, from those splits alone, and keeps its
 own (`_split_product`): the multiplicities of each root are added, the
 cofactors multiplied, and that cofactor times the linear factor of each
-root, to its multiplicity, is the product.  Two products are built so:
+root, to its multiplicity, is the product.  Three products are built so:
 the charpoly of a braid report, from the splits of the DFT factors of
 each block divided by the gcd of its entries, a linear factor its own
 root and a quadratic one split by its discriminant (`_split_charpoly`),
-and a system's charpoly product, from its components' kept splits.
+a system's charpoly product, from its components' kept splits, and
+`IntPolynomial.from_roots`, from its roots.
 """
 
 from __future__ import annotations
@@ -101,10 +101,8 @@ class IntPolynomial(JsonCodec):
 
     @staticmethod
     def from_roots(roots) -> "IntPolynomial":
-        p = IntPolynomial((1,))
-        for r in roots:
-            p = p * IntPolynomial((-r, 1))
-        return p
+        """The product of x - r over the integers r, with its split kept."""
+        return _split_product([([(r, 1) for r in roots], [1])])
 
     @staticmethod
     def x_power(k: int) -> "IntPolynomial":
@@ -219,8 +217,9 @@ _PRIME_ROOTS: dict[int, list[tuple[int, int]]] = {}
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd n in (2, 2^64): Sinclair's seven
-    bases admit no strong pseudoprime in that range."""
+    """Deterministic Miller-Rabin for 2 <= n < 2^64: Sinclair's seven bases
+    admit no strong pseudoprime in that range.  An even n > 2 fails at the
+    base 2, whose powers mod n are even and so neither 1 nor n - 1."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -252,7 +251,7 @@ def _prime_root(i: int, d: int) -> tuple[int, int]:
         p = found[-1][0] - step if found else ((1 << 62) - 2) // step * step + 1
         while not _is_prime(p):
             p -= step
-        qs = [q for q in range(2, d + 1) if d % q == 0 and all(q % f for f in range(2, q))]
+        qs = [q for q in range(2, d + 1) if d % q == 0 and _is_prime(q)]
         for a in range(2, p):
             w = pow(a, (p - 1) // d, p)
             if all(pow(w, d // q, p) != 1 for q in qs):
@@ -467,23 +466,6 @@ def _split_product(splits) -> IntPolynomial:
 _TWICE_COS = {1: (2,), 2: (2, -2), 3: (2, -1, -1), 4: (2, 0, -2, 0), 6: (2, 1, -1, -2, -1, 1)}
 
 
-def _integer_charpoly(A, f2: int) -> list[int]:
-    """Ascending coefficients of det(xI - A) for an integer matrix A whose
-    eigenvalues are some of those of a matrix with F^2 = f2, so that its
-    coefficients are bounded by C(n, k) s^k (`charpoly`): x - a and
-    x^2 - (tr A) x + det A in closed form, and one `_charpoly_mod` pass,
-    modulo primes above twice that bound, for three or more rows."""
-    if len(A) == 1:
-        return [-A[0][0], 1]
-    if len(A) == 2:
-        (a, b), (c, d) = A
-        return [a * d - b * c, -a - d, 1]
-    N, bound, i = 1, 2 * _coefficient_bound(len(A), f2) + 1, 0
-    while N <= bound:
-        N, i = N * _prime_root(i, 1)[0], i + 1
-    return [c - N if 2 * c > N else c for c in _charpoly_mod(A, N)]
-
-
 def _dft_charpoly(lengths, orbits) -> list[tuple[list[int], int]]:
     """det(xI - B) as factors (ascending coefficients, multiplicity), for a
     block B that is constant on the orbits of e x e, e a permutation with
@@ -495,23 +477,18 @@ def _dft_charpoly(lengths, orbits) -> list[tuple[list[int], int]]:
     multiplicity 1, for d <= 2, and G_d, multiplicity 2, for d > 2, F_d
     and G_d the product of det(xI - A_omega) over omega = W^u, u <= d / 2 a
     unit mod d (u = 1 for d <= 2, as +-1 each pair with themselves).  A
-    block of 1-cycles meets only d = 1, where A_1 is its own rows, written
-    straight from its orbits.  Exact factors are written in closed form:
-    for d <= 2 A_omega is an integer matrix, and one of one or two rows
-    gives x - a or x^2 - (tr A) x + det A (`_integer_charpoly`); for a
-    block's only cycle whose length d divides, at d in 1, 2, 3, 4 and 6,
-    A_omega = sum of c omega^delta is the real lambda, 2 lambda = sum of
-    c 2 cos(2 pi delta / d), an integer.  Every other factor is taken
-    modulo the product N of the fewest primes p = 1 (mod d) below 2^62 with
+    block of 1-cycles meets only d = 1, where A_1 is its own rows.  Each
+    factor takes one of three routes.  For a block's only cycle whose
+    length d divides, at d in 1, 2, 3, 4 and 6, A_omega = sum of
+    c omega^delta is the real lambda, 2 lambda = sum of
+    c 2 cos(2 pi delta / d), an integer: x - lambda.  For d <= 2 A_omega
+    is an integer matrix, and one of two rows gives x^2 - (tr A) x + det A.
+    Every other factor is one `_charpoly_mod` pass per u, modulo the
+    product N of the fewest primes p = 1 (mod d) below 2^62 with
     N > 2 max_k C(n, k) s^k + 1, n its degree and s from B's F^2, and W a
-    root of order d mod each of them; each coefficient is lifted to its
-    symmetric residue.
+    root of order d mod each of them (W = 1 at d = 1 and W = -1 at d = 2);
+    each coefficient is lifted to its symmetric residue.
     """
-    if max(lengths) == 1:  # A_1 is B
-        A = [[0] * len(lengths) for _ in lengths]
-        for i, j, _, v in orbits:
-            A[i][j] += v
-        return [(_integer_charpoly(A, sum(v * v for *_, v in orbits)), 1)]
     f2, scaled = 0, []  # B's F^2, and each orbit with its entry times |J| / gcd(|I|, |J|)
     for i, j, delta, v in orbits:
         g = math.gcd(a := lengths[i], b := lengths[j])
@@ -525,17 +502,19 @@ def _dft_charpoly(lengths, orbits) -> list[tuple[list[int], int]]:
                 at[c], k = k, k + 1
         terms = [(at[i], at[j], delta % d, c) for i, j, delta, c in scaled
                  if at[i] is not None and at[j] is not None]
+        mult = 2 if d > 2 else 1
         if k == 1 and d in _TWICE_COS:  # x - lambda
             twice = _TWICE_COS[d]
-            factors.append(([-sum(c * twice[e] for *_, e, c in terms) // 2, 1], 2 if d > 2 else 1))
+            factors.append(([-sum(c * twice[e] for *_, e, c in terms) // 2, 1], mult))
             continue
-        if d <= 2:  # A is an integer matrix
-            A = [[0] * k for _ in range(k)]
+        if k == 2 and d <= 2:  # x^2 - (tr A) x + det A, A an integer matrix
+            A = [[0, 0], [0, 0]]
             for a, b, e, c in terms:
                 A[a][b] += -c if e else c
-            factors.append((_integer_charpoly(A, f2), 1))
+            (p, q), (r, t) = A
+            factors.append(([p * t - q * r, -p - t, 1], 1))
             continue
-        units = [u for u in range(1, d // 2 + 1) if math.gcd(u, d) == 1]
+        units = [1] if d <= 2 else [u for u in range(1, d // 2 + 1) if math.gcd(u, d) == 1]
         bound = 2 * _coefficient_bound(len(units) * k, f2) + 1
         N, W, i = 1, 0, 0
         while N <= bound:
@@ -546,16 +525,12 @@ def _dft_charpoly(lengths, orbits) -> list[tuple[list[int], int]]:
             powers[e] = powers[e - 1] * W % N
         factor = [1]
         for u in units:
-            if k == 1:  # times x - A
-                a = sum(c * powers[u * e % d] for _, _, e, c in terms)
-                factor = [(x - a * y) % N for x, y in zip([0] + factor, factor + [0])]
-                continue
             A = [[0] * k for _ in range(k)]
             for a, b, e, c in terms:
                 A[a][b] += c * powers[u * e % d]
             cp = _charpoly_mod(A, N)
             factor = cp if u == 1 else [v % N for v in _mul_coeffs(factor, cp)]
-        factors.append(([c - N if 2 * c > N else c for c in factor], 2))
+        factors.append(([c - N if 2 * c > N else c for c in factor], mult))
     return factors
 
 

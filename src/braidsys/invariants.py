@@ -27,6 +27,7 @@ from .crossing import _pure_power_orbits, crossing_matrix
 from .intlinalg import (
     IntPolynomial,
     ReducedPolynomial,
+    _is_prime,
     _split_charpoly,
     _split_product,
     integer_roots,
@@ -260,7 +261,7 @@ def _symmetric_order(gens: list[tuple[int, ...]]) -> int | None:
             if not _least_block_is_everything(gens, b):
                 return None
             seen |= _orbit(fixers, b)
-    odd = any((n - len(_cycle_lengths(g))) % 2 for g in gens)
+    odd = any((n - len(braids._tup_cycles(g, 0))) % 2 for g in gens)
     return math.factorial(n) // (1 if odd else 2)
 
 
@@ -275,25 +276,12 @@ def _orbit(gens: list[tuple[int, ...]], x: int) -> set[int]:
     return seen
 
 
-def _cycle_lengths(g: tuple[int, ...]) -> list[int]:
-    seen = [False] * len(g)
-    lengths = []
-    for start in range(len(g)):
-        if not seen[start]:
-            k, x = 0, start
-            while not seen[x]:
-                seen[x] = True
-                x, k = g[x], k + 1
-            lengths.append(k)
-    return lengths
-
-
 def _has_lone_prime_cycle(g: tuple[int, ...]) -> bool:
     """Whether g has exactly one cycle of some prime length p, with
     p <= 3 or p <= n - 3, and every other cycle length prime to p."""
-    n, lengths = len(g), _cycle_lengths(g)
+    n, lengths = len(g), [len(c) for c in braids._tup_cycles(g, 0)]
     return any(
-        1 < p and (p <= 3 or p <= n - 3) and all(p % d for d in range(2, math.isqrt(p) + 1))
+        1 < p and (p <= 3 or p <= n - 3) and _is_prime(p)
         and sum(k % p == 0 for k in lengths) == 1
         for p in set(lengths)
     )

@@ -153,6 +153,28 @@ def test_permutation_order_examples():
     assert permutation_order(parse_word("", 3)) == 1
 
 
+def test_one_cycle_walk_serves_both_bases():
+    # each cycle from its least point, following the images, the cycles in
+    # the order of those points; 1-based images give the same 0-based
+    # cycles as their 0-based copy, and Permutation reads them back 1-based
+    rng = random.Random(45)
+    for m in [0, 1, 2, 3, *range(4, 40, 5)]:
+        images = list(range(1, m + 1))
+        rng.shuffle(images)
+        p = Permutation(tuple(images))
+        cycles = braids._tup_cycles(p.images)
+        assert cycles == braids._tup_cycles(tuple(v - 1 for v in images), 0)
+        assert sorted(k for c in cycles for k in c) == list(range(m))
+        assert [c[0] for c in cycles] == sorted(min(c) for c in cycles)
+        assert all(p(c[s] + 1) == c[(s + 1) % len(c)] + 1 for c in cycles for s in range(len(c)))
+        assert p.cycles() == [[k + 1 for k in c] for c in cycles]
+        assert p.cycle_count() == len(cycles)
+        power, order = p, 1
+        while not power.is_identity():
+            power, order = power.then(p), order + 1
+        assert p.order() == order
+
+
 def test_group_operations():
     a = parse_word("1", 2)
     assert is_identity(product(a, inverse(a)))

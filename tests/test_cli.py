@@ -283,6 +283,33 @@ def test_papersuite(capsys):
     assert result["all_pass"] and len(result["rows"]) > 30
 
 
+def test_papersuite_text_table_shows_a_failing_row(capsys, monkeypatch):
+    # a row whose values differ is marked FAIL with both values under it,
+    # and the command exits 3
+    rows = [refsuite.Row("good", "passes", "1", "1", True),
+            refsuite.Row("bad-row", "fails", "[1, 2]", "[2, 1]", False)]
+    monkeypatch.setattr(refsuite, "run", lambda flipped=False: (rows, False))
+    assert main(["papersuite"]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "good     pass  passes",
+        "bad-row  FAIL  fails",
+        "         expected: [1, 2]",
+        "         computed: [2, 1]",
+        "1/2 rows pass",
+    ]
+
+
+def test_an_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    # neither a ValueError nor an OSError, so not the user's input: exit 3
+    def broken(flipped=False):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(refsuite, "run", broken)
+    assert main(["papersuite"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "internal error: RuntimeError('boom')\n"
+
+
 @pytest.mark.parametrize("flipped", [False, True])
 def test_papersuite_rows_json_roundtrip(flipped):
     rows, ok = refsuite.run(flipped=flipped)

@@ -417,6 +417,14 @@ def test_prime_roots_are_the_largest_primes_1_mod_d_in_order():
     assert [p for p, _ in intlinalg._PRIME_ROOTS[1]] == [p for p, _ in intlinalg._PRIME_ROOTS[2]]
 
 
+def test_is_prime_matches_trial_division_from_2():
+    # the one primality test serves the prime search near 2^62, the prime
+    # factors of a root order d and the cycle lengths of Jordan's test,
+    # so it must be exact on small and even n too
+    for n in range(2, 10_001):
+        assert intlinalg._is_prime(n) == all(n % f for f in range(2, math.isqrt(n) + 1)), n
+
+
 def test_import_computes_no_moduli():
     code = "import braidsys; from braidsys import intlinalg; print(len(intlinalg._PRIME_ROOTS))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
@@ -518,10 +526,12 @@ def test_integer_roots_known_values():
 
 
 def test_integer_roots_reconstruction():
+    # a fresh copy of the product, so that its roots come from the scan and
+    # not from the split `from_roots` keeps
     rng = random.Random(25)
     for _ in range(150):
         roots = [rng.randint(-8, 8) for _ in range(rng.randint(0, 5))]
-        p = IntPolynomial.from_roots(roots)
+        p = IntPolynomial(IntPolynomial.from_roots(roots).coeffs)
         got = dict(integer_roots(p))
         want: dict[int, int] = {}
         for r in roots:
@@ -530,6 +540,30 @@ def test_integer_roots_reconstruction():
         # every reported root really evaluates to zero
         for r, _mult in integer_roots(p):
             assert p(r) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-8, 8) | st.sampled_from([-1, 0, 1]) | st.integers(-10**20, 10**20), max_size=12))
+@example([])
+@example([0, 0, 1, -1, -1, -1, 5, 5])
+@example([10**20] * 12)
+def test_from_roots_keeps_its_split(roots):
+    # the product of x - r, as the factors multiply out, with the multiset
+    # of the roots kept: integer_roots of it makes no scan
+    want = IntPolynomial((1,))
+    for r in roots:
+        want = want * IntPolynomial((-r, 1))
+    calls = []
+    real = intlinalg._split_roots
+    intlinalg._split_roots = lambda p: calls.append(p) or real(p)
+    try:
+        p = IntPolynomial.from_roots(roots)
+        got = integer_roots(p)
+    finally:
+        intlinalg._split_roots = real
+    assert p == want and not calls
+    assert got == tuple(sorted((r, roots.count(r)) for r in set(roots)))
+    assert split_integer_roots(p)[1] == IntPolynomial((1,))
 
 
 def test_integer_roots_ignores_non_integer_content():

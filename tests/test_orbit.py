@@ -508,6 +508,14 @@ def test_verify_invariance_single_component():
     assert verify_invariance(solo, trials=5, seed=0).passed
 
 
+def test_verify_invariance_degree_one():
+    # one strand has no generator, so every global-conjugation draw is
+    # skipped; the Hurwitz moves and stabilizations still run and pass
+    rep = verify_invariance(BraidSystem.from_texts(1, ["", ""]), trials=30, seed=5)
+    assert rep.passed, rep.failures
+    assert rep.moves_applied == 109
+
+
 def test_verify_invariance_rejects_bad_trials():
     with pytest.raises(ValueError):
         verify_invariance(BraidSystem.from_texts(2, ["1"]), trials=0, seed=0)
