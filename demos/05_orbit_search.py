@@ -24,7 +24,7 @@ print("orbit of (s1, s1):", hurwitz_orbit(pair))
 
 # find a path back to a scrambled copy of a small system
 src = BraidSystem.from_texts(3, ["1", "2", "1"])
-tgt = hurwitz_move(hurwitz_move(src, HurwitzMove(1)), HurwitzMove(2), simplify=True)
+tgt = hurwitz_move(hurwitz_move(src, HurwitzMove(1)), HurwitzMove(2))
 res = hurwitz_orbit(src, OrbitLimits(max_states=5000, max_depth=10), target=tgt)
 print("\ntarget search:", res.status, "witness:", [str(m) for m in res.witness])
 replayed = replay_witness(src, res.witness)

@@ -125,10 +125,10 @@ def _parse_step(op: str, args: list[str]):
     (system, tau check or None)."""
     if op == "H" and len(args) == 2 and args[1] in ("+", "-"):
         mv = HurwitzMove(_integer(args[0]), args[1] == "-")
-        return str(mv), lambda s: (hurwitz_move(s, mv, simplify=True), None)
+        return str(mv), lambda s: (hurwitz_move(s, mv), None)
     if op == "GC":
         word = " ".join(args)
-        return f"GC {word}", lambda s: (global_conjugate(s, parse_word(word, s.degree), simplify=True), None)
+        return f"GC {word}", lambda s: (global_conjugate(s, parse_word(word, s.degree)), None)
     if op == "STAB" and not args:
         return op, lambda s: (stabilize(s), None)
     if op == "DESTAB" and not args:

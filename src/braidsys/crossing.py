@@ -17,14 +17,13 @@ so the same under either convention.
 A word is swept as it is.  The matrix is the same on every word of a
 braid, so a report of a word sweeps that word, not its normal form
 (`invariants.braid_invariants`).  A braid given by its normal form
-Delta^d A_1 ... A_k alone is not re-expanded into a word: the half
-twists of a negative infimum are spent on the first factors, turning
-each into the inverse of its short complement, read off by
-`NormalForm.inverse`, and the half twists left over have a closed-form
-matrix, added orbit by orbit, so only a short mixed word is swept (see
-`_normal_form_entries`).  A sweep keeps its matrix's nonzero entries as
-a dict (`crossing_matrix`); one pass over them sums each orbit of strand
-pairs (`_pure_power_orbits`), and the
+alone is swept on its one spelling Delta^e w (`NormalForm.to_word`),
+whose half twists are spent on the first factors of a negative
+infimum, turning each into the inverse of its short complement: only
+the short mixed word w is swept, and Delta^e has a closed-form matrix,
+added orbit by orbit (see `_normal_form_entries`).  A sweep keeps its
+matrix's nonzero entries as a dict (`crossing_matrix`); one pass over
+them sums each orbit of strand pairs (`_pure_power_orbits`), and the
 pure-power matrix is handed over as the cycles of the braid permutation
 and those orbit entries: the shape in which `intlinalg.charpoly` takes
 any matrix, and which `intlinalg` alone splits into diagonal blocks.  A
@@ -42,7 +41,6 @@ from .braids import (
     BraidWord,
     NormalForm,
     Permutation,
-    _permutation_letters,
     _tup_cycles,
     permutation,
 )
@@ -112,21 +110,10 @@ def crossing_matrix(b: BraidWord) -> CrossingMatrix:
 
 def _normal_form_entries(nf: NormalForm) -> tuple[dict[tuple[int, int], int], int]:
     """(the nonzero entries {(i, j): entry}, 0-based, of the crossing matrix
-    of a short mixed word, e): the crossing matrix of the normal form
-    Delta^d A_1 ... A_k is that of Delta^e plus those entries.
+    of the short mixed word w, e), for the normal form Delta^e w that
+    `NormalForm._mixed_letters` spells: the crossing matrix of the form is
+    that of Delta^e plus those entries.
 
-    For d < 0 and t = min(-d, k), `NormalForm.inverse` reads the inverse of
-    Delta^-t A_1 ... A_t off as Delta^0 B_t ... B_1, B_j the left complement
-    of A_j, flipped when t - j is even (El-Rifai and Morton 1994; Epstein
-    et al., *Word Processing in Groups*, ch. 9).  So Delta^-t A_1 ... A_t
-    = B_1^-1 ... B_t^-1, and the word swept is the inverted words of
-    B_1 ... B_t, then the positive words of A_(t+1) ... A_k.
-    A factor near Delta has a short complement, and the factors of a
-    negative infimum are mostly such: for random words of 64 letters at
-    m = 32 the word swept has 90 letters on average, where the positive
-    word of the factors has 1,538.
-
-    What is left is Delta^e, e = d + t, nonzero only when d > 0 or -d > k.
     Every pair of strands crosses once in Delta, and Delta reverses the
     positions, so the strand on the left alternates from one half twist
     to the next.  It passes over in Delta; in Delta^-1 the strand on the
@@ -137,16 +124,9 @@ def _normal_form_entries(nf: NormalForm) -> tuple[dict[tuple[int, int], int], in
     reindexed by that reversal.  `_pure_power_orbits` adds the closed form
     orbit by orbit; written out, nearly every entry would be nonzero.
     """
-    m, d, factors = nf.degree, nf.infimum, nf.factors
-    t = min(-d, len(factors)) if d < 0 else 0
-    letters: list[int] = []
-    complements = NormalForm(m, -t, factors[:t]).inverse().factors if t else ()
-    for c in reversed(complements):
-        letters += [-k for k in reversed(_permutation_letters(c))]
-    for a in factors[t:]:
-        letters += _permutation_letters(a)
+    m = nf.degree
+    e, letters = nf._mixed_letters()
     counts = crossing_matrix(BraidWord(m, tuple(letters)))._counts
-    e = d + t
     if e % 2:
         counts = {(m - 1 - i, m - 1 - j): v for (i, j), v in counts.items()}
     return counts, e

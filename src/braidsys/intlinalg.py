@@ -212,7 +212,8 @@ def _divide_out(c: list[int], root: int) -> tuple[list[int], int]:
 
 
 # d -> the primes p = 1 (mod d) found so far, largest first, each with a
-# root of order d mod p (`_prime_root`); d = 1 serves every dense block
+# root of order d mod p (`_prime_root`); d = 1, which serves every dense
+# block, and d = 2 walk the same odd primes, kept once under 2
 _PRIME_ROOTS: dict[int, list[tuple[int, int]]] = {}
 
 
@@ -242,22 +243,25 @@ def _is_prime(n: int) -> bool:
 def _prime_root(i: int, d: int) -> tuple[int, int]:
     """(p, w): the i-th largest prime p = 1 (mod d) below 2^62 (from 0)
     and w, a root of exact order d mod p, searched for on first use and
-    kept in `_PRIME_ROOTS[d]`.  w = a^((p-1)/d) for the least a >= 2 with
-    w^(d/q) != 1 for each prime q dividing d, so w^d = 1 and no smaller
-    power is."""
-    found = _PRIME_ROOTS.setdefault(d, [])
-    step = d if d % 2 == 0 else 2 * d  # p is odd, so p = 1 (mod 2d) for odd d
+    kept in `_PRIME_ROOTS[max(d, 2)]`.  w = a^((p-1)/d) for the least
+    a >= 2 with w^(d/q) != 1 for each prime q dividing d, so w^d = 1 and
+    no smaller power is.  Every odd prime is 1 (mod 2), so d = 1 reads the
+    primes of d = 2, kept with their order-2 root p - 1, and takes the
+    root 1."""
+    key = max(d, 2)
+    found = _PRIME_ROOTS.setdefault(key, [])
+    step = key if key % 2 == 0 else 2 * key  # p is odd, so p = 1 (mod 2d) for odd d
     while len(found) <= i:
         p = found[-1][0] - step if found else ((1 << 62) - 2) // step * step + 1
         while not _is_prime(p):
             p -= step
-        qs = [q for q in range(2, d + 1) if d % q == 0 and _is_prime(q)]
+        qs = [q for q in range(2, key + 1) if key % q == 0 and _is_prime(q)]
         for a in range(2, p):
-            w = pow(a, (p - 1) // d, p)
-            if all(pow(w, d // q, p) != 1 for q in qs):
+            w = pow(a, (p - 1) // key, p)
+            if all(pow(w, key // q, p) != 1 for q in qs):
                 break
         found.append((p, w))
-    return found[i]
+    return found[i] if d > 1 else (found[i][0], 1)
 
 
 def _crt(a: list[int], p: int, b: list[int], q: int) -> list[int]:

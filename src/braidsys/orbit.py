@@ -229,7 +229,7 @@ def orbit_states(s: BraidSystem, limits: OrbitLimits = OrbitLimits()):
 
 def replay_witness(s: BraidSystem, witness) -> BraidSystem:
     for move in witness:
-        s = hurwitz_move(s, move, simplify=True)
+        s = hurwitz_move(s, move)
     return s
 
 
@@ -327,14 +327,14 @@ def verify_invariance(s: BraidSystem, trials: int, seed: int) -> InvarianceRepor
             if kind == "hurwitz" and len(current) >= 2:
                 move = HurwitzMove(rng.randint(1, len(current) - 1), rng.random() < 0.5)
                 history.append(str(move))
-                after, keeps_shape, dropped = hurwitz_move(current, move, simplify=True), True, ()
+                after, keeps_shape, dropped = hurwitz_move(current, move), True, ()
             elif kind == "conj":
                 gens = [k for i in range(1, current.degree) for k in (i, -i)]
                 if not gens:
                     continue
                 a = BraidWord(current.degree, tuple(rng.choice(gens) for _ in range(rng.randint(1, 4))))
                 history.append(f"GC {a.to_text()}")
-                after = global_conjugate(current, a, simplify=True)
+                after = global_conjugate(current, a)
                 keeps_shape, dropped, nf_a = True, ("trace_product",), braids.normal_form(a)
                 traced = braids._nf_product(nf_a.inverse(), current_rep._trace_form, nf_a)  # a^-1 T a
             else:

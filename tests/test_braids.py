@@ -28,6 +28,7 @@ from braidsys import (
     permutation_order,
     power,
     product,
+    pure_power_matrix,
     system_invariants_from_normal_forms,
 )
 from braidsys import braids
@@ -276,21 +277,55 @@ def test_normal_form_group_laws():
         assert normal_form(power(w, k)) == nf.power(k)
 
 
-def test_to_word_spells_the_half_twist_only_for_a_nonzero_infimum(monkeypatch):
+def test_to_word_spells_the_half_twist_only_when_half_twists_are_left_over(monkeypatch):
+    # Delta^d A_1 ... A_k is spelled Delta^e w: for d < 0 the first
+    # t = min(-d, k) half twists are spent on the first t factors, so
+    # e = d + t is nonzero only when d > 0 or -d > k
     spelled = []
     spell = braids._permutation_letters
     monkeypatch.setattr(braids, "_permutation_letters", lambda p: spelled.append(p) or spell(p))
     rng = random.Random(54)
-    infima = set()
-    for _ in range(200):
+    cases = set()
+    for _ in range(300):
         m = rng.randint(1, 10)
-        nf = normal_form(delta_power_word(m, rng.randint(-2, 2), random_word(rng, m, 3 * m).letters))
-        infima.add(nf.infimum)
+        w = random_word(rng, m, 3 * m)
+        nf = normal_form(delta_power_word(m, rng.randint(-6, 2), w.letters))
+        d, k = nf.infimum, len(nf.factors)
+        cases.add((d > 0) - (d < 0) - (-d > k))
         spelled.clear()
         word = nf.to_word()
-        assert (tuple(range(m, 0, -1)) in spelled) == (nf.infimum != 0)
+        assert (tuple(range(m, 0, -1)) in spelled) == (d > 0 or -d > k)
         assert normal_form(word) == nf
-    assert 0 in infima and len(infima) > 2
+    assert cases == {1, 0, -1, -2}  # d > 0, d = 0, -k <= d < 0 and -d > k
+
+
+def _delta_block_word(nf):
+    """The long spelling of a normal form: |d| half-twist blocks, then the
+    positive word of each factor by the restarting scan."""
+    letters = [k for f in nf.factors for k in permutation_letters_restart(f)]
+    return delta_power_word(nf.degree, nf.infimum, tuple(letters))
+
+
+@pytest.mark.parametrize("m", [3, 4, 7, 12, 24, 64])
+def test_to_word_is_the_braid_of_the_form_and_sweeps_as_the_form(m):
+    # on forms with every infimum from d = -k - 3 to d = 2, so that half
+    # twists are left over on both sides: the short spelling round-trips,
+    # is the braid of the delta-block spelling, and its pure-power matrix
+    # is the form's
+    rng = random.Random(3100 + m)
+    infima = set()
+    for _ in range(3 if m == 64 else 6):
+        factors = normal_form(random_word(rng, m, 2 * m, 2 * m)).factors
+        k = len(factors)
+        for d in sorted({-k - 3, -k - 1, -k, -k // 2, -1, 0, 1, 2}):
+            nf = NormalForm(m, d, factors)
+            infima.add((d > 0) - (d < 0) - (-d > k))
+            word = nf.to_word()
+            assert normal_form(word) == nf
+            if m <= 24 or d in (-k - 1, -1, 1):  # the long spelling normalises slowly at m = 64
+                assert braids_equal(word, _delta_block_word(nf))
+            assert pure_power_matrix(nf) == pure_power_matrix(word)
+    assert infima == {1, 0, -1, -2}
 
 
 def test_free_insertion_does_not_change_normal_form():
@@ -577,8 +612,6 @@ def test_a_word_times_its_inverse_is_the_identity(w):
 
 @pytest.mark.parametrize("m", [16, 64, 128])
 def test_normal_form_of_a_re_expanded_form_is_the_form(m):
-    # to_word spells half-twist blocks, then the factors, so later letters
-    # cancel against whole half-twist pieces
     rng = random.Random(m)
     for _ in range(3):
         nf = normal_form(random_word(rng, m, 2 * m, 2 * m))

@@ -381,7 +381,7 @@ def test_moduli_are_distinct_primes_below_2_62():
     rho, n = 10**30, 32
     charpoly([[rho if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)])
     bound = 2 * max(math.comb(n, k) * rho**k for k in range(n + 1)) + 1
-    used = [p for p, _ in intlinalg._PRIME_ROOTS[1]]
+    used = [p for p, _ in intlinalg._PRIME_ROOTS[2]]  # dense blocks read the list of d <= 2
     assert math.prod(used) > bound  # that call needed 52 of them
     assert len(set(used)) == len(used)
     assert all(2**61 < p < 2**62 and is_prime_mr(p) for p in used)
@@ -394,7 +394,9 @@ def test_prime_roots_are_primes_1_mod_d_with_roots_of_order_d():
     for d in [*range(1, 65), 512, 1024, 2048]:
         pairs = [intlinalg._prime_root(i, d) for i in range(3)]
         primes = [p for p, _ in pairs]
-        assert primes == sorted(set(primes), reverse=True) and intlinalg._PRIME_ROOTS[d][:3] == pairs
+        kept = intlinalg._PRIME_ROOTS[max(d, 2)][:3]  # d = 1 reads the primes of d = 2
+        assert primes == sorted(set(primes), reverse=True) and [p for p, _ in kept] == primes
+        assert d == 1 or kept == pairs
         for p, w in pairs:
             assert p < 2**62 and (p - 1) % d == 0 and is_prime_mr(p)
             assert pow(w, d, p) == 1 and all(pow(w, e, p) != 1 for e in range(1, d) if d % e == 0)
@@ -403,7 +405,8 @@ def test_prime_roots_are_primes_1_mod_d_with_roots_of_order_d():
 def test_prime_roots_are_the_largest_primes_1_mod_d_in_order():
     # the i-th entry of `_PRIME_ROOTS[d]` is the i-th prime p = 1 (mod d)
     # below 2^62 met by a scan down from 2^62 - 1 that tests every integer;
-    # d = 1 serves every dense block, and d = 2 walks the same primes
+    # d = 1 serves every dense block and walks the primes of d = 2, which
+    # are kept once, with the order-2 root p - 1
     for d in (1, 2, 3, 4, 6, 1024):
         want, n = [], 2**62 - 1
         while len(want) < 3:
@@ -411,10 +414,9 @@ def test_prime_roots_are_the_largest_primes_1_mod_d_in_order():
                 want.append(n)
             n -= 1
         assert [intlinalg._prime_root(i, d)[0] for i in range(3)] == want
-    n = max(len(intlinalg._PRIME_ROOTS[1]), len(intlinalg._PRIME_ROOTS[2]))
-    for d in (1, 2):
-        intlinalg._prime_root(n - 1, d)
-    assert [p for p, _ in intlinalg._PRIME_ROOTS[1]] == [p for p, _ in intlinalg._PRIME_ROOTS[2]]
+    n = len(intlinalg._PRIME_ROOTS[2]) + 2
+    assert [intlinalg._prime_root(i, 1) for i in range(n)] == [(p, 1) for p, _ in intlinalg._PRIME_ROOTS[2]]
+    assert all(w == p - 1 for p, w in intlinalg._PRIME_ROOTS[2]) and 1 not in intlinalg._PRIME_ROOTS
 
 
 def test_is_prime_matches_trial_division_from_2():

@@ -54,13 +54,17 @@ def bpvec():
 
 
 def test_hurwitz_move_definition(bvec):
+    # the conjugated component is stored as the canonical word of the
+    # literal conjugation word, another word of the same braid
     moved = hurwitz_move(bvec, HurwitzMove(2))
     assert moved.components[1].letters == (-2,)
-    assert moved.components[2].letters == (2, 3, -2)  # literal conjugation word
+    assert moved.components[2].letters == (-3, 2, 3)
+    assert normal_form(moved.components[2]) == normal_form(parse_word("2,3,-2", 4))  # b_3^-1 b_2 b_3
     undone = hurwitz_move(moved, HurwitzMove(2, inverse=True))
-    assert components_equal(undone, bvec)
+    assert undone == bvec
     back = hurwitz_move(bvec, HurwitzMove(2, inverse=True))
-    assert back.components[1].letters == (3, -2, -3)  # literal word b_2 b_3 b_2^-1
+    assert back.components[1].letters == (-2, -3, 2)
+    assert normal_form(back.components[1]) == normal_form(parse_word("3,-2,-3", 4))  # b_2 b_3 b_2^-1
     assert back.components[2].letters == (3,)
 
 
@@ -104,8 +108,7 @@ def test_nf_move_agrees_with_word_move():
         # forms that `hurwitz_move_nf` computed
         via_words = BraidSystem(m, hurwitz_move(s, move).components).normal_forms()
         via_nf = hurwitz_move_nf(s.normal_forms(), move)
-        simplified = hurwitz_move(s, move, simplify=True).components
-        assert via_words == via_nf == BraidSystem(m, simplified).normal_forms()
+        assert via_words == via_nf
     with pytest.raises(ValueError):
         hurwitz_move_nf(s.normal_forms(), HurwitzMove(n))
     mixed = (normal_form(parse_word("1", 3)), normal_form(parse_word("1", 4)))
@@ -123,9 +126,7 @@ def test_nf_move_agrees_with_word_move_beyond_the_code_tables(m):
         s = BraidSystem(m, tuple(random_word(rng, m, 6) for _ in range(n)))
         move = HurwitzMove(rng.randint(1, n - 1), rng.random() < 0.5)
         via_nf = hurwitz_move_nf(s.normal_forms(), move)
-        for simplify in (False, True):
-            moved = hurwitz_move(s, move, simplify=simplify)
-            assert BraidSystem(m, moved.components).normal_forms() == via_nf
+        assert BraidSystem(m, hurwitz_move(s, move).components).normal_forms() == via_nf
 
 
 @st.composite
@@ -170,17 +171,17 @@ def test_move_given_the_pair_product_is_the_move_given_the_pair(pair):
         assert len(made) == 1
 
 
-def _word_step(s, op, arg, simplify):
-    """The step's words as the moves spelled them by words alone: the
-    literal word, freely reduced, or with simplify its canonical word."""
-    spell = canonical_word if simplify else free_reduce
+def _word_step(s, op, arg):
+    """The step's literal words, built by words alone: the conjugation
+    words of a Hurwitz move and a global conjugation, the concatenation of
+    a fusion."""
     if op == "H":
         a, b = s.components[arg.index - 1 : arg.index + 1]
-        pair = hurwitz_move_codes(lambda *ws: spell(functools.reduce(product, ws)), a, b, (a, b),
+        pair = hurwitz_move_codes(lambda *ws: functools.reduce(product, ws), a, b, (a, b),
                                   arg.inverse, inverse(a if arg.inverse else b))
         return s.components[: arg.index - 1] + pair + s.components[arg.index + 1 :]
     if op == "GC":
-        return tuple(spell(conjugate(c, arg)) for c in s.components)
+        return tuple(conjugate(c, arg) for c in s.components)
     l, q = arg
     return s.components[: l - 1] + (functools.reduce(product, s.components[l - 1 : l + q]),) \
         + s.components[l + q :]
@@ -201,22 +202,25 @@ def _random_step(rng, s):
     return op, None
 
 
-def _take_step(s, op, arg, simplify):
+def _take_step(s, op, arg):
     if op == "H":
-        return hurwitz_move(s, arg, simplify=simplify)
+        return hurwitz_move(s, arg)
     if op == "GC":
-        return global_conjugate(s, arg, simplify=simplify)
+        return global_conjugate(s, arg)
     if op == "FUSE":
         return euler_fuse(s, *arg)[0]
     return stabilize(s) if op == "STAB" else destabilize(s)
 
 
-@pytest.mark.parametrize("simplify", [False, True])
-def test_carried_forms_match_fresh_forms_and_the_bubble_oracle(simplify):
+@pytest.mark.parametrize("held", [False, True])
+def test_carried_forms_match_fresh_forms_and_the_bubble_oracle(held):
     # the forms a moved system holds are those of a fresh system of its
-    # words, and at degree <= 4 those of the bubble-sort oracle; the words
-    # do not depend on whether the input held its forms
-    rng = random.Random(410 + simplify)
+    # words, those of the literal words built by words alone, and at degree
+    # <= 4 those of the bubble-sort oracle; a Hurwitz move and a global
+    # conjugation store the canonical words of the literal words, a fusion
+    # their concatenation, whether or not the input held its forms (held
+    # makes every step's input hold them, else none does)
+    rng = random.Random(410 + held)
     taken = {}
     for _ in range(60):
         m = rng.randint(1, 8)
@@ -224,18 +228,32 @@ def test_carried_forms_match_fresh_forms_and_the_bubble_oracle(simplify):
         for _ in range(8):
             op, arg = _random_step(rng, s)
             lazy = BraidSystem(s.degree, s.components)
+            if held:
+                s.normal_forms()
+            else:
+                s = lazy
             try:
-                t = _take_step(s, op, arg, simplify)
+                t = _take_step(s, op, arg)
             except ValueError:  # a DESTAB that the components block
                 assert op == "DESTAB"
                 continue
             taken[op] = taken.get(op, 0) + 1
             if op in ("H", "GC", "FUSE"):
-                assert t.components == _word_step(s, op, arg, simplify), (op, arg)
-            from_lazy = _take_step(lazy, op, arg, simplify)
+                # H and GC always carry forms; FUSE only those its input held
+                assert ("_forms" in vars(t)) == (held or op in ("H", "GC"))
+                literal = _word_step(s, op, arg)
+                assert t.normal_forms() == tuple(map(normal_form, literal)), (op, arg)
+                spelled = list(literal)
+                if op == "GC":
+                    spelled = list(map(canonical_word, literal))
+                elif op == "H":  # the conjugated component of the pair
+                    j = arg.index - arg.inverse
+                    spelled[j] = canonical_word(literal[j])
+                assert t.components == tuple(spelled), (op, arg)
+            from_lazy = _take_step(lazy, op, arg)
             assert from_lazy == t
-            # forms are carried only if simplify computed them or s held them
-            assert ("_forms" in vars(from_lazy)) == (simplify and op in ("H", "GC"))
+            if op in ("H", "GC", "FUSE"):
+                assert ("_forms" in vars(from_lazy)) == (op in ("H", "GC"))
             fresh = BraidSystem(t.degree, t.components).normal_forms()
             assert t.normal_forms() == fresh, (op, arg)
             if t.degree <= 4:
@@ -259,14 +277,14 @@ def _count_normal_form_calls(monkeypatch):
 def test_moves_on_held_forms_normalise_only_a_conjugator(monkeypatch, bvec):
     bvec.normal_forms()
     calls = _count_normal_form_calls(monkeypatch)
-    moved = hurwitz_move(bvec, HurwitzMove(2, True), simplify=True)
-    moved = hurwitz_move(moved, HurwitzMove(1), simplify=False)
+    moved = hurwitz_move(bvec, HurwitzMove(2, True))
+    moved = hurwitz_move(moved, HurwitzMove(1))
     fused, _ = euler_fuse(moved, 2, 2)
     system_invariants(moved)
     system_invariants(fused)
     assert calls == []
     a = parse_word("1,-2", 4)
-    system_invariants(global_conjugate(moved, a, simplify=True))
+    system_invariants(global_conjugate(moved, a))
     assert calls == [a]
 
 
@@ -298,10 +316,10 @@ def test_hurwitz_act_well_defined():
     for _ in range(15):
         m = rng.randint(2, 4)
         s = BraidSystem(m, tuple(random_word(rng, m, 5) for _ in range(3)))
-        lhs = hurwitz_act(s, parse_word("1,2,1", 3), simplify=True)
-        rhs = hurwitz_act(s, parse_word("2,1,2", 3), simplify=True)
+        lhs = hurwitz_act(s, parse_word("1,2,1", 3))
+        rhs = hurwitz_act(s, parse_word("2,1,2", 3))
         assert components_equal(lhs, rhs)
-        cancel = hurwitz_act(s, parse_word("1,-1", 3), simplify=True)
+        cancel = hurwitz_act(s, parse_word("1,-1", 3))
         assert components_equal(cancel, s)
     assert components_equal(hurwitz_act(s, BraidWord(3)), s)
 
@@ -311,8 +329,8 @@ def test_hurwitz_act_distant_commutation():
     for _ in range(10):
         m = rng.randint(2, 4)
         s = BraidSystem(m, tuple(random_word(rng, m, 4) for _ in range(4)))
-        lhs = hurwitz_act(s, parse_word("1,3", 4), simplify=True)
-        rhs = hurwitz_act(s, parse_word("3,1", 4), simplify=True)
+        lhs = hurwitz_act(s, parse_word("1,3", 4))
+        rhs = hurwitz_act(s, parse_word("3,1", 4))
         assert components_equal(lhs, rhs)
 
 
@@ -479,7 +497,7 @@ def test_moves_keep_conjugates_of_generators_nontrivial():
             comps.append(conjugate(generator(m, rng.randint(1, m - 1), rng.choice((1, -1))), a))
         s = BraidSystem(m, tuple(comps))
         for _ in range(rng.randint(1, 8)):
-            s = hurwitz_move(s, HurwitzMove(rng.randint(1, 2), rng.random() < 0.5), simplify=True)
+            s = hurwitz_move(s, HurwitzMove(rng.randint(1, 2), rng.random() < 0.5))
         assert not any(is_identity(c) for c in s.components)
 
 

@@ -89,7 +89,7 @@ def test_witness_replays_to_target():
         src = BraidSystem(m, tuple(random_word(rng, m, 3, min_len=1) for _ in range(3)))
         tgt = src
         for _ in range(rng.randint(1, 4)):
-            tgt = hurwitz_move(tgt, HurwitzMove(rng.randint(1, 2), rng.random() < 0.5), simplify=True)
+            tgt = hurwitz_move(tgt, HurwitzMove(rng.randint(1, 2), rng.random() < 0.5))
         res = hurwitz_orbit(src, OrbitLimits(max_states=4000, max_depth=8), target=tgt)
         if res.status == "target_found":
             replayed = replay_witness(src, res.witness)
