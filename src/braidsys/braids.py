@@ -676,6 +676,7 @@ def parse_word(text: str, degree: int) -> BraidWord:
     denotes the k-th generator, k < 0 its inverse; empty text is the
     identity braid.
     """
+    BraidWord(degree)  # the degree is checked before any token
     tokens = [t for t in text.replace(",", " ").split() if t]
     letters = []
     for tok in tokens:

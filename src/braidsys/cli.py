@@ -231,6 +231,9 @@ def cmd_papersuite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def integer(text: str) -> int:  # argparse names a bad value's type by its __name__
+        return _integer(text)
+
     parser = argparse.ArgumentParser(
         prog="braidsys",
         description="Exact crossing-matrix invariants of braids and braid systems",
@@ -241,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", parents=[common],
                        help="invariant report for a braid word or a system file")
-    p.add_argument("--degree", type=_integer, help=f"number of strands, 1 to {MAX_DEGREE}")
+    p.add_argument("--degree", type=integer, help=f"number of strands, 1 to {MAX_DEGREE}")
     p.add_argument("--word", help="signed letters such as 3,-1,4; its normal form takes "
                                   "O(L^2) time in its length L")
     p.add_argument("--system", help="system JSON file")
@@ -262,9 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", parents=[common], help="bounded orbit search")
     p.add_argument("--system", required=True)
     p.add_argument("--target")
-    p.add_argument("--max-states", type=_integer, default=OrbitLimits.max_states)
-    p.add_argument("--max-depth", type=_integer, default=OrbitLimits.max_depth)
-    p.add_argument("--max-canonical-length", type=_integer,
+    p.add_argument("--max-states", type=integer, default=OrbitLimits.max_states)
+    p.add_argument("--max-depth", type=integer, default=OrbitLimits.max_depth)
+    p.add_argument("--max-canonical-length", type=integer,
                    default=OrbitLimits.max_component_canonical_length)
     p.set_defaults(func=cmd_orbit)
 

@@ -74,6 +74,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -213,8 +214,11 @@ def _divide_out(c: list[int], root: int) -> tuple[list[int], int]:
 
 # d -> the primes p = 1 (mod d) found so far, largest first, each with a
 # root of order d mod p (`_prime_root`); d = 1, which serves every dense
-# block, and d = 2 walk the same odd primes, kept once under 2
+# block, and d = 2 walk the same odd primes, kept once under 2.  The lists
+# grow under the lock, so that threads meeting a bound at once append each
+# prime once; a lookup of a prime already found takes no lock.
 _PRIME_ROOTS: dict[int, list[tuple[int, int]]] = {}
+_PRIME_ROOTS_LOCK = threading.Lock()
 
 
 def _is_prime(n: int) -> bool:
@@ -251,16 +255,18 @@ def _prime_root(i: int, d: int) -> tuple[int, int]:
     key = max(d, 2)
     found = _PRIME_ROOTS.setdefault(key, [])
     step = key if key % 2 == 0 else 2 * key  # p is odd, so p = 1 (mod 2d) for odd d
-    while len(found) <= i:
-        p = found[-1][0] - step if found else ((1 << 62) - 2) // step * step + 1
-        while not _is_prime(p):
-            p -= step
-        qs = [q for q in range(2, key + 1) if key % q == 0 and _is_prime(q)]
-        for a in range(2, p):
-            w = pow(a, (p - 1) // key, p)
-            if all(pow(w, key // q, p) != 1 for q in qs):
-                break
-        found.append((p, w))
+    if len(found) <= i:
+        with _PRIME_ROOTS_LOCK:
+            while len(found) <= i:
+                p = found[-1][0] - step if found else ((1 << 62) - 2) // step * step + 1
+                while not _is_prime(p):
+                    p -= step
+                qs = [q for q in range(2, key + 1) if key % q == 0 and _is_prime(q)]
+                for a in range(2, p):
+                    w = pow(a, (p - 1) // key, p)
+                    if all(pow(w, key // q, p) != 1 for q in qs):
+                        break
+                found.append((p, w))
     return found[i] if d > 1 else (found[i][0], 1)
 
 

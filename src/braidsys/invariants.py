@@ -62,11 +62,11 @@ class BraidSystem:
 
     The components are stored as a tuple, whatever iterable they come in,
     so a system never changes after it is built.  Their normal forms are
-    computed at most once, on the first `normal_forms()`; a move that has
-    computed the forms of the system it returns hands them on to it
-    through `_system`, and `_held_forms` reads them (see `moves`).  The
-    forms are no field: equality, hashing and the JSON encoding read the
-    degree and the words alone.
+    computed at most once, on the first `normal_forms()`; a move that
+    keeps the degree (a Hurwitz move, a global conjugation, a fusion)
+    computes the forms of the system it returns and hands them on to it
+    through `_system` (see `moves`).  The forms are no field: equality,
+    hashing and the JSON encoding read the degree and the words alone.
     """
 
     degree: int
@@ -93,7 +93,7 @@ class BraidSystem:
 
     @functools.cached_property
     def _forms(self) -> tuple[NormalForm, ...]:
-        # set by a move on the system it returns when it has the forms
+        # set by `_system` on the system a move returns
         return tuple(braids.normal_form(c) for c in self.components)
 
     def normal_forms(self) -> tuple[NormalForm, ...]:
@@ -116,16 +116,10 @@ class BraidSystem:
         return BraidSystem(degree, tuple(braids.parse_word(t, degree) for t in texts))
 
 
-def _held_forms(s: BraidSystem) -> tuple[NormalForm, ...] | None:
-    """The forms s has computed or been handed, else None."""
-    return vars(s).get("_forms")
-
-
-def _system(degree: int, comps: tuple[BraidWord, ...], forms) -> BraidSystem:
-    """The system of these words, holding `forms` as theirs unless None."""
+def _system(degree: int, comps: tuple[BraidWord, ...], forms: tuple[NormalForm, ...]) -> BraidSystem:
+    """The system of these words, holding `forms`, their normal forms, as theirs."""
     s = BraidSystem(degree, comps)
-    if forms is not None:
-        object.__setattr__(s, "_forms", forms)  # as the report keeps its _trace_form
+    object.__setattr__(s, "_forms", forms)  # as the report keeps its _trace_form
     return s
 
 

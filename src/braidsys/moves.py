@@ -3,16 +3,17 @@ Moves on braid systems: Hurwitz action, global conjugation,
 stabilization/destabilization, and Euler fusion/fission bookkeeping.
 
 All moves return new systems.  A system computes its components' normal
-forms at most once (`BraidSystem.normal_forms`).  A Hurwitz move and a
-global conjugation always compute the forms of the components they make
-as products of forms (`braids._nf_product`), hand them to the system they
-return, and store each conjugated component as the one spelling of its
-form (`NormalForm.to_word`, which is `canonical_word` of the literal
-conjugation word), so a run of moves normalises each component once and
-stored words grow only as the forms do.  A fusion stores the literal
-concatenation of its pieces and hands on their product's form when its
-input holds its forms.  stabilize and destabilize hand on no forms, since
-the half twist of the new degree is another braid.
+forms at most once (`BraidSystem.normal_forms`).  Every move that keeps
+the degree follows one rule: a Hurwitz move, a global conjugation and a
+fusion read the forms of their input, compute the forms of the
+components they make as products of forms (`braids._nf_product`), and
+hand them to the system they return, so a run of such moves normalises
+each component once.  A conjugated component is stored as the one
+spelling of its form (`NormalForm.to_word`, which is `canonical_word` of
+the literal conjugation word), so stored words grow only as the forms
+do; a fusion stores the literal concatenation of its pieces.  A fission
+check reads forms too.  stabilize and destabilize hand on no forms,
+since the half twist of the new degree is another braid.
 
 The Hurwitz move is written once, in `hurwitz_move_codes`, for normal
 forms and the orbit search's codebook forms alike.  It takes the pair's
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from . import braids
 from .braids import BraidWord
 from .codec import JsonCodec
-from .invariants import BraidSystem, _held_forms, _system, compare_systems, euler_move_needed
+from .invariants import BraidSystem, _system, compare_systems, euler_move_needed
 
 
 @dataclass(frozen=True)
@@ -178,14 +179,17 @@ def tau(b: BraidWord) -> int:
 
 def euler_fuse(s: BraidSystem, l: int, q: int) -> tuple[BraidSystem, bool]:
     """Fuse components l..l+q into their product, stored as the literal
-    concatenation of their words.  When s holds its forms, the fused
-    component's form is the product of the pieces' forms, and the system
-    returned holds the forms.
+    concatenation of their words.  Its form is the product of the pieces'
+    forms, and the system returned holds the forms; an input that holds
+    none computes them first.
 
     The returned flag reports whether tau of the product equals the sum
     of the tau values of the pieces; only then is the inverse fission a
     legal move.
     """
+    for name, v in (("l", l), ("q", q)):
+        if type(v) is not int:  # euler_fuse(s, True, 1) would fuse components 1 and 2
+            raise TypeError(f"fuse {name} {v!r} is a {type(v).__name__}, not an int")
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if not 1 <= l or l + q > len(s):
@@ -194,9 +198,8 @@ def euler_fuse(s: BraidSystem, l: int, q: int) -> tuple[BraidSystem, bool]:
     fused = BraidSystem(s.degree, pieces).trace_product()
     tau_check = tau(fused) == sum(tau(p) for p in pieces)
     comps = s.components[: l - 1] + (fused,) + s.components[l + q :]
-    forms = _held_forms(s)
-    if forms is not None:
-        forms = forms[: l - 1] + (braids._nf_product(*forms[l - 1 : l + q]),) + forms[l + q :]
+    forms = s.normal_forms()
+    forms = forms[: l - 1] + (braids._nf_product(*forms[l - 1 : l + q]),) + forms[l + q :]
     return _system(s.degree, comps, forms), tau_check
 
 
@@ -204,15 +207,20 @@ def euler_fission_check(whole: BraidWord, pieces) -> bool:
     """Whether splitting `whole` into `pieces` is a legal fission: no piece
     is the identity, the pieces multiply to `whole`, and fusing them passes
     the tau check of `euler_fuse` (tau reads only the permutation, so the
-    whole and the product have one tau once they are equal)."""
+    whole and the product have one tau once they are equal).
+
+    It reads forms: each piece is normalised once and the whole at most
+    once, the identity pieces are read off the pieces' forms, and the
+    product is the form the fusion hands on, so the concatenation is never
+    normalised."""
     pieces = tuple(pieces)
     if len(pieces) < 2:
         raise ValueError("a fission needs at least two pieces")
-    # BraidSystem raises on a degree mismatch
-    fused, tau_check = euler_fuse(BraidSystem(whole.degree, pieces), 1, len(pieces) - 1)
-    if any(braids.is_identity(p) for p in pieces):
+    split = BraidSystem(whole.degree, pieces)  # raises on a degree mismatch
+    fused, tau_check = euler_fuse(split, 1, len(pieces) - 1)
+    if not tau_check or any(f.is_identity() for f in split.normal_forms()):
         return False
-    return tau_check and braids.braids_equal(whole, fused.components[0])
+    return braids.normal_form(whole) == fused.normal_forms()[0]
 
 
 def euler_necessity(s1: BraidSystem, s2: BraidSystem) -> str:

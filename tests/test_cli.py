@@ -490,6 +490,28 @@ def test_degree_above_the_bound_is_a_usage_error(capsys, degree):
     assert parse_word("1", MAX_DEGREE) == BraidWord(MAX_DEGREE, (1,))
 
 
+@pytest.mark.parametrize("degree", [0, -1])
+@pytest.mark.parametrize("word", ["", "1", "x"])
+def test_degree_below_the_bound_is_named_before_any_token(capsys, degree, word):
+    # the token "1" used to be named out of range for degree 0
+    assert main(["invariants", "--degree", str(degree), "--word", word]) == 1
+    assert capsys.readouterr().err == f"error: degree must be >= 1, got {degree}\n"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["invariants", "--degree=x"], "--degree"),
+    (["orbit", "--system", "s.json", "--max-states", "1.5"], "--max-states"),
+    (["orbit", "--system", "s.json", "--max-depth", "1_0"], "--max-depth"),
+    (["orbit", "--system", "s.json", "--max-canonical-length", ""], "--max-canonical-length"),
+])
+def test_a_bad_integer_option_names_no_private_helper(capsys, argv, option):
+    # argparse names the option's type, which used to read "_integer"
+    assert main(argv) == 1
+    value = argv[-1].split("=")[-1]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"braidsys {argv[0]}: error: argument {option}: invalid integer value: {value!r}")
+
+
 # --- in-process fuzzing of the command line ---------------------------------
 
 # Small degrees keep every report cheap, and both sides of the degree bound

@@ -5,6 +5,7 @@ from fractions import Fraction
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -417,6 +418,40 @@ def test_prime_roots_are_the_largest_primes_1_mod_d_in_order():
     n = len(intlinalg._PRIME_ROOTS[2]) + 2
     assert [intlinalg._prime_root(i, 1) for i in range(n)] == [(p, 1) for p, _ in intlinalg._PRIME_ROOTS[2]]
     assert all(w == p - 1 for p, w in intlinalg._PRIME_ROOTS[2]) and 1 not in intlinalg._PRIME_ROOTS
+
+
+def test_concurrent_first_use_keeps_each_prime_once(monkeypatch):
+    # four threads meet the moduli of one dense matrix in a fresh table at
+    # once; without a lock on its growth a prime was appended twice, and
+    # Chinese remaindering over the repeated prime later raised
+    rng = random.Random(47)
+    n = 10
+    M = [[rng.randint(10**30 - 10**6, 10**30) for _ in range(n)] for _ in range(n)]
+    want = charpoly(M)
+    monkeypatch.setattr(intlinalg, "_PRIME_ROOTS", {})
+    got, errors = [], []
+
+    def work():
+        try:
+            got.append(charpoly(M))
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    primes = [p for p, _ in intlinalg._PRIME_ROOTS[2]]
+    assert len(set(primes)) == len(primes) and primes == sorted(primes, reverse=True)
+    assert not errors and got == [want] * 4
+    assert charpoly(M) == want
 
 
 def test_is_prime_matches_trial_division_from_2():

@@ -218,8 +218,9 @@ def test_carried_forms_match_fresh_forms_and_the_bubble_oracle(held):
     # words, those of the literal words built by words alone, and at degree
     # <= 4 those of the bubble-sort oracle; a Hurwitz move and a global
     # conjugation store the canonical words of the literal words, a fusion
-    # their concatenation, whether or not the input held its forms (held
-    # makes every step's input hold them, else none does)
+    # their concatenation, and all three carry forms, whether or not the
+    # input held its forms (held makes every step's input hold them, else
+    # none does)
     rng = random.Random(410 + held)
     taken = {}
     for _ in range(60):
@@ -239,8 +240,7 @@ def test_carried_forms_match_fresh_forms_and_the_bubble_oracle(held):
                 continue
             taken[op] = taken.get(op, 0) + 1
             if op in ("H", "GC", "FUSE"):
-                # H and GC always carry forms; FUSE only those its input held
-                assert ("_forms" in vars(t)) == (held or op in ("H", "GC"))
+                assert "_forms" in vars(t)  # H, GC and FUSE always carry forms
                 literal = _word_step(s, op, arg)
                 assert t.normal_forms() == tuple(map(normal_form, literal)), (op, arg)
                 spelled = list(literal)
@@ -253,7 +253,7 @@ def test_carried_forms_match_fresh_forms_and_the_bubble_oracle(held):
             from_lazy = _take_step(lazy, op, arg)
             assert from_lazy == t
             if op in ("H", "GC", "FUSE"):
-                assert ("_forms" in vars(from_lazy)) == (op in ("H", "GC"))
+                assert "_forms" in vars(from_lazy)
             fresh = BraidSystem(t.degree, t.components).normal_forms()
             assert t.normal_forms() == fresh, (op, arg)
             if t.degree <= 4:
@@ -286,6 +286,18 @@ def test_moves_on_held_forms_normalise_only_a_conjugator(monkeypatch, bvec):
     a = parse_word("1,-2", 4)
     system_invariants(global_conjugate(moved, a))
     assert calls == [a]
+
+
+def test_a_fusion_of_a_lazy_input_carries_forms(monkeypatch, bvec):
+    # each component is normalised once, the concatenation never, and the
+    # fused system's report reads the forms the fusion handed on
+    calls = _count_normal_form_calls(monkeypatch)
+    fused, _ = euler_fuse(bvec, 2, 2)
+    assert "_forms" in vars(fused) and calls == list(bvec.components)
+    assert fused.normal_forms() == (normal_form(bvec.components[0]), normal_form(fused.components[1]))
+    calls.clear()
+    system_invariants(fused)
+    assert calls == []
 
 
 def test_apply_normalises_each_loaded_component_once(monkeypatch, tmp_path):
@@ -442,6 +454,20 @@ def test_euler_fuse_bounds(bvec):
         euler_fuse(bvec, 4, 1)
 
 
+@pytest.mark.parametrize("l, q, message", [
+    # True used to stand for 1, and 1.0 failed in slicing
+    (True, 1, "fuse l True is a bool, not an int"),
+    (1, True, "fuse q True is a bool, not an int"),
+    (1.0, 1, "fuse l 1.0 is a float, not an int"),
+    (1, "2", "fuse q '2' is a str, not an int"),
+])
+def test_euler_fuse_arguments_are_checked_by_type(monkeypatch, bvec, l, q, message):
+    calls = _count_normal_form_calls(monkeypatch)
+    with pytest.raises(TypeError, match=rf"^{re.escape(message)}$"):
+        euler_fuse(bvec, l, q)
+    assert calls == []  # checked before any normalisation
+
+
 def test_euler_fission_check():
     whole = parse_word("-3,2,-1", 4)
     pieces = [parse_word("-3", 4), parse_word("2", 4), parse_word("-1", 4)]
@@ -459,6 +485,69 @@ def test_euler_fission_check():
     for pieces in ([parse_word("1", 4), parse_word("1", 3)], [parse_word("1", 3)] * 2):
         with pytest.raises(ValueError, match="degree"):
             euler_fission_check(whole, pieces)
+
+
+def test_fission_check_never_normalises_the_concatenation(monkeypatch):
+    # each piece once, then the whole once when the pieces pass; an identity
+    # piece stops the check before the whole is read
+    whole = parse_word("-3,2,-1", 4)
+    pieces = [parse_word("-3", 4), parse_word("2", 4), parse_word("-1", 4)]
+    calls = _count_normal_form_calls(monkeypatch)
+    assert euler_fission_check(whole, pieces)
+    assert calls == pieces + [whole]
+    calls.clear()
+    assert not euler_fission_check(parse_word("1", 4), pieces)
+    assert calls == pieces + [parse_word("1", 4)]
+    calls.clear()
+    identity_piece = [parse_word("1", 4), parse_word("2,-2", 4)]
+    assert not euler_fission_check(parse_word("1", 4), identity_piece)
+    assert calls == identity_piece
+
+
+def _fission_by_words(whole, pieces, nf):
+    """The word-level definition of a legal fission, with nf the normal
+    form: no piece is the identity, the literal concatenation of the pieces
+    is the whole, and its tau is the sum of the pieces' tau values."""
+    concat = functools.reduce(product, pieces)
+    return (not any(nf(p).is_identity() for p in pieces) and nf(concat) == nf(whole)
+            and tau(concat) == sum(tau(p) for p in pieces))
+
+
+def test_euler_layer_agrees_with_its_word_level_definition():
+    # the forms a fusion hands on are those of the literal concatenation (the
+    # bubble-sort oracle's at degree <= 4), from lazy and held inputs alike,
+    # and the fission check is its word-level definition, on random pieces
+    # with identity pieces, other spellings of the whole and false wholes
+    rng = random.Random(470)
+    verdicts = {}
+    for trial in range(200):
+        m = rng.randint(1, 6)
+        nf = bubble_normal_form if m <= 4 else normal_form
+        n = rng.randint(2, 5)
+        comps = [random_word(rng, m, 4) for _ in range(n)]
+        if rng.random() < 0.3:  # an identity piece
+            w = random_word(rng, m, 3, min_len=1)
+            comps[rng.randrange(n)] = product(w, inverse(w))
+        s = BraidSystem(m, comps)
+        if trial % 2:
+            s.normal_forms()
+        l = rng.randint(1, n - 1)
+        q = rng.randint(1, n - l)
+        fused, check = euler_fuse(s, l, q)
+        literal = _word_step(s, "FUSE", (l, q))
+        pieces = s.components[l - 1 : l + q]
+        assert fused.components == literal
+        assert fused.normal_forms() == tuple(map(nf, literal)), (m, comps, l, q)
+        assert check == (tau(literal[l - 1]) == sum(tau(p) for p in pieces))
+        kind = rng.choice(["literal", "canonical", "times a letter", "random"])
+        whole = {"literal": literal[l - 1], "canonical": canonical_word(literal[l - 1]),
+                 "times a letter": product(literal[l - 1], random_word(rng, m, 1, min_len=1)),
+                 "random": random_word(rng, m, 6)}[kind]
+        verdict = euler_fission_check(whole, pieces)
+        assert verdict == _fission_by_words(whole, pieces, nf), (m, whole, pieces)
+        verdicts.setdefault(kind, set()).add(verdict)
+    assert verdicts["literal"] == verdicts["canonical"] == {True, False}
+    assert False in verdicts["times a letter"]
 
 
 def test_fuse_then_fission_check_roundtrip():
