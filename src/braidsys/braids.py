@@ -272,11 +272,11 @@ class _Codebook:
     def form(self, nf: "NormalForm") -> tuple[int, tuple]:
         return nf.infimum, self.encode(nf.factors)
 
+    def decode(self, codes: tuple) -> tuple:
+        return tuple(map(self.images.__getitem__, codes)) if self.images else codes
+
     def normal_form(self, form: tuple[int, tuple]) -> "NormalForm":
-        infimum, codes = form
-        if self.images:
-            codes = tuple(map(self.images.__getitem__, codes))
-        return NormalForm(self.degree, infimum, codes)
+        return NormalForm(self.degree, form[0], self.decode(form[1]))
 
     def comb(self, facs: list, tuples) -> None:
         """Append each image tuple to the left-weighted list `facs`, combing
@@ -543,10 +543,12 @@ class NormalForm(JsonCodec):
     def _mixed_letters(self) -> tuple[int, list[int]]:
         """(e, the letters of a short mixed word w): the form is Delta^e w.
 
-        For d < 0 and t = min(-d, k), `inverse` reads the inverse of
-        Delta^-t A_1 ... A_t off as Delta^0 B_t ... B_1, B_j the left
-        complement of A_j, flipped when t - j is even (El-Rifai and Morton
-        1994; Epstein et al., *Word Processing in Groups*, ch. 9).  So
+        For d < 0 and t = min(-d, k), `_Codebook.inverse` reads the inverse
+        of Delta^-t A_1 ... A_t off the codes as Delta^0 B_t ... B_1, B_j the
+        left complement of A_j, flipped when t - j is even (El-Rifai and
+        Morton 1994; Epstein et al., *Word Processing in Groups*, ch. 9), as
+        `_word_form` reads its negative pieces: no `NormalForm` of the prefix
+        is built and no cache is touched.  So
         Delta^-t A_1 ... A_t = B_1^-1 ... B_t^-1, w is the inverted words of
         B_1 ... B_t, then the positive words of A_(t+1) ... A_k, and
         e = d + t, nonzero only when d > 0 or -d > k.  A factor near Delta
@@ -558,7 +560,8 @@ class NormalForm(JsonCodec):
         d, factors = self.infimum, self.factors
         t = min(-d, len(factors)) if d < 0 else 0
         letters: list[int] = []
-        complements = NormalForm(self.degree, -t, factors[:t]).inverse().factors if t else ()
+        book = _book(self.degree)
+        complements = book.decode(book.inverse((-t, book.encode(factors[:t])))[1]) if t else ()
         for c in reversed(complements):
             letters += [-k for k in reversed(_permutation_letters(c))]
         for a in factors[t:]:
@@ -623,6 +626,13 @@ def check_degree(degree: int) -> None:
         raise ValueError(f"degree must be <= {MAX_DEGREE}, got {degree}")
 
 
+def _check_int(what: str, v) -> None:
+    """Raise TypeError naming `what` unless v is an int; a bool is none, as
+    in IntPolynomial, since True would read as 1."""
+    if type(v) is not int:
+        raise TypeError(f"{what} {v!r} is a {type(v).__name__}, not an int")
+
+
 def check_same_degree(a: int, b: int) -> None:
     """Raise ValueError naming both degrees, in this order, unless a == b."""
     if a != b:
@@ -638,8 +648,7 @@ class BraidWord:
 
     def __post_init__(self):
         d, letters = self.degree, self.letters
-        if type(d) is not int:  # a bool is no int here, as in IntPolynomial
-            raise TypeError(f"degree {d!r} is a {type(d).__name__}, not an int")
+        _check_int("degree", d)
         check_degree(d)
         # one plain loop: min, max, `0 in` and a set of the letters' types over
         # the tuple took 1.4-3.6x its time at 3 to 1,000 letters (Python 3.11)

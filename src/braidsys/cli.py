@@ -157,13 +157,7 @@ def parse_script(text: str) -> list[tuple]:
 
 def cmd_apply(args) -> int:
     system = load_system(args.system)
-    if args.script:
-        text = read_user_file(args.script, "script")
-    elif args.steps is not None:
-        text = args.steps
-    else:
-        raise ValueError("need --script FILE or --steps TEXT")
-    steps = parse_script(text)
+    steps = parse_script(args.steps if args.script is None else read_user_file(args.script, "script"))
     audit = []
     for num, (label, move) in enumerate(steps, start=1):
         try:
@@ -258,8 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("apply", parents=[common], help="run a move script against a system")
     p.add_argument("--system", required=True)
-    p.add_argument("--script", help="script file; steps separated by newlines or '/'")
-    p.add_argument("--steps", help="inline script text")
+    script = p.add_mutually_exclusive_group(required=True)
+    script.add_argument("--script", help="script file; steps separated by newlines or '/'")
+    script.add_argument("--steps", help="inline script text")
     p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("orbit", parents=[common], help="bounded orbit search")

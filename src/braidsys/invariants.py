@@ -74,8 +74,7 @@ class BraidSystem:
 
     def __post_init__(self):
         d = self.degree
-        if type(d) is not int:  # a bool is no int here, as in BraidWord
-            raise TypeError(f"system degree {d!r} is a {type(d).__name__}, not an int")
+        braids._check_int("system degree", d)
         object.__setattr__(self, "components", tuple(self.components))
         if not self.components:
             raise ValueError("a braid system needs at least one component")
@@ -247,8 +246,8 @@ def _symmetric_order(gens: list[tuple[int, ...]]) -> int | None:
     """n! or n!/2 when Jordan's theorem proves that the 0-based `gens`
     generate S_n or A_n (`_group_order_cached`), else None."""
     n = len(gens[0])
-    if len(_orbit(gens, 0)) < n or not any(map(_has_lone_prime_cycle, gens)):
-        return None
+    if n == 0 or len(_orbit(gens, 0)) < n or not any(map(_has_lone_prime_cycle, gens)):
+        return None  # on no points G is trivial, and Schreier-Sims counts it as 1
     fixers, seen = [g for g in gens if g[0] == 0], {0}
     for b in range(1, n):
         if b not in seen:

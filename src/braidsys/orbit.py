@@ -28,6 +28,7 @@ from .moves import (
     global_conjugate,
     hurwitz_move,
     hurwitz_move_codes,
+    replay_witness,  # kept as orbit.replay_witness, which checks a witness
     stabilize,
 )
 
@@ -227,12 +228,6 @@ def orbit_states(s: BraidSystem, limits: OrbitLimits = OrbitLimits()):
         yield intern.unpack(state)
 
 
-def replay_witness(s: BraidSystem, witness) -> BraidSystem:
-    for move in witness:
-        s = hurwitz_move(s, move)
-    return s
-
-
 def _conjugacy_type(nf: NormalForm) -> tuple[int, list[int]]:
     """(exponent sum, cycle type of the permutation): equal for conjugates."""
     return nf.exponent_sum(), sorted(map(len, nf.permutation().cycles()))
@@ -255,8 +250,7 @@ def find_conjugator(b: BraidWord, target: BraidWord, max_length: int = 4) -> Bra
     A max_length that is not an int raises TypeError, a negative one
     ValueError: neither may read as a search that found nothing.
     """
-    if type(max_length) is not int:  # True would run one depth
-        raise TypeError(f"max_length {max_length!r} is a {type(max_length).__name__}, not an int")
+    braids._check_int("max_length", max_length)  # True would run one depth
     if max_length < 0:
         raise ValueError(f"max_length must be >= 0, got {max_length}")
     braids.check_same_degree(b.degree, target.degree)

@@ -15,6 +15,7 @@ import pytest
 import braidsys
 from braidsys import braids, invariants
 from braidsys.braids import BraidWord, _weighted_lru, normal_form
+from oracles import random_word
 
 
 def _upper(budget: int, calls: list):
@@ -177,3 +178,22 @@ def test_the_traced_caches_count_hits_and_misses(cached, arg):
     info = cached.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     cached.cache_clear()
+
+
+def test_the_canonical_spelling_touches_no_inverse_cache():
+    # to_word and the reports of forms read the complements of a negative
+    # infimum's prefix off the codebook, so they leave the inverse cache,
+    # which the moves' own inverses fill, as it was
+    rng = random.Random(48)
+    forms = [normal_form(random_word(rng, m, 6 * m)) for m in (3, 4, 5, 6, 9) for _ in range(4)]
+    forms = [nf for nf in forms if nf.infimum < 0 and nf.factors]
+    assert len(forms) >= 5 and len({nf.degree for nf in forms}) >= 3
+    braids._nf_inverse.cache_clear()
+    before = braids._nf_inverse.cache_info()
+    for nf in forms:
+        nf.to_word()
+    assert braids._nf_inverse.cache_info() == before
+    invariants._report_for_normal_form.cache_clear()
+    for nf in forms:
+        invariants.system_invariants_from_normal_forms(nf.degree, (nf, nf))
+    assert braids._nf_inverse.cache_info() == before

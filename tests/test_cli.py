@@ -252,8 +252,15 @@ def test_apply_script_file_errors_name_the_file(capsys, system_files, tmp_path):
 
 
 def test_apply_needs_a_script_or_steps(capsys, system_files):
-    assert main(["apply", "--system", system_files["intro_b"]]) == 1
-    assert capsys.readouterr().err == "error: need --script FILE or --steps TEXT\n"
+    # exactly one of the two, by argparse: neither, or both at once, is a
+    # usage error that runs no step
+    base = ["apply", "--system", system_files["intro_b"]]
+    assert main(base) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: one of the arguments --script --steps is required\n")
+    assert main(base + ["--script", system_files["script"], "--steps", "H 1 +"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: argument --steps: not allowed with argument --script\n")
 
 
 def test_orbit_defaults_are_the_library_limits():
