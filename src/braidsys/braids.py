@@ -95,10 +95,14 @@ def _tup_then(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(b[v - 1] for v in a)
 
 
-def _tup_inverse(a: tuple[int, ...]) -> list[int]:
+def _tup_inverse(a, base: int = 1) -> list[int]:
+    """The inverse of the permutation a of base..len(a) - 1 + base, whose
+    image of k is a[k - base], as a list of the same base: base 1 reads
+    1-based images, as a Permutation holds them, and base 0 the 0-based
+    ones that Schreier-Sims stores."""
     inv = [0] * len(a)
-    for k, v in enumerate(a, start=1):
-        inv[v - 1] = k
+    for k, v in enumerate(a, start=base):
+        inv[v - base] = k
     return inv
 
 
@@ -506,6 +510,7 @@ class NormalForm(JsonCodec):
         return _nf_inverse(self)
 
     def power(self, k: int) -> "NormalForm":
+        _check_int("power", k)  # a bool would read as 0 or 1
         base = self if k >= 0 else self.inverse()
         k = abs(k)
         acc = NormalForm(self.degree, 0, ())
@@ -711,6 +716,7 @@ def inverse(b: BraidWord) -> BraidWord:
 
 
 def power(b: BraidWord, k: int) -> BraidWord:
+    _check_int("power", k)
     base = b if k >= 0 else inverse(b)
     return BraidWord(b.degree, base.letters * abs(k))
 
@@ -770,27 +776,31 @@ def _word_form(b: BraidWord) -> tuple[int, tuple]:
     is one permutation braid s, and `_Codebook.mul` gets one form per
     piece: Delta^0 s, or for a piece s^{-1} the inverse of that form,
     Delta^{-1} c with c the left complement of s, read off by
-    `_Codebook.inverse`.  A letter sigma_i^{+-1} moves left past the
-    pieces it commutes with (sigma_i sigma_j = sigma_j sigma_i for
+    `_Codebook.inverse`.  Each piece keeps one image list x, s^{-1} for a
+    positive piece s and s for a negative piece s^{-1}, so that one pair
+    of tests serves both signs.  A letter sigma_i^{+-1} moves left past
+    the pieces it commutes with (sigma_i sigma_j = sigma_j sigma_i for
     |i - j| >= 2), i.e. past every piece after the latest one holding
     sigma_{i-1}, sigma_i or sigma_{i+1}, and then:
     - it cancels against h, the latest piece holding sigma_i, iff h has
       the other sign, no later piece holds sigma_{i-1} or sigma_{i+1},
-      and h ends in the crossing: for a positive h = s the strands ending
-      at positions i, i+1 have crossed, so s = s' sigma_i; for a negative
-      h = s^{-1} the strands starting there have, s(i) > s(i+1), so
-      s = sigma_i s' and s^{-1} sigma_i = s'^{-1}.  The crossing is
-      undone in s, and s' is simple;
+      and h ends in the crossing, x[i-1] > x[i]: for a positive h = s the
+      strands ending at positions i, i+1 have crossed, so s = s' sigma_i;
+      for a negative h = s^{-1} the strands starting there have, so
+      s = sigma_i s' and s^{-1} sigma_i = s'^{-1}.  s' is simple;
     - else it joins the latest piece t of its sign iff no later piece
-      holds sigma_{i-1}, sigma_i or sigma_{i+1}, and t stays simple: the
-      strands ending at positions i, i+1 of s have not crossed
-      (positive), or, since s^{-1} sigma_i^{-1} = (sigma_i s)^{-1}, the
-      strands starting there have not, s(i) < s(i+1) (negative);
+      holds sigma_{i-1}, sigma_i or sigma_{i+1}, and t stays simple,
+      x[i-1] < x[i]: the strands ending at positions i, i+1 of s have not
+      crossed (positive), or, since s^{-1} sigma_i^{-1} =
+      (sigma_i s)^{-1}, the strands starting there have not (negative);
     - else it opens a new piece.
+    Undoing the crossing and adding it both swap x[i-1] and x[i]: the
+    inverse of s sigma_i^{+-1} is s^{-1} with those entries swapped, and
+    sigma_i^{+-1} s is s with them swapped.  A positive piece's s is read
+    once, at the end, by `_tup_inverse`.
     Both steps are sound by far commutation: the letter commutes with
     every letter after h or t, so the pieces spell the same braid, and
     the unique normal form is the one of the letters combed one by one.
-    Undoing a crossing and adding one swap the same two entries of s.
     This is the grouping of the Cartier-Foata normal form (Cartier and
     Foata 1969; Epstein et al., Word Processing in Groups, ch. 9),
     extended across signs.  `last[j]` is the latest piece holding
@@ -804,44 +814,33 @@ def _word_form(b: BraidWord) -> tuple[int, tuple]:
     letters costs O(L^2) pair fixes at a fixed degree.
     """
     m = b.degree
-    pieces: list[list[int]] = []  # s of each piece, as an image list
-    invs: list[list[int] | None] = []  # s^{-1} of a positive piece, None for a negative one
+    pieces: list[list[int]] = []  # x of each piece: s^{-1} if positive, s if negative
+    signs: list[bool] = []  # whether each piece is positive
     last = [-1] * (m + 1)  # last[j]: latest piece holding sigma_j as 2p + sign, -1 for none
     latest = [-1, -1]  # latest negative and latest positive piece, as in `last`
     for k in b.letters:
         i, pos = abs(k), k > 0
         h = last[i]
         if h & 1 != pos and h >= last[i - 1] and h >= last[i + 1] and h >= 0:
-            s, si = pieces[h >> 1], invs[h >> 1]
-            if si is None:
-                if s[i - 1] > s[i]:
-                    s[i - 1], s[i] = s[i], s[i - 1]
-                    continue
-            elif si[i - 1] > si[i]:
-                s[si[i - 1] - 1], s[si[i] - 1] = i + 1, i
-                si[i - 1], si[i] = si[i], si[i - 1]
+            x = pieces[h >> 1]
+            if x[i - 1] > x[i]:
+                x[i - 1], x[i] = x[i], x[i - 1]
                 continue
         t = latest[pos]
         if t >= 0 and t >= last[i - 1] and t >= h and t >= last[i + 1]:
-            s, si = pieces[t >> 1], invs[t >> 1]
-            if si is None:
-                if s[i - 1] < s[i]:
-                    s[i - 1], s[i] = s[i], s[i - 1]
-                    last[i] = t
-                    continue
-            elif si[i - 1] < si[i]:
-                s[si[i - 1] - 1], s[si[i] - 1] = i + 1, i
-                si[i - 1], si[i] = si[i], si[i - 1]
+            x = pieces[t >> 1]
+            if x[i - 1] < x[i]:
+                x[i - 1], x[i] = x[i], x[i - 1]
                 last[i] = t
                 continue
-        s = list(range(1, m + 1))
-        s[i - 1], s[i] = i + 1, i
+        x = list(range(1, m + 1))
+        x[i - 1], x[i] = i + 1, i
         latest[pos] = last[i] = 2 * len(pieces) + pos
-        pieces.append(s)
-        invs.append(s[:] if pos else None)
+        pieces.append(x)
+        signs.append(pos)
     book = _book(m)
-    forms = [(0, (c,)) if si is not None else book.inverse((0, (c,)))
-             for c, si in zip(book.encode(map(tuple, pieces)), invs)]
+    simples = [tuple(_tup_inverse(x) if pos else x) for x, pos in zip(pieces, signs)]
+    forms = [(0, (c,)) if pos else book.inverse((0, (c,))) for c, pos in zip(book.encode(simples), signs)]
     return book.mul((0, ()), *forms)
 
 

@@ -107,6 +107,11 @@ class IntPolynomial(JsonCodec):
 
     @staticmethod
     def x_power(k: int) -> "IntPolynomial":
+        """x^k for an int k >= 0 (a bool is none)."""
+        if type(k) is not int:
+            raise TypeError(f"power {k!r} is a {type(k).__name__}, not an int")
+        if k < 0:
+            raise ValueError(f"power must be >= 0, got {k}")
         return IntPolynomial((0,) * k + (1,))
 
     @property

@@ -208,13 +208,6 @@ def permutation_group_order(perms) -> int:
     return _group_order_cached(tuple(sorted({p.images for p in perms})))
 
 
-def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for x, y in enumerate(p):
-        inv[y] = x
-    return tuple(inv)
-
-
 # A key holds one image tuple per generator.  A miss costs a recognition
 # pass, and a Schreier-Sims run only when recognition fails, so the budget
 # keeps every group that a 30-second `audit` benchmark run meets again; it
@@ -357,7 +350,7 @@ def _schreier_sims_order(gens: list[tuple[int, ...]]) -> int:
                         work.append((level + 1, r))
                 else:
                     v = tuple(s[x] for x in u)
-                    t[c] = (v, _inverse(v))
+                    t[c] = (v, braids._tup_inverse(v, 0))
                     pairs.extend((c, g) for g in gens_at)
     return math.prod(map(len, trans))
 
@@ -499,6 +492,8 @@ def family_bm(m: int) -> BraidWord:
 
 def _check_bmk(m: int, k: int) -> None:
     """The arguments that family_bmk and its closed form both accept."""
+    braids._check_int("k", k)  # family_bmk(4, True) would read k as 1
+    braids._check_int("m", m)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if m <= 2:

@@ -50,21 +50,16 @@ class HurwitzMove(JsonCodec):
         return f"H {self.index} {'-' if self.inverse else '+'}"
 
 
-def _check_move_index(i: int, length: int) -> None:
-    if not 1 <= i <= length - 1:
-        raise ValueError(f"move index {i} out of range for length {length}")
-
-
 def hurwitz_move(s: BraidSystem, move: HurwitzMove) -> BraidSystem:
     """Replace (b_i, b_{i+1}) by (b_{i+1}, b_{i+1}^{-1} b_i b_{i+1}), or undo it.
 
     The moved pair's forms are `hurwitz_move_nf` of the pair's forms, which
     the system returned holds.  The conjugated component is stored as its
     form's word (`NormalForm.to_word`); the other component of the pair is
-    stored as it was.
+    stored as it was.  `hurwitz_move_nf` checks the move index, against
+    the same length.
     """
     i = move.index
-    _check_move_index(i, len(s))
     forms = hurwitz_move_nf(s.normal_forms(), move)
     comps = list(s.components)
     if move.inverse:
@@ -84,7 +79,8 @@ def hurwitz_move_nf(state, move: HurwitzMove):
     one `_nf_product` of three forms and no product is computed on its own.
     """
     i = move.index
-    _check_move_index(i, len(state))
+    if not 1 <= i <= len(state) - 1:
+        raise ValueError(f"move index {i} out of range for length {len(state)}")
     a, b = state[i - 1], state[i]
     braids.check_same_degree(a.degree, b.degree)
     inv = (a if move.inverse else b).inverse()

@@ -306,6 +306,7 @@ def verify_invariance(s: BraidSystem, trials: int, seed: int) -> InvarianceRepor
     keep them and be undone componentwise by destabilize.  A one-component
     system has no Hurwitz move, so its Hurwitz draws become stabilizations.
     """
+    braids._check_int("trials", trials)  # True would run one trial
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)

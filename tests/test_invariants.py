@@ -39,7 +39,7 @@ from braidsys import (
     system_invariants,
     system_invariants_from_normal_forms,
 )
-from braidsys import braids, cli, crossing, intlinalg, invariants
+from braidsys import braids, cli, crossing, intlinalg, invariants, orbit
 from braidsys.braids import BraidWord, NormalForm, Permutation, _nf_product, inverse
 from braidsys.crossing import _pure_power_orbits
 from braidsys.intlinalg import factored_str, split_integer_roots
@@ -218,6 +218,35 @@ def test_bmk_family_and_its_closed_form_reject_the_same_arguments(m, k, message)
         for family in (family_bm, family_bm_charpoly):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 family(m)
+
+
+_W = BraidWord(4, (1, -2))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # each of these read True as 1, and x_power(-1) returned the constant 1
+    pytest.param(lambda: IntPolynomial.x_power(-1), ValueError, "power must be >= 0, got -1",
+                 id="x_power-negative"),
+    pytest.param(lambda: IntPolynomial.x_power(True), TypeError, "power True is a bool, not an int",
+                 id="x_power-bool"),
+    pytest.param(lambda: IntPolynomial.x_power(2.0), TypeError, "power 2.0 is a float, not an int",
+                 id="x_power-float"),
+    pytest.param(lambda: normal_form(_W).power(True), TypeError, "power True is a bool, not an int",
+                 id="NormalForm.power"),
+    pytest.param(lambda: braids.power(_W, True), TypeError, "power True is a bool, not an int",
+                 id="braids.power"),
+    pytest.param(lambda: family_bmk(4, True), TypeError, "k True is a bool, not an int", id="family_bmk-k"),
+    pytest.param(lambda: family_bmk(4.0, 1), TypeError, "m 4.0 is a float, not an int", id="family_bmk-m"),
+    pytest.param(lambda: family_bmk_charpoly(4, True), TypeError, "k True is a bool, not an int",
+                 id="family_bmk_charpoly-k"),
+    pytest.param(lambda: family_bmk_charpoly(True, 1), TypeError, "m True is a bool, not an int",
+                 id="family_bmk_charpoly-m"),
+    pytest.param(lambda: orbit.verify_invariance(BraidSystem(4, (_W,)), True, 0), TypeError,
+                 "trials True is a bool, not an int", id="verify_invariance"),
+])
+def test_int_arguments_reject_bools_and_negative_powers(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_pure3_oracle():

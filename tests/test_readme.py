@@ -1,4 +1,5 @@
-"""The README's library tour runs, and prints what its comments say."""
+"""The README's library tour runs and prints what its comments say, the names and tests it
+cites exist, and CI installs the pins of the `test` extra."""
 
 import contextlib
 import importlib
@@ -59,3 +60,26 @@ def test_backticked_module_names_in_the_code_and_ci_resolve():
     assert sum(map(len, names.values())) >= 5
     stale = {path: _stale(found) for path, found in names.items()}
     assert not any(stale.values()), f"these name code that does not exist: {stale}"
+
+
+def test_the_cost_table_names_tests_that_exist():
+    # the "Costs" table names the test that holds each bound; a renamed or
+    # deleted test must not leave the table pointing at nothing
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Costs"):text.index("\n## ", text.index("## Costs") + 1)]
+    named = re.findall(r"`tests/(\w+\.py)::(\w+)`", section)
+    assert len(named) >= 4
+    missing = [f"{path}::{name}" for path, name in named
+               if not re.search(rf"^def {name}\(", (README.parent / "tests" / path).read_text(encoding="utf-8"), re.M)]
+    assert not missing, f"the cost table names {missing}, which do not exist"
+
+
+def test_ci_installs_the_pins_of_the_test_extra():
+    # read with regexes, since the Python 3.10 leg has no tomllib
+    root = README.parent
+    extra = re.search(r'^test = \[(.*?)\]', (root / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    pins = re.findall(r'"([^"]+)"', extra.group(1))
+    ci = (root / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    installs = re.findall(r"^\s*- run: python -m pip install (.+)$", ci, re.M)
+    assert len(pins) >= 2 and len(installs) == 1
+    assert sorted(installs[0].split()) == sorted(pins)
