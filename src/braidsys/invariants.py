@@ -9,9 +9,13 @@ component polynomials are invariant under the Hurwitz action, and the
 product with the roots 0 and +-1 stripped is additionally invariant
 under global conjugation and stabilization.
 
-Braid reports and group orders are memoised in least-recently-used caches
-bounded by the weight of what they hold, not by entry count; the README
-("Caches") states each bound in bytes.
+Braid reports, their charpolys and group orders are memoised in
+least-recently-used caches bounded by the weight of what they hold, not by
+entry count; the README ("Caches") states each bound in bytes.  A report
+is keyed by its braid's normal form, and its charpoly by the orbits of
+the pure-power matrix, which a new normal form often shares: the forms
+that Hurwitz moves and conjugations give a component often have the
+matrix of one met before.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 
 from . import braids
 from .braids import BraidWord, NormalForm
@@ -152,6 +157,23 @@ class SystemInvariantReport(JsonCodec):
         return braids._nf_product(NormalForm(self.degree, 0, ()), *self.normal_forms)
 
 
+# A key describes the pure-power matrix M of `_pure_power_orbits` as one flat
+# tuple: its cycle lengths, then -1, then its nonzero orbits (I, J, delta, v),
+# sorted.  A length is >= 1, so the first -1 ends them, and they sum to the
+# degree m.  A key weighs its ints twice, for itself and the m + 1
+# coefficients, plus m**2 / 16 for the coefficients' digits, about m**2 / 2
+# bytes at m >= 64.  Moves and conjugations often give a component a new
+# normal form with an M met before: about 70% of the reports of a 30-second
+# `audit` benchmark run repeat one, and repeats span the run, so the budget
+# holds every M of such a run.  It bounds the memo under 1.2 MB, and no
+# charpoly of degree >= 1448 is kept (README, "Caches").
+@braids._weighted_lru(2**17, lambda key: 128 + 2 * len(key) + sum(key[:key.index(-1)]) ** 2 // 16)
+def _pure_power_charpoly(key: tuple[int, ...], lengths: list[int], orbits: list) -> IntPolynomial:
+    """`_split_charpoly` of the M that `key` describes; it reads the
+    orbits in no particular order, so sorting them changes nothing."""
+    return _split_charpoly(lengths, orbits)
+
+
 # A report of degree m holds m**2 ints in each of S and S_rows, and its
 # form m per factor.  The budget is nearly two 64-component systems' worth
 # of reports at degree 32 (about 110), so that one compare or a run of
@@ -163,9 +185,11 @@ def _report_for_normal_form(
 ) -> BraidInvariantReport:
     # the pure-power matrix M is read off its cycles and orbits, never
     # written; C(b) is the same on every word of a braid, so a word b of nf,
-    # when given, is swept in place of the form, and keys nothing
+    # when given, is swept in place of the form, and keys nothing.  Every
+    # form that misses is swept, and its charpoly is looked up by its own M
     r, cycles, orbits, S, S_rows = _pure_power_orbits(nf if b is None else b)
-    cp = _split_charpoly(list(map(len, cycles)), orbits)
+    lengths, orbits = list(map(len, cycles)), sorted(orbits)
+    cp = _pure_power_charpoly((*lengths, -1, *chain.from_iterable(orbits)), lengths, orbits)
     # det M = (-1)^n c_0; and M is symmetric, hence diagonalizable, so its
     # rank is n minus the multiplicity of the root 0
     n, zero_mult = cp.degree, next(k for k, c in enumerate(cp.coeffs) if c)
@@ -480,6 +504,7 @@ def _compare_reports(r1: SystemInvariantReport, r2: SystemInvariantReport) -> Sy
 
 def family_weaving(m: int) -> BraidWord:
     """The alternating-sign word on m strands (m odd); its polynomial is x^m."""
+    braids._check_int("m", m)
     if m < 3 or m % 2 == 0:
         raise ValueError(f"weaving family needs odd m >= 3, got {m}")
     return BraidWord(m, tuple(i if i % 2 == 1 else -i for i in range(1, m)))

@@ -1,6 +1,6 @@
 """The global caches: the weighted least-recently-used cache they share,
-the byte bound the README states for the report cache, and the contract
-the benchmark relies on."""
+the byte bounds the README states for the report cache and the charpoly
+memo, and the contract the benchmark relies on."""
 
 import gc
 import importlib
@@ -15,7 +15,8 @@ import pytest
 import braidsys
 from braidsys import braids, invariants
 from braidsys.braids import BraidWord, _weighted_lru, normal_form
-from oracles import random_word
+from braidsys.crossing import _pure_power_orbits, pure_power_matrix
+from oracles import charpoly_berkowitz, random_word
 
 
 def _upper(budget: int, calls: list):
@@ -142,6 +143,61 @@ def test_distinct_degree_64_reports_stay_under_the_stated_bytes():
     assert held < REPORT_CACHE_BYTES
 
 
+@pytest.mark.parametrize("letters, r, same_order", [
+    (((-2, 3, -1), (-2, -3, 1)), 4, True),
+    (((-2, -1, -2), (-1, -2, -2)), 2, False),  # the sweeps list the orbits in two orders
+], ids=["orbits-in-one-order", "orbits-in-two-orders"])
+def test_forms_with_one_pure_power_matrix_share_one_charpoly(letters, r, same_order):
+    # the two words differ in their normal forms, so each report misses, but
+    # their pure powers have one matrix: the charpoly of the second is the
+    # memo's, and both are that matrix's by an independent oracle
+    words = [BraidWord(4, w) for w in letters]
+    assert normal_form(words[0]) != normal_form(words[1])
+    (r1, M), (r2, M2) = map(pure_power_matrix, words)
+    assert (r1, M) == (r2, M2) and r1 == r and any(map(any, M.entries))
+    orbits = [_pure_power_orbits(w)[2] for w in words]
+    assert (orbits[0] == orbits[1]) == same_order and sorted(orbits[0]) == sorted(orbits[1])
+    invariants._report_for_normal_form.cache_clear()
+    invariants._pure_power_charpoly.cache_clear()
+    charpolys = [invariants.braid_invariants(w).charpoly for w in words]
+    info = invariants._pure_power_charpoly.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert invariants._report_for_normal_form.cache_info().misses == 2
+    assert charpolys[0] is charpolys[1]
+    assert charpolys[0] == charpoly_berkowitz(M.entries)
+
+
+# The README's bound: the charpoly memo holds at most 2**17 weight units,
+# and under 1.2 MB.
+CHARPOLY_MEMO_BYTES = 1.2e6
+
+
+def test_a_full_charpoly_memo_stays_under_the_stated_bytes():
+    rng = random.Random(40)
+    m = 40
+    words = [random_word(rng, m, 2 * m, 1) for _ in range(360)]
+    build = invariants._report_for_normal_form.__wrapped__  # past the report cache
+    memo = invariants._pure_power_charpoly
+    forms = [normal_form(w) for w in words]
+    build(forms[0], words[0])  # the codebook of the degree is built outside the count
+    memo.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for nf, w in zip(forms, words):
+            build(nf, w)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    info = memo.cache_info()
+    memo.cache_clear()
+    assert info.misses > info.currsize  # the budget evicted charpolys
+    assert 0.9 * 2**17 < info.weight <= 2**17
+    assert held < CHARPOLY_MEMO_BYTES
+
+
 def test_every_module_level_cache_clear_takes_no_argument():
     # the benchmark empties the caches between passes by calling cache_clear()
     # on every module attribute that has one, classes included
@@ -159,6 +215,7 @@ def test_every_module_level_cache_clear_takes_no_argument():
         "braidsys.cli._parser",
         "braidsys.codec._keys",
         "braidsys.invariants._report_for_normal_form",
+        "braidsys.invariants._pure_power_charpoly",
         "braidsys.invariants._group_order_cached",
     }
 

@@ -199,6 +199,20 @@ def test_bmk_family():
         family_bmk(3, -1)
 
 
+def test_family_bmk_is_linear_in_k_and_its_closed_form_builds_no_word(monkeypatch):
+    # README, "Costs": family_bmk(m, k) has 2m - 2 + 2k letters, and
+    # family_bmk_charpoly reads its closed form off m and k alone
+    for m in (3, 4, 7, 16):
+        for k in (0, 1, 5, 100):
+            assert len(family_bmk(m, k).letters) == 2 * m - 2 + 2 * k
+    built, check = [], BraidWord.__post_init__
+    monkeypatch.setattr(BraidWord, "__post_init__", lambda w: built.append(w.letters) or check(w))
+    assert len(family_bmk(4, 3).letters) == 12 and len(built) == 1  # the spy sees every word built
+    k = 10**6
+    assert family_bmk_charpoly(4, k) == IntPolynomial((0, 0, -(k * k + 2 * k + 3), 0, 1))
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("m, k, message", [
     (2, 0, "family needs m > 2, got 2"),
     (1, 0, "family needs m > 2, got 1"),
@@ -243,6 +257,11 @@ _W = BraidWord(4, (1, -2))
                  id="family_bmk_charpoly-m"),
     pytest.param(lambda: orbit.verify_invariance(BraidSystem(4, (_W,)), True, 0), TypeError,
                  "trials True is a bool, not an int", id="verify_invariance"),
+    # family_weaving(3.0) failed in range() and family_weaving(True) as m = 1
+    pytest.param(lambda: family_weaving(3.0), TypeError, "m 3.0 is a float, not an int",
+                 id="family_weaving-float"),
+    pytest.param(lambda: family_weaving(True), TypeError, "m True is a bool, not an int",
+                 id="family_weaving-bool"),
 ])
 def test_int_arguments_reject_bools_and_negative_powers(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -653,6 +672,7 @@ def test_one_report_splits_each_block_once_and_its_rendering_none(monkeypatch):
     monkeypatch.setattr(intlinalg, "_split_factor", lambda c: split.append(list(c)) or split_factor(c))
     monkeypatch.setattr(intlinalg, "_split_roots", lambda p: scanned.append(p) or split_roots(p))
     invariants._report_for_normal_form.cache_clear()
+    invariants._pure_power_charpoly.cache_clear()  # an earlier test may have met this matrix
     rep = braid_invariants(parse_word("1,1,-3,-3,-3,-3,5", 7))
     # three 2x2 blocks (entries 2, -4 and 1) and the zero block of strand 7:
     # the fixed strands 1, 2 and 3, 4 give A_1 = [[0, +-1], [+-1, 0]] and
