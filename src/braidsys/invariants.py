@@ -9,13 +9,15 @@ component polynomials are invariant under the Hurwitz action, and the
 product with the roots 0 and +-1 stripped is additionally invariant
 under global conjugation and stabilization.
 
-Braid reports, their charpolys and group orders are memoised in
-least-recently-used caches bounded by the weight of what they hold, not by
-entry count; the README ("Caches") states each bound in bytes.  A report
+Braid reports, their charpolys, the charpoly products of systems and group
+orders are memoised in least-recently-used caches bounded by the weight of
+what they hold, not by entry count; with `braids._nf_inverse` they are the
+five that the README ("Caches") states a bound in bytes for.  A report
 is keyed by its braid's normal form, and its charpoly by the orbits of
 the pure-power matrix, which a new normal form often shares: the forms
 that Hurwitz moves and conjugations give a component often have the
-matrix of one met before.
+matrix of one met before.  A system's product and essential core are
+keyed by its charpoly multiset, which those moves keep.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, fields
 from itertools import chain
 
 from . import braids
-from .braids import BraidWord, NormalForm
+from .braids import BraidWord, NormalForm, Permutation
 from .codec import JsonCodec, decode, require_keys
 from .crossing import _pure_power_orbits, crossing_matrix
 from .intlinalg import (
@@ -153,7 +155,9 @@ class SystemInvariantReport(JsonCodec):
     @functools.cached_property
     def _trace_form(self) -> NormalForm:
         # the combed product of the components; a report built from normal
-        # forms keeps the one that its trace_is_identity was read off
+        # forms keeps the one it combed when the trace could be the identity,
+        # and any other is combed here when first read, as compare_systems
+        # and verify_invariance read it
         return braids._nf_product(NormalForm(self.degree, 0, ()), *self.normal_forms)
 
 
@@ -406,24 +410,55 @@ def _system_report(
     `nfs[i]` that its report sweeps on a miss: a word of it or the form."""
     if not nfs:
         raise ValueError("a braid system needs at least one component")
+    for nf in nfs:
+        braids.check_same_degree(degree, nf.degree)
     charpolys = [_report_for_normal_form(nf, b).charpoly for nf, b in zip(nfs, swept)]
-    prod = _split_product([(roots, rest.coeffs) for roots, rest in map(split_integer_roots, charpolys)])
     multiset = tuple(sorted(charpolys, key=poly_sort_key))
-    trace = braids._nf_product(NormalForm(degree, 0, ()), *nfs)
+    key = (degree, *chain.from_iterable(p.coeffs for p in multiset))
+    prod, essential = _product_and_core(key, multiset)
+    sums, perms = [nf.exponent_sum() for nf in nfs], [nf.permutation() for nf in nfs]
+    # exponent sum and permutation are homomorphisms, so a trace whose sum
+    # is not 0 or whose permutation is not the identity is not the identity;
+    # it is combed only when it is read (`_trace_form`)
+    trace = None
+    if sum(sums) == 0 and functools.reduce(Permutation.then, perms).is_identity():
+        trace = braids._nf_product(NormalForm(degree, 0, ()), *nfs)
     report = SystemInvariantReport(
         degree=degree,
         length=len(nfs),
         charpoly_product=prod,
         charpoly_multiset=multiset,
-        essential=reduce_poly(prod),
-        trace_is_identity=trace.is_identity(),
-        perm_monodromy_order=permutation_group_order(nf.permutation() for nf in nfs),
-        exponent_sums=tuple(sorted(nf.exponent_sum() for nf in nfs)),
+        essential=essential,
+        trace_is_identity=trace is not None and trace.is_identity(),
+        perm_monodromy_order=permutation_group_order(perms),
+        exponent_sums=tuple(sorted(sums)),
         degree_plus_length_mod3=(degree + len(nfs)) % 3,
         normal_forms=tuple(nfs),
     )
-    object.__setattr__(report, "_trace_form", trace)  # compare_systems renders it
+    if trace is not None:
+        object.__setattr__(report, "_trace_form", trace)  # compare_systems renders it
     return report
+
+
+# A key is the degree m, then the m + 1 coefficients of each of the k
+# charpolys of a multiset, so m fixes where each ends.  A key of L ints
+# weighs them four times, for the key and for the product, its cofactor and
+# its core, which are about as long, plus L**2 / 8 for the product's digits,
+# which grow with k and m.  Hurwitz moves and conjugations keep the multiset,
+# so repeats come close together, in the steps of one `apply` or the two
+# systems of one `compare`: the budget finds 1,054 of the 1,131 repeats of a
+# 30-second `audit` benchmark run, in a third of the bytes that keeping all
+# of them takes.  It bounds the memo under 0.7 MB, and no key of 709 ints or
+# more is kept (README, "Caches").
+@braids._weighted_lru(2**16, lambda key: 128 + 4 * len(key) + len(key) ** 2 // 8)
+def _product_and_core(
+    key: tuple[int, ...], multiset: tuple[IntPolynomial, ...]
+) -> tuple[IntPolynomial, ReducedPolynomial]:
+    """The product of the charpolys in `multiset`, whose coefficients `key`
+    lists, built from their kept splits and keeping its own, and its
+    essential core."""
+    prod = _split_product([(roots, rest.coeffs) for roots, rest in map(split_integer_roots, multiset)])
+    return prod, reduce_poly(prod)
 
 
 # The checks of compare_systems, in order, each reading a value off a

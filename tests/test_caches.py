@@ -1,6 +1,6 @@
 """The global caches: the weighted least-recently-used cache they share,
-the byte bounds the README states for the report cache and the charpoly
-memo, and the contract the benchmark relies on."""
+the byte bounds the README states for the report cache, the charpoly memo
+and the product memo, and the contract the benchmark relies on."""
 
 import gc
 import importlib
@@ -198,6 +198,42 @@ def test_a_full_charpoly_memo_stays_under_the_stated_bytes():
     assert held < CHARPOLY_MEMO_BYTES
 
 
+# The README's bound: the product memo holds at most 2**16 weight units,
+# and under 0.7 MB.
+PRODUCT_MEMO_BYTES = 0.7e6
+
+
+def test_a_full_product_memo_stays_under_the_stated_bytes():
+    # one-component systems of degree 16, the shape at which a full memo held
+    # the most of those measured; counted is what the memo alone keeps: the
+    # bytes that clearing it frees once the reports and charpolys are gone
+    rng = random.Random(16)
+    m = 16
+    systems = [(normal_form(random_word(rng, m, 2 * m, 1)),) for _ in range(400)]
+    report = invariants.system_invariants_from_normal_forms
+    memo = invariants._product_and_core
+    report(m, systems[0])  # the codebook of the degree is built outside the count
+    memo.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for nfs in systems:
+            report(m, nfs)
+        invariants._report_for_normal_form.cache_clear()
+        invariants._pure_power_charpoly.cache_clear()
+        gc.collect()
+        full = tracemalloc.get_traced_memory()[0]
+        info = memo.cache_info()
+        memo.cache_clear()
+        gc.collect()
+        held = full - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert info.misses > info.currsize  # the budget evicted products
+    assert 0.9 * 2**16 < info.weight <= 2**16
+    assert held < PRODUCT_MEMO_BYTES
+
+
 def test_every_module_level_cache_clear_takes_no_argument():
     # the benchmark empties the caches between passes by calling cache_clear()
     # on every module attribute that has one, classes included
@@ -216,6 +252,7 @@ def test_every_module_level_cache_clear_takes_no_argument():
         "braidsys.codec._keys",
         "braidsys.invariants._report_for_normal_form",
         "braidsys.invariants._pure_power_charpoly",
+        "braidsys.invariants._product_and_core",
         "braidsys.invariants._group_order_cached",
     }
 

@@ -43,6 +43,7 @@ from braidsys import braids, cli, crossing, intlinalg, invariants, orbit
 from braidsys.braids import BraidWord, NormalForm, Permutation, _nf_product, inverse
 from braidsys.crossing import _pure_power_orbits
 from braidsys.intlinalg import factored_str, split_integer_roots
+from braidsys.moves import HurwitzMove, hurwitz_move
 
 from oracles import (
     charpoly_berkowitz,
@@ -54,6 +55,7 @@ from oracles import (
     odd_infimum_word,
     pure_power_matrix_literal,
     random_word,
+    split_product_chain,
 )
 
 
@@ -659,6 +661,85 @@ def test_compare_combs_each_system_trace_once(monkeypatch):
     rep = system_invariants(s1)
     back = SystemInvariantReport.from_json(rep.to_json())
     assert back == rep and back._trace_form == rep._trace_form
+
+
+def _oracle_systems() -> list[BraidSystem]:
+    """Seeded random systems of degree 1 to 8; w_1 ... w_k followed by the
+    inverse of their product, whose trace is the identity; pure systems of
+    exponent sum 0 whose trace is not; and one system in several orders."""
+    rng = random.Random(51)
+    systems = []
+    for t in range(64):
+        m = 1 + t % 8
+        words = [random_word(rng, m, 2 * m) for _ in range(rng.randint(1, 5))]
+        systems.append(BraidSystem(m, tuple(words)))
+        if t % 2:
+            closing = inverse(BraidWord(m, tuple(k for w in words for k in w.letters)))
+            systems.append(BraidSystem(m, (*words, closing)))
+    systems += [BraidSystem.from_texts(3, ["1,1", "-2,-2"]),
+                BraidSystem.from_texts(3, ["-2,-2", "1,1"]),
+                BraidSystem.from_texts(4, ["1,1", "-3,-3", "2,2,2,2", "-1,-1,-2,-2,-2,-2", "3,3"])]
+    words = [random_word(rng, 5, 10, 1) for _ in range(4)]
+    for order in ((0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)):
+        systems.append(BraidSystem(5, tuple(words[i] for i in order)))
+    return systems
+
+
+@pytest.mark.parametrize("from_forms", [False, True], ids=["words", "forms"])
+def test_system_reports_match_the_trace_and_product_oracles(from_forms):
+    # trace_is_identity against the comb of the whole trace word, and the
+    # product and core against the two-chain product of the component
+    # charpolys in component order, whether the memo holds them or not
+    invariants._product_and_core.cache_clear()
+    identities = pure_but_not = 0
+    for s in _oracle_systems():
+        if from_forms:
+            rep = system_invariants_from_normal_forms(s.degree, s.normal_forms())
+        else:
+            rep = system_invariants(s)
+        trace = normal_form(s.trace_product())
+        assert rep.trace_is_identity == trace.is_identity()
+        assert rep._trace_form == trace
+        identities += trace.is_identity()
+        pure_but_not += (sum(map(exponent_sum, s.components)) == 0
+                         and permutation(s.trace_product()).is_identity() and not trace.is_identity())
+        charpolys = [braid_invariants(c).charpoly for c in s.components]
+        q = split_product_chain([(p.coeffs, roots, rest.coeffs)
+                                 for p, (roots, rest) in zip(charpolys, map(split_integer_roots, charpolys))])
+        assert rep.charpoly_product == q and rep.charpoly_product._root_split == q._root_split
+        assert rep.essential == intlinalg.reduce_poly(q)
+    assert identities >= 32 and pure_but_not >= 3
+    assert invariants._product_and_core.cache_info().hits >= 3  # the orders share one product
+
+
+def test_system_reports_comb_only_traces_that_can_be_the_identity(monkeypatch):
+    # exponent sum and permutation are homomorphisms, so a trace whose sum
+    # is not 0 or whose permutation is not the identity is no identity, and
+    # the report does not comb it; a system whose charpoly multiset was met
+    # before builds no product
+    combed = []
+    product = braids._nf_product
+    monkeypatch.setattr(braids, "_nf_product", lambda *nfs: combed.append(nfs) or product(*nfs))
+    memo = invariants._product_and_core
+    memo.cache_clear()
+    for texts, combs, identity in [
+        (["1,1,1,1", "2,2"], 0, False),  # pure, of exponent sum 6
+        (["1", "-2"], 0, False),  # sum 0, permutation s1 s2
+        (["1,1", "-2,-2,-2,-2", "2,2"], 1, False),  # pure of sum 0: combed, not the identity
+        (["1,2", "-2,-1"], 1, True),
+    ]:
+        combed.clear()
+        s = BraidSystem.from_texts(3, texts)
+        rep = system_invariants(s)
+        assert (len(combed), rep.trace_is_identity) == (combs, identity)
+        assert rep._trace_form == normal_form(s.trace_product())  # rendering combs the rest
+        assert len(combed) == 1
+        misses = memo.cache_info().misses
+        moved = hurwitz_move(s, HurwitzMove(1))
+        assert moved.normal_forms() != s.normal_forms()
+        assert system_invariants(moved).charpoly_multiset == rep.charpoly_multiset
+        assert memo.cache_info().misses == misses
+    assert memo.cache_info().misses == 4
 
 
 def test_one_report_splits_each_block_once_and_its_rendering_none(monkeypatch):
